@@ -1,6 +1,8 @@
 //! Shared §V evaluation machinery: scaler construction and the
 //! mix × population × scaler experiment matrix reused by Figs. 8–11.
 
+use std::sync::OnceLock;
+
 use atom_cluster::ClusterOptions;
 use atom_core::baselines::RuleConfig;
 use atom_core::workload::WorkloadSpec;
@@ -189,6 +191,16 @@ pub fn evaluation_matrix(opts: &HarnessOptions) -> Vec<MatrixCell> {
         }
     }
     cells
+}
+
+/// [`evaluation_matrix`], run once per process (which runs under one
+/// set of options): `fig8`, `fig9` and `fig10` read the same 27 runs.
+pub fn shared_matrix(opts: &HarnessOptions) -> &'static [MatrixCell] {
+    static MATRIX: OnceLock<Vec<MatrixCell>> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        atom_obs::progress!("running the evaluation matrix (27 runs)...");
+        evaluation_matrix(opts)
+    })
 }
 
 /// Indices of the three stateless services over which the paper computes

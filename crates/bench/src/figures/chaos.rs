@@ -10,10 +10,12 @@
 //! mid-ramp: per-service availability, the longest outage, and whether
 //! the controller keeps (correctly) acting while under-provisioned.
 //!
-//! `chaos --smoke` runs the quick variant and exits non-zero when ATOM
+//! `repro --smoke chaos` runs the quick variant and fails when ATOM
 //! wedges (no scale action for more than [`MAX_IDLE_UNDERPROVISIONED`]
 //! consecutive under-provisioned windows), never acts at all, or the
-//! cluster fails to restore availability by the end of the run.
+//! cluster fails to restore availability by the end of the run — CI's
+//! guard that the degraded-mode control loop keeps functioning under
+//! faults.
 
 use atom_cluster::{ClusterOptions, FaultKind, FaultSchedule};
 use atom_core::ExperimentResult;
@@ -79,15 +81,20 @@ pub fn chaos_schedule(horizon: f64, window_secs: f64) -> FaultSchedule {
         )
 }
 
+/// Whether some stateless service was under-provisioned in window `i`.
+pub fn underprovisioned(result: &ExperimentResult, i: usize) -> bool {
+    STATELESS
+        .iter()
+        .any(|&si| result.capacity[si].windows()[i].shortfall() > SHORTFALL_TOLERANCE)
+}
+
 /// Longest run of consecutive windows in which some stateless service
 /// was under-provisioned and the scaler issued no action.
 pub fn longest_idle_underprovisioned(result: &ExperimentResult) -> usize {
     let mut run = 0usize;
     let mut worst = 0usize;
     for (i, report) in result.reports.iter().enumerate() {
-        let under = STATELESS
-            .iter()
-            .any(|&si| result.capacity[si].windows()[i].shortfall() > SHORTFALL_TOLERANCE);
+        let under = underprovisioned(result, i);
         let acted = result
             .actions
             .entries()
@@ -148,11 +155,7 @@ pub fn run_matrix(
 /// can export the decision journal (`--trace-out`).
 pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!("\n== Chaos: ATOM vs UH vs UV under a fault schedule (ordering, N = 2000) ==");
-    let (windows, window_secs) = if opts.quick {
-        (6usize, 120.0)
-    } else {
-        (opts.windows(), opts.window_secs())
-    };
+    let (windows, window_secs) = opts.protocol(6);
     let horizon = windows as f64 * window_secs;
     for e in chaos_schedule(horizon, window_secs).events() {
         atom_obs::info!("  t={:>6.0}s  {}", e.time, e.kind);
@@ -219,4 +222,51 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
         );
     }
     results
+}
+
+/// The `--smoke` gate: the quick matrix, then ATOM must have acted,
+/// must not have wedged, and every scaler's cluster must end the run
+/// with availability restored.
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let (windows, window_secs) = opts.protocol(6);
+    let results = run_matrix(opts, windows, window_secs);
+    crate::trace::emit(opts, &results);
+    let atom = results
+        .iter()
+        .find(|r| r.scaler == "ATOM")
+        .expect("matrix includes ATOM");
+
+    let mut failures = Vec::new();
+    if atom.actions.is_empty() {
+        failures.push("ATOM issued no scale actions over the whole chaos run".to_string());
+    }
+    let idle = longest_idle_underprovisioned(atom);
+    if idle > MAX_IDLE_UNDERPROVISIONED {
+        failures.push(format!(
+            "ATOM wedged: {idle} consecutive under-provisioned windows without an action \
+             (allowed {MAX_IDLE_UNDERPROVISIONED})"
+        ));
+    }
+    for r in &results {
+        let final_avail = final_window_availability(r);
+        if final_avail < 0.99 {
+            failures.push(format!(
+                "{}: availability not restored by the final window ({final_avail:.4})",
+                r.scaler
+            ));
+        }
+        let injected_failures: usize = r.reports.iter().map(|w| w.failed_actuations).sum();
+        atom_obs::progress!(
+            "smoke: {} actions={} failed_actuations={} final_avail={:.4}",
+            r.scaler,
+            r.actions.len(),
+            injected_failures,
+            final_avail
+        );
+    }
+    atom_obs::info!(
+        "chaos: ATOM took {} actions, idle streak {idle} (allowed {MAX_IDLE_UNDERPROVISIONED})",
+        atom.actions.len()
+    );
+    failures
 }

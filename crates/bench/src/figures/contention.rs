@@ -15,10 +15,9 @@
 //! ledger (requests / admitted / queued / rejected / drained). Per
 //! scenario: the Jain fairness index over granted capacity.
 //!
-//! The scenario matrix fans out across worker threads with the same
-//! index-strided, worker-count-deterministic recipe as the candidate
-//! evaluator (`ATOM_EVAL_WORKERS`): every cell is self-contained, so the
-//! CSV is bitwise identical for any worker count.
+//! The scenario matrix fans out across `ATOM_EVAL_WORKERS` threads
+//! ([`fan_out`]): every cell is self-contained, so the CSV is bitwise
+//! identical for any worker count.
 
 use atom_core::baselines::RuleConfig;
 use atom_core::{Autoscaler, UhScaler, UvScaler};
@@ -28,6 +27,7 @@ use atom_placement::{
 };
 use atom_sockshop::{scenarios, SockShop};
 
+use crate::figures::fan_out;
 use crate::output::{f, Table};
 use crate::HarnessOptions;
 
@@ -141,14 +141,6 @@ pub struct ScenarioOutcome {
     pub worst_overcommit: f64,
 }
 
-fn windows(opts: &HarnessOptions) -> (usize, f64) {
-    if opts.quick {
-        (4, 120.0)
-    } else {
-        (opts.windows(), opts.window_secs())
-    }
-}
-
 fn populations(opts: &HarnessOptions) -> (usize, usize) {
     if opts.quick {
         (200, 1200)
@@ -162,7 +154,7 @@ fn populations(opts: &HarnessOptions) -> (usize, usize) {
 /// contention metrics.
 pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutcome {
     let shop = SockShop::default();
-    let (n_windows, window_secs) = windows(opts);
+    let (n_windows, window_secs) = opts.protocol(4);
     let (baseline, peak) = populations(opts);
     let run_secs = n_windows as f64 * window_secs;
 
@@ -243,53 +235,12 @@ pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutco
     }
 }
 
-/// Worker count for the scenario fan-out: the evaluator's
-/// `ATOM_EVAL_WORKERS` convention (results are bitwise independent of
-/// it — each cell is self-contained and merged by index).
-fn launcher_workers() -> usize {
-    std::env::var("ATOM_EVAL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
-/// Runs the whole matrix, index-strided across `ATOM_EVAL_WORKERS`
-/// threads, results merged back in matrix order.
+/// Runs the whole matrix through [`fan_out`], in matrix order.
 pub fn run_matrix(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
-    let cells = matrix();
-    let n_workers = launcher_workers().min(cells.len());
-    let mut out: Vec<Option<ScenarioOutcome>> = vec![None; cells.len()];
-    if n_workers <= 1 {
-        for (i, cell) in cells.iter().enumerate() {
-            atom_obs::progress!("  contention: {}", cell.name());
-            out[i] = Some(run_scenario(cell, opts));
-        }
-    } else {
-        let results: Vec<(usize, ScenarioOutcome)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_workers);
-            for w in 0..n_workers {
-                let cells = &cells;
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    let mut j = w;
-                    while j < cells.len() {
-                        mine.push((j, run_scenario(&cells[j], opts)));
-                        j += n_workers;
-                    }
-                    mine
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("contention worker panicked"))
-                .collect()
-        });
-        for (j, outcome) in results {
-            out[j] = Some(outcome);
-        }
-    }
-    out.into_iter().map(|o| o.expect("all cells ran")).collect()
+    fan_out(&matrix(), |cell| {
+        atom_obs::progress!("  contention: {}", cell.name());
+        run_scenario(cell, opts)
+    })
 }
 
 /// Renders the matrix as a table and writes `contention.csv`.
@@ -418,16 +369,14 @@ pub fn run(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
     outcomes
 }
 
-/// `repro contention --smoke`: the CI gate. Quick matrix, then require
-/// that (1) every scenario completed with a sane fairness index,
+/// The `--smoke` gate. Quick matrix, then require that (1) every
+/// scenario completed with a sane fairness index,
 /// (2) per-tenant admission accounting reconciles (`requests ==
 /// admitted + queued + rejected`, verdicts agree with the ledger),
 /// (3) the ledger never over-committed a node, and (4) the exhaustion
 /// scenarios produced at least one rejection.
-pub fn smoke(opts: &HarnessOptions) {
-    let mut opts = opts.clone();
-    opts.quick = true;
-    let outcomes = run(&opts);
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let outcomes = run(opts);
     let mut failures: Vec<String> = Vec::new();
     let mut tight_rejections = 0u64;
     for o in &outcomes {
@@ -463,16 +412,9 @@ pub fn smoke(opts: &HarnessOptions) {
     if tight_rejections == 0 {
         failures.push("no admission rejection in any exhaustion scenario".into());
     }
-    if failures.is_empty() {
-        atom_obs::info!(
-            "contention smoke OK: {} scenarios, {} rejections under exhaustion",
-            outcomes.len(),
-            tight_rejections
-        );
-    } else {
-        for msg in &failures {
-            atom_obs::error!("contention smoke FAILED: {msg}");
-        }
-        std::process::exit(1);
-    }
+    atom_obs::info!(
+        "contention: {} scenarios, {tight_rejections} rejections under exhaustion",
+        outcomes.len()
+    );
+    failures
 }

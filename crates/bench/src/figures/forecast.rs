@@ -15,21 +15,20 @@
 //! Reported per run: SLO-violation-seconds (`T_u` over the stateless
 //! services), under-provisioned area `A_u`, time-to-stable (end of the
 //! last under-provisioned window), mean TPS, and the forecaster's own
-//! accounting (windows forecast, fallbacks, clamps). `forecast --smoke`
-//! gates CI on the ramp: proactive must meet or beat reactive on
-//! SLO-violation-seconds, and both must finish without wedging.
+//! accounting (windows forecast, fallbacks, clamps). `repro --smoke
+//! forecast` gates CI on the ramp — the easiest predictable shape, where
+//! the forecasting path must pay for itself: proactive must meet or
+//! beat reactive on SLO-violation-seconds, and both must finish without
+//! wedging.
 
 use atom_core::workload::{LoadProfile, WorkloadSpec};
 use atom_core::ExperimentResult;
 use atom_sockshop::{scenarios, SockShop};
 
 use crate::eval::{run_one, ScalerKind, STATELESS};
+use crate::figures::chaos;
 use crate::output::{f, Table};
 use crate::HarnessOptions;
-
-/// Shortfall (cores) below which a window does not count as
-/// under-provisioned — same tolerance the chaos wedging check uses.
-const SHORTFALL_TOLERANCE: f64 = 0.05;
 
 /// One forecast-experiment scenario: a named workload plus the seasonal
 /// cycle hint (in monitoring windows) handed to the proactive ensemble.
@@ -81,10 +80,7 @@ pub fn scenarios_for(windows: usize, window_secs: f64) -> Vec<ForecastScenario> 
 pub fn time_to_stable(result: &ExperimentResult) -> f64 {
     let mut stable_at = 0.0;
     for (i, w) in result.reports.iter().enumerate() {
-        let under = STATELESS
-            .iter()
-            .any(|&si| result.capacity[si].windows()[i].shortfall() > SHORTFALL_TOLERANCE);
-        if under {
+        if chaos::underprovisioned(result, i) {
             stable_at = w.end;
         }
     }
@@ -160,18 +156,11 @@ pub fn run_pair(
     })
 }
 
-/// The full artefact: reactive vs proactive across all three scenarios,
-/// as a table and `forecast.csv`. Returns the results so callers can
-/// export the decision journal (`--trace-out`).
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
-    atom_obs::info!("\n== Forecast: reactive vs proactive ATOM (ramp / bursty / diurnal) ==");
-    let (windows, window_secs) = if opts.quick {
-        (6usize, 120.0)
-    } else {
-        (opts.windows(), opts.window_secs())
-    };
-    let mut table = Table::new(&[
-        "scenario",
+/// The per-run summary `forecast.csv` and `trace.csv` share, keyed by
+/// a first column named `what`.
+pub fn summary_table(what: &str) -> Table {
+    Table::new(&[
+        what,
         "scaler",
         "SLO viol [s]",
         "A_u [core-s]",
@@ -181,24 +170,37 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
         "fallbacks",
         "clamped",
         "#actions",
-    ]);
+    ])
+}
+
+/// One [`summary_table`] row.
+pub fn summary_row(label: &str, r: &ExperimentResult, windows: usize) -> Vec<String> {
+    let tally = forecast_tally(r);
+    vec![
+        label.to_string(),
+        r.scaler.clone(),
+        f(slo_violation_seconds(r), 0),
+        f(r.underprovision_area(Some(&STATELESS)), 0),
+        f(time_to_stable(r), 0),
+        f(r.mean_tps(0, windows), 1),
+        tally.windows.to_string(),
+        tally.fallbacks.to_string(),
+        tally.clamped.to_string(),
+        r.actions.len().to_string(),
+    ]
+}
+
+/// The full artefact: reactive vs proactive across all three scenarios,
+/// as a table and `forecast.csv`. Returns the results so callers can
+/// export the decision journal (`--trace-out`).
+pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+    atom_obs::info!("\n== Forecast: reactive vs proactive ATOM (ramp / bursty / diurnal) ==");
+    let (windows, window_secs) = opts.protocol(6);
+    let mut table = summary_table("scenario");
     let mut all = Vec::new();
     for scenario in scenarios_for(windows, window_secs) {
-        let pair = run_pair(opts, &scenario, windows, window_secs);
-        for r in pair {
-            let tally = forecast_tally(&r);
-            table.row(vec![
-                scenario.name.to_string(),
-                r.scaler.clone(),
-                f(slo_violation_seconds(&r), 0),
-                f(r.underprovision_area(Some(&STATELESS)), 0),
-                f(time_to_stable(&r), 0),
-                f(r.mean_tps(0, windows), 1),
-                tally.windows.to_string(),
-                tally.fallbacks.to_string(),
-                tally.clamped.to_string(),
-                r.actions.len().to_string(),
-            ]);
+        for r in run_pair(opts, &scenario, windows, window_secs) {
+            table.row(summary_row(scenario.name, &r, windows));
             all.push(r);
         }
     }
@@ -226,4 +228,79 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
         }
     }
     all
+}
+
+/// The gate checks every reactive-vs-proactive run shares (`forecast`
+/// on the ramp, `trace` on the Alibaba fixture): proactive ATOM meets or
+/// beats reactive ATOM on SLO-violation-seconds over `what`, journals
+/// forecast records, and neither controller stops early or wedges.
+pub fn proactive_gate(results: &[ExperimentResult], windows: usize, what: &str) -> Vec<String> {
+    let find = |name: &str| {
+        results
+            .iter()
+            .find(|r| r.scaler == name)
+            .unwrap_or_else(|| panic!("{name} ran"))
+    };
+    let (reactive, proactive) = (find("ATOM"), find("ATOM-P"));
+    let mut failures = Vec::new();
+    let (t_reactive, t_proactive) = (
+        slo_violation_seconds(reactive),
+        slo_violation_seconds(proactive),
+    );
+    if t_proactive > t_reactive {
+        failures.push(format!(
+            "proactive ATOM violated the SLO longer than reactive on the {what} \
+             ({t_proactive:.0} s > {t_reactive:.0} s)"
+        ));
+    }
+    for r in results {
+        if r.reports.len() != windows {
+            failures.push(format!(
+                "{}: run ended after {}/{} windows",
+                r.scaler,
+                r.reports.len(),
+                windows
+            ));
+        }
+        let idle = chaos::longest_idle_underprovisioned(r);
+        if idle > chaos::MAX_IDLE_UNDERPROVISIONED {
+            failures.push(format!(
+                "{} wedged: {idle} consecutive under-provisioned windows without an action \
+                 (allowed {})",
+                r.scaler,
+                chaos::MAX_IDLE_UNDERPROVISIONED
+            ));
+        }
+        atom_obs::progress!(
+            "smoke: {} SLO-violation={:.0}s stable-at={:.0}s actions={}",
+            r.scaler,
+            slo_violation_seconds(r),
+            time_to_stable(r),
+            r.actions.len()
+        );
+    }
+    let tally = forecast_tally(proactive);
+    if tally.windows == 0 {
+        failures.push("proactive ATOM journaled no forecast records".to_string());
+    }
+    atom_obs::info!(
+        "{what}: proactive {t_proactive:.0} s vs reactive {t_reactive:.0} s SLO-violation \
+         ({} forecast windows, {} fallbacks)",
+        tally.windows,
+        tally.fallbacks
+    );
+    failures
+}
+
+/// The `--smoke` gate: the quick ramp scenario under both controllers,
+/// checked by [`proactive_gate`].
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let (windows, window_secs) = opts.protocol(6);
+    let ramp = scenarios_for(windows, window_secs)
+        .into_iter()
+        .find(|s| s.name == "ramp")
+        .expect("ramp scenario exists");
+    let results = run_pair(opts, &ramp, windows, window_secs);
+    crate::trace::emit(opts, &results);
+    proactive_gate(&results, windows, "ramp")
 }

@@ -25,10 +25,9 @@
 //! things placement and scaling control — queueing and network round
 //! trips — instead of being swamped by a constant everyone pays.
 //!
-//! The matrix fans out index-strided across `ATOM_EVAL_WORKERS` threads
-//! (the contention matrix's recipe); every cell is self-contained, so
-//! the CSV is bitwise identical for any worker count — CI compares the
-//! bytes across worker counts.
+//! The matrix fans out across `ATOM_EVAL_WORKERS` threads ([`fan_out`]);
+//! every cell is self-contained, so the CSV is bitwise identical for
+//! any worker count — CI compares the bytes across worker counts.
 
 use atom_cluster::{ClusterOptions, EdgeSpec, TopologySpec};
 use atom_core::workload::WorkloadSpec;
@@ -36,6 +35,7 @@ use atom_core::ExperimentResult;
 use atom_sockshop::{scenarios, SockShop};
 
 use crate::eval::{run_one_with_cluster, ScalerKind};
+use crate::figures::fan_out;
 use crate::output::{f, Table};
 use crate::HarnessOptions;
 
@@ -154,21 +154,13 @@ pub struct CellOutcome {
     pub result: ExperimentResult,
 }
 
-fn windows(opts: &HarnessOptions) -> (usize, f64) {
-    if opts.quick {
-        (4, 120.0)
-    } else {
-        (opts.windows(), opts.window_secs())
-    }
-}
-
 /// Workloads chosen to load the cluster without drowning it: under
 /// saturation the scalers' trajectories diverge chaotically between
 /// placements and queueing noise swamps the network term, so the
 /// comparison stays in the moderately-loaded regime where the placement
 /// penalty is the dominant controlled difference.
 fn workload_of(name: &str, opts: &HarnessOptions) -> WorkloadSpec {
-    let (n_windows, window_secs) = windows(opts);
+    let (n_windows, window_secs) = opts.protocol(4);
     let run_secs = n_windows as f64 * window_secs;
     match name {
         "ramp" => scenarios::evaluation_workload(
@@ -192,7 +184,7 @@ fn workload_of(name: &str, opts: &HarnessOptions) -> WorkloadSpec {
 /// Runs one cell and folds its reports into the placement metrics.
 pub fn run_cell(cell: &Cell, opts: &HarnessOptions) -> CellOutcome {
     let shop = SockShop::default();
-    let (n_windows, window_secs) = windows(opts);
+    let (n_windows, window_secs) = opts.protocol(4);
     let result = run_one_with_cluster(
         &shop,
         workload_of(cell.workload, opts),
@@ -261,57 +253,17 @@ pub fn run_cell(cell: &Cell, opts: &HarnessOptions) -> CellOutcome {
     }
 }
 
-/// Worker count for the cell fan-out (`ATOM_EVAL_WORKERS`, the
-/// evaluator's convention); results are bitwise independent of it.
-fn launcher_workers() -> usize {
-    std::env::var("ATOM_EVAL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
-/// Runs the whole matrix, index-strided across `ATOM_EVAL_WORKERS`
-/// threads, merged back in matrix order.
+/// Runs the whole matrix through [`fan_out`], in matrix order.
 pub fn run_matrix(opts: &HarnessOptions) -> Vec<CellOutcome> {
-    let cells = matrix();
-    let n_workers = launcher_workers().min(cells.len());
-    let mut out: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
-    if n_workers <= 1 {
-        for (i, cell) in cells.iter().enumerate() {
-            atom_obs::progress!(
-                "  netlat: {} {} {}",
-                cell.workload,
-                cell.placement.name(),
-                cell.scaler.name()
-            );
-            out[i] = Some(run_cell(cell, opts));
-        }
-    } else {
-        let results: Vec<(usize, CellOutcome)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_workers);
-            for w in 0..n_workers {
-                let cells = &cells;
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    let mut j = w;
-                    while j < cells.len() {
-                        mine.push((j, run_cell(&cells[j], opts)));
-                        j += n_workers;
-                    }
-                    mine
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("netlat worker panicked"))
-                .collect()
-        });
-        for (j, outcome) in results {
-            out[j] = Some(outcome);
-        }
-    }
-    out.into_iter().map(|o| o.expect("all cells ran")).collect()
+    fan_out(&matrix(), |cell| {
+        atom_obs::progress!(
+            "  netlat: {} {} {}",
+            cell.workload,
+            cell.placement.name(),
+            cell.scaler.name()
+        );
+        run_cell(cell, opts)
+    })
 }
 
 /// Renders the matrix as a table and writes `netlat.csv`.
@@ -354,7 +306,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<CellOutcome> {
     outcomes
 }
 
-/// `repro netlat --smoke`: the CI gate. Quick matrix, then require that
+/// The `--smoke` gate. Quick matrix, then require that
 /// (1) for every workload the adversarial placement's total
 /// SLO-violation user-seconds are strictly worse than the friendly
 /// placement's, (2) every run priced network transits and journaled
@@ -362,10 +314,8 @@ pub fn run(opts: &HarnessOptions) -> Vec<CellOutcome> {
 /// placement crosses racks), and (3) every ATOM run audited the network
 /// term with a final rolling sMAPE inside the same band the audit
 /// experiment allows CPU residence.
-pub fn smoke(opts: &HarnessOptions) {
-    let mut opts = opts.clone();
-    opts.quick = true;
-    let outcomes = run(&opts);
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let outcomes = run(opts);
     let mut failures: Vec<String> = Vec::new();
 
     for &workload in &["ramp", "spike"] {
@@ -430,19 +380,9 @@ pub fn smoke(opts: &HarnessOptions) {
         }
     }
 
-    if failures.is_empty() {
-        let transits: u64 = outcomes.iter().map(|o| o.net_transits).sum();
-        atom_obs::info!(
-            "netlat smoke OK: {} cells, {transits} transits, adversarial placement \
-             strictly worse on both workloads",
-            outcomes.len()
-        );
-    } else {
-        for msg in &failures {
-            atom_obs::error!("netlat smoke FAILED: {msg}");
-        }
-        std::process::exit(1);
-    }
+    let transits: u64 = outcomes.iter().map(|o| o.net_transits).sum();
+    atom_obs::info!("netlat: {} cells, {transits} transits", outcomes.len());
+    failures
 }
 
 #[cfg(test)]

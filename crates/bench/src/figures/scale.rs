@@ -8,12 +8,16 @@
 //! requests *simulated* per wall-clock second; raw DES events per wall
 //! second ride along for the event-engine view.
 //!
-//! Artefacts: `scale.csv` (one row per backend × population) and
-//! `BENCH_cluster.json` (the committed trajectory snapshot), both in
-//! the output directory. `--smoke` additionally gates: the million-user
-//! fluid run must finish within a wall-clock budget and beat the
-//! per-user backend by ≥ 10× on requests per wall second, and the
-//! emitted CSV must re-parse.
+//! Artefact: `scale.csv` (one row per backend × population) in the
+//! output directory, plus the multi-tenant wall-clock points on the
+//! console and in `--trace-out` / `--metrics-out`. This is a trajectory
+//! to read, not a measuring instrument: absolute wall clocks, overhead
+//! percentages and per-layer costs are `benchmarks/`' job (medians over
+//! repeats, interleaved A/B pairs). `--smoke` gates ratios and
+//! function only: the top-population fluid run must beat the per-user
+//! backend by ≥ 10× on requests per wall second, the hybrid run must
+//! make the fluid → per-user → fluid round trip, the emitted CSV must
+//! re-parse, and a cross-rack fabric must price transits.
 
 use std::time::Instant;
 
@@ -35,14 +39,9 @@ const TARGET_UTIL: f64 = 0.65;
 /// Replicas of the one service (the MVA multiserver count).
 const REPLICAS: usize = 4;
 
-/// Smoke gate: wall-clock budget for the largest fluid run (seconds).
-const SMOKE_WALL_BUDGET: f64 = 60.0;
 /// Smoke gate: minimum requests-per-wall-second speedup of the fluid
 /// backend over the per-user backend at the largest population.
 const SMOKE_SPEEDUP_FLOOR: f64 = 10.0;
-/// Smoke gate: ceiling on the network fabric's wall-time overhead,
-/// percent (the committed `BENCH_cluster.json` budget).
-const NET_OVERHEAD_BUDGET_PCT: f64 = 10.0;
 
 /// One backend × population measurement.
 #[derive(Debug, Clone)]
@@ -59,12 +58,8 @@ pub struct ScalePoint {
     pub requests: u64,
     /// DES events dispatched over the horizon.
     pub events: u64,
-    /// Mean completed requests per simulated second.
-    pub tps: f64,
     /// Backend handovers performed (hybrid only).
     pub switches: u64,
-    /// Spans recorded over the run (0 unless span sampling was on).
-    pub spans: u64,
 }
 
 impl ScalePoint {
@@ -110,58 +105,22 @@ fn scale_spec(users: usize) -> AppSpec {
 /// thing being beaten, so it gets a horizon that keeps the measurement
 /// honest but the run short; the aggregate backends run much longer.
 fn horizon(mode: BackendMode, users: usize, smoke: bool) -> f64 {
-    match mode {
-        BackendMode::PerUser => match users {
-            0..=10_000 => {
-                if smoke {
-                    300.0
-                } else {
-                    600.0
-                }
-            }
-            10_001..=200_000 => {
-                if smoke {
-                    30.0
-                } else {
-                    120.0
-                }
-            }
-            _ => {
-                if smoke {
-                    5.0
-                } else {
-                    30.0
-                }
-            }
-        },
-        _ => {
-            if smoke {
-                600.0
-            } else {
-                1800.0
-            }
-        }
+    let (full, short) = match (mode, users) {
+        (BackendMode::PerUser, 0..=10_000) => (600.0, 300.0),
+        (BackendMode::PerUser, 10_001..=200_000) => (120.0, 30.0),
+        (BackendMode::PerUser, _) => (30.0, 5.0),
+        _ => (1800.0, 600.0),
+    };
+    if smoke {
+        short
+    } else {
+        full
     }
 }
 
 /// Runs one backend × population point and measures it.
 pub fn run_point(mode: BackendMode, users: usize, smoke: bool, seed: u64) -> ScalePoint {
-    run_point_with(
-        mode,
-        users,
-        smoke,
-        ClusterOptions::new().with_seed(seed).with_backend(mode),
-    )
-}
-
-/// [`run_point`] with caller-supplied cluster options (the span-overhead
-/// measurement reruns a point with sampling enabled).
-fn run_point_with(
-    mode: BackendMode,
-    users: usize,
-    smoke: bool,
-    options: ClusterOptions,
-) -> ScalePoint {
+    let options = ClusterOptions::new().with_seed(seed).with_backend(mode);
     let spec = scale_spec(users);
     let workload = WorkloadSpec::constant(RequestMix::uniform(1), users, THINK_TIME);
     let sim_seconds = horizon(mode, users, smoke);
@@ -182,17 +141,11 @@ fn run_point_with(
     }
     let windows = 4usize;
     let mut requests = 0u64;
-    let mut tps_sum = 0.0;
     let mut switches = 0u64;
     for _ in 0..windows {
         let r = cluster.run_window(sim_seconds / windows as f64);
         requests += r.feature_counts.iter().sum::<u64>();
-        tps_sum += r.total_tps;
         switches += r.backend_switches as u64;
-        // Drain sampled spans per window, exactly as the experiment
-        // driver does — the overhead measurement must pay the same
-        // costs. A no-op (empty vec) when sampling is off.
-        drop(cluster.take_spans());
     }
     let wall_seconds = started.elapsed().as_secs_f64();
     ScalePoint {
@@ -202,147 +155,34 @@ fn run_point_with(
         wall_seconds,
         requests,
         events: cluster.telemetry().total_events(),
-        tps: tps_sum / windows as f64,
         switches,
-        spans: cluster.telemetry().spans_recorded,
     }
 }
 
-/// The span-layer overhead measurement: the same per-user point run
-/// with sampling off and at 1%, wall clocks compared.
-#[derive(Debug, Clone)]
-pub struct OverheadPoint {
-    /// Closed-workload population.
-    pub users: usize,
-    /// Simulated horizon (seconds).
-    pub sim_seconds: f64,
-    /// Wall-clock with the span layer disabled (seconds).
-    pub wall_off: f64,
-    /// Wall-clock with 1% span sampling enabled (seconds).
-    pub wall_on: f64,
-    /// Spans recorded by the sampled run.
-    pub spans: u64,
-}
-
-impl OverheadPoint {
-    /// Sampling rate of the measurement.
-    pub const RATE: f64 = 0.01;
-
-    /// Wall-time overhead of the enabled span layer, percent.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.wall_on / self.wall_off.max(1e-9) - 1.0) * 100.0
-    }
-}
-
-/// Measures the span layer's wall-time overhead on the per-user DES at
-/// `users`: one run with sampling disabled, one with 1% sampling, same
-/// seed and horizon.
-pub fn run_overhead_point(users: usize, smoke: bool, seed: u64) -> OverheadPoint {
-    let off = run_point(BackendMode::PerUser, users, smoke, seed);
-    let on = run_point_with(
-        BackendMode::PerUser,
-        users,
-        smoke,
-        ClusterOptions::new()
-            .with_seed(seed)
-            .with_backend(BackendMode::PerUser)
-            .with_span_sampling(OverheadPoint::RATE, seed),
-    );
-    OverheadPoint {
-        users,
-        sim_seconds: off.sim_seconds,
-        wall_off: off.wall_seconds,
-        wall_on: on.wall_seconds,
-        spans: on.spans,
-    }
-}
-
-/// The network-fabric overhead measurement: a two-service chain split
-/// across two servers (every request pays one cross-server round trip)
-/// run with no topology and with a cross-rack fabric, wall clocks
-/// compared.
-#[derive(Debug, Clone)]
-pub struct NetworkOverheadPoint {
-    /// Closed-workload population.
-    pub users: usize,
-    /// Simulated horizon (seconds).
-    pub sim_seconds: f64,
-    /// Wall-clock with no topology configured (seconds).
-    pub wall_off: f64,
-    /// Wall-clock with the cross-rack fabric priced on every call
-    /// (seconds).
-    pub wall_on: f64,
-    /// Round trips the fabric priced during the topology run.
-    pub transits: u64,
-}
-
-impl NetworkOverheadPoint {
-    /// Wall-time overhead of the enabled fabric, percent.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.wall_on / self.wall_off.max(1e-9) - 1.0) * 100.0
-    }
-}
-
-/// A two-server chain sized like [`scale_spec`]: `api` on one server
-/// calls `backend` on the other once per request, so the topology run
-/// prices exactly one round trip per request through the longest
-/// (cross-rack) fabric path.
-fn network_spec(users: usize) -> AppSpec {
-    let offered = users as f64 / THINK_TIME;
-    let capacity = (offered * (DEMAND / 2.0) / TARGET_UTIL).max(0.5);
-    let cores = capacity.ceil() as usize + 2;
+/// Round trips a cross-rack fabric (0.1 ms uplinks, 0.5 ms
+/// aggregation) prices over one simulated minute at N = 1000 on a
+/// two-server chain — `api` on one server calls `backend` on the other
+/// once per request. The smoke gate's check that the fabric is live.
+fn fabric_transits(seed: u64) -> u64 {
     let mut spec = AppSpec::new();
-    let a = spec.add_server("hub-a", cores, 1.0);
-    let b = spec.add_server("hub-b", cores, 1.0);
-    let api = spec.add_service("api", a, 1 << 14, REPLICAS, capacity / REPLICAS as f64);
-    let backend = spec.add_service("backend", b, 1 << 14, REPLICAS, capacity / REPLICAS as f64);
+    let a = spec.add_server("hub-a", 2, 1.0);
+    let b = spec.add_server("hub-b", 2, 1.0);
+    let api = spec.add_service("api", a, 1 << 14, 1, 1.0);
+    let backend = spec.add_service("backend", b, 1 << 14, 1, 1.0);
     let op = spec.add_endpoint(api, "op", DEMAND / 2.0, 1.0);
     let work = spec.add_endpoint(backend, "work", DEMAND / 2.0, 1.0);
     spec.add_call(api, op, backend, work, 1.0);
     spec.add_feature("op", api, op);
-    spec.service_mut(api).max_replicas = REPLICAS.max(16);
-    spec.service_mut(backend).max_replicas = REPLICAS.max(16);
-    spec
-}
-
-/// Runs the two-server chain for the network-overhead measurement.
-fn run_network_point(users: usize, smoke: bool, options: ClusterOptions) -> (f64, f64, u64) {
-    let spec = network_spec(users);
-    let workload = WorkloadSpec::constant(RequestMix::uniform(1), users, THINK_TIME);
-    let sim_seconds = horizon(BackendMode::PerUser, users, smoke);
-    let started = Instant::now();
-    let mut cluster = Cluster::new(&spec, workload, options).expect("network-overhead cluster");
-    let windows = 4usize;
-    for _ in 0..windows {
-        cluster.run_window(sim_seconds / windows as f64);
-    }
-    let wall = started.elapsed().as_secs_f64();
-    (sim_seconds, wall, cluster.telemetry().net_transit_events)
-}
-
-/// Measures the fabric's wall-time overhead on the per-user DES at
-/// `users`: one run without a topology, one with the two servers in
-/// separate racks of a low-latency fabric (0.1 ms uplinks, 0.5 ms
-/// aggregation — small enough that the closed-loop dynamics stay
-/// comparable, while every call still pays the full pricing path).
-pub fn run_network_overhead_point(users: usize, smoke: bool, seed: u64) -> NetworkOverheadPoint {
-    let base = ClusterOptions::new()
-        .with_seed(seed)
-        .with_backend(BackendMode::PerUser);
-    let (sim_seconds, wall_off, _) = run_network_point(users, smoke, base.clone());
     let topo = atom_cluster::TopologySpec::two_tier(
         vec![0, 1],
         atom_cluster::EdgeSpec::new(0.0001, 1.25e9),
         atom_cluster::EdgeSpec::new(0.0005, 1.25e10),
     );
-    let (_, wall_on, transits) = run_network_point(users, smoke, base.with_topology(topo));
-    NetworkOverheadPoint {
-        users,
-        sim_seconds,
-        wall_off,
-        wall_on,
-        transits,
-    }
+    let workload = WorkloadSpec::constant(RequestMix::uniform(1), 1_000, THINK_TIME);
+    let options = ClusterOptions::new().with_seed(seed).with_topology(topo);
+    let mut cluster = Cluster::new(&spec, workload, options).expect("fabric cluster");
+    cluster.run_window(60.0);
+    cluster.telemetry().net_transit_events
 }
 
 /// One multi-tenant wall-clock measurement: `tenants` full Sock Shop
@@ -479,109 +319,6 @@ fn speedup_vs_per_user(points: &[ScalePoint], p: &ScalePoint) -> Option<f64> {
         .map(|base| p.req_per_wall_s() / base.req_per_wall_s().max(1e-9))
 }
 
-fn write_bench_json(
-    points: &[ScalePoint],
-    tenant_points: &[TenantPoint],
-    overhead: Option<&OverheadPoint>,
-    net_overhead: Option<&NetworkOverheadPoint>,
-    path: &std::path::Path,
-) {
-    let mut entries = Vec::new();
-    for p in points {
-        let speedup = match speedup_vs_per_user(points, p) {
-            Some(s) => format!("{s:.2}"),
-            None => "null".to_string(),
-        };
-        entries.push(format!(
-            concat!(
-                "    {{\"backend\": \"{}\", \"users\": {}, \"sim_seconds\": {}, ",
-                "\"wall_seconds\": {:.3}, \"requests\": {}, \"events\": {}, ",
-                "\"req_per_wall_s\": {:.1}, \"events_per_wall_s\": {:.1}, ",
-                "\"tps\": {:.1}, \"switches\": {}, \"speedup_vs_per_user\": {}}}"
-            ),
-            p.mode_name(),
-            p.users,
-            p.sim_seconds,
-            p.wall_seconds,
-            p.requests,
-            p.events,
-            p.req_per_wall_s(),
-            p.events_per_wall_s(),
-            p.tps,
-            p.switches,
-            speedup,
-        ));
-    }
-    let mut tenant_entries = Vec::new();
-    for t in tenant_points {
-        tenant_entries.push(format!(
-            concat!(
-                "    {{\"tenants\": {}, \"sim_seconds\": {}, \"wall_seconds\": {:.3}, ",
-                "\"requests\": {}, \"wall_s_per_sim_hour\": {:.3}}}"
-            ),
-            t.tenants,
-            t.sim_seconds,
-            t.wall_seconds,
-            t.requests,
-            t.wall_s_per_sim_hour(),
-        ));
-    }
-    let overhead_json = overhead.map(|o| {
-        format!(
-            concat!(
-                "  \"span_overhead\": {{\"users\": {}, \"sim_seconds\": {}, ",
-                "\"sampling_rate\": {}, \"wall_seconds_off\": {:.3}, ",
-                "\"wall_seconds_on\": {:.3}, \"spans_recorded\": {}, ",
-                "\"overhead_pct\": {:.2}}},\n"
-            ),
-            o.users,
-            o.sim_seconds,
-            OverheadPoint::RATE,
-            o.wall_off,
-            o.wall_on,
-            o.spans,
-            o.overhead_pct(),
-        )
-    });
-    let net_overhead_json = net_overhead.map(|n| {
-        format!(
-            concat!(
-                "  \"network_overhead\": {{\"users\": {}, \"sim_seconds\": {}, ",
-                "\"wall_seconds_off\": {:.3}, \"wall_seconds_on\": {:.3}, ",
-                "\"transits\": {}, \"overhead_pct\": {:.2}}},\n"
-            ),
-            n.users,
-            n.sim_seconds,
-            n.wall_off,
-            n.wall_on,
-            n.transits,
-            n.overhead_pct(),
-        )
-    });
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"cluster-backend-scale\",\n",
-            "  \"metric\": \"completed client requests simulated per wall-clock second\",\n",
-            "  \"entries\": [\n{}\n  ],\n",
-            "{}",
-            "{}",
-            "  \"multi_tenant_metric\": \"wall-clock seconds per simulated hour, ",
-            "phase-shifted Sock Shop tenants on one shared pool\",\n",
-            "  \"multi_tenant\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        entries.join(",\n"),
-        overhead_json.as_deref().unwrap_or(""),
-        net_overhead_json.as_deref().unwrap_or(""),
-        tenant_entries.join(",\n")
-    );
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).expect("create results dir");
-    }
-    std::fs::write(path, json).expect("write BENCH_cluster.json");
-}
-
 /// Re-parses the emitted CSV the way a consumer would: header plus one
 /// numeric row per point. Returns the failures found.
 fn reparse_csv(path: &std::path::Path, expected_rows: usize) -> Vec<String> {
@@ -617,24 +354,22 @@ fn reparse_csv(path: &std::path::Path, expected_rows: usize) -> Vec<String> {
     failures
 }
 
-/// Runs the scaling trajectory and writes `scale.csv` +
-/// `BENCH_cluster.json`. With `smoke`, also enforces the wall-clock and
-/// speedup gates and exits non-zero on violation.
-pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
+/// Runs the backend × population trajectory up to `opts.users` and the
+/// tenant points, prints them, writes `scale.csv` and exports the
+/// telemetry. Returns the backend × population points.
+fn trajectory(opts: &HarnessOptions, smoke: bool) -> Vec<ScalePoint> {
     atom_obs::info!("\n== scale: population-backend trajectory (per-user vs fluid vs hybrid) ==");
-    let mut populations: Vec<usize> = if smoke {
-        // Smoke keeps CI fast: the full trio at the small population,
-        // per-user + fluid at the top one (a hybrid run at 1e6 spends
-        // its whole 120 s per-user hold simulating a million discrete
-        // users — minutes of wall clock the gate doesn't need).
-        vec![1_000]
+    let max_users = opts.users;
+    // Smoke keeps CI fast: the full trio at the small population,
+    // per-user + fluid at the top one (a hybrid run at 1e6 spends its
+    // whole 120 s per-user hold simulating a million discrete users —
+    // minutes of wall clock the gate doesn't need).
+    let ladder: &[usize] = if smoke {
+        &[1_000]
     } else {
-        [1_000usize, 100_000, 1_000_000]
-            .into_iter()
-            .filter(|&n| n < max_users)
-            .collect()
+        &[1_000, 100_000, 1_000_000]
     };
-    populations.retain(|&n| n < max_users);
+    let mut populations: Vec<usize> = ladder.iter().copied().filter(|&n| n < max_users).collect();
     populations.push(max_users);
     let mut points = Vec::new();
     for &users in &populations {
@@ -684,10 +419,9 @@ pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
         ]);
     }
     table.print();
-    let csv_path = opts.out_dir.join("scale.csv");
-    table.write_csv(&csv_path);
+    table.write_csv(&opts.out_dir.join("scale.csv"));
 
-    // The multi-tenant wall-clock entries: 2 and 4 Sock Shop tenants
+    // The multi-tenant wall-clock points: 2 and 4 Sock Shop tenants
     // through the placement layer, reported as wall-time per simulated
     // hour.
     let mut tenant_points = Vec::new();
@@ -702,36 +436,6 @@ pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
         );
         tenant_points.push(t);
     }
-    // The span-layer overhead check: per-user DES at 1e5 users (or the
-    // largest population the run allows), sampling off vs 1% on.
-    let overhead_users = 100_000.min(max_users).max(1_000);
-    let overhead = run_overhead_point(overhead_users, smoke, opts.seed);
-    atom_obs::progress!(
-        "scale: span overhead N={}: {:.3}s off vs {:.3}s at 1% ({:+.2}%, {} spans)",
-        overhead.users,
-        overhead.wall_off,
-        overhead.wall_on,
-        overhead.overhead_pct(),
-        overhead.spans
-    );
-    // The network-fabric overhead check: the two-server chain at the
-    // same population, topology off vs a cross-rack fabric on.
-    let net_overhead = run_network_overhead_point(overhead_users, smoke, opts.seed);
-    atom_obs::progress!(
-        "scale: network overhead N={}: {:.3}s off vs {:.3}s with fabric ({:+.2}%, {} transits)",
-        net_overhead.users,
-        net_overhead.wall_off,
-        net_overhead.wall_on,
-        net_overhead.overhead_pct(),
-        net_overhead.transits
-    );
-    write_bench_json(
-        &points,
-        &tenant_points,
-        Some(&overhead),
-        Some(&net_overhead),
-        &opts.out_dir.join("BENCH_cluster.json"),
-    );
     emit(opts, &points, &tenant_points);
 
     for p in points.iter().filter(|p| p.mode != BackendMode::PerUser) {
@@ -744,12 +448,20 @@ pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
             );
         }
     }
+    points
+}
 
-    if !smoke {
-        return;
-    }
-    let mut failures = reparse_csv(&csv_path, points.len());
-    let largest = *populations.iter().max().expect("populations");
+/// `repro scale`: the full trajectory.
+pub fn run(opts: &HarnessOptions) {
+    trajectory(opts, false);
+}
+
+/// The `--smoke` gate: the short trajectory, then the ratio and
+/// functional checks of the [module docs](self).
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let points = trajectory(opts, true);
+    let mut failures = reparse_csv(&opts.out_dir.join("scale.csv"), points.len());
+    let largest = opts.users;
     let fluid = points
         .iter()
         .find(|p| p.users == largest && p.mode == BackendMode::Fluid)
@@ -759,12 +471,6 @@ pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
         .filter(|p| p.mode == BackendMode::Hybrid)
         .max_by_key(|p| p.users)
         .expect("a hybrid point");
-    if fluid.wall_seconds > SMOKE_WALL_BUDGET {
-        failures.push(format!(
-            "fluid N={largest} took {:.1}s wall (budget {SMOKE_WALL_BUDGET}s)",
-            fluid.wall_seconds
-        ));
-    }
     match speedup_vs_per_user(&points, fluid) {
         Some(s) if s < SMOKE_SPEEDUP_FLOOR => failures.push(format!(
             "fluid N={largest} speedup {s:.1}x below the {SMOKE_SPEEDUP_FLOOR}x floor"
@@ -779,25 +485,8 @@ pub fn run(opts: &HarnessOptions, max_users: usize, smoke: bool) {
             hybrid.users, hybrid.switches
         ));
     }
-    if net_overhead.transits == 0 {
-        failures.push("network-overhead run priced no transit".into());
+    if fabric_transits(opts.seed) == 0 {
+        failures.push("the cross-rack fabric priced no transit".into());
     }
-    if net_overhead.overhead_pct() > NET_OVERHEAD_BUDGET_PCT {
-        failures.push(format!(
-            "network fabric overhead {:+.2}% exceeds the {NET_OVERHEAD_BUDGET_PCT}% budget",
-            net_overhead.overhead_pct()
-        ));
-    }
-    if failures.is_empty() {
-        atom_obs::info!(
-            "scale smoke OK: fluid N={largest} in {:.2}s wall, {:.0}x vs per-user",
-            fluid.wall_seconds,
-            speedup_vs_per_user(&points, fluid).unwrap_or(0.0)
-        );
-    } else {
-        for msg in &failures {
-            atom_obs::error!("scale smoke FAILED: {msg}");
-        }
-        std::process::exit(1);
-    }
+    failures
 }

@@ -17,9 +17,9 @@
 //! TPS, and the forecast ensemble's accounting (`trace.csv`); plus the
 //! proactive controller's window-by-window model selection and rolling
 //! sMAPE (`trace_windows.csv`) and the trace's own per-bin request-mix
-//! shifts (`trace_mix.csv`). `trace --smoke` gates CI: the journal must
-//! re-parse, neither controller may wedge, and proactive ATOM must meet
-//! or beat reactive ATOM on SLO-violation-seconds on the bundled
+//! shifts (`trace_mix.csv`). `repro --smoke trace` gates CI: the journal
+//! must re-parse, neither controller may wedge, and proactive ATOM must
+//! meet or beat reactive ATOM on SLO-violation-seconds on the bundled
 //! Alibaba fixture.
 //!
 //! [`TraceSource`]: atom_core::workload::TraceSource
@@ -35,7 +35,7 @@ use atom_obs::{Journal, Record};
 use atom_sockshop::{scenarios, SockShop};
 
 use crate::eval::{run_one, ScalerKind};
-use crate::figures::{chaos, forecast};
+use crate::figures::forecast;
 use crate::output::{f, Table};
 use crate::{trace, HarnessOptions};
 
@@ -78,10 +78,8 @@ pub fn load(path: &Path, format: TraceFormat, windows: usize, window_secs: f64) 
         .with_target_peak(TARGET_PEAK)
         .with_duration(windows as f64 * window_secs)
         .with_mix_floor(MIX_FLOOR);
-    let replay = read_trace_file(path, format, &opts).unwrap_or_else(|e| {
-        atom_obs::error!("error: reading trace {}: {e}", path.display());
-        std::process::exit(1);
-    });
+    let replay = read_trace_file(path, format, &opts)
+        .unwrap_or_else(|e| panic!("reading trace {}: {e}", path.display()));
     let s = &replay.stats;
     atom_obs::info!(
         "  trace {}: {} records over {} bins ({} lines skipped), span {:.0} s, \
@@ -138,24 +136,16 @@ pub fn run_replay(
         .collect()
 }
 
-/// The full artefact: every bundled fixture (or the one file the user
-/// pointed at) under each scaler, as a table plus `trace.csv`,
-/// `trace_windows.csv`, and `trace_mix.csv`. Returns the results so
-/// callers can export the decision journal.
-pub fn run(
-    opts: &HarnessOptions,
-    file: Option<&Path>,
-    format: Option<TraceFormat>,
-) -> Vec<ExperimentResult> {
+/// The full artefact: every bundled fixture (or the one file
+/// `--trace-file` pointed at) under each scaler, as a table plus
+/// `trace.csv`, `trace_windows.csv`, and `trace_mix.csv`. Returns the
+/// results so callers can export the decision journal.
+pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!("\n== Trace replay: production arrival traces vs the autoscalers ==");
-    let (windows, window_secs) = if opts.quick {
-        (6usize, 120.0)
-    } else {
-        (opts.windows(), opts.window_secs())
-    };
-    let replays: Vec<TraceReplay> = match file {
+    let (windows, window_secs) = opts.protocol(6);
+    let replays: Vec<TraceReplay> = match &opts.trace_file {
         Some(path) => {
-            let format = format.unwrap_or(TraceFormat::Alibaba);
+            let format = opts.trace_format.unwrap_or(TraceFormat::Alibaba);
             vec![load(path, format, windows, window_secs)]
         }
         None => [TraceFormat::Alibaba, TraceFormat::Google]
@@ -164,18 +154,7 @@ pub fn run(
             .collect(),
     };
 
-    let mut table = Table::new(&[
-        "trace",
-        "scaler",
-        "SLO viol [s]",
-        "A_u [core-s]",
-        "stable at [s]",
-        "mean TPS",
-        "forecasts",
-        "fallbacks",
-        "clamped",
-        "#actions",
-    ]);
+    let mut table = forecast::summary_table("trace");
     let mut windows_table = Table::new(&[
         "trace", "scaler", "window", "t [s]", "observed", "planned", "model", "sMAPE", "fallback",
         "clamped",
@@ -193,19 +172,7 @@ pub fn run(
             ]);
         }
         for r in run_replay(opts, replay, windows, window_secs) {
-            let tally = forecast::forecast_tally(&r);
-            table.row(vec![
-                replay.source.name().to_string(),
-                r.scaler.clone(),
-                f(forecast::slo_violation_seconds(&r), 0),
-                f(r.underprovision_area(Some(&crate::eval::STATELESS)), 0),
-                f(forecast::time_to_stable(&r), 0),
-                f(r.mean_tps(0, windows), 1),
-                tally.windows.to_string(),
-                tally.fallbacks.to_string(),
-                tally.clamped.to_string(),
-                r.actions.len().to_string(),
-            ]);
+            table.row(forecast::summary_row(replay.source.name(), &r, windows));
             for (w, d) in r.telemetry.decisions.iter().flatten().enumerate() {
                 if let Some(fc) = &d.forecast {
                     windows_table.row(vec![
@@ -233,24 +200,18 @@ pub fn run(
     all
 }
 
-/// The `trace --smoke` CI gate, on the bundled Alibaba fixture: the
-/// decision journal must re-parse through the `atom-obs` schema,
-/// neither controller may wedge, proactive ATOM must journal forecast
-/// records, and it must meet or beat reactive ATOM on
-/// SLO-violation-seconds. Exits non-zero on failure.
-pub fn smoke(opts: &HarnessOptions) {
-    let (windows, window_secs) = (6usize, 120.0);
+/// The `--smoke` gate, on the bundled Alibaba fixture: the decision
+/// journal must re-parse through the `atom-obs` schema with one
+/// decision per scaler-window, plus [`forecast::proactive_gate`].
+pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+    let (windows, window_secs) = opts.protocol(6);
     let path = fixture_path(TraceFormat::Alibaba);
     let replay = load(&path, TraceFormat::Alibaba, windows, window_secs);
     let results = run_replay(opts, &replay, windows, window_secs);
     trace::emit(opts, &results);
 
     let mut failures = Vec::new();
-    let jsonl = match &opts.trace_out {
-        Some(path) => std::fs::read_to_string(path).expect("read back the emitted journal"),
-        None => trace::journal_of(&results).to_jsonl(),
-    };
-    match Journal::parse_jsonl(&jsonl) {
+    match Journal::parse_jsonl(&trace::emitted_journal(opts, &results)) {
         Ok(events) => {
             let decisions = events
                 .iter()
@@ -265,68 +226,6 @@ pub fn smoke(opts: &HarnessOptions) {
         }
         Err(e) => failures.push(format!("emitted journal does not re-parse: {e}")),
     }
-
-    let reactive = results
-        .iter()
-        .find(|r| r.scaler == "ATOM")
-        .expect("ATOM ran");
-    let proactive = results
-        .iter()
-        .find(|r| r.scaler == "ATOM-P")
-        .expect("ATOM-P ran");
-    let (t_reactive, t_proactive) = (
-        forecast::slo_violation_seconds(reactive),
-        forecast::slo_violation_seconds(proactive),
-    );
-    if t_proactive > t_reactive {
-        failures.push(format!(
-            "proactive ATOM violated the SLO longer than reactive on the trace \
-             ({t_proactive:.0} s > {t_reactive:.0} s)"
-        ));
-    }
-    for r in &results {
-        if r.reports.len() != windows {
-            failures.push(format!(
-                "{}: run ended after {}/{} windows",
-                r.scaler,
-                r.reports.len(),
-                windows
-            ));
-        }
-        let idle = chaos::longest_idle_underprovisioned(r);
-        if idle > chaos::MAX_IDLE_UNDERPROVISIONED {
-            failures.push(format!(
-                "{} wedged: {idle} consecutive under-provisioned windows without an action \
-                 (allowed {})",
-                r.scaler,
-                chaos::MAX_IDLE_UNDERPROVISIONED
-            ));
-        }
-        atom_obs::progress!(
-            "smoke: {} SLO-violation={:.0}s stable-at={:.0}s actions={}",
-            r.scaler,
-            forecast::slo_violation_seconds(r),
-            forecast::time_to_stable(r),
-            r.actions.len()
-        );
-    }
-    let tally = forecast::forecast_tally(proactive);
-    if tally.windows == 0 {
-        failures.push("proactive ATOM journaled no forecast records".to_string());
-    }
-
-    if failures.is_empty() {
-        atom_obs::info!(
-            "smoke OK: trace {} replayed; proactive {t_proactive:.0} s <= reactive \
-             {t_reactive:.0} s SLO-violation ({} forecast windows, {} fallbacks)",
-            replay.source.name(),
-            tally.windows,
-            tally.fallbacks
-        );
-    } else {
-        for msg in &failures {
-            atom_obs::error!("smoke FAILED: {msg}");
-        }
-        std::process::exit(1);
-    }
+    failures.extend(forecast::proactive_gate(&results, windows, "trace"));
+    failures
 }

@@ -2,6 +2,8 @@
 //! sweep), Fig. 5 (per-server utilisation), and Table IV (per-feature
 //! detail at workload 1, N = 3000).
 
+use std::sync::OnceLock;
+
 use atom_cluster::{Cluster, ClusterOptions, WindowReport};
 use atom_core::workload::{RequestMix, WorkloadSpec};
 use atom_lqn::analytic::{solve, SolverOptions};
@@ -109,6 +111,16 @@ pub fn sweep(opts: &HarnessOptions) -> Vec<ValidationRun> {
             run_workload(&shop, w, opts)
         })
         .collect()
+}
+
+/// [`sweep`], run once per process (which runs under one set of
+/// options): `table3`, `fig5` and `table4` read the same twelve runs.
+pub fn shared_sweep(opts: &HarnessOptions) -> &'static [ValidationRun] {
+    static SWEEP: OnceLock<Vec<ValidationRun>> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        atom_obs::progress!("running the Table II validation sweep (12 runs)...");
+        sweep(opts)
+    })
 }
 
 /// Table III: min/max/avg percent error per service across the sweep.

@@ -3,27 +3,38 @@
 //! Experiment harness regenerating every table and figure of the ATOM
 //! paper's evaluation (§III-C and §V).
 //!
-//! The `repro` binary exposes one subcommand per artefact:
+//! The `repro` binary exposes one command per row of
+//! [`figures::EXPERIMENTS`] (a unit test keeps this list equal to the
+//! table); `repro --smoke <command>` runs that row's CI gate and
+//! `repro --smoke all` every gate:
 //!
-//! | command   | paper artefact |
-//! |-----------|----------------|
-//! | `fig2`    | motivating example: vertical vs horizontal front-end doubling |
-//! | `fig4`    | demand estimation: utilisation law vs response time |
-//! | `table3`  | model-vs-measurement % errors over the Table II sweep |
-//! | `fig5`    | per-server utilisation, model vs measurement (patterns 1 & 3) |
-//! | `table4`  | per-feature TPS / per-service utilisation at workload 1, N=3000 |
-//! | `fig7`    | ATOM vs ATOM-T vs ATOM-S |
-//! | `fig8`    | TPS over time, ATOM vs UH vs UV (3 mixes × 3 Ns) |
-//! | `fig9`    | T_u / A_u / TPS vs N |
-//! | `fig10`   | T_u / A_u / TPS vs request mix |
-//! | `fig11`   | layered bottleneck: demand vs supply per window |
-//! | `fig12`   | monitoring-window sweep (2/5/10 min) |
-//! | `fig13`   | bursty workload (I = 4000) |
-//! | `forecast`| beyond the paper: reactive vs proactive (forecast-driven) ATOM |
-//! | `trace`   | beyond the paper: Alibaba/Google production-trace replay |
-//! | `audit`   | beyond the paper: span sampling + LQN model-drift attribution |
-//! | `netlat`  | beyond the paper: placement-sensitive scaling under the network fabric |
-//! | `all`     | everything above |
+//! | command      | artefact |
+//! |--------------|----------|
+//! | `setup`      | Tables I/V/VI: the encoded experimental setup |
+//! | `fig2`       | motivating example: vertical vs horizontal front-end doubling |
+//! | `fig4`       | demand estimation: utilisation law vs response time |
+//! | `validation` | `table3` + `fig5` + `table4` over one Table II sweep |
+//! | `table3`     | model-vs-measurement % errors over the Table II sweep |
+//! | `fig5`       | per-server utilisation, model vs measurement (patterns 1 & 3) |
+//! | `table4`     | per-feature TPS / per-service utilisation at workload 1, N=3000 |
+//! | `fig7`       | ATOM vs ATOM-T vs ATOM-S |
+//! | `evaluation` | `fig8` + `fig9` + `fig10` over one 27-run matrix |
+//! | `fig8`       | TPS over time, ATOM vs UH vs UV (3 mixes × 3 Ns) |
+//! | `fig9`       | T_u / A_u / TPS vs N |
+//! | `fig10`      | T_u / A_u / TPS vs request mix |
+//! | `fig11`      | layered bottleneck: demand vs supply per window |
+//! | `fig12`      | monitoring-window sweep (2/5/10 min) |
+//! | `fig13`      | bursty workload (I = 4000) |
+//! | `ablation`   | optimizer / quick-fix / peak-monitoring / online-demand ablations |
+//! | `chaos`      | beyond the paper: ATOM vs UH vs UV under a fault schedule (gated) |
+//! | `forecast`   | beyond the paper: reactive vs proactive (forecast-driven) ATOM (gated) |
+//! | `trace`      | beyond the paper: Alibaba/Google production-trace replay (gated) |
+//! | `audit`      | beyond the paper: span sampling + LQN model-drift attribution (gated) |
+//! | `contention` | beyond the paper: tenants contending for one node pool (gated) |
+//! | `netlat`     | beyond the paper: placement-sensitive scaling under the network fabric (gated) |
+//! | `scale`      | backend × population trajectory; only when named (gated) |
+//! | `journal`    | a short UH + ATOM pair; its gate is the bare `--smoke`: the journal schema |
+//! | `all`        | every row above except the by-name-only ones (group members, `scale`, `journal`) |
 //!
 //! Results are printed as paper-style tables and also written as CSV
 //! under `results/`. Everything is deterministic given `--seed`.
@@ -55,6 +66,13 @@ pub struct HarnessOptions {
     /// Only experiments that enable span sampling (`audit`) produce
     /// spans — elsewhere the file is an empty event array.
     pub spans_out: Option<std::path::PathBuf>,
+    /// Top population of the `scale` trajectory (`--users`).
+    pub users: usize,
+    /// The one trace `trace` replays instead of the bundled fixtures
+    /// (`--trace-file`).
+    pub trace_file: Option<std::path::PathBuf>,
+    /// Format of `trace_file` (`--format`; Alibaba when absent).
+    pub trace_format: Option<atom_core::workload::TraceFormat>,
 }
 
 impl Default for HarnessOptions {
@@ -66,6 +84,9 @@ impl Default for HarnessOptions {
             trace_out: None,
             metrics_out: None,
             spans_out: None,
+            users: 1_000_000,
+            trace_file: None,
+            trace_format: None,
         }
     }
 }
@@ -89,5 +110,16 @@ impl HarnessOptions {
     /// Number of windows in a standard 40-minute evaluation run.
     pub fn windows(&self) -> usize {
         8
+    }
+
+    /// Run length `(windows, window_secs)` of the beyond-the-paper
+    /// experiments: the paper's 40-minute protocol, or `quick_windows`
+    /// two-minute windows in quick mode.
+    pub fn protocol(&self, quick_windows: usize) -> (usize, f64) {
+        if self.quick {
+            (quick_windows, 120.0)
+        } else {
+            (self.windows(), self.window_secs())
+        }
     }
 }

@@ -335,6 +335,16 @@ pub fn emit_spans(opts: &HarnessOptions, results: &[ExperimentResult], spec: &Ap
     }
 }
 
+/// The journal of `results` exactly as a consumer sees it: read back
+/// from `--trace-out` when [`emit`] wrote it there, rendered in memory
+/// otherwise.
+pub fn emitted_journal(opts: &HarnessOptions, results: &[ExperimentResult]) -> String {
+    match &opts.trace_out {
+        Some(path) => std::fs::read_to_string(path).expect("read back the emitted journal"),
+        None => journal_of(results).to_jsonl(),
+    }
+}
+
 pub(crate) fn write_artefact(path: &Path, content: &str) {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

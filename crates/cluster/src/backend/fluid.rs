@@ -30,7 +30,7 @@ use atom_mva::{closed::solve_exact, solve_amva, AmvaOptions, ClassSpec, ClosedNe
 use atom_sim::TimeWeighted;
 use atom_workload::{PopulationSource, WorkloadSpec};
 
-use super::{BackendKind, PopCtx, PopulationBackend};
+use super::PopCtx;
 use crate::accum::WindowAccum;
 use crate::spec::AppSpec;
 
@@ -386,12 +386,9 @@ impl FluidPool {
     }
 }
 
-impl PopulationBackend for FluidPool {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fluid
-    }
-
-    fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
+/// The population-plane entry points (see [`super::Backend`]).
+impl FluidPool {
+    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         // The pool is driven by the profile envelope through
         // `integrate`; a discrete change can only seed state up to the
         // current integration point (the initial population). Change
@@ -405,21 +402,21 @@ impl PopulationBackend for FluidPool {
         }
     }
 
-    fn user_live(&self, _user: usize) -> bool {
+    pub fn user_live(&self, _user: usize) -> bool {
         // Stale per-user events after a hybrid switch: ignored.
         false
     }
 
-    fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: usize) {
+    pub fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: usize) {
         // Residual per-user requests draining after a hybrid switch
         // complete against the aggregate: nothing to reschedule.
     }
 
-    fn users_at_end(&self) -> usize {
+    pub fn users_at_end(&self) -> usize {
         self.population
     }
 
-    fn window_users(&mut self, end: f64) -> f64 {
+    pub fn window_users(&mut self, end: f64) -> f64 {
         let avg = self.users_tw.average(end);
         self.users_tw.update(end, self.users_tw.current());
         self.users_tw.reset(end);

@@ -1,9 +1,9 @@
 //! Population backends: how the closed user population is simulated.
 //!
 //! The cluster separates *what the users do* (think, issue a request,
-//! repeat) from *how that behaviour is executed*. A
-//! [`PopulationBackend`] owns the user population and decides, per
-//! user-plane event, whether work reaches the discrete-event fabric:
+//! repeat) from *how that behaviour is executed*. A population backend
+//! owns the user population and decides, per user-plane event, whether
+//! work reaches the discrete-event fabric:
 //!
 //! * [`PerUserDes`] — one think timer and one request chain per user.
 //!   Exact, bitwise-reproducible, and the default; cost grows linearly
@@ -83,69 +83,63 @@ pub(crate) struct PopCtx<'a> {
     pub workload: &'a WorkloadSpec,
 }
 
-/// The population-plane interface both backends implement. The fabric
+/// The population plane: enum dispatch over the two backends (no
+/// vtable, no allocation; the hot path is a single match). The fabric
 /// (request execution, scaling, faults) is backend-agnostic; only these
 /// entry points differ.
-pub(crate) trait PopulationBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-    /// Moves the population to `population` (spawning or retiring).
-    fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize);
-    /// Whether a `UserReady` event for `user` is still live (stale
-    /// events for retired users — or for a switched-away per-user
-    /// population — are ignored).
-    fn user_live(&self, user: usize) -> bool;
-    /// A root request of `user` completed; schedule the next think.
-    fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize);
-    /// Population at this instant (the report's `users_at_end`).
-    fn users_at_end(&self) -> usize;
-    /// Drains the window's time-averaged population.
-    fn window_users(&mut self, end: f64) -> f64;
-}
-
-/// Enum dispatch over the two backends (no vtable, no allocation; the
-/// hot path is a single match).
 pub(crate) enum Backend {
     PerUser(PerUserDes),
     Fluid(FluidPool),
 }
 
 impl Backend {
+    /// Which backend this is.
     pub fn kind(&self) -> BackendKind {
-        self.as_dyn().kind()
-    }
-
-    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
-        self.as_dyn_mut().set_population(ctx, population);
-    }
-
-    pub fn user_live(&self, user: usize) -> bool {
-        self.as_dyn().user_live(user)
-    }
-
-    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize) {
-        self.as_dyn_mut().request_complete(ctx, user);
-    }
-
-    pub fn users_at_end(&self) -> usize {
-        self.as_dyn().users_at_end()
-    }
-
-    pub fn window_users(&mut self, end: f64) -> f64 {
-        self.as_dyn_mut().window_users(end)
-    }
-
-    fn as_dyn(&self) -> &dyn PopulationBackend {
         match self {
-            Backend::PerUser(b) => b,
-            Backend::Fluid(b) => b,
+            Backend::PerUser(_) => BackendKind::PerUser,
+            Backend::Fluid(_) => BackendKind::Fluid,
         }
     }
 
-    fn as_dyn_mut(&mut self) -> &mut dyn PopulationBackend {
+    /// Moves the population to `population` (spawning or retiring).
+    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         match self {
-            Backend::PerUser(b) => b,
-            Backend::Fluid(b) => b,
+            Backend::PerUser(b) => b.set_population(ctx, population),
+            Backend::Fluid(b) => b.set_population(ctx, population),
+        }
+    }
+
+    /// Whether a `UserReady` event for `user` is still live (stale
+    /// events for retired users — or for a switched-away per-user
+    /// population — are ignored).
+    pub fn user_live(&self, user: usize) -> bool {
+        match self {
+            Backend::PerUser(b) => b.user_live(user),
+            Backend::Fluid(b) => b.user_live(user),
+        }
+    }
+
+    /// A root request of `user` completed; schedule the next think.
+    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize) {
+        match self {
+            Backend::PerUser(b) => b.request_complete(ctx, user),
+            Backend::Fluid(b) => b.request_complete(ctx, user),
+        }
+    }
+
+    /// Population at this instant (the report's `users_at_end`).
+    pub fn users_at_end(&self) -> usize {
+        match self {
+            Backend::PerUser(b) => b.users_at_end(),
+            Backend::Fluid(b) => b.users_at_end(),
+        }
+    }
+
+    /// Drains the window's time-averaged population.
+    pub fn window_users(&mut self, end: f64) -> f64 {
+        match self {
+            Backend::PerUser(b) => b.window_users(end),
+            Backend::Fluid(b) => b.window_users(end),
         }
     }
 }

@@ -7,7 +7,7 @@
 use atom_sim::TimeWeighted;
 use atom_workload::burstiness::Mmpp2;
 
-use super::{BackendKind, PopCtx, PopulationBackend};
+use super::PopCtx;
 use crate::engine::Event;
 
 /// One discrete user per population slot. Slots of retired users are
@@ -79,12 +79,9 @@ impl PerUserDes {
     }
 }
 
-impl PopulationBackend for PerUserDes {
-    fn kind(&self) -> BackendKind {
-        BackendKind::PerUser
-    }
-
-    fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
+/// The population-plane entry points (see [`super::Backend`]).
+impl PerUserDes {
+    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         let alive = self.alive_count();
         if population > alive {
             for _ in 0..(population - alive) {
@@ -122,11 +119,11 @@ impl PopulationBackend for PerUserDes {
             .update(ctx.engine.now, self.alive_count() as f64);
     }
 
-    fn user_live(&self, user: usize) -> bool {
+    pub fn user_live(&self, user: usize) -> bool {
         self.users_alive.get(user).copied().unwrap_or(false)
     }
 
-    fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize) {
+    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize) {
         if self.user_live(user) {
             self.schedule_next_arrival(ctx, user);
         } else {
@@ -135,11 +132,11 @@ impl PopulationBackend for PerUserDes {
         }
     }
 
-    fn users_at_end(&self) -> usize {
+    pub fn users_at_end(&self) -> usize {
         self.alive_count()
     }
 
-    fn window_users(&mut self, end: f64) -> f64 {
+    pub fn window_users(&mut self, end: f64) -> f64 {
         let avg = self.users_tw.average(end);
         self.users_tw.update(end, self.users_tw.current());
         self.users_tw.reset(end);

@@ -34,11 +34,10 @@
 //!
 //! * `engine` — the simulation clock and a hierarchical timer-wheel
 //!   calendar (same pop order as a binary heap, O(1) amortised insert);
-//! * [`backend`] — the user population, behind a `PopulationBackend`
-//!   trait with two implementations: the exact per-user DES (one think
-//!   timer per user, the default) and an aggregate *fluid* pool that
-//!   batches the whole think population into per-step MVA steady states
-//!   for million-user runs. [`backend::BackendMode::Hybrid`] runs fluid
+//! * [`backend`] — the user population, behind a two-variant `Backend`
+//!   enum: the exact per-user DES (one think timer per user, the
+//!   default) and an aggregate *fluid* pool that batches the whole think
+//!   population into per-step MVA steady states for million-user runs. [`backend::BackendMode::Hybrid`] runs fluid
 //!   in steady state and drops to per-user around transients (scale
 //!   actuations, faults, population spikes);
 //! * `fabric` — servers, replicas, scaling actuation, fault injection;

@@ -5,7 +5,7 @@
 //!
 //! * [`crate::engine`] — clock + timer-wheel calendar;
 //! * [`crate::backend`] — the user population ([`PerUserDes`] or
-//!   [`FluidPool`], behind [`PopulationBackend`]);
+//!   [`FluidPool`], behind the `Backend` enum);
 //! * [`crate::fabric`] — servers, replicas, scaling actuation, faults;
 //! * [`crate::request`] — request chains through the call graph;
 //! * [`crate::accum`] — window accumulators and report collection.
@@ -20,9 +20,7 @@ use atom_workload::burstiness::Mmpp2;
 use atom_workload::WorkloadSpec;
 
 use crate::accum::WindowAccum;
-use crate::backend::{
-    Backend, BackendKind, BackendMode, FluidPool, PerUserDes, PopCtx, PopulationBackend,
-};
+use crate::backend::{Backend, BackendKind, BackendMode, FluidPool, PerUserDes, PopCtx};
 use crate::engine::{Engine, Event};
 use crate::error::ClusterError;
 use crate::fabric::{effective_cap, Fabric, Replica, ReplicaState, ServiceRt};

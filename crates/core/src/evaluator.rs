@@ -214,8 +214,8 @@ impl EvaluatorStats {
 }
 
 impl fmt::Display for EvaluatorStats {
-    /// One-line operator summary, shared by the controller's decision
-    /// explanations and `evaluator_bench`:
+    /// One-line operator summary, as the controller's decision
+    /// explanations print it:
     /// `800 candidates, 312 solves, 488 cache hits (61.0% hit-rate), 0 failures`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -306,8 +306,10 @@ pub struct CandidateEvaluator<'a> {
 /// Default evaluator worker count: the `ATOM_EVAL_WORKERS` environment
 /// variable when set to a positive integer, else 1. Results are bitwise
 /// independent of the worker count, so varying it per run (e.g. in CI)
-/// only changes wall-clock time.
-fn default_workers() -> usize {
+/// only changes wall-clock time. The one place the variable is parsed:
+/// every worker-count-deterministic fan-out in the workspace reads it
+/// here.
+pub fn default_workers() -> usize {
     std::env::var("ATOM_EVAL_WORKERS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

@@ -9,7 +9,8 @@
 //! slot spans `SLOTS^l` ticks. An event is filed at the coarsest level
 //! whose current window contains it and cascades down as the cursor
 //! approaches; events beyond the top-level horizon wait in an overflow
-//! list.
+//! list and re-enter the wheel as soon as the cursor reaches their
+//! top-level window.
 //!
 //! Within one level-0 tick, events are ordered by their exact `f64` time
 //! (then insertion sequence), so the pop order is *identical* to
@@ -27,6 +28,8 @@ const BITS: u32 = 6;
 /// Number of wheel levels. Four levels at a 1 ms tick give a ~4.7 h
 /// horizon; later events overflow (and re-enter when the horizon moves).
 const LEVELS: usize = 4;
+/// Bits of a tick below its top-level window index.
+const TOP_SHIFT: u32 = BITS * LEVELS as u32;
 
 /// Level-0 tick index of an absolute time (times at or before zero all
 /// share tick 0; enormous times saturate — ordering within a shared
@@ -85,6 +88,9 @@ pub struct TimerWheel<E> {
     levels: Vec<Vec<Vec<Entry<E>>>>,
     /// Entries beyond the top-level horizon at insertion time.
     overflow: Vec<Entry<E>>,
+    /// Smallest tick in `overflow` (`u64::MAX` when it is empty): the
+    /// cursor entering this tick's top-level window re-files the list.
+    overflow_min: u64,
     /// Expired entries in pop order.
     ready: VecDeque<Entry<E>>,
     /// Entries currently filed in `levels` (not `ready`/`overflow`).
@@ -122,6 +128,7 @@ impl<E> TimerWheel<E> {
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
             overflow: Vec::new(),
+            overflow_min: u64::MAX,
             ready: VecDeque::new(),
             in_wheel: 0,
             seq: 0,
@@ -147,6 +154,7 @@ impl<E> TimerWheel<E> {
             }
         }
         self.overflow.clear();
+        self.overflow_min = u64::MAX;
         self.ready.clear();
         self.in_wheel = 0;
         self.len = 0;
@@ -189,6 +197,7 @@ impl<E> TimerWheel<E> {
                 return;
             }
         }
+        self.overflow_min = self.overflow_min.min(t);
         self.overflow.push(entry);
     }
 
@@ -220,25 +229,25 @@ impl<E> TimerWheel<E> {
             return true;
         }
         loop {
-            if self.in_wheel == 0 {
-                if self.overflow.is_empty() {
-                    return false;
-                }
-                // Everything pending is beyond the horizon: jump there
-                // and re-file (entries near the new cursor land in the
-                // wheel; the still-too-far remainder overflows again).
-                let min_tick = self
-                    .overflow
-                    .iter()
-                    .map(|e| self.tick_of(e.time))
-                    .min()
-                    .expect("overflow checked non-empty");
-                debug_assert!(min_tick >= self.cursor);
-                self.cursor = min_tick;
+            if self.in_wheel == 0 && !self.overflow.is_empty() {
+                // Everything pending is beyond the horizon: jump there.
+                debug_assert!(self.overflow_min >= self.cursor);
+                self.cursor = self.overflow_min;
+            }
+            if self.cursor >> TOP_SHIFT >= self.overflow_min >> TOP_SHIFT {
+                // The cursor is inside the earliest overflow window —
+                // by the jump above, or by stepping off the end of the
+                // previous window while newer pushes keep the wheel
+                // occupied. Re-file before anything later can expire
+                // (entries of that window land in the wheel; the
+                // still-too-far remainder overflows again).
+                self.overflow_min = u64::MAX;
                 for e in std::mem::take(&mut self.overflow) {
                     self.file(e);
                 }
-                continue;
+            }
+            if self.in_wheel == 0 {
+                return false;
             }
             // The earliest pending entry is bounded below by the start
             // of each level's first due slot; the true minimum is in

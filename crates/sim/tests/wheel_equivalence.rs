@@ -83,3 +83,49 @@ fn matches_heap_on_mixed_scales() {
         check_schedule(seed, 4000, 1.0, 0.1);
     }
 }
+
+#[test]
+fn matches_heap_across_top_level_windows_under_closed_loop_load() {
+    // A closed loop — every pop schedules its successor — carried over
+    // several 64^4-tick top-level windows. Timers pushed across a window
+    // boundary wait in the overflow list while the timers of users
+    // already past it keep the wheel occupied; they must re-enter as
+    // soon as the cursor reaches their window, not when the wheel next
+    // runs empty. One user per window fires in the window's last tick,
+    // so the cursor steps into the next window with its successor the
+    // only thing in the wheel. A coarse tick keeps the crossings cheap.
+    const TICK: f64 = 0.25;
+    let window = TICK * (1u64 << 24) as f64;
+    for seed in 40..43 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut heap = EventQueue::new();
+        let mut wheel = TimerWheel::with_tick(TICK);
+        for user in 0..32u64 {
+            let t = rng.exponential(window / 40.0);
+            heap.push(t, user);
+            wheel.push(t, user);
+        }
+        for k in 1..=4u64 {
+            let t = k as f64 * window - TICK / 2.0;
+            heap.push(t, 100 + k);
+            wheel.push(t, 100 + k);
+        }
+        let mut now = 0.0f64;
+        while now < 4.5 * window {
+            let h = heap.pop();
+            assert_eq!(h, wheel.pop(), "pop divergence at t={now} (seed {seed})");
+            let (t, user) = h.expect("a closed loop never drains");
+            now = t;
+            // A long think or a short service hop, like the cluster's mix.
+            let mean = if rng.uniform() < 0.5 {
+                window / 40.0
+            } else {
+                window / 40_000.0
+            };
+            let next = now + rng.exponential(mean);
+            heap.push(next, user);
+            wheel.push(next, user);
+            assert_eq!(heap.len(), wheel.len());
+        }
+    }
+}
