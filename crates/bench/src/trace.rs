@@ -117,7 +117,7 @@ pub fn journal_of(results: &[ExperimentResult]) -> Journal {
 
 /// Aggregates the runs into a metrics registry, one name prefix per
 /// scaler (`atom_`, `uh_`, ... — lowercased, `-` → `_`).
-pub fn registry_of(results: &[ExperimentResult]) -> Registry {
+pub fn registry_for(results: &[ExperimentResult]) -> Registry {
     let mut reg = Registry::new();
     for r in results {
         let slug = r.scaler.to_lowercase().replace('-', "_");
@@ -312,7 +312,7 @@ pub fn emit(opts: &HarnessOptions, results: &[ExperimentResult]) {
         atom_obs::progress!("decision journal written to {}", path.display());
     }
     if let Some(path) = &opts.metrics_out {
-        write_artefact(path, &registry_of(results).prometheus_text());
+        write_artefact(path, &registry_for(results).prometheus_text());
         atom_obs::progress!("metrics snapshot written to {}", path.display());
     }
 }
@@ -417,11 +417,11 @@ mod tests {
             ClusterOptions::new().with_seed(7),
         );
         assert_eq!(r.scaler, "ATOM-P");
-        let reg = registry_of(std::slice::from_ref(&r));
+        let reg = registry_for(std::slice::from_ref(&r));
         assert!(reg.counter("atom_p_forecast_windows_total") > 0);
         assert!(reg.histogram("atom_p_forecast_horizon_seconds").is_some());
         // Reactive runs emit no forecast series at all — not even zeros.
-        let reactive = registry_of(&[quick_run(ScalerKind::Atom)]);
+        let reactive = registry_for(&[quick_run(ScalerKind::Atom)]);
         assert_eq!(reactive.counter("atom_forecast_windows_total"), 0);
         assert!(!reactive.prometheus_text().contains("forecast"));
     }
@@ -458,14 +458,14 @@ mod tests {
             assert!(e.args.queue_wait_s >= 0.0 && e.args.service_time_s >= 0.0);
         }
         // The registry surfaces the span accounting for sampled runs...
-        let reg = registry_of(std::slice::from_ref(&r));
+        let reg = registry_for(std::slice::from_ref(&r));
         assert!(reg.counter("atom_span_requests_sampled_total") > 0);
         assert!(reg.counter("atom_spans_recorded_total") > 0);
         // ... and drift series once the controller has a prediction to
         // audit (window 2 audits window 1's plan).
         assert!(reg.counter("atom_drift_windows_total") > 0);
         // Unsampled runs emit no span or drift series at all.
-        let plain = registry_of(&[quick_run(ScalerKind::Atom)]);
+        let plain = registry_for(&[quick_run(ScalerKind::Atom)]);
         let text = plain.prometheus_text();
         assert!(!text.contains("span"), "no span series without sampling");
         assert!(!text.contains("drift"), "no drift series without sampling");
@@ -495,7 +495,7 @@ mod tests {
             &opts,
             ClusterOptions::new().with_seed(7).with_topology(topo),
         );
-        let reg = registry_of(std::slice::from_ref(&r));
+        let reg = registry_for(std::slice::from_ref(&r));
         assert!(reg.counter("uh_net_transit_events_total") > 0);
         for edge in ["rack0", "rack1", "agg"] {
             let util = reg
@@ -513,14 +513,14 @@ mod tests {
                 .is_some());
         }
         // Topology-free runs emit no network series at all.
-        let plain = registry_of(&[quick_run(ScalerKind::Uh)]);
+        let plain = registry_for(&[quick_run(ScalerKind::Uh)]);
         assert!(!plain.prometheus_text().contains("_net_"));
     }
 
     #[test]
     fn registry_reflects_the_runs() {
         let results = [quick_run(ScalerKind::Atom)];
-        let reg = registry_of(&results);
+        let reg = registry_for(&results);
         assert!(reg.counter("atom_cluster_events_total") > 0);
         assert!(
             reg.counter("atom_solves_total") > 0,

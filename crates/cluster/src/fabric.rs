@@ -12,7 +12,7 @@ use atom_sim::processor::{GroupId, JobId, PsProcessor};
 use atom_sim::TimeWeighted;
 
 use crate::engine::Event;
-use crate::runtime::{Cluster, ScaleAction, TraceSpan};
+use crate::runtime::{Cluster, ScaleAction};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ReplicaState {
@@ -82,10 +82,8 @@ pub(crate) struct Invocation {
     pub arrival: f64,
     /// Queue length seen at arrival (for the demand-estimation probe).
     pub seen_queue: usize,
-    /// Index of this invocation's span in the trace being captured.
-    pub span: Option<usize>,
-    /// Handle `(slot, span index)` into the sampled span layer when this
-    /// invocation belongs to a sampled request.
+    /// Handle `(slot, span index)` into the span layer when this
+    /// invocation belongs to a sampled (or one-shot traced) request.
     pub sampled: Option<(usize, usize)>,
 }
 
@@ -128,11 +126,6 @@ pub(crate) struct Fabric {
     // --- probe ---
     pub probe: Option<(usize, usize)>,
     pub probe_samples: Vec<(f64, f64)>,
-    // --- tracing ---
-    pub trace_armed: Option<Option<usize>>, // Some(feature filter) when armed
-    pub trace_building: Vec<TraceSpan>,
-    pub trace_feature: usize,
-    pub completed_trace: Option<crate::runtime::RequestTrace>,
 }
 
 impl Fabric {

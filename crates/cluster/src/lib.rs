@@ -84,7 +84,7 @@ pub use atom_net::{EdgeSpec, EdgeWindowStats, NetworkDelay, TopologySpec};
 pub use backend::{BackendKind, BackendMode};
 pub use error::ClusterError;
 pub use monitor::WindowReport;
-pub use runtime::{Cluster, ClusterOptions, RequestTrace, ScaleAction, TenantLayout, TraceSpan};
+pub use runtime::{Cluster, ClusterOptions, ScaleAction, TenantLayout};
 pub use spans::{SampledSpan, ServiceSpanStats};
 pub use spec::{AppSpec, EndpointId, ServerId, ServiceId};
 pub use telemetry::{ClusterTelemetry, ScaleLatencyStats};

@@ -169,13 +169,6 @@ impl WindowReport {
         }
     }
 
-    /// Tags the report as one tenant's view of a multi-tenant window.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: Option<usize>) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
     /// Sets the per-feature completed request counts.
     #[must_use]
     pub fn with_feature_counts(mut self, v: Vec<u64>) -> Self {
@@ -333,24 +326,10 @@ impl WindowReport {
         self
     }
 
-    /// Sets the mid-window backend-switch count.
-    #[must_use]
-    pub fn with_backend_switches(mut self, v: usize) -> Self {
-        self.backend_switches = v;
-        self
-    }
-
     /// Sets the per-service sampled-span aggregates.
     #[must_use]
     pub fn with_span_stats(mut self, v: Option<Vec<ServiceSpanStats>>) -> Self {
         self.span_stats = v;
-        self
-    }
-
-    /// Sets the per-edge link-fabric statistics.
-    #[must_use]
-    pub fn with_network(mut self, v: Option<Vec<atom_net::EdgeWindowStats>>) -> Self {
-        self.network = v;
         self
     }
 

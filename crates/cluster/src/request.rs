@@ -11,7 +11,7 @@
 use crate::backend::PopCtx;
 use crate::engine::Event;
 use crate::fabric::{InvState, Invocation, ReplicaState};
-use crate::runtime::{Cluster, RequestTrace, TenantRt, TraceSpan, TENANT_LOCAL_MASK, TENANT_SHIFT};
+use crate::runtime::{Cluster, TenantRt, TENANT_LOCAL_MASK, TENANT_SHIFT};
 
 impl Cluster {
     pub(crate) fn user_ready(&mut self, user: usize) {
@@ -143,63 +143,31 @@ impl Cluster {
         // applies at the contended resource — the CPU — cf. Kraft et
         // al. [26]).
         let seen_queue = self.fabric.processors[self.fabric.services[si].server].active_jobs();
-        // Trace propagation: a root request arms a new capture when one
-        // is pending; child calls inherit their caller's traced status.
-        let parent_span =
-            caller.and_then(|c| self.fabric.invocations[c].as_ref().and_then(|i| i.span));
-        let span = if let Some(parent) = parent_span {
-            self.fabric.trace_building.push(TraceSpan {
-                service: si,
-                endpoint: ei,
-                parent: Some(parent),
-                arrival: now,
-                start: now,
-                end: now,
-            });
-            Some(self.fabric.trace_building.len() - 1)
-        } else if let (Some(filter), Some((feature, _))) = (self.fabric.trace_armed, root) {
-            if filter.is_none_or(|f| f == feature) {
-                self.fabric.trace_armed = None;
-                self.fabric.trace_feature = feature;
-                self.fabric.trace_building.clear();
-                self.fabric.trace_building.push(TraceSpan {
-                    service: si,
-                    endpoint: ei,
-                    parent: None,
-                    arrival: now,
-                    start: now,
-                    end: now,
-                });
-                Some(0)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        // Sampled span layer: roots pass the seeded sampling hash (never
-        // an RNG draw), children inherit their caller's handle. The whole
-        // branch is skipped while sampling is disabled, so the disabled
-        // path is bit-for-bit the pre-span code.
-        let sampled = if self.spans.enabled() {
-            let server = self.fabric.services[si].server;
-            if let Some((feature, user)) = root {
+        // Span layer: roots pass the seeded sampling hash (never an RNG
+        // draw) or the armed one-shot trace, children inherit their
+        // caller's handle. With sampling off and nothing armed no root
+        // gets a handle, so the whole branch is bit-for-bit the pre-span
+        // code.
+        let sampled = if let Some((feature, user)) = root {
+            if self.spans.wants_roots() {
+                let server = self.fabric.services[si].server;
                 let ti = user >> TENANT_SHIFT;
                 let backend = self.tenants[ti].backend.kind();
                 self.spans
                     .maybe_start(ti, feature, si, ei, replica, server, backend, now)
             } else {
-                caller
-                    .and_then(|c| self.fabric.invocations[c].as_ref().and_then(|i| i.sampled))
-                    .map(|(slot, parent)| {
-                        let backend = self.tenants[0].backend.kind();
-                        self.spans.child(
-                            slot, parent, si, ei, replica, server, backend, now, net_wait,
-                        )
-                    })
+                None
             }
         } else {
-            None
+            caller
+                .and_then(|c| self.fabric.invocations[c].as_ref().and_then(|i| i.sampled))
+                .map(|(slot, parent)| {
+                    let server = self.fabric.services[si].server;
+                    let backend = self.tenants[0].backend.kind();
+                    self.spans.child(
+                        slot, parent, si, ei, replica, server, backend, now, net_wait,
+                    )
+                })
         };
         let inv = self.alloc_invocation(Invocation {
             service: si,
@@ -211,7 +179,6 @@ impl Cluster {
             calls,
             arrival: now,
             seen_queue,
-            span,
             sampled,
         });
         let svc = &mut self.fabric.services[si];
@@ -246,9 +213,6 @@ impl Cluster {
             let i = self.fabric.invocations[inv].as_ref().unwrap();
             (i.service, i.endpoint, i.replica)
         };
-        if let Some(span) = self.fabric.invocations[inv].as_ref().unwrap().span {
-            self.fabric.trace_building[span].start = now;
-        }
         if let Some(handle) = self.fabric.invocations[inv].as_ref().unwrap().sampled {
             self.spans.begin(handle, now);
         }
@@ -358,7 +322,7 @@ impl Cluster {
 
     fn finish_invocation(&mut self, inv: usize) {
         let now = self.engine.now;
-        let (si, _ei, replica, caller, root, arrival, seen_queue, ei, span, sampled) = {
+        let (si, _ei, replica, caller, root, arrival, seen_queue, ei, sampled) = {
             let i = self.fabric.invocations[inv].as_ref().unwrap();
             (
                 i.service,
@@ -369,19 +333,9 @@ impl Cluster {
                 i.arrival,
                 i.seen_queue,
                 i.endpoint,
-                i.span,
                 i.sampled,
             )
         };
-        if let Some(span) = span {
-            self.fabric.trace_building[span].end = now;
-            if span == 0 && self.fabric.completed_trace.is_none() {
-                self.fabric.completed_trace = Some(RequestTrace {
-                    feature: self.fabric.trace_feature,
-                    spans: std::mem::take(&mut self.fabric.trace_building),
-                });
-            }
-        }
         if let Some(handle) = sampled {
             let observing = self.monitor_observing();
             self.spans

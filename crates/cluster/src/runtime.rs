@@ -182,32 +182,6 @@ impl std::fmt::Display for ScaleAction {
     }
 }
 
-/// One hop of a captured request trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSpan {
-    /// Service index.
-    pub service: usize,
-    /// Endpoint index within the service.
-    pub endpoint: usize,
-    /// Index of the calling span within the trace, if any.
-    pub parent: Option<usize>,
-    /// Arrival at the service (enqueue time).
-    pub arrival: f64,
-    /// Service start (thread acquired).
-    pub start: f64,
-    /// Completion (reply sent).
-    pub end: f64,
-}
-
-/// A captured end-to-end request trace (distributed-tracing style).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestTrace {
-    /// The client-visible feature that issued the request.
-    pub feature: usize,
-    /// All spans, parents before children.
-    pub spans: Vec<TraceSpan>,
-}
-
 /// How long after the last transient the hybrid policy stays on the
 /// per-user backend before handing back to the fluid one (seconds).
 const HYBRID_HOLD: f64 = 120.0;
@@ -475,10 +449,6 @@ impl Cluster {
             failed_actuations: 0,
             probe: None,
             probe_samples: Vec::new(),
-            trace_armed: None,
-            trace_building: Vec::new(),
-            trace_feature: 0,
-            completed_trace: None,
         };
         let accum = WindowAccum::new(
             spec.features.len(),
@@ -562,15 +532,6 @@ impl Cluster {
         self.tenants.len()
     }
 
-    /// The layout of one tenant within the merged spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenant` is out of range.
-    pub fn tenant_layout(&self, tenant: usize) -> TenantLayout {
-        self.tenants[tenant].layout
-    }
-
     /// Per-tenant reports of the most recently completed window, in
     /// tenant order. Empty for single-tenant clusters (the merged report
     /// returned by `run_window` is the tenant's report there) and until
@@ -578,23 +539,6 @@ impl Cluster {
     /// buffer, so call once per window.
     pub fn take_tenant_reports(&mut self) -> Vec<WindowReport> {
         std::mem::take(&mut self.tenant_reports)
-    }
-
-    /// CPU cores currently committed on `server`: the sum over its
-    /// services of live replicas × per-replica share. Admission control
-    /// reconciles its own ledger against this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn server_committed_cores(&self, server: usize) -> f64 {
-        assert!(server < self.spec.servers.len(), "server out of range");
-        self.fabric
-            .services
-            .iter()
-            .filter(|s| s.server == server)
-            .map(|s| s.live_count() as f64 * s.share)
-            .sum()
     }
 
     /// Live (ready + starting + draining) replica count of a service.
@@ -626,15 +570,17 @@ impl Cluster {
 
     /// Arms a one-shot request trace: the next client request (of the
     /// given feature, or any feature when `None`) is captured with a span
-    /// per service hop. Collect it with [`Cluster::take_trace`].
+    /// per service hop, whatever [`ClusterOptions::span_sample_rate`]
+    /// says — and without touching span statistics or telemetry. Collect
+    /// it with [`Cluster::take_trace`].
     pub fn arm_trace(&mut self, feature: Option<usize>) {
-        self.fabric.trace_armed = Some(feature);
-        self.fabric.completed_trace = None;
+        self.spans.arm(feature);
     }
 
-    /// The most recently completed trace, if any.
-    pub fn take_trace(&mut self) -> Option<RequestTrace> {
-        self.fabric.completed_trace.take()
+    /// The armed request's spans once it completed, parents before
+    /// children (the root, with the request's feature, first).
+    pub fn take_trace(&mut self) -> Option<Vec<SampledSpan>> {
+        self.spans.take_forced()
     }
 
     /// Whether span sampling is enabled (a positive
@@ -1099,7 +1045,7 @@ mod tests {
                 "latency {lat} != delay 5 + startup {startup}"
             );
         }
-        assert!(t.mean_scale_latency().unwrap() > 5.0);
+        assert!(t.scale_latency_stats().unwrap().mean > 5.0);
         assert_eq!(t.dropped_batches, 0);
     }
 
@@ -1431,24 +1377,36 @@ mod tests {
         cluster.arm_trace(Some(0));
         cluster.run_window(30.0);
         let trace = cluster.take_trace().expect("a request completed");
-        assert_eq!(trace.feature, 0);
+        assert_eq!(trace[0].feature, 0);
         // Root span at web + (0..=2 sampled) db child spans.
-        assert_eq!(trace.spans[0].service, 0);
-        assert_eq!(trace.spans[0].parent, None);
-        for child in &trace.spans[1..] {
+        assert_eq!(trace[0].service, 0);
+        assert_eq!(trace[0].parent, None);
+        for child in &trace[1..] {
             assert_eq!(child.service, 1);
             assert_eq!(child.parent, Some(0));
             // Children nest within the root's lifetime.
-            assert!(child.arrival >= trace.spans[0].start - 1e-9);
-            assert!(child.end <= trace.spans[0].end + 1e-9);
+            assert!(child.arrival >= trace[0].start - 1e-9);
+            assert!(child.end <= trace[0].end + 1e-9);
             assert!(child.start >= child.arrival);
             assert!(child.end >= child.start);
         }
         // One-shot: a second take yields nothing until re-armed.
         assert!(cluster.take_trace().is_none());
         cluster.arm_trace(None);
-        cluster.run_window(30.0);
+        let r = cluster.run_window(30.0);
         assert!(cluster.take_trace().is_some());
+        // Armed but unsampled: the sampling side saw nothing.
+        assert_eq!(r.span_stats, None);
+        assert!(cluster.take_spans().is_empty());
+        let t = cluster.telemetry();
+        assert_eq!(
+            (
+                t.span_requests_sampled,
+                t.spans_recorded,
+                t.span_requests_dropped
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! Aggregated per-window per-service percentiles feed the controller's
 //! model-audit stage; raw spans export as Chrome trace-event JSON via
 //! the bench harness (`--spans-out`).
+//!
+//! The one-shot operator trace (`Cluster::arm_trace` / `take_trace`) is
+//! the same machinery with the sampling decision forced for one root:
+//! the armed request's tree is tracked like any sampled one and handed
+//! back whole. Forcing is invisible to sampling — it neither advances
+//! the root sequence a disabled layer never counts, nor records into
+//! the window aggregates, the export log or the `span_*` telemetry.
 
 use serde::{Deserialize, Serialize};
 
@@ -149,9 +156,12 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// so the root always completes last).
 struct InFlightTrace {
     spans: Vec<SampledSpan>,
-    /// A tail-mode candidate that missed the rate hash: recorded only if
-    /// it turns out to be the window's slowest root.
+    /// Missed the rate hash: in tail mode recorded only if it turns out
+    /// to be the window's slowest root, otherwise (a forced one-shot on
+    /// an unsampled root) never recorded.
     provisional: bool,
+    /// The armed one-shot: handed to [`SpanLayer::take_forced`] whole.
+    forced: bool,
 }
 
 /// The sampled span layer: sampling decision, in-flight trees, the
@@ -177,6 +187,10 @@ pub(crate) struct SpanLayer {
     /// Tail mode: the slowest provisional root completing this window,
     /// as `(residence, spans)`; flushed at window collection.
     slowest: Option<(f64, Vec<SampledSpan>)>,
+    /// One-shot trace: `Some(feature filter)` while armed.
+    armed: Option<Option<usize>>,
+    /// The completed one-shot trace awaiting [`SpanLayer::take_forced`].
+    forced: Option<Vec<SampledSpan>>,
 }
 
 impl SpanLayer {
@@ -191,18 +205,40 @@ impl SpanLayer {
             completed: Vec::new(),
             window: vec![Vec::new(); n_services],
             slowest: None,
+            armed: None,
+            forced: None,
         }
     }
 
-    /// Whether any request can be sampled at all. Callers gate every
-    /// span-path branch on this so a disabled layer costs nothing.
+    /// Whether any request can be sampled at all.
     pub fn enabled(&self) -> bool {
         self.rate > 0.0 || self.tail
     }
 
+    /// Whether a root request needs [`SpanLayer::maybe_start`] at all:
+    /// sampling is on or a one-shot trace is armed. The request path
+    /// gates its root branch on this so an idle layer costs nothing.
+    pub fn wants_roots(&self) -> bool {
+        self.enabled() || self.armed.is_some()
+    }
+
+    /// Arms the one-shot trace: the next root request (of `feature`, or
+    /// any when `None`) is tracked whatever the sampling decision says.
+    /// Discards a previous uncollected one-shot.
+    pub fn arm(&mut self, feature: Option<usize>) {
+        self.armed = Some(feature);
+        self.forced = None;
+    }
+
+    /// The completed one-shot trace, parents before children.
+    pub fn take_forced(&mut self) -> Option<Vec<SampledSpan>> {
+        self.forced.take()
+    }
+
     /// Sampling decision for one root request, plus span-tree start when
-    /// it passes. Returns the `(slot, span index)` handle to thread
-    /// through the invocation chain.
+    /// it passes (or the one-shot trace is armed for it). Returns the
+    /// `(slot, span index)` handle to thread through the invocation
+    /// chain.
     #[allow(clippy::too_many_arguments)] // one call site, plain hop facts
     pub fn maybe_start(
         &mut self,
@@ -215,13 +251,22 @@ impl SpanLayer {
         backend: BackendKind,
         now: f64,
     ) -> Option<(usize, usize)> {
+        let forced = self
+            .armed
+            .is_some_and(|filter| filter.is_none_or(|f| f == feature));
+        if forced {
+            self.armed = None;
+        }
+        let sampling = self.enabled();
         let id = self.next_root;
-        self.next_root += 1;
+        if sampling {
+            self.next_root += 1;
+        }
         // Uniform in [0, 1) from the top 53 bits of the hash; strictly
         // below the rate samples. rate = 1.0 samples everything.
         let u = (splitmix64(self.seed ^ id) >> 11) as f64 / (1u64 << 53) as f64;
         let provisional = u >= self.rate;
-        if provisional && !self.tail {
+        if provisional && !self.tail && !forced {
             return None;
         }
         let root = SampledSpan {
@@ -242,6 +287,7 @@ impl SpanLayer {
         let trace = InFlightTrace {
             spans: vec![root],
             provisional,
+            forced,
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -308,7 +354,8 @@ impl SpanLayer {
     /// whole tree: window aggregates and the export log only record
     /// requests whose completion the monitoring plane observed
     /// (`observing` — span collection is part of monitoring and goes
-    /// dark with it).
+    /// dark with it). The one-shot trace is an operator probe, not
+    /// monitoring, and completes either way.
     pub fn finish(
         &mut self,
         handle: (usize, usize),
@@ -327,7 +374,10 @@ impl SpanLayer {
         }
         let trace = self.inflight[slot].take().expect("sampled slot live");
         self.free.push(slot);
-        if !observing {
+        if trace.forced {
+            self.forced = Some(trace.spans.clone());
+        }
+        if !observing || (trace.provisional && !self.tail) {
             return;
         }
         if trace.provisional {
@@ -573,5 +623,62 @@ mod tests {
         }
         assert_eq!(layer.window_stats(&mut t).unwrap()[0].samples, 5);
         assert_eq!(t.span_requests_sampled, 5);
+    }
+
+    /// Starts, begins and finishes one single-hop root of `feature`.
+    fn one_root(layer: &mut SpanLayer, feature: usize, t: &mut ClusterTelemetry) {
+        if let Some(h) = layer.maybe_start(0, feature, 0, 0, 0, 0, BackendKind::PerUser, 1.0) {
+            layer.begin(h, 1.5);
+            layer.finish(h, 2.0, false, t);
+        }
+    }
+
+    #[test]
+    fn armed_one_shot_on_a_disabled_layer_leaves_no_sampling_trace() {
+        let mut layer = SpanLayer::new(0.0, 7, 1, false);
+        let mut t = ClusterTelemetry::default();
+        assert!(!layer.wants_roots());
+        layer.arm(Some(3));
+        assert!(layer.wants_roots() && !layer.enabled());
+        one_root(&mut layer, 1, &mut t); // filtered out
+        assert!(layer.take_forced().is_none());
+        one_root(&mut layer, 3, &mut t); // captured, monitor dark or not
+        assert!(!layer.wants_roots(), "one-shot: disarmed by the capture");
+        let spans = layer.take_forced().expect("forced trace");
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            (spans[0].feature, spans[0].start, spans[0].end),
+            (3, 1.5, 2.0)
+        );
+        assert!(layer.take_forced().is_none());
+        // Nothing of it reached the sampling side.
+        assert_eq!(layer.next_root, 0);
+        assert_eq!(layer.window_stats(&mut t), None);
+        assert!(layer.take_completed().is_empty());
+        assert_eq!(t, ClusterTelemetry::default());
+    }
+
+    #[test]
+    fn arming_does_not_disturb_the_sampling_sequence() {
+        let sampled_ids = |arm: bool| {
+            let mut layer = SpanLayer::new(0.3, 9, 1, false);
+            let mut t = ClusterTelemetry::default();
+            if arm {
+                layer.arm(None);
+            }
+            for i in 0..200 {
+                if let Some(h) = layer.maybe_start(0, 0, 0, 0, 0, 0, BackendKind::PerUser, i as f64)
+                {
+                    layer.finish(h, i as f64 + 0.5, true, &mut t);
+                }
+            }
+            let ids: Vec<u64> = layer.take_completed().iter().map(|s| s.request).collect();
+            (ids, t.span_requests_sampled, layer.take_forced().is_some())
+        };
+        let (plain, plain_n, plain_forced) = sampled_ids(false);
+        let (armed, armed_n, armed_forced) = sampled_ids(true);
+        assert_eq!(plain, armed);
+        assert_eq!(plain_n, armed_n);
+        assert!(!plain_forced && armed_forced);
     }
 }

@@ -103,22 +103,6 @@ impl ClusterTelemetry {
             + self.net_transit_events
     }
 
-    /// Mean issue-to-ready scale latency (`None` with no samples).
-    pub fn mean_scale_latency(&self) -> Option<f64> {
-        if self.scale_latencies.is_empty() {
-            return None;
-        }
-        Some(self.scale_latencies.iter().sum::<f64>() / self.scale_latencies.len() as f64)
-    }
-
-    /// Largest issue-to-ready scale latency (`None` with no samples).
-    pub fn max_scale_latency(&self) -> Option<f64> {
-        self.scale_latencies
-            .iter()
-            .copied()
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
     /// Typed summary of the scale-latency samples (`None` with no
     /// samples). The p95 is nearest-rank: the smallest sample `x` such
     /// that at least 95% of samples are `≤ x`.
@@ -147,25 +131,23 @@ mod tests {
     fn totals_and_latency_summaries() {
         let mut t = ClusterTelemetry::default();
         assert_eq!(t.total_events(), 0);
-        assert_eq!(t.mean_scale_latency(), None);
-        assert_eq!(t.max_scale_latency(), None);
+        assert_eq!(t.scale_latency_stats(), None);
         t.user_ready_events = 10;
         t.fault_events = 2;
         t.scale_latencies = vec![150.0, 250.0];
         assert_eq!(t.total_events(), 12);
-        assert_eq!(t.mean_scale_latency(), Some(200.0));
-        assert_eq!(t.max_scale_latency(), Some(250.0));
+        let s = t.scale_latency_stats().unwrap();
+        assert_eq!((s.mean, s.max, s.count), (200.0, 250.0, 2));
     }
 
     #[test]
-    fn typed_stats_match_the_scalar_accessors() {
-        let mut t = ClusterTelemetry::default();
-        assert_eq!(t.scale_latency_stats(), None);
-        t.scale_latencies = (1..=20).map(|i| i as f64 * 10.0).collect();
+    fn typed_stats_summarise_the_samples() {
+        let t = ClusterTelemetry {
+            scale_latencies: (1..=20).map(|i| i as f64 * 10.0).collect(),
+            ..ClusterTelemetry::default()
+        };
         let s = t.scale_latency_stats().unwrap();
-        assert_eq!(s.count, 20);
-        assert_eq!(s.mean, t.mean_scale_latency().unwrap());
-        assert_eq!(s.max, t.max_scale_latency().unwrap());
+        assert_eq!((s.mean, s.max, s.count), (105.0, 200.0, 20));
         // Nearest-rank p95 of 20 samples is the 19th order statistic.
         assert_eq!(s.p95, 190.0);
     }

@@ -3,14 +3,14 @@
 use atom_cluster::{ScaleAction, WindowReport};
 use atom_forecast::Ensemble;
 use atom_ga::{Budget, GaOptions};
-use atom_lqn::{DecisionVector, LqnModel, ScalingConfig};
+use atom_lqn::{share_index, DecisionVector, LqnModel};
 use atom_obs::{
     ActuationOutcome, ChosenAction, DecisionRecord, DriftRecord, ForecastRecord, ServiceDemand,
-    ServiceDrift, TelemetrySnapshot,
+    ServiceDrift,
 };
 
 use crate::analyzer::WorkloadAnalyzer;
-use crate::autoscaler::Autoscaler;
+use crate::autoscaler::{snapshot_of, Autoscaler};
 use crate::binding::ModelBinding;
 use crate::calibration::DemandCalibrator;
 use crate::evaluator::CandidateEvaluator;
@@ -355,7 +355,7 @@ impl Atom {
         planned: &DecisionVector,
     ) -> Option<StationPrediction> {
         let services = evaluator
-            .with_solution(&planned.to_config(), |model, sol| {
+            .with_solution(planned, |model, sol| {
                 self.binding
                     .scalable()
                     .map(|s| {
@@ -419,7 +419,7 @@ impl Atom {
     ) -> Option<String> {
         use atom_lqn::bottleneck::analyze;
         let mut text = evaluator
-            .with_solution(&current.to_config(), |observed, sol| {
+            .with_solution(current, |observed, sol| {
                 let report = analyze(observed, sol);
                 let mut text = String::new();
                 for &root in &report.root_bottlenecks {
@@ -471,17 +471,17 @@ impl Atom {
 
     /// Reads the currently-executed decision out of a window report,
     /// snapped onto the actuation lattice (observed shares come from the
-    /// actuator, so they already lie on the grid; quantising makes the
+    /// actuator, so they already lie on the grid; snapping makes the
     /// read robust to measurement jitter).
     fn current_decision(&self, report: &WindowReport) -> DecisionVector {
-        let mut cfg = ScalingConfig::new();
+        let mut current = DecisionVector::new();
         for s in self.binding.scalable() {
             let si = s.service.0;
             let replicas = report.service_replicas.get(si).copied().unwrap_or(1).max(1);
             let share = report.service_shares.get(si).copied().unwrap_or(1.0);
-            cfg.set(s.task, replicas, share);
+            current.set(s.task, replicas, share_index(share));
         }
-        DecisionVector::quantize(&cfg)
+        current
     }
 
     /// Whether the actuator state in `report` reflects `action` (the
@@ -569,19 +569,6 @@ impl Atom {
             .find(|s| s.service == service)
             .map(|s| s.name.clone())
             .unwrap_or_else(|| format!("service-{}", service.0))
-    }
-
-    /// The monitor-phase snapshot of a report, as journaled.
-    fn snapshot_of(report: &WindowReport, degraded: bool) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            users: report.users_at_end as u64,
-            observed_tps: report.total_tps,
-            peak_arrival_rate: report.peak_arrival_rate,
-            monitor_dropout: report.monitor_dropout_fraction,
-            degraded,
-            backend: report.backend.to_string(),
-            backend_switches: report.backend_switches as u64,
-        }
     }
 
     /// Per-service demand estimates as written into `model` (mean over
@@ -740,7 +727,7 @@ impl Autoscaler for Atom {
             window: self.window - 1,
             time: report.end,
             scaler: self.name.clone(),
-            snapshot: Self::snapshot_of(report, degraded),
+            snapshot: snapshot_of(report, degraded),
             demands: Vec::new(),
             evaluator: None,
             ga: None,

@@ -42,6 +42,19 @@ pub trait Autoscaler {
     }
 }
 
+/// The monitor-phase snapshot of a report, as every scaler journals it.
+pub(crate) fn snapshot_of(report: &WindowReport, degraded: bool) -> atom_obs::TelemetrySnapshot {
+    atom_obs::TelemetrySnapshot {
+        users: report.users_at_end as u64,
+        observed_tps: report.total_tps,
+        peak_arrival_rate: report.peak_arrival_rate,
+        monitor_dropout: report.monitor_dropout_fraction,
+        degraded,
+        backend: report.backend.to_string(),
+        backend_switches: report.backend_switches as u64,
+    }
+}
+
 /// A no-op autoscaler: the "do nothing" control used to isolate the
 /// effect of scaling in experiments.
 #[derive(Debug, Clone, Default)]

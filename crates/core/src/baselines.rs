@@ -13,9 +13,9 @@
 //! target-tracking, the Kubernetes HPA).
 
 use atom_cluster::{AppSpec, ScaleAction, ServiceId, WindowReport};
-use atom_obs::{ActuationOutcome, ChosenAction, DecisionRecord, TelemetrySnapshot};
+use atom_obs::{ActuationOutcome, ChosenAction, DecisionRecord};
 
-use crate::autoscaler::Autoscaler;
+use crate::autoscaler::{snapshot_of, Autoscaler};
 
 /// Builds the journal record of one rule-based decision: snapshot plus
 /// actions; rule scalers estimate no demands and search no candidates.
@@ -39,15 +39,7 @@ fn rule_record(
         window,
         time: report.end,
         scaler: name.to_string(),
-        snapshot: TelemetrySnapshot {
-            users: report.users_at_end as u64,
-            observed_tps: report.total_tps,
-            peak_arrival_rate: report.peak_arrival_rate,
-            monitor_dropout: report.monitor_dropout_fraction,
-            degraded,
-            backend: report.backend.to_string(),
-            backend_switches: report.backend_switches as u64,
-        },
+        snapshot: snapshot_of(report, degraded),
         demands: Vec::new(),
         evaluator: None,
         ga: None,

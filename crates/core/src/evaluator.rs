@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use atom_ga::Evaluation;
 use atom_lqn::analytic::{solve_with, SolverOptions, SolverWorkspace};
-use atom_lqn::{DecisionVector, LqnError, LqnModel, LqnSolution, ScalingConfig, TaskId};
+use atom_lqn::{DecisionVector, LqnError, LqnModel, LqnSolution, TaskId};
 
 use crate::binding::ModelBinding;
 use crate::objective::ObjectiveSpec;
@@ -69,7 +69,7 @@ const HINT_SOURCE_MAX_ITERATIONS: usize = atom_lqn::analytic::SATURATION_ITERATI
 /// `eval` is `None` for entries recorded by solve-only paths
 /// ([`CandidateEvaluator::with_solution`], solver-only evaluators):
 /// their throughput still powers `predicted_tps` and warm-start hints,
-/// but a later `evaluate` of the same config re-solves and scores it.
+/// but a later `evaluate` of the same decision re-solves and scores it.
 #[derive(Debug, Clone, Copy)]
 struct Cached {
     eval: Option<Evaluation>,
@@ -92,7 +92,7 @@ pub struct EvaluatorStats {
     /// Requests answered from the memo cache (including duplicates
     /// within one batch).
     pub cache_hits: usize,
-    /// Solves that failed to converge or configs that failed to apply.
+    /// Solves that failed to converge or decisions that failed to apply.
     pub failures: usize,
     /// Total inner solver iterations across all solves.
     pub solver_iterations: usize,
@@ -140,11 +140,6 @@ impl EvaluatorStats {
     pub fn mean_cold_iterations(&self) -> Option<f64> {
         let n = self.cold_solves();
         (n > 0).then(|| self.cold_iterations() as f64 / n as f64)
-    }
-
-    /// Mean inner iterations per hinted solve (`None` without any).
-    pub fn mean_hinted_iterations(&self) -> Option<f64> {
-        (self.hinted_solves > 0).then(|| self.hinted_iterations as f64 / self.hinted_solves as f64)
     }
 
     /// The counters accumulated since `baseline` was captured — the
@@ -249,18 +244,18 @@ impl Scratch {
         }
     }
 
-    /// Applies `config`, solves, reverts — the scratch model is restored
-    /// to the base configuration on *every* exit path. `f` sees the
-    /// *configured* model together with the solution (for bottleneck
+    /// Applies `decision`, solves, reverts — the scratch model is
+    /// restored to the base configuration on *every* exit path. `f` sees
+    /// the *configured* model together with the solution (for bottleneck
     /// analysis and objective scoring, which need both).
     fn solve_applied<R>(
         &mut self,
-        config: &ScalingConfig,
+        decision: &DecisionVector,
         warm_start: Option<f64>,
         f: impl FnOnce(&LqnModel, &LqnSolution) -> R,
     ) -> Result<R, LqnError> {
         self.undo.clear();
-        for (task, _) in config.iter() {
+        for (task, _) in decision.iter() {
             if task.0 >= self.model.tasks().len() {
                 // Let apply() produce its usual error for unknown tasks.
                 continue;
@@ -268,7 +263,7 @@ impl Scratch {
             let t = self.model.task(task);
             self.undo.push((task, t.replicas, t.cpu_share));
         }
-        let applied = config.apply(&mut self.model);
+        let applied = decision.apply(&mut self.model);
         let outcome = match applied {
             Ok(()) => solve_with(
                 &self.model,
@@ -394,7 +389,7 @@ impl<'a> CandidateEvaluator<'a> {
         worker_solves[slot] += 1;
     }
 
-    /// The sentinel for candidates that cannot be scored at all (config
+    /// The sentinel for candidates that cannot be scored at all (decision
     /// failed to apply, or the solver did not converge): beaten by any
     /// real evaluation under feasibility-first selection. Previously
     /// spelled out at three call sites in `optimizer.rs`.
@@ -472,10 +467,9 @@ impl<'a> CandidateEvaluator<'a> {
         decision: &DecisionVector,
         warm_start: Option<f64>,
     ) -> Cached {
-        let config = decision.to_config();
-        match scratch.solve_applied(&config, warm_start, |model, sol| {
+        match scratch.solve_applied(decision, warm_start, |model, sol| {
             (
-                objective.evaluate(binding, model, &config, sol),
+                objective.evaluate(binding, model, decision, sol),
                 sol.client_throughput,
                 sol.iterations,
             )
@@ -670,11 +664,9 @@ impl<'a> CandidateEvaluator<'a> {
             Some((binding, objective)) => {
                 Self::solve_and_score(&mut self.scratch, binding, objective, decision, hint)
             }
-            None => match self
-                .scratch
-                .solve_applied(&decision.to_config(), hint, |_, sol| {
-                    (sol.client_throughput, sol.iterations)
-                }) {
+            None => match self.scratch.solve_applied(decision, hint, |_, sol| {
+                (sol.client_throughput, sol.iterations)
+            }) {
                 Ok((tps, iterations)) => Cached {
                     eval: None,
                     tps: Some(tps),
@@ -695,37 +687,26 @@ impl<'a> CandidateEvaluator<'a> {
         cached.tps
     }
 
-    /// Solves `config` — **exactly** as given, shares untouched — and
-    /// hands the configured model plus the full solution to `f`. This is
-    /// the operator-facing escape hatch for consumers that need more
-    /// than a score (what-if predictions on arbitrary float shares,
-    /// bottleneck analysis, diagnostics). Full solutions are not
-    /// memoised; when the config happens to lie on the actuation lattice
-    /// its exact [`DecisionVector`] is recorded in the cache and the
-    /// warm-hint window, so model-driven paths still benefit. Off-grid
-    /// configs are solved verbatim and leave no cache entry (inserting
-    /// one under a snapped key would lie about what was solved).
+    /// Solves `decision` and hands the configured model plus the full
+    /// solution to `f` — for consumers that need more than a score
+    /// (what-if predictions, bottleneck analysis, diagnostics). Full
+    /// solutions are not memoised, but the solve's throughput is recorded
+    /// in the cache and the warm-hint window, so `predicted_tps` and
+    /// neighbouring solves still benefit.
     ///
     /// # Errors
     ///
     /// Propagates apply and solver failures.
     pub fn with_solution<R>(
         &mut self,
-        config: &ScalingConfig,
+        decision: &DecisionVector,
         f: impl FnOnce(&LqnModel, &LqnSolution) -> R,
     ) -> Result<R, LqnError> {
         let started = Instant::now();
-        let key = DecisionVector::try_of(config);
-        // Hints are advisory (the solver stays correct either way), so
-        // an off-grid config may borrow its nearest lattice point's
-        // dominated neighbours.
-        let hint_key = key
-            .clone()
-            .unwrap_or_else(|| DecisionVector::quantize(config));
         self.stats.candidates += 1;
-        let hint = Self::warm_hint(&self.recent, &hint_key);
+        let hint = Self::warm_hint(&self.recent, decision);
         let mut solved = None;
-        let result = self.scratch.solve_applied(config, hint, |model, sol| {
+        let result = self.scratch.solve_applied(decision, hint, |model, sol| {
             solved = Some((sol.client_throughput, sol.iterations));
             f(model, sol)
         });
@@ -736,11 +717,9 @@ impl<'a> CandidateEvaluator<'a> {
         };
         Self::record_solve(&mut self.stats, &cached, hint.is_some());
         Self::book_worker(&mut self.worker_solves, 0);
-        if let Some(key) = key {
-            Self::remember(&mut self.recent, &key, &cached);
-            if cached.tps.is_some() {
-                self.cache.entry(key).or_insert(cached);
-            }
+        Self::remember(&mut self.recent, decision, &cached);
+        if cached.tps.is_some() && !self.cache.contains_key(decision) {
+            self.cache.insert(decision.clone(), cached);
         }
         self.stats.wall_seconds += started.elapsed().as_secs_f64();
         result
@@ -833,13 +812,12 @@ mod tests {
         objective: &ObjectiveSpec,
         decision: &DecisionVector,
     ) -> Evaluation {
-        let config = decision.to_config();
         let mut candidate = binding.model.clone();
-        if config.apply(&mut candidate).is_err() {
+        if decision.apply(&mut candidate).is_err() {
             return CandidateEvaluator::rejected();
         }
         match solve(&candidate, SolverOptions::candidate()) {
-            Ok(sol) => objective.evaluate(binding, &candidate, &config, &sol),
+            Ok(sol) => objective.evaluate(binding, &candidate, decision, &sol),
             Err(_) => CandidateEvaluator::rejected(),
         }
     }
@@ -968,47 +946,38 @@ mod tests {
     }
 
     #[test]
-    fn with_solution_on_grid_feeds_the_memo() {
-        // An exact-config solve whose shares lie on the lattice leaves a
-        // cache entry under its DecisionVector, so model-driven paths
-        // (predicted_tps) reuse it without another solve.
+    fn with_solution_feeds_the_memo() {
+        // A full-solution solve leaves a cache entry under its decision,
+        // so model-driven paths (predicted_tps) reuse it without another
+        // solve.
         let (binding, _) = setup(350);
         let mut decision = DecisionVector::new();
         decision.set(TaskId(0), 2, 12).set(TaskId(1), 1, 20);
         let mut ev = CandidateEvaluator::solver_only(&binding.model);
         let tps = ev
-            .with_solution(&decision.to_config(), |_, sol| sol.client_throughput)
+            .with_solution(&decision, |_, sol| sol.client_throughput)
             .unwrap();
         assert_eq!(ev.stats().solves, 1);
         assert_eq!(ev.predicted_tps(&decision), Some(tps));
         assert_eq!(ev.stats().solves, 1, "served from the memo");
         assert_eq!(ev.stats().cache_hits, 1);
-        // An off-grid config solves fine but leaves no lattice entry.
-        let mut off = ScalingConfig::new();
-        off.set(TaskId(0), 1, 0.33);
-        ev.with_solution(&off, |_, _| ()).unwrap();
-        assert_eq!(ev.stats().solves, 2);
-        let mut snapped = DecisionVector::new();
-        snapped.set(TaskId(0), 1, 7);
-        ev.predicted_tps(&snapped);
-        assert_eq!(ev.stats().solves, 3, "snapped key was not cached");
     }
 
     #[test]
     fn with_solution_exposes_the_configured_model() {
         let (binding, obj) = setup(200);
-        let mut config = ScalingConfig::new();
-        config.set(TaskId(0), 3, 0.9);
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 3, 18);
         let mut ev = CandidateEvaluator::new(&binding, &binding.model, &obj);
         let (replicas, tps) = ev
-            .with_solution(&config, |model, sol| {
+            .with_solution(&decision, |model, sol| {
                 (model.task(TaskId(0)).replicas, sol.client_throughput)
             })
             .unwrap();
-        assert_eq!(replicas, 3, "callback must see the applied config");
+        assert_eq!(replicas, 3, "callback must see the applied decision");
         assert!(tps > 0.0);
-        let mut bad = ScalingConfig::new();
-        bad.set(TaskId(99), 1, 0.5);
+        let mut bad = DecisionVector::new();
+        bad.set(TaskId(99), 1, 10);
         assert!(ev.with_solution(&bad, |_, _| ()).is_err());
     }
 

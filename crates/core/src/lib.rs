@@ -76,9 +76,9 @@ pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, Telemet
 pub use objective::ObjectiveSpec;
 pub use optimizer::GaStats;
 pub use planner::PlannerMode;
-pub use whatif::{what_if, what_if_decision, Prediction};
+pub use whatif::{what_if, Prediction};
 
 // The candidate currency of the whole stack (defined next to the model
 // transforms in `atom_lqn`): one integer-lattice type from GA genome to
 // actuator.
-pub use atom_lqn::{DecisionVector, TaskDecision, SHARE_STEP};
+pub use atom_lqn::{share_index, DecisionVector, TaskDecision, SHARE_STEP};

@@ -14,7 +14,7 @@
 
 use atom_ga::Evaluation;
 use atom_lqn::model::TaskKind;
-use atom_lqn::{LqnModel, LqnSolution, ScalingConfig};
+use atom_lqn::{DecisionVector, LqnModel, LqnSolution};
 
 use crate::binding::ModelBinding;
 
@@ -92,28 +92,36 @@ impl ObjectiveSpec {
     }
 
     /// Total capacity of the constrained servers (for cost
-    /// normalisation); falls back to the configured total share when no
-    /// server capacities are set.
-    fn capacity_scale(&self, config: &ScalingConfig) -> f64 {
+    /// normalisation); falls back to the allocated total when no server
+    /// capacities are set.
+    fn capacity_scale(&self, allocated: f64) -> f64 {
         let total: f64 = self.server_capacity.iter().map(|&(_, c)| c).sum();
         if total > 0.0 {
             total
         } else {
-            config.total_cpu_share().max(1.0)
+            allocated.max(1.0)
         }
     }
 
-    /// Scores a solved candidate configuration: objective Θ (eq. 2) and
+    /// Scores a solved candidate decision: objective Θ (eq. 2) and
     /// aggregated constraint violation (eqs. 3–5).
     pub fn evaluate(
         &self,
         binding: &ModelBinding,
         model: &LqnModel,
-        config: &ScalingConfig,
+        decision: &DecisionVector,
         solution: &LqnSolution,
     ) -> Evaluation {
         let revenue_hat = self.revenue(binding, solution) / self.ideal_revenue(binding, model);
-        let cost_hat = config.total_cpu_share() / self.capacity_scale(config);
+        // `C = Σ_i r_i · s_i` summed per task in float — the expression
+        // the pinned searches were scored with. The integer form
+        // ([`DecisionVector::total_cpu_share`]) differs in the last ulp,
+        // which is enough to flip a GA tie-break.
+        let allocated: f64 = decision
+            .iter()
+            .map(|(_, d)| d.replicas as f64 * d.share())
+            .sum();
+        let cost_hat = allocated / self.capacity_scale(allocated);
         let theta = self.tau_revenue * revenue_hat - self.tau_cost * cost_hat;
 
         let mut violation = 0.0;
@@ -132,7 +140,7 @@ impl ObjectiveSpec {
             }
         }
         // (4) per-server allocated share.
-        let per_proc = config.per_processor_share(model);
+        let per_proc = decision.per_processor_share(model);
         for &(proc, cap) in &self.server_capacity {
             if let Some(&alloc) = per_proc.get(&proc) {
                 if alloc > cap {
@@ -193,11 +201,11 @@ mod tests {
     fn feasible_config_scores_positive() {
         let (binding, obj) = setup();
         let mut model = binding.model.clone();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), 4, 1.0);
-        cfg.apply(&mut model).unwrap();
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 4, 20);
+        decision.apply(&mut model).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
-        let eval = obj.evaluate(&binding, &model, &cfg, &sol);
+        let eval = obj.evaluate(&binding, &model, &decision, &sol);
         assert_eq!(eval.violation, 0.0);
         assert!(eval.objective > 0.0, "theta {}", eval.objective);
     }
@@ -206,11 +214,11 @@ mod tests {
     fn undersized_config_violates_utilization() {
         let (binding, obj) = setup();
         let mut model = binding.model.clone();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), 1, 0.5); // capacity 50/s vs 200 offered
-        cfg.apply(&mut model).unwrap();
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 1, 10); // capacity 50/s vs 200 offered
+        decision.apply(&mut model).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
-        let eval = obj.evaluate(&binding, &model, &cfg, &sol);
+        let eval = obj.evaluate(&binding, &model, &decision, &sol);
         assert!(eval.violation > 0.0, "should violate U_max");
     }
 
@@ -220,11 +228,11 @@ mod tests {
         obj.max_utilization = 2.0; // disable the utilisation constraint
         obj.sla_response = vec![0.001]; // impossible SLA
         let mut model = binding.model.clone();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), 2, 1.0);
-        cfg.apply(&mut model).unwrap();
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 2, 20);
+        decision.apply(&mut model).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
-        let eval = obj.evaluate(&binding, &model, &cfg, &sol);
+        let eval = obj.evaluate(&binding, &model, &decision, &sol);
         assert!(eval.violation > 0.0);
     }
 
@@ -234,29 +242,29 @@ mod tests {
         obj.max_utilization = 10.0;
         obj.server_capacity = vec![(0, 2.0)];
         let mut model = binding.model.clone();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), 8, 1.0); // 8 cores on a 2-core budget
-        cfg.apply(&mut model).unwrap();
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 8, 20); // 8 cores on a 2-core budget
+        decision.apply(&mut model).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
-        let eval = obj.evaluate(&binding, &model, &cfg, &sol);
+        let eval = obj.evaluate(&binding, &model, &decision, &sol);
         assert!(eval.violation > 0.0);
     }
 
     #[test]
     fn more_capacity_costs_more() {
         let (binding, obj) = setup();
-        let score = |r: usize, s: f64| {
+        let score = |r: usize, s: usize| {
             let mut model = binding.model.clone();
-            let mut cfg = ScalingConfig::new();
-            cfg.set(TaskId(0), r, s);
-            cfg.apply(&mut model).unwrap();
+            let mut decision = DecisionVector::new();
+            decision.set(TaskId(0), r, s);
+            decision.apply(&mut model).unwrap();
             let sol = solve(&model, SolverOptions::default()).unwrap();
-            obj.evaluate(&binding, &model, &cfg, &sol)
+            obj.evaluate(&binding, &model, &decision, &sol)
         };
         // Both configs saturate the demand (200/s needs 2 cores); the
         // cheaper one must score higher.
-        let lean = score(3, 1.0);
-        let fat = score(8, 1.0);
+        let lean = score(3, 20);
+        let fat = score(8, 20);
         assert_eq!(lean.violation, 0.0);
         assert!(lean.objective > fat.objective);
     }

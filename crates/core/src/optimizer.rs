@@ -15,7 +15,7 @@
 //! lives in the GA's feasibility-first selection).
 
 use atom_ga::{optimize_batched, Evaluation, GaOptions, Gene, GeneValue};
-use atom_lqn::{DecisionVector, LqnModel, ScalingConfig};
+use atom_lqn::{DecisionVector, LqnModel};
 
 use crate::binding::{ModelBinding, ServiceBinding};
 use crate::evaluator::{CandidateEvaluator, EvaluatorStats};
@@ -30,9 +30,6 @@ pub use atom_lqn::SHARE_STEP;
 pub struct SearchResult {
     /// Best decision found, on the actuation lattice.
     pub decision: DecisionVector,
-    /// The same decision as actuator shares
-    /// ([`DecisionVector::to_config`] of `decision`).
-    pub config: ScalingConfig,
     /// Its evaluation.
     pub eval: Evaluation,
     /// Candidate evaluations spent (cache hits included).
@@ -109,7 +106,6 @@ pub fn search_with(evaluator: &mut CandidateEvaluator<'_>, ga: GaOptions) -> Sea
         // of panicking in the GA on an empty genome.
         return SearchResult {
             decision: DecisionVector::new(),
-            config: ScalingConfig::new(),
             eval: Evaluation::feasible(0.0),
             evaluations: 0,
             stats: EvaluatorStats::default(),
@@ -129,7 +125,6 @@ pub fn search_with(evaluator: &mut CandidateEvaluator<'_>, ga: GaOptions) -> Sea
     let after = evaluator.stats();
     let decision = decode(&scalable, &result.best_values);
     SearchResult {
-        config: decision.to_config(),
         decision,
         eval: result.best,
         evaluations: result.evaluations,
@@ -190,7 +185,6 @@ pub fn random_search(
         (d, CandidateEvaluator::rejected())
     });
     SearchResult {
-        config: decision.to_config(),
         decision,
         eval,
         evaluations,
@@ -321,8 +315,8 @@ mod tests {
         let result = search(&binding, &binding.model, &obj, ga(1));
         assert_eq!(result.eval.violation, 0.0, "best must be feasible");
         // Offered load = 500/s; web needs 500·0.008 = 4 cores.
-        let web_cfg = result.config.get(TaskId(0)).unwrap();
-        let capacity = web_cfg.replicas as f64 * web_cfg.cpu_share;
+        let web = result.decision.get(TaskId(0)).unwrap();
+        let capacity = web.replicas as f64 * web.share();
         assert!(
             capacity > 3.5,
             "web capacity {capacity} too small for 4-core demand"
@@ -336,8 +330,8 @@ mod tests {
         assert_eq!(result.eval.violation, 0.0);
         // Offered 25/s → web needs 0.2 cores; the cost term should keep
         // the allocation lean.
-        let web_cfg = result.config.get(TaskId(0)).unwrap();
-        let capacity = web_cfg.replicas as f64 * web_cfg.cpu_share;
+        let web = result.decision.get(TaskId(0)).unwrap();
+        let capacity = web.replicas as f64 * web.share();
         assert!(capacity < 2.0, "capacity {capacity} wastefully large");
     }
 
@@ -347,19 +341,7 @@ mod tests {
         let a = search(&binding, &binding.model, &obj, ga(7));
         let b = search(&binding, &binding.model, &obj, ga(7));
         assert_eq!(a.decision, b.decision);
-        assert_eq!(a.config, b.config);
-    }
-
-    #[test]
-    fn best_config_roundtrips_through_the_lattice() {
-        // The winning config is the winning decision's actuation, so
-        // converting it back is lossless by construction.
-        let (binding, obj) = setup(300);
-        let result = search(&binding, &binding.model, &obj, ga(11));
-        assert_eq!(
-            DecisionVector::try_of(&result.config),
-            Some(result.decision.clone())
-        );
+        assert_eq!(a.eval, b.eval);
     }
 
     #[test]
@@ -419,8 +401,6 @@ mod tests {
         ];
         let decision = decode(&scalable, &genes);
         assert_eq!(decision.get(TaskId(0)).unwrap().share_idx, 13);
-        let config = decision.to_config();
-        assert_eq!(DecisionVector::try_of(&config).as_ref(), Some(&decision));
-        assert_eq!(config.get(TaskId(0)).unwrap().cpu_share, 13.0 * SHARE_STEP);
+        assert_eq!(decision.get(TaskId(0)).unwrap().share(), 13.0 * SHARE_STEP);
     }
 }

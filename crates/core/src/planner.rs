@@ -22,7 +22,7 @@
 //! lattice point — so each probe either hits the search's memo cache or
 //! seeds it with a reusable entry.
 
-use atom_lqn::{DecisionVector, LqnModel, SHARE_STEP};
+use atom_lqn::{share_index, DecisionVector, LqnModel};
 
 use crate::binding::ModelBinding;
 use crate::evaluator::CandidateEvaluator;
@@ -188,7 +188,7 @@ impl Planner {
                         clamped.set(
                             s.task,
                             (r.round() as usize).clamp(1, s.max_replicas),
-                            ((share / SHARE_STEP).round() as usize).clamp(lo_idx, hi_idx),
+                            share_index(share).clamp(lo_idx, hi_idx),
                         );
                     }
                     clamped

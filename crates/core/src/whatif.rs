@@ -10,13 +10,13 @@
 
 use atom_cluster::WindowReport;
 use atom_lqn::bottleneck::{analyze, BottleneckReport};
-use atom_lqn::{DecisionVector, LqnError, ScalingConfig};
+use atom_lqn::{DecisionVector, LqnError};
 
 use crate::analyzer::WorkloadAnalyzer;
 use crate::binding::ModelBinding;
 use crate::evaluator::CandidateEvaluator;
 
-/// Predicted steady-state outcome of running a configuration under an
+/// Predicted steady-state outcome of running a scaling decision under an
 /// observed workload.
 #[derive(Debug, Clone)]
 pub struct Prediction {
@@ -28,18 +28,18 @@ pub struct Prediction {
     pub feature_response: Vec<f64>,
     /// Per-service CPU utilisation, in binding service order.
     pub service_utilization: Vec<f64>,
-    /// Total allocated CPU of the configuration (`Σ rᵢsᵢ`).
+    /// Total allocated CPU of the decision (`Σ rᵢsᵢ`).
     pub total_cpu: f64,
-    /// Layered-bottleneck diagnosis at this configuration.
+    /// Layered-bottleneck diagnosis at this decision.
     pub bottlenecks: BottleneckReport,
 }
 
-/// Predicts the outcome of `config` under the workload observed in
+/// Predicts the outcome of `decision` under the workload observed in
 /// `report` (its user count, peak rate, and request mix).
 ///
 /// # Errors
 ///
-/// Propagates model-instantiation and solver failures (e.g. a config
+/// Propagates model-instantiation and solver failures (e.g. a decision
 /// referencing unknown tasks).
 ///
 /// # Examples
@@ -53,11 +53,11 @@ pub struct Prediction {
 pub fn what_if(
     binding: &ModelBinding,
     report: &WindowReport,
-    config: &ScalingConfig,
+    decision: &DecisionVector,
 ) -> Result<Prediction, LqnError> {
     let mut analyzer = WorkloadAnalyzer::new();
     let model = analyzer.instantiate(binding, report)?;
-    CandidateEvaluator::solver_only(&model).with_solution(config, |configured, solution| {
+    CandidateEvaluator::solver_only(&model).with_solution(decision, |configured, solution| {
         let feature_response = binding
             .feature_entries
             .iter()
@@ -74,25 +74,10 @@ pub fn what_if(
             response_time: solution.client_response_time,
             feature_response,
             service_utilization,
-            total_cpu: config.total_cpu_share(),
+            total_cpu: decision.total_cpu_share(),
             bottlenecks,
         }
     })
-}
-
-/// [`what_if`] for a lattice [`DecisionVector`] — the controller-native
-/// candidate type. The plain [`what_if`] stays available for arbitrary
-/// float-share configs (operators exploring off-grid hypotheticals).
-///
-/// # Errors
-///
-/// As for [`what_if`].
-pub fn what_if_decision(
-    binding: &ModelBinding,
-    report: &WindowReport,
-    decision: &DecisionVector,
-) -> Result<Prediction, LqnError> {
-    what_if(binding, report, &decision.to_config())
 }
 
 #[cfg(test)]
@@ -147,10 +132,10 @@ mod tests {
     fn more_capacity_predicts_more_throughput_under_pressure() {
         let b = binding();
         let r = report(2000); // offered 1000/s >> capacity
-        let mut small = ScalingConfig::new();
-        small.set(TaskId(0), 1, 0.5);
-        let mut large = ScalingConfig::new();
-        large.set(TaskId(0), 8, 1.0);
+        let mut small = DecisionVector::new();
+        small.set(TaskId(0), 1, 10);
+        let mut large = DecisionVector::new();
+        large.set(TaskId(0), 8, 20);
         let p_small = what_if(&b, &r, &small).unwrap();
         let p_large = what_if(&b, &r, &large).unwrap();
         assert!(p_large.tps > 2.0 * p_small.tps);
@@ -165,31 +150,19 @@ mod tests {
     fn light_load_prediction_matches_offered_rate() {
         let b = binding();
         let r = report(20); // offered 10/s, capacity 50/s
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), 1, 0.5);
-        let p = what_if(&b, &r, &cfg).unwrap();
+        let mut d = DecisionVector::new();
+        d.set(TaskId(0), 1, 10);
+        let p = what_if(&b, &r, &d).unwrap();
         assert!((p.tps - 10.0).abs() < 1.0, "tps {}", p.tps);
         assert!(p.bottlenecks.root_bottlenecks.is_empty());
     }
 
     #[test]
-    fn decision_wrapper_matches_exact_config_path() {
-        let b = binding();
-        let r = report(200);
-        let mut d = DecisionVector::new();
-        d.set(TaskId(0), 2, 15); // 2×0.75
-        let via_decision = what_if_decision(&b, &r, &d).unwrap();
-        let via_config = what_if(&b, &r, &d.to_config()).unwrap();
-        assert_eq!(via_decision.tps, via_config.tps);
-        assert_eq!(via_decision.total_cpu, via_config.total_cpu);
-    }
-
-    #[test]
-    fn invalid_config_is_an_error() {
+    fn invalid_decision_is_an_error() {
         let b = binding();
         let r = report(10);
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(99), 1, 0.5);
-        assert!(what_if(&b, &r, &cfg).is_err());
+        let mut d = DecisionVector::new();
+        d.set(TaskId(99), 1, 10);
+        assert!(what_if(&b, &r, &d).is_err());
     }
 }

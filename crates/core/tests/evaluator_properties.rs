@@ -10,7 +10,9 @@ use atom_core::optimizer::{
     decode, lattice_genome, random_search, search_with, share_index_bounds,
 };
 use atom_core::solver::{solve, SolverOptions};
-use atom_core::{DecisionVector, ModelBinding, ObjectiveSpec, ServiceBinding, SHARE_STEP};
+use atom_core::{
+    share_index, DecisionVector, ModelBinding, ObjectiveSpec, ServiceBinding, SHARE_STEP,
+};
 use atom_ga::{Budget, Evaluation, GaOptions, GeneValue};
 use atom_lqn::{LqnModel, TaskId};
 use proptest::prelude::*;
@@ -58,13 +60,12 @@ fn setup(users: usize, demand_ms: f64) -> (ModelBinding, ObjectiveSpec) {
 
 /// The retired clone-per-candidate path, for parity checks.
 fn direct(binding: &ModelBinding, obj: &ObjectiveSpec, decision: &DecisionVector) -> Evaluation {
-    let config = decision.to_config();
     let mut candidate = binding.model.clone();
-    if config.apply(&mut candidate).is_err() {
+    if decision.apply(&mut candidate).is_err() {
         return CandidateEvaluator::rejected();
     }
     match solve(&candidate, SolverOptions::candidate()) {
-        Ok(sol) => obj.evaluate(binding, &candidate, &config, &sol),
+        Ok(sol) => obj.evaluate(binding, &candidate, decision, &sol),
         Err(_) => CandidateEvaluator::rejected(),
     }
 }
@@ -99,22 +100,23 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Every decision round-trips losslessly through the actuator
-    /// config: `to_config` then `try_of` is the identity, `quantize`
-    /// agrees, and the denoted shares are exact grid multiples.
+    /// Every decision applies exactly: the model carries the denoted
+    /// grid multiple bit for bit, the float share snaps back to the same
+    /// index, and the float and integer totals agree.
     #[test]
-    fn decision_config_roundtrip_is_lossless(decision in decision_strategy()) {
-        let config = decision.to_config();
-        let back = DecisionVector::try_of(&config);
-        prop_assert_eq!(back.as_ref(), Some(&decision));
-        prop_assert_eq!(&DecisionVector::quantize(&config), &decision);
+    fn decision_applies_exactly_and_shares_snap_back(decision in decision_strategy()) {
+        let (binding, _) = setup(100, 8.0);
+        let mut model = binding.model.clone();
+        decision.apply(&mut model).unwrap();
+        let mut float_total = 0.0;
         for (task, d) in decision.iter() {
-            let share = config.get(task).unwrap().cpu_share;
+            let share = model.task(task).cpu_share.unwrap();
             prop_assert_eq!(share, d.share_idx as f64 * SHARE_STEP);
+            prop_assert_eq!(model.task(task).replicas, d.replicas);
+            prop_assert_eq!(share_index(share), d.share_idx);
+            float_total += d.replicas as f64 * share;
         }
-        prop_assert!(
-            (decision.total_cpu_share() - config.total_cpu_share()).abs() < 1e-9
-        );
+        prop_assert!((decision.total_cpu_share() - float_total).abs() < 1e-9);
     }
 
     /// Any gene vector inside the lattice genome's bounds decodes to a
@@ -146,8 +148,6 @@ proptest! {
             GeneValue::Int(id),
         ];
         let decision = decode(&scalable, &genes);
-        let config = decision.to_config();
-        prop_assert_eq!(DecisionVector::try_of(&config), Some(decision.clone()));
         for (s, &(r, i)) in scalable.iter().zip(&[(rw, iw), (rd, id)]) {
             let d = decision.get(s.task).unwrap();
             prop_assert_eq!(d.replicas, r as usize);
@@ -160,7 +160,7 @@ proptest! {
 
     /// The lattice-GA search is bitwise deterministic in its seed
     /// regardless of how many worker threads the evaluator fans batches
-    /// over: same best decision, same config, same counters.
+    /// over: same best decision, same evaluation, same counters.
     #[test]
     fn search_deterministic_across_worker_counts(seed in 0u64..200, users in 100usize..1200) {
         let (binding, obj) = setup(users, 8.0);
@@ -175,13 +175,10 @@ proptest! {
             .with_workers(4);
         let b = search_with(&mut threaded, ga);
         prop_assert_eq!(&a.decision, &b.decision);
-        prop_assert_eq!(&a.config, &b.config);
         prop_assert_eq!(a.eval, b.eval);
         prop_assert_eq!(a.evaluations, b.evaluations);
         prop_assert_eq!(a.stats.solves, b.stats.solves);
         prop_assert_eq!(a.stats.cache_hits, b.stats.cache_hits);
-        // The winner is always an actuatable lattice point.
-        prop_assert_eq!(DecisionVector::try_of(&a.config), Some(a.decision.clone()));
     }
 
     /// Random search stays deterministic in its seed through the

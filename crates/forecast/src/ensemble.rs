@@ -203,11 +203,6 @@ impl Ensemble {
     pub fn models(&self) -> &[Model] {
         &self.models
     }
-
-    /// The most recent observation.
-    pub fn last_observation(&self) -> Option<f64> {
-        self.last
-    }
 }
 
 #[cfg(test)]

@@ -92,12 +92,6 @@ impl SolverOptions {
         self
     }
 
-    /// Returns the options with the given inner-iteration budget.
-    pub const fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
     /// Returns the options with the given convergence tolerance.
     pub const fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;

@@ -17,7 +17,9 @@
 //!   "measurement" column in Tables III/IV;
 //! * [`scaling`] — the model transforms of Algorithm 1
 //!   (`updateReplication`, `updateCalls`, `updateHostDemand`) expressed as
-//!   a single [`scaling::ScalingConfig`] application.
+//!   a single [`scaling::DecisionVector::apply`] of the one candidate type
+//!   the stack has: replicas and CPU shares on the integer actuation
+//!   lattice.
 //!
 //! # Modelling conventions
 //!
@@ -63,5 +65,5 @@ pub mod solution;
 pub use error::LqnError;
 pub use format::{from_lqn_text, to_lqn_text};
 pub use model::{EntryId, LqnModel, ProcessorId, TaskId};
-pub use scaling::{DecisionVector, ScalingConfig, TaskDecision, SHARE_STEP};
+pub use scaling::{share_index, DecisionVector, TaskDecision, SHARE_STEP};
 pub use solution::LqnSolution;

@@ -1,15 +1,19 @@
-//! Scaling-configuration transforms (paper Algorithm 1).
+//! Scaling-decision transforms (paper Algorithm 1).
 //!
 //! ATOM's optimizer explores `(r, s)` pairs — a replica count and a CPU
 //! share per microservice. Algorithm 1 applies each candidate to the LQN
 //! through `updateReplication`, `updateCalls`, and `updateHostDemand`.
 //! Because this crate models replication natively (multi-server task
 //! stations) and share caps as first-class rate limits, all three steps
-//! collapse into [`ScalingConfig::apply`]: it sets each task's `replicas`
+//! collapse into [`DecisionVector::apply`]: it sets each task's `replicas`
 //! and `cpu_share` and the solver does the rest. The call-mean division
 //! by `r_C` and the fan-in/fan-out bookkeeping of LQNS replication are
 //! not needed in this representation (they exist in LQNS because it
 //! clones replicated tasks).
+//!
+//! [`DecisionVector`] is the only representation of a candidate: shares
+//! are integer indices on the [`SHARE_STEP`] actuation grid. A share
+//! measured off the cluster enters the lattice through [`share_index`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,6 +31,13 @@ use crate::model::{LqnModel, TaskId};
 /// as indices on this lattice, so candidates that denote the same
 /// actuation are *identical values* — not merely ε-close floats.
 pub const SHARE_STEP: f64 = 0.05;
+
+/// The grid index nearest to `share` cores, clamped to ≥ 1 so the result
+/// stays applicable — the one share→index rule, for shares that arrive
+/// as floats (observed from the actuator, or scaled by the planner).
+pub fn share_index(share: f64) -> usize {
+    (share / SHARE_STEP).round().max(1.0) as usize
+}
 
 /// One task's decision on the actuation lattice: an integer replica
 /// count and a CPU share expressed as a grid index
@@ -58,35 +69,33 @@ impl TaskDecision {
 /// This is the single candidate currency across the stack: the GA breeds
 /// lattice genomes that decode to `DecisionVector`s, the candidate
 /// evaluator memoises solves keyed on them (`Eq`/`Ord`/`Hash` are exact —
-/// no float-epsilon pitfalls), the planner's quick fixes move in index
-/// space, and the controller turns the planned vector into actuator
-/// shares via [`DecisionVector::to_config`].
-///
-/// Conversions to/from [`ScalingConfig`]:
-///
-/// * [`DecisionVector::to_config`] → [`DecisionVector::try_of`] is
-///   **lossless**: a config produced from a vector converts back to the
-///   identical vector (shares are computed as `idx × SHARE_STEP` both
-///   ways).
-/// * [`DecisionVector::quantize`] snaps an arbitrary config (e.g. shares
-///   observed from the cluster) to the nearest lattice point, clamping
-///   the index to ≥ 1 so the result stays applicable.
+/// no float-epsilon pitfalls) and applies them to the model with
+/// [`DecisionVector::apply`], the planner's quick fixes move in index
+/// space, and the controller reads the actuator shares straight off the
+/// planned vector ([`TaskDecision::share`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use atom_lqn::{DecisionVector, ScalingConfig, TaskId, SHARE_STEP};
+/// use atom_lqn::{DecisionVector, LqnModel, SHARE_STEP};
 ///
+/// # fn main() -> Result<(), atom_lqn::LqnError> {
+/// let mut m = LqnModel::new();
+/// let p = m.add_processor("cpu", 4, 1.0);
+/// let t = m.add_task("svc", p, 8, 1)?;
 /// let mut dv = DecisionVector::new();
-/// dv.set(TaskId(0), 3, 10); // 3 replicas × 0.50 cores
-/// let cfg = dv.to_config();
-/// assert_eq!(cfg.get(TaskId(0)).unwrap().cpu_share, 10.0 * SHARE_STEP);
-/// assert_eq!(DecisionVector::try_of(&cfg), Some(dv.clone()));
-/// assert_eq!(DecisionVector::quantize(&cfg), dv);
+/// dv.set(t, 3, 10); // 3 replicas × 0.50 cores
+/// dv.apply(&mut m)?;
+/// assert_eq!(m.task(t).replicas, 3);
+/// assert_eq!(m.task(t).cpu_share, Some(10.0 * SHARE_STEP));
+/// assert_eq!(dv.total_steps(), 30);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DecisionVector {
-    // Sorted by task id, mirroring ScalingConfig's representation.
+    // Sorted by task id; a Vec of pairs keeps the JSON representation
+    // simple (serde_json cannot use struct keys in maps).
     decisions: Vec<(TaskId, TaskDecision)>,
 }
 
@@ -143,53 +152,28 @@ impl DecisionVector {
         self.total_steps() as f64 * SHARE_STEP
     }
 
-    /// The float-share configuration this vector denotes (what the
-    /// actuator executes). Lossless: [`DecisionVector::try_of`] on the
-    /// result returns `self` again.
-    pub fn to_config(&self) -> ScalingConfig {
-        let mut cfg = ScalingConfig::new();
+    /// Total CPU share placed on each processor, given the model's
+    /// task-to-processor mapping: the `C_k` of constraint (4).
+    pub fn per_processor_share(&self, model: &LqnModel) -> BTreeMap<usize, f64> {
+        let mut out = BTreeMap::new();
         for &(task, d) in &self.decisions {
-            cfg.set(task, d.replicas, d.share());
-        }
-        cfg
-    }
-
-    /// The exact lattice vector of `config`, if every share lies on the
-    /// [`SHARE_STEP`] grid (bitwise — the share must equal
-    /// `idx × SHARE_STEP` for some positive integer `idx`). Returns
-    /// `None` for off-grid configs; use [`DecisionVector::quantize`] to
-    /// snap those.
-    pub fn try_of(config: &ScalingConfig) -> Option<Self> {
-        let mut dv = DecisionVector::new();
-        for (task, d) in config.iter() {
-            let idx = (d.cpu_share / SHARE_STEP).round();
-            if idx < 1.0 || idx as usize as f64 * SHARE_STEP != d.cpu_share {
-                return None;
+            if task.0 < model.tasks().len() {
+                let p = model.task(task).processor.0;
+                *out.entry(p).or_insert(0.0) += d.replicas as f64 * d.share();
             }
-            dv.set(task, d.replicas, idx as usize);
         }
-        Some(dv)
+        out
     }
 
-    /// Snaps `config` to the nearest lattice point (shares rounded to the
-    /// closest [`SHARE_STEP`] multiple, clamped to index ≥ 1 so the
-    /// result remains applicable). Lossy for off-grid shares; the
-    /// identity for configs produced by [`DecisionVector::to_config`].
-    pub fn quantize(config: &ScalingConfig) -> Self {
-        let mut dv = DecisionVector::new();
-        for (task, d) in config.iter() {
-            let idx = (d.cpu_share / SHARE_STEP).round().max(1.0) as usize;
-            dv.set(task, d.replicas, idx);
-        }
-        dv
-    }
-
-    /// Applies the decision to a model (via the equivalent
-    /// [`ScalingConfig`]).
+    /// Applies the decision to a model: Algorithm 1's
+    /// `updateReplication` + `updateCalls` + `updateHostDemand` in this
+    /// crate's native representation.
     ///
     /// # Errors
     ///
-    /// As for [`ScalingConfig::apply`].
+    /// Rejects unknown tasks, reference tasks, zero replicas, and
+    /// non-positive shares; the model is left partially updated only if an
+    /// error occurs after earlier tasks were applied.
     pub fn apply(&self, model: &mut LqnModel) -> Result<(), LqnError> {
         for &(task, d) in &self.decisions {
             model.set_replicas(task, d.replicas)?;
@@ -227,148 +211,6 @@ impl fmt::Display for DecisionVector {
     }
 }
 
-/// A per-task scaling decision: replicas and per-replica CPU share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TaskScaling {
-    /// Number of replicas (`r_i ∈ 1..=Q_i`).
-    pub replicas: usize,
-    /// CPU share per replica in cores (`s_i ∈ [s_lb, s_ub]`).
-    pub cpu_share: f64,
-}
-
-/// A full scaling configuration: the decision vector `(r, s)` of §IV-B.
-///
-/// # Examples
-///
-/// ```
-/// use atom_lqn::{LqnModel, ScalingConfig};
-///
-/// # fn main() -> Result<(), atom_lqn::LqnError> {
-/// let mut m = LqnModel::new();
-/// let p = m.add_processor("cpu", 4, 1.0);
-/// let t = m.add_task("svc", p, 8, 1)?;
-/// let mut cfg = ScalingConfig::new();
-/// cfg.set(t, 3, 0.5);
-/// cfg.apply(&mut m)?;
-/// assert_eq!(m.task(t).replicas, 3);
-/// assert_eq!(m.task(t).cpu_share, Some(0.5));
-/// assert!((cfg.total_cpu_share() - 1.5).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ScalingConfig {
-    // Sorted by task id; a Vec of pairs keeps the JSON representation
-    // simple (serde_json cannot use struct keys in maps).
-    decisions: Vec<(TaskId, TaskScaling)>,
-}
-
-impl ScalingConfig {
-    /// Creates an empty configuration.
-    pub fn new() -> Self {
-        ScalingConfig::default()
-    }
-
-    /// Sets the decision for one task, replacing any previous one.
-    pub fn set(&mut self, task: TaskId, replicas: usize, cpu_share: f64) -> &mut Self {
-        let d = TaskScaling {
-            replicas,
-            cpu_share,
-        };
-        match self.decisions.binary_search_by_key(&task, |&(t, _)| t) {
-            Ok(i) => self.decisions[i].1 = d,
-            Err(i) => self.decisions.insert(i, (task, d)),
-        }
-        self
-    }
-
-    /// Decision for one task, if present.
-    pub fn get(&self, task: TaskId) -> Option<TaskScaling> {
-        self.decisions
-            .binary_search_by_key(&task, |&(t, _)| t)
-            .ok()
-            .map(|i| self.decisions[i].1)
-    }
-
-    /// Iterates over `(task, decision)` pairs in task order.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, TaskScaling)> + '_ {
-        self.decisions.iter().copied()
-    }
-
-    /// Number of task decisions.
-    pub fn len(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// Whether the configuration is empty.
-    pub fn is_empty(&self) -> bool {
-        self.decisions.is_empty()
-    }
-
-    /// Total allocated CPU capacity `C = Σ_i r_i · s_i` (paper §IV-B).
-    pub fn total_cpu_share(&self) -> f64 {
-        self.decisions
-            .iter()
-            .map(|(_, d)| d.replicas as f64 * d.cpu_share)
-            .sum()
-    }
-
-    /// Applies the configuration to a model: Algorithm 1's
-    /// `updateReplication` + `updateCalls` + `updateHostDemand` in this
-    /// crate's native representation.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown tasks, reference tasks, zero replicas, and
-    /// non-positive shares; the model is left partially updated only if an
-    /// error occurs after earlier tasks were applied (validate configs
-    /// first via [`ScalingConfig::validate`] when that matters).
-    pub fn apply(&self, model: &mut LqnModel) -> Result<(), LqnError> {
-        for &(task, d) in &self.decisions {
-            model.set_replicas(task, d.replicas)?;
-            model.set_cpu_share(task, Some(d.cpu_share))?;
-        }
-        Ok(())
-    }
-
-    /// Validates the configuration against a model without mutating it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ScalingConfig::apply`].
-    pub fn validate(&self, model: &LqnModel) -> Result<(), LqnError> {
-        let mut probe = model.clone();
-        self.apply(&mut probe)
-    }
-
-    /// Total CPU share placed on each processor, given the model's
-    /// task-to-processor mapping: the `C_k` of constraint (4).
-    pub fn per_processor_share(&self, model: &LqnModel) -> BTreeMap<usize, f64> {
-        let mut out = BTreeMap::new();
-        for &(task, d) in &self.decisions {
-            if task.0 < model.tasks().len() {
-                let p = model.task(task).processor.0;
-                *out.entry(p).or_insert(0.0) += d.replicas as f64 * d.cpu_share;
-            }
-        }
-        out
-    }
-
-    /// Reads the current `(r, s)` of every *capped* server task in the
-    /// model into a configuration (uncapped tasks are skipped).
-    pub fn from_model(model: &LqnModel) -> Self {
-        let mut cfg = ScalingConfig::new();
-        for (i, t) in model.tasks().iter().enumerate() {
-            if !t.is_reference() {
-                if let Some(s) = t.cpu_share {
-                    cfg.set(TaskId(i), t.replicas, s);
-                }
-            }
-        }
-        cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,100 +227,58 @@ mod tests {
     #[test]
     fn apply_sets_replicas_and_shares() {
         let (mut m, a, b) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 2, 0.5).set(b, 1, 1.0);
-        cfg.apply(&mut m).unwrap();
-        assert_eq!(m.task(a).replicas, 2);
-        assert_eq!(m.task(a).cpu_share, Some(0.5));
-        assert_eq!(m.task(b).replicas, 1);
-    }
-
-    #[test]
-    fn total_and_per_processor_shares() {
-        let (m, a, b) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 2, 0.5).set(b, 3, 1.0);
-        assert!((cfg.total_cpu_share() - 4.0).abs() < 1e-12);
-        let per = cfg.per_processor_share(&m);
-        assert!((per[&0] - 1.0).abs() < 1e-12);
-        assert!((per[&1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn validate_does_not_mutate() {
-        let (m, a, _) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 0, 0.5); // invalid replicas
-        let before = m.clone();
-        assert!(cfg.validate(&m).is_err());
-        assert_eq!(m, before);
-    }
-
-    #[test]
-    fn from_model_roundtrip() {
-        let (mut m, a, b) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 2, 0.5).set(b, 4, 0.25);
-        cfg.apply(&mut m).unwrap();
-        let read = ScalingConfig::from_model(&m);
-        assert_eq!(read, cfg);
-    }
-
-    #[test]
-    fn set_replaces_previous_decision() {
-        let (_, a, _) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 1, 0.1);
-        cfg.set(a, 5, 0.9);
-        assert_eq!(cfg.len(), 1);
-        assert_eq!(cfg.get(a).unwrap().replicas, 5);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (_, a, b) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 2, 0.5).set(b, 1, 1.5);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ScalingConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn decision_vector_roundtrips_losslessly() {
-        let (_, a, b) = model();
-        let mut dv = DecisionVector::new();
-        dv.set(a, 2, 10).set(b, 4, 7); // 2×0.50, 4×0.35
-        let cfg = dv.to_config();
-        assert_eq!(DecisionVector::try_of(&cfg), Some(dv.clone()));
-        assert_eq!(DecisionVector::quantize(&cfg), dv);
-        assert_eq!(cfg.get(a).unwrap().cpu_share, 0.5);
-        assert!((cfg.get(b).unwrap().cpu_share - 0.35).abs() < 1e-15);
-    }
-
-    #[test]
-    fn off_grid_configs_are_rejected_by_try_of_but_quantized() {
-        let (_, a, _) = model();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(a, 1, 0.33);
-        assert_eq!(DecisionVector::try_of(&cfg), None);
-        let dv = DecisionVector::quantize(&cfg);
-        assert_eq!(dv.get(a).unwrap().share_idx, 7); // 0.35
-                                                     // Quantisation clamps tiny shares up to the first grid point.
-        let mut tiny = ScalingConfig::new();
-        tiny.set(a, 1, 0.01);
-        assert_eq!(DecisionVector::quantize(&tiny).get(a).unwrap().share_idx, 1);
-    }
-
-    #[test]
-    fn decision_vector_apply_matches_config_apply() {
-        let (mut m, a, b) = model();
         let mut dv = DecisionVector::new();
         dv.set(a, 3, 12).set(b, 1, 20);
         dv.apply(&mut m).unwrap();
         assert_eq!(m.task(a).replicas, 3);
         assert_eq!(m.task(a).cpu_share, Some(12.0 * SHARE_STEP));
+        assert_eq!(m.task(b).replicas, 1);
         assert_eq!(m.task(b).cpu_share, Some(1.0));
+    }
+
+    #[test]
+    fn invalid_decisions_fail_to_apply() {
+        let (mut m, a, _) = model();
+        let mut zero = DecisionVector::new();
+        zero.set(a, 0, 10);
+        assert!(zero.apply(&mut m).is_err());
+        let mut unknown = DecisionVector::new();
+        unknown.set(TaskId(99), 1, 10);
+        assert!(unknown.apply(&mut m).is_err());
+    }
+
+    #[test]
+    fn total_and_per_processor_shares() {
+        let (m, a, b) = model();
+        let mut dv = DecisionVector::new();
+        dv.set(a, 2, 10).set(b, 3, 20); // 2×0.50 on s1, 3×1.00 on s2
+        assert!((dv.total_cpu_share() - 4.0).abs() < 1e-12);
+        let per = dv.per_processor_share(&m);
+        assert!((per[&0] - 1.0).abs() < 1e-12);
+        assert!((per[&1] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn set_replaces_previous_decision() {
+        let (_, a, _) = model();
+        let mut dv = DecisionVector::new();
+        dv.set(a, 1, 2);
+        dv.set(a, 5, 18);
+        assert_eq!(dv.len(), 1);
+        assert_eq!(dv.get(a).unwrap().replicas, 5);
+    }
+
+    #[test]
+    fn share_index_snaps_to_the_nearest_grid_point() {
+        assert_eq!(share_index(0.5), 10);
+        assert_eq!(share_index(0.33), 7); // 0.35
+        assert_eq!(share_index(0.5 + 3e-10), 10, "measurement jitter");
+        // Tiny shares clamp up to the first grid point.
+        assert_eq!(share_index(0.01), 1);
+        // Every grid point is a fixed point of the snap.
+        for idx in 1..=80 {
+            assert_eq!(share_index(idx as f64 * SHARE_STEP), idx);
+        }
     }
 
     #[test]
@@ -504,11 +304,11 @@ mod tests {
         let mut dv = DecisionVector::new();
         dv.set(a, 3, 7).set(b, 2, 10);
         assert_eq!(dv.total_steps(), 3 * 7 + 2 * 10);
-        assert!((dv.total_cpu_share() - dv.to_config().total_cpu_share()).abs() < 1e-12);
+        assert!((dv.total_cpu_share() - (3.0 * 0.35 + 2.0 * 0.5)).abs() < 1e-12);
     }
 
     #[test]
-    fn decision_vector_serde_roundtrip() {
+    fn serde_roundtrip() {
         let (_, a, _) = model();
         let mut dv = DecisionVector::new();
         dv.set(a, 2, 15);

@@ -3,7 +3,7 @@
 //! configurations — the GA feeds the solver exactly such inputs.
 
 use atom_lqn::analytic::{solve, SolverOptions};
-use atom_lqn::{LqnModel, ScalingConfig, TaskId};
+use atom_lqn::{LqnModel, TaskId};
 use proptest::prelude::*;
 
 /// A random client → web → db model with scaling knobs.
@@ -106,9 +106,10 @@ proptest! {
         let model = build(&s);
         let base = solve(&model, SolverOptions::default()).unwrap();
         let mut bigger = model.clone();
-        let mut cfg = ScalingConfig::new();
-        cfg.set(TaskId(0), s.web_replicas + 1, (s.web_share * 1.2).min(1.0));
-        cfg.apply(&mut bigger).unwrap();
+        bigger.set_replicas(TaskId(0), s.web_replicas + 1).unwrap();
+        bigger
+            .set_cpu_share(TaskId(0), Some((s.web_share * 1.2).min(1.0)))
+            .unwrap();
         let scaled = solve(&bigger, SolverOptions::default()).unwrap();
         prop_assert!(
             scaled.client_throughput >= base.client_throughput * 0.98 - 1e-6,

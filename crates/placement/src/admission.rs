@@ -162,11 +162,6 @@ impl AdmissionController {
         self.committed[server]
     }
 
-    /// Length of one tenant's queue.
-    pub fn queue_len(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
-    }
-
     fn delta_of(&self, action: &ScaleAction) -> f64 {
         action.replicas as f64 * action.share - self.booked[action.service.0].footprint()
     }

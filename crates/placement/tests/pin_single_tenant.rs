@@ -294,9 +294,9 @@ fn scenario_spike_probe_trace() -> u64 {
         .cluster_mut()
         .take_trace()
         .expect("a traced request completed");
-    d.usize(trace.feature);
-    d.usize(trace.spans.len());
-    for s in trace.spans {
+    d.usize(trace[0].feature);
+    d.usize(trace.len());
+    for s in trace {
         d.usize(s.service);
         d.usize(s.endpoint);
         d.usize(s.parent.map_or(usize::MAX, |p| p));

@@ -131,11 +131,6 @@ impl PsProcessor {
         self.reallocate();
     }
 
-    /// Current core cap of `group`.
-    pub fn group_cap(&self, group: GroupId) -> f64 {
-        self.groups[group.0].cap
-    }
-
     /// Adds a job with `work` work-units to `group` at time `now`.
     ///
     /// # Panics
@@ -221,11 +216,6 @@ impl PsProcessor {
     /// Number of active jobs.
     pub fn active_jobs(&self) -> usize {
         self.active_count
-    }
-
-    /// Number of active jobs in `group`.
-    pub fn group_active_jobs(&self, group: GroupId) -> usize {
-        self.groups[group.0].active_jobs
     }
 
     /// Advances virtual time to `now`, draining remaining work at the

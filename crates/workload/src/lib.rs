@@ -29,9 +29,7 @@ pub mod trace;
 pub use burstiness::{BurstinessSpec, Mmpp2};
 pub use mix::RequestMix;
 pub use profile::LoadProfile;
-pub use source::{
-    register_source, PopulationHandle, PopulationSource, SourceDecodeFn, SourceRegistry,
-};
+pub use source::{PopulationHandle, PopulationSource};
 pub use trace::{
     read_trace, read_trace_file, TraceError, TraceFormat, TraceOptions, TraceReplay, TraceSource,
     TraceStats,
@@ -98,20 +96,6 @@ impl WorkloadSpec {
     /// A constant-population workload with no burstiness.
     pub fn constant(mix: RequestMix, users: usize, think_time: f64) -> Self {
         WorkloadSpec::new(mix, think_time, LoadProfile::Constant(users))
-    }
-
-    /// Replaces the request mix.
-    #[must_use]
-    pub fn with_mix(mut self, mix: RequestMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
-    /// Replaces the mean think time (seconds).
-    #[must_use]
-    pub fn with_think_time(mut self, think_time: f64) -> Self {
-        self.think_time = think_time;
-        self
     }
 
     /// Replaces the population source.

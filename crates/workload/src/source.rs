@@ -11,15 +11,13 @@
 //! interchangeable at every call site.
 //!
 //! Serialisation is kind-tagged: a handle serialises as
-//! `{ "kind": <name>, "spec": <params> }` and deserialisation routes
-//! through the process-wide [`SourceRegistry`], so downstream crates can
-//! [`register_source`] their own kinds and still round-trip through the
-//! existing `WorkloadSpec` serde tests. For backwards compatibility a
-//! bare (untagged) [`LoadProfile`] value still deserialises.
+//! `{ "kind": <name>, "spec": <params> }` and deserialisation matches the
+//! two kinds that exist, `"profile"` and `"trace"`; any other tag is a
+//! typed error. For backwards compatibility a bare (untagged)
+//! [`LoadProfile`] value still deserialises.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{OnceLock, PoisonError, RwLock};
 
 use serde::{Content, DeError, Deserialize, Serialize};
 
@@ -76,12 +74,11 @@ pub trait PopulationSource: fmt::Debug + Send + Sync {
         None
     }
 
-    /// Registry tag identifying the implementation (`"profile"`,
-    /// `"trace"`, ...).
+    /// Wire tag identifying the implementation (`"profile"`, `"trace"`).
     fn kind(&self) -> &'static str;
 
     /// Serialised parameters; together with [`PopulationSource::kind`]
-    /// this is the wire form a [`SourceRegistry`] decoder revives.
+    /// this is the wire form [`PopulationHandle`]'s `Deserialize` revives.
     fn params(&self) -> Content;
 
     /// Clones the source behind the object (object-safe `Clone`).
@@ -131,11 +128,6 @@ impl PopulationHandle {
     pub fn new(source: impl PopulationSource + 'static) -> Self {
         PopulationHandle(Box::new(source))
     }
-
-    /// Wraps an already-boxed source.
-    pub fn from_box(source: Box<dyn PopulationSource>) -> Self {
-        PopulationHandle(source)
-    }
 }
 
 impl Deref for PopulationHandle {
@@ -176,12 +168,6 @@ impl From<TraceSource> for PopulationHandle {
     }
 }
 
-impl From<Box<dyn PopulationSource>> for PopulationHandle {
-    fn from(source: Box<dyn PopulationSource>) -> Self {
-        PopulationHandle::from_box(source)
-    }
-}
-
 impl Serialize for PopulationHandle {
     fn to_content(&self) -> Content {
         Content::Map(vec![
@@ -195,111 +181,17 @@ impl Deserialize for PopulationHandle {
     fn from_content(content: &Content) -> Result<Self, DeError> {
         if let Some(Content::Str(kind)) = content.get_field("kind") {
             let spec = content.get_field("spec").unwrap_or(&Content::Null);
-            return global_registry()
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .decode(kind, spec);
+            return match kind.as_str() {
+                "profile" => LoadProfile::from_content(spec).map(PopulationHandle::from),
+                "trace" => TraceSource::from_content(spec).map(PopulationHandle::from),
+                _ => Err(DeError::custom(format!(
+                    "unknown population source kind `{kind}` (known: profile, trace)"
+                ))),
+            };
         }
         // Legacy wire form: a bare externally-tagged `LoadProfile`.
         LoadProfile::from_content(content).map(PopulationHandle::from)
     }
-}
-
-/// Decoder reviving one source kind from its serialised `spec`.
-pub type SourceDecodeFn = fn(&Content) -> Result<Box<dyn PopulationSource>, DeError>;
-
-/// The table mapping source kinds to decoders.
-///
-/// Built with the `with_*` convention shared by `ClusterOptions` and
-/// `SolverOptions`: start from [`SourceRegistry::builtin`] (or
-/// [`SourceRegistry::empty`]) and chain [`SourceRegistry::with_source`].
-/// Registering an existing kind replaces its decoder.
-#[non_exhaustive]
-#[derive(Clone)]
-pub struct SourceRegistry {
-    entries: Vec<(String, SourceDecodeFn)>,
-}
-
-impl SourceRegistry {
-    /// A registry with no kinds at all.
-    pub fn empty() -> Self {
-        SourceRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The built-in kinds: `"profile"` (synthetic [`LoadProfile`]s) and
-    /// `"trace"` (replayed production traces, [`TraceSource`]).
-    pub fn builtin() -> Self {
-        SourceRegistry::empty()
-            .with_source("profile", decode_profile)
-            .with_source("trace", decode_trace)
-    }
-
-    /// Adds (or replaces) a kind.
-    #[must_use]
-    pub fn with_source(mut self, kind: impl Into<String>, decode: SourceDecodeFn) -> Self {
-        let kind = kind.into();
-        if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == kind) {
-            entry.1 = decode;
-        } else {
-            self.entries.push((kind, decode));
-        }
-        self
-    }
-
-    /// Revives a handle from its `(kind, spec)` wire form.
-    pub fn decode(&self, kind: &str, spec: &Content) -> Result<PopulationHandle, DeError> {
-        match self.entries.iter().find(|(k, _)| k == kind) {
-            Some((_, decode)) => decode(spec).map(PopulationHandle::from_box),
-            None => Err(DeError::custom(format!(
-                "unknown population source kind `{kind}` (registered: {})",
-                self.kinds().join(", ")
-            ))),
-        }
-    }
-
-    /// The registered kind tags, in registration order.
-    pub fn kinds(&self) -> Vec<&str> {
-        self.entries.iter().map(|(k, _)| k.as_str()).collect()
-    }
-}
-
-impl Default for SourceRegistry {
-    fn default() -> Self {
-        SourceRegistry::builtin()
-    }
-}
-
-impl fmt::Debug for SourceRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SourceRegistry")
-            .field("kinds", &self.kinds())
-            .finish()
-    }
-}
-
-fn decode_profile(spec: &Content) -> Result<Box<dyn PopulationSource>, DeError> {
-    LoadProfile::from_content(spec).map(|p| Box::new(p) as Box<dyn PopulationSource>)
-}
-
-fn decode_trace(spec: &Content) -> Result<Box<dyn PopulationSource>, DeError> {
-    TraceSource::from_content(spec).map(|t| Box::new(t) as Box<dyn PopulationSource>)
-}
-
-fn global_registry() -> &'static RwLock<SourceRegistry> {
-    static REGISTRY: OnceLock<RwLock<SourceRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(SourceRegistry::builtin()))
-}
-
-/// Registers a source kind process-wide, so `WorkloadSpec`
-/// deserialisation (which has no registry parameter) can revive it.
-/// The built-in `"profile"` and `"trace"` kinds are pre-registered.
-pub fn register_source(kind: impl Into<String>, decode: SourceDecodeFn) {
-    let mut registry = global_registry()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner);
-    *registry = registry.clone().with_source(kind, decode);
 }
 
 #[cfg(test)]
@@ -354,29 +246,5 @@ mod tests {
         ]);
         let err = PopulationHandle::from_content(&content).unwrap_err();
         assert!(err.to_string().contains("learned"));
-    }
-
-    #[test]
-    fn registry_replaces_on_rebind() {
-        let reg = SourceRegistry::builtin().with_source("profile", decode_profile);
-        assert_eq!(reg.kinds(), vec!["profile", "trace"]);
-    }
-
-    #[test]
-    fn registered_custom_kind_round_trips() {
-        fn decode_fixed(spec: &Content) -> Result<Box<dyn PopulationSource>, DeError> {
-            let n = usize::from_content(spec)?;
-            Ok(Box::new(LoadProfile::Constant(n)))
-        }
-        register_source("fixed-for-test", decode_fixed);
-        let content = Content::Map(vec![
-            (
-                "kind".to_string(),
-                Content::Str("fixed-for-test".to_string()),
-            ),
-            ("spec".to_string(), Content::U64(7)),
-        ]);
-        let h = PopulationHandle::from_content(&content).unwrap();
-        assert_eq!(h.population_at(123.0), 7);
     }
 }

@@ -224,15 +224,15 @@ fn trace_scenario(scenario: &Scenario) -> Result<(), Box<dyn std::error::Error>>
     let trace = cluster
         .take_trace()
         .ok_or("no request completed in the trace window")?;
-    let feature = &scenario.app.features[trace.feature];
+    let feature = &scenario.app.features[trace[0].feature];
     println!(
         "trace of one `{}` request ({} spans):\n",
         feature.name,
-        trace.spans.len()
+        trace.len()
     );
-    let t0 = trace.spans[0].arrival;
-    let total = (trace.spans[0].end - t0).max(1e-9);
-    for (i, span) in trace.spans.iter().enumerate() {
+    let t0 = trace[0].arrival;
+    let total = (trace[0].end - t0).max(1e-9);
+    for (i, span) in trace.iter().enumerate() {
         let svc = &scenario.app.services[span.service];
         let ep = &svc.endpoints[span.endpoint];
         let depth = {
@@ -240,7 +240,7 @@ fn trace_scenario(scenario: &Scenario) -> Result<(), Box<dyn std::error::Error>>
             let mut cur = span.parent;
             while let Some(p) = cur {
                 d += 1;
-                cur = trace.spans[p].parent;
+                cur = trace[p].parent;
             }
             d
         };
