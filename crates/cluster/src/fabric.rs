@@ -100,7 +100,9 @@ pub(crate) fn effective_cap(share: f64, parallelism: Option<usize>) -> f64 {
 /// in-flight work, pending actuations, and active fault episodes.
 pub(crate) struct Fabric {
     pub processors: Vec<PsProcessor>,
-    pub proc_jobs: Vec<std::collections::HashMap<JobId, usize>>,
+    /// Per-processor invocation of each executing CPU job, indexed by
+    /// the job's slot (`JobId` is a dense, reused index).
+    pub proc_jobs: Vec<Vec<Option<usize>>>,
     pub services: Vec<ServiceRt>,
     pub invocations: Vec<Option<Invocation>>,
     pub free_invs: Vec<usize>,
@@ -339,27 +341,26 @@ impl Cluster {
             .queue
             .drain(..)
             .collect();
-        // Jobs executing on the victim. Sorted for determinism: HashMap
-        // iteration order is arbitrary and would leak into replica
-        // selection for the re-dispatched work.
-        let mut executing: Vec<(JobId, usize)> = self.fabric.proc_jobs[pi]
+        // Jobs executing on the victim, in `JobId` order: the order leaks
+        // into replica selection for the re-dispatched work.
+        let executing: Vec<(JobId, usize)> = self.fabric.proc_jobs[pi]
             .iter()
-            .filter(|&(_, &inv)| {
+            .enumerate()
+            .filter_map(|(slot, inv)| inv.map(|inv| (JobId(slot), inv)))
+            .filter(|&(_, inv)| {
                 let i = self.fabric.invocations[inv]
                     .as_ref()
                     .expect("job maps to live inv");
                 i.service == si && i.replica == replica
             })
-            .map(|(&job, &inv)| (job, inv))
             .collect();
-        executing.sort_unstable_by_key(|&(job, _)| job);
         self.fabric.services[si].replicas[replica].busy_threads = self.fabric.services[si].replicas
             [replica]
             .busy_threads
             .saturating_sub(executing.len());
         for (job, inv) in executing {
             self.fabric.processors[pi].remove_job(now, job);
-            self.fabric.proc_jobs[pi].remove(&job);
+            self.fabric.proc_jobs[pi][job.0] = None;
             displaced.push(inv);
         }
         self.update_alloc(si);

@@ -60,8 +60,7 @@ impl Cluster {
 
     fn expand_calls(&mut self, si: usize, ei: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        let calls = self.spec.services[si].endpoints[ei].calls.clone();
-        for c in calls {
+        for c in &self.spec.services[si].endpoints[ei].calls {
             let whole = c.mean.floor() as usize;
             let frac = c.mean - c.mean.floor();
             let count = whole + usize::from(frac > 0.0 && self.rng.bernoulli(frac));
@@ -234,7 +233,11 @@ impl Cluster {
         let pi = self.fabric.services[si].server;
         let group = self.fabric.services[si].replicas[replica].group;
         let job = self.fabric.processors[pi].add_job(now, group, demand);
-        self.fabric.proc_jobs[pi].insert(job, inv);
+        let slots = &mut self.fabric.proc_jobs[pi];
+        if job.0 == slots.len() {
+            slots.push(None);
+        }
+        slots[job.0] = Some(inv);
         self.reschedule_processor(pi);
     }
 
@@ -260,8 +263,8 @@ impl Cluster {
             match self.fabric.processors[pi].next_completion(now) {
                 Some((t, job)) if t <= now + 1e-12 => {
                     self.fabric.processors[pi].remove_job(now, job);
-                    let inv = self.fabric.proc_jobs[pi]
-                        .remove(&job)
+                    let inv = self.fabric.proc_jobs[pi][job.0]
+                        .take()
                         .expect("job maps to inv");
                     self.demand_done(inv);
                 }

@@ -432,9 +432,7 @@ impl Cluster {
         let np = spec.servers.len();
         let ns = spec.services.len();
         let fabric = Fabric {
-            proc_jobs: (0..processors.len())
-                .map(|_| std::collections::HashMap::new())
-                .collect(),
+            proc_jobs: vec![Vec::new(); processors.len()],
             processors,
             services,
             invocations: Vec::new(),

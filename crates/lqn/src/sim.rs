@@ -17,9 +17,7 @@
 //! Output is an [`LqnSolution`], so analytic and simulated results diff
 //! directly (paper Tables III/IV, Fig. 5).
 
-use std::collections::HashMap;
-
-use atom_sim::processor::{GroupId, JobId, PsProcessor};
+use atom_sim::processor::{GroupId, PsProcessor};
 use atom_sim::{EventQueue, SimRng};
 
 use crate::error::LqnError;
@@ -164,8 +162,9 @@ struct SimulatorState {
     rng: SimRng,
     events: EventQueue<Event>,
     processors: Vec<PsProcessor>,
-    /// Per-processor map from CPU job to invocation.
-    proc_jobs: Vec<HashMap<JobId, usize>>,
+    /// Per-processor invocation of each executing CPU job, indexed by
+    /// the job's slot (`JobId` is a dense, reused index).
+    proc_jobs: Vec<Vec<Option<usize>>>,
     tasks: Vec<Option<TaskRt>>,
     invocations: Vec<Option<Invocation>>,
     free_invs: Vec<usize>,
@@ -219,7 +218,7 @@ impl SimulatorState {
         SimulatorState {
             rng: SimRng::seed_from(options.seed),
             events: EventQueue::new(),
-            proc_jobs: (0..np).map(|_| HashMap::new()).collect(),
+            proc_jobs: vec![Vec::new(); np],
             processors,
             tasks,
             invocations: Vec::new(),
@@ -423,7 +422,11 @@ impl SimulatorState {
         let pi = rt.processor;
         let group = rt.replicas[replica].group;
         let job = self.processors[pi].add_job(now, group, demand);
-        self.proc_jobs[pi].insert(job, inv);
+        let slots = &mut self.proc_jobs[pi];
+        if job.0 == slots.len() {
+            slots.push(None);
+        }
+        slots[job.0] = Some(inv);
         self.reschedule_processor(now, pi);
     }
 
@@ -449,8 +452,8 @@ impl SimulatorState {
             match self.processors[pi].next_completion(now) {
                 Some((t, job)) if t <= now + 1e-12 => {
                     self.processors[pi].remove_job(now, job);
-                    let inv = self.proc_jobs[pi]
-                        .remove(&job)
+                    let inv = self.proc_jobs[pi][job.0]
+                        .take()
                         .expect("completed job must map to an invocation");
                     self.demand_done(model, now, inv);
                 }
