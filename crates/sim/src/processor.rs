@@ -17,11 +17,31 @@
 //!   `min(cap, jobs)` cores; if total demand exceeds the machine, groups
 //!   share the shortfall equally (no group gets more than its demand).
 //!
-//! Callers drive virtual time explicitly: every mutating call takes the
-//! current simulation time and internally advances all remaining-work
-//! counters. The [`PsProcessor::generation`] counter is bumped whenever the
-//! rate allocation changes, letting simulators detect stale completion
-//! events.
+//! # Virtual time
+//!
+//! Jobs of one group always run at the same rate, so the group — not the
+//! job — carries the progress: each group has a **virtual clock** `V`,
+//! the work every one of its jobs has received since the group was last
+//! idle, advancing at the per-job rate `alloc / jobs · speed`. A job
+//! entering with `work` gets the **finish tag** `V + work` and completes
+//! when `V` reaches it; its remaining work is `tag − V`. Tags sit in a
+//! per-group ordered set keyed by `(tag, JobId)`, so adding and removing
+//! a job cost O(log jobs), the next completion is a minimum over the
+//! groups' first tags, and a rate change (a new cap, a water-filling
+//! pass) rewrites one rate per group and touches no job. `V` returns to 0
+//! whenever its group empties, which keeps tags near the size of one
+//! job's work on any group that ever idles.
+//!
+//! Callers drive simulation time explicitly: every mutating call takes
+//! the current time and advances the clocks and the busy integrals to it.
+//! The [`PsProcessor::generation`] counter is bumped whenever the rate
+//! allocation changes, letting simulators detect stale completion events.
+//! Between two such changes the next completion is a fixed instant:
+//! [`PsProcessor::next_completion`] computes it once per generation and
+//! repeats it, so a check that fires at the returned time finds that job
+//! due whatever rounding the clocks picked up on the way there.
+
+use std::collections::BTreeSet;
 
 /// Identifier of a group (container) on a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,19 +54,26 @@ pub struct JobId(pub usize);
 #[derive(Debug, Clone)]
 struct Group {
     cap: f64,
-    active_jobs: usize,
     /// Allocated cores at the current allocation.
     alloc: f64,
     /// ∫ allocated-cores dt — for per-container utilisation metering.
     busy_integral: f64,
+    /// Work-units per second each job receives at the current
+    /// allocation: `alloc / jobs · speed`.
+    rate: f64,
+    /// Virtual clock: work each job has received since the group was
+    /// last idle.
+    vclock: f64,
+    /// Active jobs by finish tag. Tags are non-negative, so their bit
+    /// patterns order as their values do.
+    queue: BTreeSet<(u64, JobId)>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Job {
     group: GroupId,
-    remaining: f64,
-    /// Work-units per second at the current allocation.
-    rate: f64,
+    /// Value of the group's virtual clock at which the job completes.
+    tag: f64,
 }
 
 /// A multi-core processor-sharing CPU. See the [module docs](self).
@@ -60,7 +87,13 @@ pub struct PsProcessor {
     active_count: usize,
     last_update: f64,
     busy_integral: f64,
+    /// Σ group allocations, in group order.
+    total_alloc: f64,
     generation: u64,
+    /// The next completion under the current generation, once computed.
+    pending: Option<(f64, JobId)>,
+    /// Scratch for `reallocate`: `(group, demanded cores)`.
+    demands: Vec<(usize, f64)>,
 }
 
 impl PsProcessor {
@@ -88,7 +121,10 @@ impl PsProcessor {
             active_count: 0,
             last_update: 0.0,
             busy_integral: 0.0,
+            total_alloc: 0.0,
             generation: 0,
+            pending: None,
+            demands: Vec::new(),
         }
     }
 
@@ -111,9 +147,11 @@ impl PsProcessor {
         assert!(cap.is_finite() && cap >= 0.0, "cap must be >= 0, got {cap}");
         self.groups.push(Group {
             cap,
-            active_jobs: 0,
             alloc: 0.0,
             busy_integral: 0.0,
+            rate: 0.0,
+            vclock: 0.0,
+            queue: BTreeSet::new(),
         });
         GroupId(self.groups.len() - 1)
     }
@@ -142,22 +180,19 @@ impl PsProcessor {
             "work must be >= 0, got {work}"
         );
         self.advance(now);
-        let job = Job {
-            group,
-            remaining: work,
-            rate: 0.0,
-        };
+        let tag = self.groups[group.0].vclock + work;
+        let job = Some(Job { group, tag });
         let id = match self.free_slots.pop() {
             Some(slot) => {
-                self.jobs[slot] = Some(job);
+                self.jobs[slot] = job;
                 JobId(slot)
             }
             None => {
-                self.jobs.push(Some(job));
+                self.jobs.push(job);
                 JobId(self.jobs.len() - 1)
             }
         };
-        self.groups[group.0].active_jobs += 1;
+        self.groups[group.0].queue.insert((tag.to_bits(), id));
         self.active_count += 1;
         self.reallocate();
         id
@@ -172,38 +207,49 @@ impl PsProcessor {
     pub fn remove_job(&mut self, now: f64, job: JobId) -> f64 {
         self.advance(now);
         let j = self.jobs[job.0].take().expect("job does not exist");
-        self.groups[j.group.0].active_jobs -= 1;
+        let g = &mut self.groups[j.group.0];
+        g.queue.remove(&(j.tag.to_bits(), job));
+        let residual = (j.tag - g.vclock).max(0.0);
+        if g.queue.is_empty() {
+            g.vclock = 0.0;
+        }
         self.active_count -= 1;
         self.free_slots.push(job.0);
         self.reallocate();
-        j.remaining
+        residual
     }
 
     /// Remaining work of `job`, after advancing to `now`.
     pub fn remaining(&mut self, now: f64, job: JobId) -> f64 {
         self.advance(now);
-        self.jobs[job.0]
-            .as_ref()
-            .expect("job does not exist")
-            .remaining
+        let j = self.jobs[job.0].as_ref().expect("job does not exist");
+        (j.tag - self.groups[j.group.0].vclock).max(0.0)
     }
 
     /// Earliest `(completion_time, job)` among active jobs, evaluated at
-    /// `now`. Returns `None` if no job is running (or all rates are zero,
-    /// e.g. every group cap is 0).
+    /// `now`; ties go to the lower `JobId`. Returns `None` if no job is
+    /// running (or all rates are zero, e.g. every group cap is 0).
+    ///
+    /// The answer is computed once per [generation](Self::generation)
+    /// and repeated until the allocation changes. Jobs left in place
+    /// past their completion time come out of a group in tag order.
     pub fn next_completion(&mut self, now: f64) -> Option<(f64, JobId)> {
         self.advance(now);
+        if let Some((t, job)) = self.pending {
+            return Some((t.max(now), job));
+        }
         let mut best: Option<(f64, JobId)> = None;
-        for (i, slot) in self.jobs.iter().enumerate() {
-            if let Some(j) = slot {
-                if j.rate > 0.0 {
-                    let t = now + j.remaining / j.rate;
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, JobId(i)));
+        for g in &self.groups {
+            if g.rate > 0.0 {
+                if let Some(&(tag, job)) = g.queue.first() {
+                    let t = now + (f64::from_bits(tag) - g.vclock).max(0.0) / g.rate;
+                    if best.is_none_or(|b| (t, job) < b) {
+                        best = Some((t, job));
                     }
                 }
             }
         }
+        self.pending = best;
         best
     }
 
@@ -218,22 +264,19 @@ impl PsProcessor {
         self.active_count
     }
 
-    /// Advances virtual time to `now`, draining remaining work at the
-    /// current rates. Idempotent for `now <=` the last update time.
+    /// Advances simulation time to `now`: every group's virtual clock
+    /// and busy integral move on at the current rates. Idempotent for
+    /// `now <=` the last update time.
     pub fn advance(&mut self, now: f64) {
         let dt = now - self.last_update;
         if dt <= 0.0 {
             return;
         }
-        let mut total_alloc = 0.0;
         for g in &mut self.groups {
             g.busy_integral += g.alloc * dt;
-            total_alloc += g.alloc;
+            g.vclock += g.rate * dt;
         }
-        self.busy_integral += total_alloc * dt;
-        for j in self.jobs.iter_mut().flatten() {
-            j.remaining = (j.remaining - j.rate * dt).max(0.0);
-        }
+        self.busy_integral += self.total_alloc * dt;
         self.last_update = now;
     }
 
@@ -256,14 +299,13 @@ impl PsProcessor {
     ///
     /// Monitors should read utilisation at observation points (window
     /// boundaries) through this instead of `advance` + the accumulator:
-    /// advancing splits the remaining-work arithmetic at the observation
-    /// time, so the same simulation windowed differently would drift
-    /// apart by floating-point rounding. A pure read keeps replays
-    /// bit-identical across window sizes.
+    /// advancing splits the clock arithmetic at the observation time, so
+    /// the same simulation windowed differently would drift apart by
+    /// floating-point rounding. A pure read keeps replays bit-identical
+    /// across window sizes.
     pub fn busy_core_seconds_at(&self, now: f64) -> f64 {
         let dt = (now - self.last_update).max(0.0);
-        let total_alloc: f64 = self.groups.iter().map(|g| g.alloc).sum();
-        self.busy_integral + total_alloc * dt
+        self.busy_integral + self.total_alloc * dt
     }
 
     /// [`PsProcessor::group_busy_core_seconds`] projected to `now`
@@ -274,16 +316,20 @@ impl PsProcessor {
         g.busy_integral + g.alloc * dt
     }
 
-    /// Recomputes the water-filling allocation. Called internally after any
-    /// change; bumps the generation counter.
+    /// Recomputes the water-filling allocation and the per-group rates.
+    /// Called internally after any change; bumps the generation counter.
     fn reallocate(&mut self) {
         self.generation += 1;
+        self.pending = None;
+        let PsProcessor {
+            groups, demands, ..
+        } = self;
         // Demands in cores: a group can use at most min(cap, jobs) cores.
-        let mut demands: Vec<(usize, f64)> = Vec::new();
-        for (i, g) in self.groups.iter_mut().enumerate() {
+        demands.clear();
+        for (i, g) in groups.iter_mut().enumerate() {
             g.alloc = 0.0;
-            if g.active_jobs > 0 {
-                let d = g.cap.min(g.active_jobs as f64);
+            if !g.queue.is_empty() {
+                let d = g.cap.min(g.queue.len() as f64);
                 if d > 0.0 {
                     demands.push((i, d));
                 }
@@ -291,12 +337,12 @@ impl PsProcessor {
         }
         let total_demand: f64 = demands.iter().map(|&(_, d)| d).sum();
         if total_demand <= self.cores {
-            for &(i, d) in &demands {
-                self.groups[i].alloc = d;
+            for &(i, d) in demands.iter() {
+                groups[i].alloc = d;
             }
         } else {
             // Water-filling: equal shares, clamped at each group's demand.
-            demands.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+            demands.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
             let mut remaining_cap = self.cores;
             let mut remaining = demands.as_slice();
             while !remaining.is_empty() {
@@ -306,26 +352,28 @@ impl PsProcessor {
                 let split = remaining.partition_point(|&(_, d)| d <= share);
                 if split == 0 {
                     for &(i, _) in remaining {
-                        self.groups[i].alloc = share;
+                        groups[i].alloc = share;
                     }
                     break;
                 }
                 for &(i, d) in &remaining[..split] {
-                    self.groups[i].alloc = d;
+                    groups[i].alloc = d;
                     remaining_cap -= d;
                 }
                 remaining = &remaining[split..];
             }
         }
         // Per-job rates: equal split within the group, times speed.
-        for j in self.jobs.iter_mut().flatten() {
-            let g = &self.groups[j.group.0];
-            j.rate = if g.active_jobs > 0 {
-                g.alloc / g.active_jobs as f64 * self.speed
-            } else {
+        let mut total_alloc = 0.0;
+        for g in groups.iter_mut() {
+            g.rate = if g.queue.is_empty() {
                 0.0
+            } else {
+                g.alloc / g.queue.len() as f64 * self.speed
             };
+            total_alloc += g.alloc;
         }
+        self.total_alloc = total_alloc;
     }
 }
 
@@ -490,6 +538,50 @@ mod tests {
         // ...but leaves the simulation state untouched.
         assert!((cpu.remaining(0.0, j) - 10.0).abs() < 1e-12);
         assert_eq!(cpu.busy_core_seconds(), 0.0);
+    }
+
+    #[test]
+    fn virtual_clock_restarts_when_its_group_idles() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        let g = cpu.add_group(1.0);
+        let j = cpu.add_job(0.0, g, 2.0);
+        cpu.advance(1.0);
+        assert_eq!(cpu.groups[g.0].vclock, 1.0);
+        assert_eq!(cpu.remove_job(2.0, j), 0.0);
+        assert_eq!(cpu.groups[g.0].vclock, 0.0);
+        // The next job's tag is its own work again.
+        let j = cpu.add_job(5.0, g, 0.5);
+        assert_eq!(cpu.next_completion(5.0), Some((5.5, j)));
+    }
+
+    #[test]
+    fn simultaneous_completions_go_to_the_lower_job_id() {
+        let mut cpu = PsProcessor::new(2.0, 1.0);
+        let first = cpu.add_group(1.0);
+        let second = cpu.add_group(1.0);
+        // The lower id sits in the later group.
+        let low = cpu.add_job(0.0, second, 1.0);
+        let high = cpu.add_job(0.0, first, 1.0);
+        assert_eq!(cpu.next_completion(0.0), Some((1.0, low)));
+        cpu.remove_job(1.0, low);
+        assert_eq!(cpu.next_completion(1.0), Some((1.0, high)));
+    }
+
+    #[test]
+    fn next_completion_is_fixed_until_the_allocation_changes() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        let g = cpu.add_group(0.3);
+        let j = cpu.add_job(0.0, g, 0.7);
+        let promised = cpu.next_completion(0.0).unwrap();
+        // Reading in between splits the clock arithmetic, not the answer.
+        cpu.remaining(0.9, j);
+        assert_eq!(cpu.next_completion(1.1), Some(promised));
+        assert_eq!(cpu.next_completion(promised.0), Some(promised));
+        // Asked late, it is due now.
+        assert_eq!(cpu.next_completion(3.0), Some((3.0, j)));
+        // A new allocation is a new answer.
+        cpu.set_group_cap(3.0, g, 0.0);
+        assert_eq!(cpu.next_completion(3.0), None);
     }
 
     #[test]
