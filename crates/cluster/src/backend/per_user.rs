@@ -1,8 +1,8 @@
 //! The per-user DES backend: one think timer per closed-workload user.
 //!
-//! This is the pre-refactor population behaviour extracted verbatim —
-//! the RNG draw order and event schedule are bitwise-identical to the
-//! monolithic runtime (pinned by `tests/pin_per_user.rs`).
+//! This is the monolithic runtime's population behaviour extracted
+//! verbatim — same RNG draw order, same event schedule (the digests of
+//! `tests/pin_per_user.rs` pin both).
 
 use atom_sim::TimeWeighted;
 use atom_workload::burstiness::Mmpp2;

@@ -11,9 +11,11 @@
 //!   simulations carrying very large pending-event populations;
 //! * [`processor::PsProcessor`] — a processor-sharing CPU with per-group
 //!   rate caps (containers with CPU shares) and per-job single-core caps,
-//!   solved by water-filling; this is what makes "CPU share 0.2 = at most
-//!   20% of one core" (ATOM §II-A) and "a single-threaded service cannot
-//!   use a second core" (ATOM §II-B) first-class semantics;
+//!   solved by water-filling and kept in virtual time (O(log jobs) per
+//!   operation, however many jobs share a group); this is what makes
+//!   "CPU share 0.2 = at most 20% of one core" (ATOM §II-A) and "a
+//!   single-threaded service cannot use a second core" (ATOM §II-B)
+//!   first-class semantics;
 //! * [`random`] — seedable RNG plus the service-time distributions used by
 //!   the workloads (exponential, lognormal, constant, uniform);
 //! * [`stats`] — Welford running statistics and time-weighted averages.

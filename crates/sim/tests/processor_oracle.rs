@@ -564,8 +564,8 @@ fn agrees_with_the_per_job_reference_on_random_sequences() {
             pair.check();
         }
         // Run dry: every cap back on, every job to completion.
-        for (i, &g) in pair.groups.clone().iter().enumerate() {
-            pair.set_cap(g, caps[i]);
+        for (i, &cap) in caps.iter().enumerate() {
+            pair.set_cap(GroupId(i), cap);
         }
         while pair.complete_next().is_some() {
             pair.check();
