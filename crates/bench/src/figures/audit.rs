@@ -138,7 +138,7 @@ pub fn drift_records(result: &ExperimentResult) -> Vec<&DriftRecord> {
 }
 
 /// Builds the attribution rows of one outcome. Every (stateless
-/// service, window) cell whose shortfall exceeds [`SHORTFALL_CORES`]
+/// service, window) cell whose shortfall exceeds `SHORTFALL_CORES`
 /// contributes its full window duration — exactly the cells
 /// [`ExperimentResult::underprovision_time`] counts — attributed to the
 /// window's dominant-residence service per the span aggregates.
@@ -312,7 +312,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 
 /// The `--smoke` gate. Quick scenarios, then require that (1) every
 /// scenario audited at least one window and every drift number is finite, (2) the calm ramp's rolling sMAPE stays under
-/// [`SMOKE_RAMP_SMAPE_CEILING`], (3) the attribution rows of each
+/// `SMOKE_RAMP_SMAPE_CEILING`, (3) the attribution rows of each
 /// scenario sum to its `T_u` over the stateless services, and (4) the
 /// Chrome trace-event export re-parses with one event per sampled span.
 pub fn smoke(opts: &HarnessOptions) -> Vec<String> {

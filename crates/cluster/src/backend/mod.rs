@@ -5,11 +5,11 @@
 //! owns the user population and decides, per user-plane event, whether
 //! work reaches the discrete-event fabric:
 //!
-//! * [`PerUserDes`] — one think timer and one request chain per user.
+//! * `PerUserDes` — one think timer and one request chain per user.
 //!   Exact, bitwise-reproducible, and the default; cost grows linearly
 //!   with the population.
-//! * [`FluidPool`] — the population is an aggregate: every
-//!   [`FluidPool::STEP`]-second step, a closed MVA solve of the live
+//! * `FluidPool` — the population is an aggregate: every
+//!   `FluidPool::STEP`-second step, a closed MVA solve of the live
 //!   service topology yields the steady-state throughput, response time,
 //!   and per-service busy rates, which are synthesised into the same
 //!   monitor counters the DES would have produced. Cost is independent

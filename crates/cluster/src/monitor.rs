@@ -75,7 +75,7 @@ pub struct WindowReport {
     pub users_at_end: usize,
     /// Peak client request *issue* rate over the monitor's sub-intervals
     /// (requests/second). The paper's workload monitor samples "a set of
-    /// time intervals within a monitoring window" (§IV-A, [32]); the peak
+    /// time intervals within a monitoring window" (§IV-A, \[32\]); the peak
     /// sample is what lets ATOM see traffic surges that window-averaged
     /// utilisation hides (§V-B, Fig. 13).
     pub peak_arrival_rate: f64,
@@ -126,7 +126,8 @@ pub struct WindowReport {
     pub span_stats: Option<Vec<ServiceSpanStats>>,
     /// Per-edge link-fabric statistics for the window (utilisation,
     /// bytes, queueing), one entry per topology edge. `None` unless a
-    /// topology is configured ([`ClusterOptions::with_topology`]), so
+    /// topology is configured
+    /// ([`ClusterOptions::with_topology`](crate::ClusterOptions::with_topology)), so
     /// topology-free artefacts stay byte-stable. Infrastructure
     /// provenance: the link queues are simulated state, not scrapes.
     #[serde(default)]

@@ -3,12 +3,12 @@
 //!
 //! The runtime is layered (see [crate] docs):
 //!
-//! * [`crate::engine`] — clock + timer-wheel calendar;
-//! * [`crate::backend`] — the user population ([`PerUserDes`] or
-//!   [`FluidPool`], behind the `Backend` enum);
-//! * [`crate::fabric`] — servers, replicas, scaling actuation, faults;
-//! * [`crate::request`] — request chains through the call graph;
-//! * [`crate::accum`] — window accumulators and report collection.
+//! * `crate::engine` — clock + timer-wheel calendar;
+//! * [`crate::backend`] — the user population (`PerUserDes` or
+//!   `FluidPool`, behind the `Backend` enum);
+//! * `crate::fabric` — servers, replicas, scaling actuation, faults;
+//! * `crate::request` — request chains through the call graph;
+//! * `crate::accum` — window accumulators and report collection.
 //!
 //! This module owns the [`Cluster`] struct that ties them together, the
 //! event dispatch loop, and the hybrid fluid/per-user switching policy.

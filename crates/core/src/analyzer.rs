@@ -4,6 +4,10 @@
 //! Two things change per monitoring window: the concurrent user count `N`
 //! (the reference task's multiplicity) and the request mix (the call
 //! means from the client entry to the feature entries).
+//!
+//! The analyzer reads a window through a `LoadView`, so a degraded
+//! window can keep trusted counters under fresh gauges and a forecast
+//! can scale the load without anyone copying a report.
 
 use atom_cluster::WindowReport;
 use atom_lqn::model::TaskKind;
@@ -11,11 +15,75 @@ use atom_lqn::{LqnError, LqnModel};
 
 use crate::binding::ModelBinding;
 
+/// The load a window put on the system — all the analyzer and the
+/// forecaster read of a [`WindowReport`] — split by provenance (see
+/// `atom_cluster::monitor`): *gauges* are control-plane state and stay
+/// exact through a monitor dropout, *counters* are scraped and
+/// under-report in a dark window. Actuator state is not load; it is
+/// always read off the fresh report.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LoadView {
+    /// Gauge: concurrent users at window end (`N`).
+    pub(crate) users: usize,
+    /// Gauge: peak number of users simultaneously in the system.
+    pub(crate) peak_in_system: f64,
+    /// Gauge: time-averaged in-system user count.
+    pub(crate) avg_in_system: f64,
+    /// Counter: peak sub-interval client request issue rate (1/s).
+    pub(crate) peak_arrival_rate: f64,
+    /// Counter: completed client requests/second over the window.
+    pub(crate) total_tps: f64,
+    /// Counter: request mix of the completions (`None` if there were none).
+    pub(crate) mix: Option<Vec<f64>>,
+}
+
+impl LoadView {
+    /// The load exactly as `report` observed it.
+    pub(crate) fn of(report: &WindowReport) -> Self {
+        LoadView {
+            users: report.users_at_end,
+            peak_in_system: report.peak_in_system,
+            avg_in_system: report.avg_in_system,
+            peak_arrival_rate: report.peak_arrival_rate,
+            total_tps: report.total_tps,
+            mix: report.observed_mix(),
+        }
+    }
+
+    /// This (trusted) view's counters under the gauges of a `dark`
+    /// window: what a degraded window is analyzed as.
+    pub(crate) fn with_gauges_of(&self, dark: &WindowReport) -> Self {
+        LoadView {
+            users: dark.users_at_end,
+            peak_in_system: dark.peak_in_system,
+            avg_in_system: dark.avg_in_system,
+            ..self.clone()
+        }
+    }
+
+    /// The same traffic shape at `planned` users: every load figure
+    /// grows by `planned / users` (the mix is a ratio and stays). Never
+    /// shrinks the view — a `planned` at or below the observation, or an
+    /// idle window, leaves it as observed.
+    pub(crate) fn scale_to(&mut self, planned: f64) {
+        let observed = self.users as f64;
+        if observed <= 0.0 || planned <= observed {
+            return;
+        }
+        let factor = planned / observed;
+        self.users = planned.round() as usize;
+        self.peak_in_system *= factor;
+        self.avg_in_system *= factor;
+        self.peak_arrival_rate *= factor;
+        self.total_tps *= factor;
+    }
+}
+
 /// Updates an LQN from monitoring data.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadAnalyzer {
     /// The mix used when a window saw no requests at all (carried over
-    /// from the previous window; uniform initially).
+    /// from the last window that saw some; uniform until one does).
     last_mix: Option<Vec<f64>>,
     /// Peak sub-interval request rates of the most recent windows — part
     /// of the MAPE-K knowledge base. Retaining a short history keeps the
@@ -31,11 +99,6 @@ pub struct WorkloadAnalyzer {
 const PEAK_MEMORY: usize = 3;
 
 impl WorkloadAnalyzer {
-    /// Creates an analyzer.
-    pub fn new() -> Self {
-        WorkloadAnalyzer::default()
-    }
-
     /// Produces a model instance for this window: the binding's template
     /// with `N` and the observed request mix applied.
     ///
@@ -43,10 +106,10 @@ impl WorkloadAnalyzer {
     ///
     /// Propagates model-update failures (which indicate an inconsistent
     /// binding).
-    pub fn instantiate(
+    pub(crate) fn instantiate(
         &mut self,
         binding: &ModelBinding,
-        report: &WindowReport,
+        load: &LoadView,
     ) -> Result<LqnModel, LqnError> {
         let mut model = binding.model.clone();
         // The monitor samples sub-intervals within the window (§IV-A);
@@ -59,13 +122,13 @@ impl WorkloadAnalyzer {
             TaskKind::Reference { think_time } => think_time,
             TaskKind::Server => 0.0,
         };
-        self.recent_peaks.push_back(report.peak_arrival_rate);
+        self.recent_peaks.push_back(load.peak_arrival_rate);
         while self.recent_peaks.len() > PEAK_MEMORY {
             self.recent_peaks.pop_front();
         }
         let peak = self.recent_peaks.iter().cloned().fold(0.0_f64, f64::max);
         let effective_n = (peak * think).ceil() as usize;
-        model.set_population(binding.client, report.users_at_end.max(effective_n))?;
+        model.set_population(binding.client, load.users.max(effective_n))?;
 
         // Traffic surges under a saturated system do not show up in
         // arrival or completion rates (the closed loop throttles), but
@@ -77,11 +140,11 @@ impl WorkloadAnalyzer {
         // `Z_eff = (N − I_peak) / X`, and size the model for it. This is
         // what lets ATOM provision for surges that window-averaged
         // utilisation hides (§V-B, Fig. 13).
-        let n = report.users_at_end as f64;
-        let window_x = report.total_tps;
+        let n = load.users as f64;
+        let window_x = load.total_tps;
         let z_eff_now =
-            if report.peak_in_system > 1.5 * report.avg_in_system && window_x > 0.0 && n > 0.0 {
-                let thinkers = (n - report.peak_in_system).max(n * 0.02);
+            if load.peak_in_system > 1.5 * load.avg_in_system && window_x > 0.0 && n > 0.0 {
+                let thinkers = (n - load.peak_in_system).max(n * 0.02);
                 (thinkers / window_x).clamp(think / 10.0, think)
             } else {
                 think
@@ -106,18 +169,15 @@ impl WorkloadAnalyzer {
             // loses Fig. 13.
             model.set_think_time(binding.client, z_eff)?;
         }
-        let mix = match report.observed_mix() {
-            Some(m) => {
-                self.last_mix = Some(m.clone());
-                m
-            }
-            None => self.last_mix.clone().unwrap_or_else(|| {
-                let n = binding.feature_entries.len();
-                vec![1.0 / n.max(1) as f64; n]
-            }),
-        };
+        if load.mix.is_some() {
+            self.last_mix.clone_from(&load.mix);
+        }
+        let features = binding.feature_entries.len();
+        let mix = self
+            .last_mix
+            .get_or_insert_with(|| vec![1.0 / features.max(1) as f64; features]);
         let client_entry = model.reference_entry(binding.client)?;
-        for (entry, frac) in binding.feature_entries.iter().zip(&mix) {
+        for (entry, frac) in binding.feature_entries.iter().zip(mix.iter()) {
             model.set_call_mean(client_entry, *entry, *frac)?;
         }
         Ok(model)
@@ -172,12 +232,16 @@ mod tests {
             .with_users_at_end(users)
     }
 
+    fn load(counts: Vec<u64>, users: usize) -> LoadView {
+        LoadView::of(&report(counts, users))
+    }
+
     #[test]
     fn writes_population_and_mix() {
         let b = binding();
-        let mut analyzer = WorkloadAnalyzer::new();
+        let mut analyzer = WorkloadAnalyzer::default();
         let model = analyzer
-            .instantiate(&b, &report(vec![300, 100], 777))
+            .instantiate(&b, &load(vec![300, 100], 777))
             .unwrap();
         assert_eq!(model.task(b.client).multiplicity, 777);
         let ce = model.reference_entry(b.client).unwrap();
@@ -196,9 +260,9 @@ mod tests {
     #[test]
     fn empty_window_reuses_previous_mix() {
         let b = binding();
-        let mut analyzer = WorkloadAnalyzer::new();
-        analyzer.instantiate(&b, &report(vec![90, 10], 10)).unwrap();
-        let model = analyzer.instantiate(&b, &report(vec![0, 0], 10)).unwrap();
+        let mut analyzer = WorkloadAnalyzer::default();
+        analyzer.instantiate(&b, &load(vec![90, 10], 10)).unwrap();
+        let model = analyzer.instantiate(&b, &load(vec![0, 0], 10)).unwrap();
         let ce = model.reference_entry(b.client).unwrap();
         let first = model
             .entry(ce)
@@ -211,8 +275,8 @@ mod tests {
     #[test]
     fn empty_history_falls_back_to_uniform() {
         let b = binding();
-        let mut analyzer = WorkloadAnalyzer::new();
-        let model = analyzer.instantiate(&b, &report(vec![0, 0], 10)).unwrap();
+        let mut analyzer = WorkloadAnalyzer::default();
+        let model = analyzer.instantiate(&b, &load(vec![0, 0], 10)).unwrap();
         let ce = model.reference_entry(b.client).unwrap();
         for c in &model.entry(ce).calls {
             assert!((c.mean - 0.5).abs() < 1e-12);
@@ -222,13 +286,13 @@ mod tests {
     #[test]
     fn peak_rate_raises_effective_population() {
         let b = binding();
-        let mut analyzer = WorkloadAnalyzer::new();
-        let mut r = report(vec![100, 100], 500);
+        let mut analyzer = WorkloadAnalyzer::default();
+        let mut r = load(vec![100, 100], 500);
         r.peak_arrival_rate = 300.0; // think time is 1.0 in the template
         let model = analyzer.instantiate(&b, &r).unwrap();
         assert_eq!(model.task(b.client).multiplicity, 500);
         // A surge far above N inflates the effective population.
-        let mut r = report(vec![100, 100], 500);
+        let mut r = load(vec![100, 100], 500);
         r.peak_arrival_rate = 2000.0;
         let model = analyzer.instantiate(&b, &r).unwrap();
         assert_eq!(model.task(b.client).multiplicity, 2000);
@@ -237,12 +301,12 @@ mod tests {
     #[test]
     fn peak_memory_spans_windows() {
         let b = binding();
-        let mut analyzer = WorkloadAnalyzer::new();
-        let mut bursty = report(vec![100, 100], 500);
+        let mut analyzer = WorkloadAnalyzer::default();
+        let mut bursty = load(vec![100, 100], 500);
         bursty.peak_arrival_rate = 1500.0;
         analyzer.instantiate(&b, &bursty).unwrap();
         // Two quiet windows later the burst is still remembered...
-        let quiet = report(vec![100, 100], 500);
+        let quiet = load(vec![100, 100], 500);
         analyzer.instantiate(&b, &quiet).unwrap();
         let model = analyzer.instantiate(&b, &quiet).unwrap();
         assert_eq!(model.task(b.client).multiplicity, 1500);
@@ -252,11 +316,40 @@ mod tests {
     }
 
     #[test]
+    fn dark_view_keeps_trusted_counters_under_fresh_gauges() {
+        let mut healthy = report(vec![300, 100], 500);
+        healthy.peak_arrival_rate = 40.0;
+        let dark = report(vec![0, 0], 800)
+            .with_total_tps(0.0)
+            .with_peak_in_system(90.0)
+            .with_avg_in_system(30.0);
+        let view = LoadView::of(&healthy).with_gauges_of(&dark);
+        assert_eq!(
+            (view.users, view.peak_in_system, view.avg_in_system),
+            (800, 90.0, 30.0),
+            "gauges are control-plane state: always fresh"
+        );
+        assert_eq!((view.peak_arrival_rate, view.total_tps), (40.0, 1.0));
+        assert_eq!(view.mix, Some(vec![0.75, 0.25]), "scraped: trusted");
+    }
+
+    #[test]
+    fn scaling_a_view_never_shrinks_it() {
+        let observed = load(vec![300, 100], 500);
+        let mut view = observed.clone();
+        view.scale_to(400.0);
+        assert_eq!(view, observed, "a forecast below the observation");
+        view.scale_to(750.0);
+        assert_eq!((view.users, view.total_tps), (750, 1.5));
+        assert_eq!(view.mix, observed.mix, "the mix is a ratio");
+    }
+
+    #[test]
     fn template_is_untouched() {
         let b = binding();
         let before = b.model.clone();
-        let mut analyzer = WorkloadAnalyzer::new();
-        analyzer.instantiate(&b, &report(vec![10, 0], 99)).unwrap();
+        let mut analyzer = WorkloadAnalyzer::default();
+        analyzer.instantiate(&b, &load(vec![10, 0], 99)).unwrap();
         assert_eq!(b.model, before);
     }
 }

@@ -13,7 +13,7 @@
 //! target-tracking, the Kubernetes HPA).
 
 use atom_cluster::{AppSpec, ScaleAction, ServiceId, WindowReport};
-use atom_obs::{ActuationOutcome, ChosenAction, DecisionRecord};
+use atom_obs::{ChosenAction, DecisionRecord};
 
 use crate::autoscaler::{snapshot_of, Autoscaler};
 
@@ -35,25 +35,13 @@ fn rule_record(
             share: a.share,
         })
         .collect();
-    DecisionRecord {
-        window,
-        time: report.end,
-        scaler: name.to_string(),
-        snapshot: snapshot_of(report, degraded),
-        demands: Vec::new(),
-        evaluator: None,
-        ga: None,
-        chosen: chosen.clone(),
-        actuation: ActuationOutcome {
-            issued: chosen,
-            reissued: Vec::new(),
-            abandoned: Vec::new(),
-            held: actions.is_empty(),
-            reason: degraded.then(|| "monitor dark: utilisation readings untrusted".into()),
-        },
-        forecast: None,
-        drift: None,
-    }
+    let mut record = DecisionRecord::new(window, report.end, name, snapshot_of(report, degraded));
+    record.actuation.issued = chosen.clone();
+    record.actuation.held = actions.is_empty();
+    record.actuation.reason =
+        degraded.then(|| "monitor dark: utilisation readings untrusted".into());
+    record.chosen = chosen;
+    record
 }
 
 /// Shared configuration of the rule-based scalers.

@@ -1,9 +1,10 @@
 //! The unified candidate-evaluation layer.
 //!
 //! Every path from a candidate [`DecisionVector`] to an [`Evaluation`] —
-//! the GA's fitness function, the planner's quick fixes, the what-if
-//! façade, and the controller's model-vs-observed diagnosis — goes
-//! through one [`CandidateEvaluator`] per window. Centralising the solve
+//! the GA's fitness function, the planner's quick fixes, and the
+//! controller's model-vs-observed diagnosis — goes through one
+//! [`CandidateEvaluator`] per window, and every solve behind its four
+//! entry points through one private miss path. Centralising the solve
 //! gives three optimisations for free everywhere:
 //!
 //! * **Memoisation** — solves are cached by the integer-lattice
@@ -35,7 +36,7 @@
 //! can observe a sibling's result, whether it runs on one thread or
 //! eight.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -263,16 +264,11 @@ impl Scratch {
             let t = self.model.task(task);
             self.undo.push((task, t.replicas, t.cpu_share));
         }
-        let applied = decision.apply(&mut self.model);
-        let outcome = match applied {
-            Ok(()) => solve_with(
-                &self.model,
-                SolverOptions::candidate().with_warm_start(warm_start),
-                &mut self.workspace,
-            )
-            .map(|sol| f(&self.model, &sol)),
-            Err(e) => Err(e),
-        };
+        let options = SolverOptions::candidate().with_warm_start(warm_start);
+        let outcome = decision
+            .apply(&mut self.model)
+            .and_then(|()| solve_with(&self.model, options, &mut self.workspace))
+            .map(|sol| f(&self.model, &sol));
         for &(task, replicas, share) in self.undo.iter().rev() {
             // Restoring previously-valid values cannot fail.
             let _ = self.model.set_replicas(task, replicas);
@@ -319,17 +315,12 @@ impl<'a> CandidateEvaluator<'a> {
     pub fn new(binding: &'a ModelBinding, model: &LqnModel, objective: &'a ObjectiveSpec) -> Self {
         CandidateEvaluator {
             scoring: Some((binding, objective)),
-            scratch: Scratch::new(model),
-            cache: BTreeMap::new(),
-            recent: VecDeque::new(),
-            stats: EvaluatorStats::default(),
-            workers: default_workers(),
-            worker_solves: Vec::new(),
+            ..Self::solver_only(model)
         }
     }
 
-    /// An evaluator that only solves (for TPS predictions and what-if
-    /// analysis); [`CandidateEvaluator::evaluate`] panics on it.
+    /// An evaluator that only solves (for TPS predictions);
+    /// [`CandidateEvaluator::evaluate`] panics on it.
     pub fn solver_only(model: &LqnModel) -> Self {
         CandidateEvaluator {
             scoring: None,
@@ -459,32 +450,109 @@ impl<'a> CandidateEvaluator<'a> {
         }
     }
 
-    /// Solves one candidate on the scratch model and scores it.
-    fn solve_and_score(
+    /// Solves one candidate on `scratch`, scoring it when an objective
+    /// is attached, and shows the configured model and full solution to
+    /// `visit`. The [`Cached`] half is what the miss path books; the
+    /// other half carries the visitor's result or the solver's error.
+    fn solve_one<R>(
         scratch: &mut Scratch,
-        binding: &ModelBinding,
-        objective: &ObjectiveSpec,
+        scoring: Option<(&ModelBinding, &ObjectiveSpec)>,
         decision: &DecisionVector,
         warm_start: Option<f64>,
-    ) -> Cached {
-        match scratch.solve_applied(decision, warm_start, |model, sol| {
-            (
-                objective.evaluate(binding, model, decision, sol),
-                sol.client_throughput,
-                sol.iterations,
-            )
-        }) {
-            Ok((eval, tps, iterations)) => Cached {
-                eval: Some(eval),
-                tps: Some(tps),
-                iterations,
-            },
-            Err(_) => Cached {
-                eval: Some(Self::rejected()),
-                tps: None,
-                iterations: 0,
-            },
+        visit: impl FnOnce(&LqnModel, &LqnSolution) -> R,
+    ) -> (Cached, Result<R, LqnError>) {
+        let mut cached = Cached {
+            eval: scoring.map(|_| Self::rejected()),
+            tps: None,
+            iterations: 0,
+        };
+        let seen = scratch.solve_applied(decision, warm_start, |model, sol| {
+            cached = Cached {
+                eval: scoring.map(|(b, o)| o.evaluate(b, model, decision, sol)),
+                tps: Some(sol.client_throughput),
+                iterations: sol.iterations,
+            };
+            visit(model, sol)
+        });
+        (cached, seen)
+    }
+
+    /// Solves `keys[j]` with `hints[j]`: in place on `scratch` when
+    /// `fanout` is 1, else index-striped over `fanout` scoped workers,
+    /// each on its own scratch copy of the window model.
+    fn fan_out(
+        scratch: &mut Scratch,
+        scoring: Option<(&ModelBinding, &ObjectiveSpec)>,
+        keys: &[&DecisionVector],
+        hints: &[Option<f64>],
+        fanout: usize,
+    ) -> Vec<Cached> {
+        let solve = |scratch: &mut Scratch, j: usize| {
+            Self::solve_one(scratch, scoring, keys[j], hints[j], |_, _| ()).0
+        };
+        if fanout <= 1 {
+            return (0..keys.len()).map(|j| solve(scratch, j)).collect();
         }
+        let base = &scratch.model;
+        // Worker `w` solves misses `w, w + fanout, ...` in that order.
+        let striped: Vec<Vec<Cached>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..fanout)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut scratch = Scratch::new(base);
+                        let stripe = (w..keys.len()).step_by(fanout);
+                        stripe.map(|j| solve(&mut scratch, j)).collect()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("evaluator worker panicked"))
+                .collect()
+        });
+        (0..keys.len())
+            .map(|j| striped[j % fanout][j / fanout])
+            .collect()
+    }
+
+    /// The one miss path: every solve this evaluator performs gets its
+    /// warm hint, counters, worker slot, place in the hint window and
+    /// memo entry here. Hints come from the recent-solves window as it
+    /// stood before `solve` ran (the module docs' determinism note);
+    /// `solve` turns them into one [`Cached`] per key.
+    fn solve_misses(
+        &mut self,
+        keys: &[&DecisionVector],
+        solve: impl FnOnce(&mut Scratch, &[Option<f64>], usize) -> Vec<Cached>,
+    ) -> Vec<Cached> {
+        let hints: Vec<Option<f64>> = keys
+            .iter()
+            .map(|key| Self::warm_hint(&self.recent, key))
+            .collect();
+        let fanout = self.workers.min(keys.len()).max(1);
+        let solved = solve(&mut self.scratch, &hints, fanout);
+        for (j, ((&key, c), hint)) in keys.iter().zip(&solved).zip(&hints).enumerate() {
+            Self::record_solve(&mut self.stats, c, hint.is_some());
+            Self::book_worker(&mut self.worker_solves, j % fanout);
+            Self::remember(&mut self.recent, key, c);
+            // A solve-only result never displaces what the memo holds.
+            if c.eval.is_some() || !self.cache.contains_key(key) {
+                self.cache.insert(key.clone(), *c);
+            }
+        }
+        solved
+    }
+
+    /// The miss path for plain keys: fanned out over the workers, scored
+    /// when `scoring` is given.
+    fn solve_keys(
+        &mut self,
+        keys: &[&DecisionVector],
+        scoring: Option<(&ModelBinding, &ObjectiveSpec)>,
+    ) -> Vec<Cached> {
+        self.solve_misses(keys, |scratch, hints, fanout| {
+            Self::fan_out(scratch, scoring, keys, hints, fanout)
+        })
     }
 
     /// Books one finished solve into the counters.
@@ -506,27 +574,7 @@ impl<'a> CandidateEvaluator<'a> {
     /// Scores one candidate, memoised. The decision vector is the cache
     /// key itself — no quantisation happens on the way in.
     pub fn evaluate(&mut self, decision: &DecisionVector) -> Evaluation {
-        let started = Instant::now();
-        self.stats.candidates += 1;
-        let eval = match self.cache.get(decision).and_then(|c| c.eval) {
-            Some(eval) => {
-                self.stats.cache_hits += 1;
-                eval
-            }
-            None => {
-                let (binding, objective) = self.scoring();
-                let hint = Self::warm_hint(&self.recent, decision);
-                let c =
-                    Self::solve_and_score(&mut self.scratch, binding, objective, decision, hint);
-                Self::record_solve(&mut self.stats, &c, hint.is_some());
-                Self::book_worker(&mut self.worker_solves, 0);
-                Self::remember(&mut self.recent, decision, &c);
-                self.cache.insert(decision.clone(), c);
-                c.eval.unwrap()
-            }
-        };
-        self.stats.wall_seconds += started.elapsed().as_secs_f64();
-        eval
+        self.evaluate_batch(std::slice::from_ref(decision))[0]
     }
 
     /// Scores a whole batch (one GA population), fanning cache misses
@@ -539,108 +587,25 @@ impl<'a> CandidateEvaluator<'a> {
         let started = Instant::now();
         self.stats.candidates += decisions.len();
 
-        // Partition into cached answers and deduplicated misses. The
-        // decisions themselves are the cache keys — exact lattice
-        // equality, no quantisation step.
-        let mut seen_miss: HashMap<&DecisionVector, usize> = HashMap::new();
-        let mut misses: Vec<usize> = Vec::new(); // index of first occurrence
-        for (i, key) in decisions.iter().enumerate() {
-            if self.cache.get(key).is_some_and(|c| c.eval.is_some()) {
-                self.stats.cache_hits += 1;
-            } else if seen_miss.contains_key(key) {
-                // Duplicate within the batch: solved once, shared.
+        // All but the first occurrence of an unscored decision are hits:
+        // answered from the memo, or batch duplicates solved once. The
+        // decisions themselves are the keys — exact lattice equality.
+        let mut misses: Vec<&DecisionVector> = Vec::new();
+        let mut seen: HashSet<&DecisionVector> = HashSet::new();
+        for key in decisions {
+            if self.cache.get(key).is_some_and(|c| c.eval.is_some()) || !seen.insert(key) {
                 self.stats.cache_hits += 1;
             } else {
-                seen_miss.insert(key, misses.len());
-                misses.push(i);
+                misses.push(key);
             }
         }
-
-        // Hints from the pre-batch snapshot of the recent-solves window
-        // (see the determinism note in the module docs).
-        let hints: Vec<Option<f64>> = misses
-            .iter()
-            .map(|&i| Self::warm_hint(&self.recent, &decisions[i]))
-            .collect();
-
-        let solved: Vec<Cached> = if misses.is_empty() {
-            Vec::new()
-        } else if self.workers <= 1 || misses.len() == 1 {
-            let (binding, objective) = self.scoring();
-            misses
-                .iter()
-                .zip(&hints)
-                .map(|(&i, &hint)| {
-                    Self::solve_and_score(
-                        &mut self.scratch,
-                        binding,
-                        objective,
-                        &decisions[i],
-                        hint,
-                    )
-                })
-                .collect()
-        } else {
-            let (binding, objective) = self.scoring();
-            let base = &self.scratch.model;
-            let n_workers = self.workers.min(misses.len());
-            let mut solved = vec![
-                Cached {
-                    eval: Some(Self::rejected()),
-                    tps: None,
-                    iterations: 0,
-                };
-                misses.len()
-            ];
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n_workers);
-                for w in 0..n_workers {
-                    let misses = &misses;
-                    let hints = &hints;
-                    handles.push(scope.spawn(move || {
-                        let mut scratch = Scratch::new(base);
-                        let mut out = Vec::new();
-                        let mut j = w;
-                        while j < misses.len() {
-                            out.push((
-                                j,
-                                Self::solve_and_score(
-                                    &mut scratch,
-                                    binding,
-                                    objective,
-                                    &decisions[misses[j]],
-                                    hints[j],
-                                ),
-                            ));
-                            j += n_workers;
-                        }
-                        out
-                    }));
-                }
-                for handle in handles {
-                    for (j, c) in handle.join().expect("evaluator worker panicked") {
-                        solved[j] = c;
-                    }
-                }
-            });
-            solved
-        };
-
-        let fanout = if self.workers <= 1 || misses.len() <= 1 {
-            1
-        } else {
-            self.workers.min(misses.len())
-        };
-        for (j, ((&i, c), hint)) in misses.iter().zip(&solved).zip(&hints).enumerate() {
-            Self::record_solve(&mut self.stats, c, hint.is_some());
-            Self::book_worker(&mut self.worker_solves, j % fanout);
-            Self::remember(&mut self.recent, &decisions[i], c);
-            self.cache.insert(decisions[i].clone(), *c);
+        if !misses.is_empty() {
+            self.solve_keys(&misses, Some(self.scoring()));
         }
 
         let out = decisions
             .iter()
-            .map(|key| self.cache[key].eval.unwrap())
+            .map(|key| self.cache[key].eval.expect("scored above"))
             .collect();
         self.stats.wall_seconds += started.elapsed().as_secs_f64();
         out
@@ -648,51 +613,29 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// Predicted system TPS of `decision` on the window's model,
     /// memoised; `None` when the decision fails to apply or the solver
-    /// fails. Powers the planner's quick fixes.
+    /// fails. Powers the planner's quick fixes. Scores alongside the
+    /// solve when an objective is attached, so a later `evaluate` of the
+    /// same decision is free.
     pub fn predicted_tps(&mut self, decision: &DecisionVector) -> Option<f64> {
         let started = Instant::now();
         self.stats.candidates += 1;
-        if let Some(c) = self.cache.get(decision) {
-            self.stats.cache_hits += 1;
-            self.stats.wall_seconds += started.elapsed().as_secs_f64();
-            return c.tps;
-        }
-        let hint = Self::warm_hint(&self.recent, decision);
-        // Score alongside the solve when an objective is attached, so a
-        // later evaluate() of the same decision is free.
-        let cached = match self.scoring {
-            Some((binding, objective)) => {
-                Self::solve_and_score(&mut self.scratch, binding, objective, decision, hint)
+        let tps = match self.cache.get(decision) {
+            Some(c) => {
+                self.stats.cache_hits += 1;
+                c.tps
             }
-            None => match self.scratch.solve_applied(decision, hint, |_, sol| {
-                (sol.client_throughput, sol.iterations)
-            }) {
-                Ok((tps, iterations)) => Cached {
-                    eval: None,
-                    tps: Some(tps),
-                    iterations,
-                },
-                Err(_) => Cached {
-                    eval: None,
-                    tps: None,
-                    iterations: 0,
-                },
-            },
+            None => self.solve_keys(&[decision], self.scoring)[0].tps,
         };
-        Self::record_solve(&mut self.stats, &cached, hint.is_some());
-        Self::book_worker(&mut self.worker_solves, 0);
-        Self::remember(&mut self.recent, decision, &cached);
-        self.cache.insert(decision.clone(), cached);
         self.stats.wall_seconds += started.elapsed().as_secs_f64();
-        cached.tps
+        tps
     }
 
     /// Solves `decision` and hands the configured model plus the full
     /// solution to `f` — for consumers that need more than a score
-    /// (what-if predictions, bottleneck analysis, diagnostics). Full
-    /// solutions are not memoised, but the solve's throughput is recorded
-    /// in the cache and the warm-hint window, so `predicted_tps` and
-    /// neighbouring solves still benefit.
+    /// (bottleneck analysis, diagnostics). Full solutions are not
+    /// memoised, but the solve's throughput is recorded in the cache and
+    /// the warm-hint window, so `predicted_tps` and neighbouring solves
+    /// still benefit.
     ///
     /// # Errors
     ///
@@ -704,25 +647,14 @@ impl<'a> CandidateEvaluator<'a> {
     ) -> Result<R, LqnError> {
         let started = Instant::now();
         self.stats.candidates += 1;
-        let hint = Self::warm_hint(&self.recent, decision);
-        let mut solved = None;
-        let result = self.scratch.solve_applied(decision, hint, |model, sol| {
-            solved = Some((sol.client_throughput, sol.iterations));
-            f(model, sol)
+        let mut result = None;
+        self.solve_misses(&[decision], |scratch, hints, _| {
+            let (cached, seen) = Self::solve_one(scratch, None, decision, hints[0], f);
+            result = Some(seen);
+            vec![cached]
         });
-        let cached = Cached {
-            eval: None,
-            tps: solved.map(|(tps, _)| tps),
-            iterations: solved.map_or(0, |(_, it)| it),
-        };
-        Self::record_solve(&mut self.stats, &cached, hint.is_some());
-        Self::book_worker(&mut self.worker_solves, 0);
-        Self::remember(&mut self.recent, decision, &cached);
-        if cached.tps.is_some() && !self.cache.contains_key(decision) {
-            self.cache.insert(decision.clone(), cached);
-        }
         self.stats.wall_seconds += started.elapsed().as_secs_f64();
-        result
+        result.expect("the miss path runs its solve step")
     }
 }
 

@@ -3,14 +3,20 @@
 //! ATOM: the model-driven autoscaling controller (the paper's primary
 //! contribution), its rule-based baselines, and the experiment runner.
 //!
-//! The controller follows MAPE-K (§IV-A):
+//! The controller follows MAPE-K (§IV-A); [`Atom`]'s `decide` is that
+//! sequence, one call per phase, over private units that own what each
+//! phase remembers between windows:
 //!
 //! * **Monitor** — the cluster's [`atom_cluster::WindowReport`] plays the
-//!   workload monitor: per-feature request counts over a monitoring
-//!   window;
-//! * **Analyze** — [`analyzer::WorkloadAnalyzer`] writes the observed
-//!   concurrency `N` and request mix into the LQN, then
-//!   [`optimizer::SolutionSearch`] (Algorithm 1) runs a genetic algorithm
+//!   workload monitor, read by provenance: actuator state always off
+//!   the fresh report (the *reconciler* re-issues or abandons earlier
+//!   orders it does not show), load through a small *load view* (users,
+//!   peak rate, TPS, in-system peak/average, mix) that a degraded
+//!   window swaps for the last trusted one;
+//! * **Analyze** — the *forecaster* (proactive mode) scales the view to
+//!   the load at the actuation horizon; [`analyzer::WorkloadAnalyzer`]
+//!   writes its `N` and request mix into the LQN, then
+//!   [`optimizer::search_with`] (Algorithm 1) runs a genetic algorithm
 //!   over `(r, s)` configurations, solving the model analytically for
 //!   each candidate and scoring it with [`objective::ObjectiveSpec`]
 //!   (equations (1)–(5): weighted-sum revenue vs CPU, SLA/capacity/
@@ -22,7 +28,10 @@
 //!   improvement) or **ATOM-S** (cap the change in total allocated CPU);
 //! * **Execute** — the experiment loop schedules the resulting
 //!   [`atom_cluster::ScaleAction`]s on the cluster after ATOM's
-//!   optimisation delay (the paper's ~2.5 minutes).
+//!   optimisation delay (the paper's ~2.5 minutes); a hold leaves by the
+//!   same exit, its reason in the explanation and the journal alike;
+//! * **Knowledge** — with span sampling on, the *auditor* scores each
+//!   plan's per-station prediction against the next window's spans.
 //!
 //! [`baselines::UhScaler`] and [`baselines::UvScaler`] implement the
 //! utilisation-triggered horizontal/vertical doubling rules of §V-A.
@@ -39,7 +48,6 @@ pub mod experiment;
 pub mod objective;
 pub mod optimizer;
 pub mod planner;
-pub mod whatif;
 
 mod atom_controller;
 
@@ -76,7 +84,6 @@ pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, Telemet
 pub use objective::ObjectiveSpec;
 pub use optimizer::GaStats;
 pub use planner::PlannerMode;
-pub use whatif::{what_if, Prediction};
 
 // The candidate currency of the whole stack (defined next to the model
 // transforms in `atom_lqn`): one integer-lattice type from GA genome to

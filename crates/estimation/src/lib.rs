@@ -14,7 +14,7 @@
 //!   response time versus the queue length seen at arrival; by the MVA
 //!   arrival theorem `R = D · (1 + A)`, so `D` is a one-parameter
 //!   regression with much higher input variability (Fig. 4b, after Kraft
-//!   et al. [26]).
+//!   et al. \[26\]).
 //!
 //! Both estimators report goodness-of-fit so the Fig. 4 comparison can be
 //! regenerated quantitatively.

@@ -1,5 +1,5 @@
 //! Response-time demand estimation via the MVA arrival theorem
-//! (paper §III-B, Fig. 4b; Kraft et al. [26]).
+//! (paper §III-B, Fig. 4b; Kraft et al. \[26\]).
 //!
 //! For a FCFS/PS station, a request that finds `A` jobs at arrival has
 //! expected response time `R = D · (1 + A)`. Sampling `(A_i, R_i)` per

@@ -1,5 +1,5 @@
-//! Layered-bottleneck analysis (paper §V-B; Neilson et al. [38], Franks
-//! et al. [39]).
+//! Layered-bottleneck analysis (paper §V-B; Neilson et al. \[38\], Franks
+//! et al. \[39\]).
 //!
 //! In a layered system the saturated resource is often *not* the one
 //! whose clients suffer most: an upstream task can sit at low CPU

@@ -13,7 +13,7 @@
 //! * **TPS** — completed transactions per second over the increased-load
 //!   period ([`TpsSeries`]).
 //!
-//! Required capacity follows Herbst et al. [36]: the CPU cores a service
+//! Required capacity follows Herbst et al. \[36\]: the CPU cores a service
 //! needs to serve the *offered* workload of a window (computed by
 //! `atom_cluster::spec::AppSpec::required_cores`), independent of what was
 //! actually admitted.

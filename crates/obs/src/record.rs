@@ -62,6 +62,27 @@ pub struct DecisionRecord {
     pub drift: Option<DriftRecord>,
 }
 
+impl DecisionRecord {
+    /// The record as the monitor phase opens it: identity and snapshot
+    /// set, every later phase empty, and an actuation that holds as
+    /// `"unreached"` until the execute phase overwrites it.
+    pub fn new(window: u64, time: f64, scaler: &str, snapshot: TelemetrySnapshot) -> Self {
+        DecisionRecord {
+            window,
+            time,
+            scaler: scaler.into(),
+            snapshot,
+            demands: Vec::new(),
+            evaluator: None,
+            ga: None,
+            chosen: Vec::new(),
+            actuation: ActuationOutcome::hold("unreached"),
+            forecast: None,
+            drift: None,
+        }
+    }
+}
+
 /// The monitor-phase snapshot a decision was based on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {

@@ -5,7 +5,7 @@
 //! and pops are O(1) amortised instead of O(log n), which matters once a
 //! cluster simulation carries hundreds of thousands of pending think
 //! timers. The design is the classic hashed hierarchical wheel (Varghese
-//! & Lauck): [`LEVELS`] levels of [`SLOTS`] slots each, where a level-`l`
+//! & Lauck): `LEVELS` levels of `SLOTS` slots each, where a level-`l`
 //! slot spans `SLOTS^l` ticks. An event is filed at the coarsest level
 //! whose current window contains it and cascades down as the cursor
 //! approaches; events beyond the top-level horizon wait in an overflow

@@ -1,7 +1,7 @@
 //! Burstiness injection via a two-state Markov-modulated process.
 //!
 //! The paper injects burstiness into the closed workload following Mi et
-//! al. [40], characterising it with the asymptotic *index of dispersion
+//! al. \[40\], characterising it with the asymptotic *index of dispersion
 //! for counts* `I`. We use a two-state modulated environment: a *normal*
 //! state and a *burst* state with a higher arrival intensity; users'
 //! think-time means are divided by the current state's intensity

@@ -8,7 +8,7 @@
 //! count* `N` that ramps up during the first 25 minutes of each
 //! experiment, an exponential *think time*, and optionally *burstiness*
 //! characterised by the index of dispersion `I` (§V-B, Fig. 13, after Mi
-//! et al. [40]).
+//! et al. \[40\]).
 //!
 //! * [`RequestMix`] — a normalised categorical distribution over features;
 //! * [`PopulationSource`] — the open population-over-time abstraction,

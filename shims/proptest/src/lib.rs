@@ -311,7 +311,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Sizes acceptable to [`vec`]: a fixed length or a range.
+    /// Sizes acceptable to [`vec()`]: a fixed length or a range.
     pub trait SizeRange {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
