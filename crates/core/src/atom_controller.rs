@@ -25,8 +25,10 @@ use crate::objective::ObjectiveSpec;
 use crate::optimizer;
 use crate::planner::{Planner, PlannerMode};
 
+use auditor::Auditor;
 pub use forecaster::ForecastConfig;
-use {auditor::Auditor, forecaster::Forecaster, reconciler::Reconciler};
+use forecaster::Forecaster;
+use reconciler::Reconciler;
 
 /// Configuration of the ATOM controller.
 #[derive(Debug, Clone)]
