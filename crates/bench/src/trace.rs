@@ -246,10 +246,6 @@ pub fn registry_for(results: &[ExperimentResult]) -> Registry {
                     &format!("{slug}_solver_iterations_total"),
                     ev.solver_iterations,
                 );
-                reg.add(
-                    &format!("{slug}_saturated_solves_total"),
-                    ev.saturated_solves,
-                );
             }
             if let Some(ga) = &d.ga {
                 reg.add(&format!("{slug}_ga_evaluations_total"), ga.evaluations);

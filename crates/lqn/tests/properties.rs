@@ -91,6 +91,23 @@ proptest! {
     }
 
     #[test]
+    fn population_is_conserved(s in scenario()) {
+        // Little's law over the whole cycle, N = X·(Z + R): every user is
+        // either thinking or inside the system, so whatever the solver
+        // reports as R must be the R that goes with its X.
+        let model = build(&s);
+        for options in [SolverOptions::default(), SolverOptions::candidate()] {
+            let sol = solve(&model, options).unwrap();
+            let n = s.users as f64;
+            let accounted = sol.client_throughput * (s.think + sol.client_response_time);
+            prop_assert!(
+                (accounted - n).abs() <= 1e-8 * n,
+                "X·(Z+R) = {accounted} for N = {n}"
+            );
+        }
+    }
+
+    #[test]
     fn utilization_law_at_fixed_point(s in scenario()) {
         let model = build(&s);
         let sol = solve(&model, SolverOptions::default()).unwrap();

@@ -210,13 +210,9 @@ pub struct SolveCounters {
     pub cache_hits: u64,
     /// Candidates whose solve failed (infeasible/invalid model).
     pub failures: u64,
-    /// Total inner fixed-point iterations across the window's solves.
+    /// Total layered sweeps of the LQN solver across the window's
+    /// solves.
     pub solver_iterations: u64,
-    /// Solves that ran with a warm-start hint.
-    pub hinted_solves: u64,
-    /// Solves classified as saturated (iteration count above the
-    /// hint-source gate — see `atom-lqn`'s `SATURATION_ITERATIONS`).
-    pub saturated_solves: u64,
 }
 
 /// GA convergence statistics for one planning window.
@@ -323,8 +319,6 @@ mod tests {
                 cache_hits: 120,
                 failures: 0,
                 solver_iterations: 5400,
-                hinted_solves: 150,
-                saturated_solves: 2,
             }),
             ga: Some(GaGenerations {
                 generations: 5,
