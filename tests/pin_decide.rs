@@ -58,17 +58,17 @@ fn sockshop_search_winner_and_counters_are_pinned() {
         winner,
         vec![
             (0, 1, 6),
-            (1, 1, 9),
-            (2, 1, 2),
+            (1, 2, 5),
+            (2, 1, 3),
             (3, 5, 2),
-            (4, 1, 2),
-            (5, 1, 16)
+            (4, 1, 5),
+            (5, 1, 15)
         ],
         "winning DecisionVector (task, replicas, share_idx)"
     );
     assert_eq!(
         found.eval.objective.to_bits(),
-        0x3fea_df3b_f141_d349,
+        0x3fea_b1b7_d57c_2c1c,
         "objective {}",
         found.eval.objective
     );
@@ -79,7 +79,7 @@ fn sockshop_search_winner_and_counters_are_pinned() {
             found.stats.cache_hits,
             found.stats.solver_iterations
         ),
-        (539, 261, 966_464),
+        (563, 237, 4_147),
         "(solves, cache_hits, solver_iterations)"
     );
 }
@@ -174,7 +174,7 @@ fn three_decides_on_fixed_reports_are_pinned() {
     );
     assert_eq!(
         (records.0, issued.0),
-        (0x1ed9_0d12_acba_6059, 0xe0a0_73a0_dad1_d9ef),
+        (0xda2c_1cd7_f066_2b18, 0x5e62_c40b_958d_bd4b),
         "(DecisionRecord digest, ScaleAction digest): {:#018x} {:#018x}",
         records.0,
         issued.0
