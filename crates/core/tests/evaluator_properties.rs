@@ -83,8 +83,8 @@ fn decision_strategy() -> impl Strategy<Value = DecisionVector> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A fresh batch (empty cache, hence no warm hints) reproduces the
-    /// direct clone-and-solve path bitwise, at any worker count.
+    /// A batch reproduces the direct clone-and-solve path bitwise, at
+    /// any worker count.
     #[test]
     fn batched_evaluator_matches_direct_path(
         decisions in proptest::collection::vec(decision_strategy(), 1..12),

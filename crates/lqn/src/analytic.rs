@@ -251,7 +251,6 @@ impl Shape {
         let reference = model.the_reference_task()?;
         let order = model.topo_order()?;
         let nt = model.tasks().len();
-        let ne = model.entries().len();
 
         self.ref_task = reference.0;
         self.ref_entry = model.reference_entry(reference)?.0;
@@ -263,17 +262,7 @@ impl Shape {
         self.speeds = model.processors().iter().map(|p| p.speed).collect();
         self.owner = model.entries().iter().map(|e| e.task.0).collect();
 
-        self.visits.clear();
-        self.visits.resize(ne, 0.0);
-        self.visits[self.ref_entry] = 1.0;
-        for e in &order {
-            let ve = self.visits[e.0];
-            if ve != 0.0 {
-                for c in &model.entry(*e).calls {
-                    self.visits[c.target.0] += ve * c.mean;
-                }
-            }
-        }
+        self.visits = model.visit_ratios()?;
 
         self.task_visits.clear();
         self.task_visits.resize(nt, 0.0);
@@ -630,8 +619,7 @@ fn solve_busy(shape: &Shape, k: &Knobs, st: &mut State, x: f64) {
 /// largest relative movement of a wait.
 fn sweep(model: &LqnModel, shape: &Shape, k: &Knobs, st: &mut State, x: f64) -> f64 {
     let mut moved = 0.0_f64;
-    for (ti, entries) in &shape.sweep {
-        let ti = *ti;
+    for &(ti, ref entries) in &shape.sweep {
         let pace = st.slowdown[ti] / shape.speeds[shape.hosts[ti].0];
         let mut held = 0.0; // Σ_e v_e · s_e
         for &ei in entries {

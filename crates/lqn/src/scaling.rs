@@ -181,22 +181,6 @@ impl DecisionVector {
         }
         Ok(())
     }
-
-    /// Whether every task's allocation in `self` is no larger than in
-    /// `other`: same task set, component-wise `replicas ≤` and
-    /// `share_idx ≤`. Model throughput is monotone in both, so a
-    /// dominated vector's throughput lower-bounds the dominating one's —
-    /// the property the candidate evaluator's warm-start hints rely on.
-    pub fn dominated_by(&self, other: &DecisionVector) -> bool {
-        self.decisions.len() == other.decisions.len()
-            && self
-                .decisions
-                .iter()
-                .zip(&other.decisions)
-                .all(|(&(ta, da), &(tb, db))| {
-                    ta == tb && da.replicas <= db.replicas && da.share_idx <= db.share_idx
-                })
-    }
 }
 
 impl fmt::Display for DecisionVector {
@@ -279,23 +263,6 @@ mod tests {
         for idx in 1..=80 {
             assert_eq!(share_index(idx as f64 * SHARE_STEP), idx);
         }
-    }
-
-    #[test]
-    fn domination_is_componentwise() {
-        let (_, a, b) = model();
-        let mut lo = DecisionVector::new();
-        lo.set(a, 1, 5).set(b, 2, 10);
-        let mut hi = DecisionVector::new();
-        hi.set(a, 2, 5).set(b, 2, 11);
-        assert!(lo.dominated_by(&hi));
-        assert!(!hi.dominated_by(&lo));
-        assert!(lo.dominated_by(&lo));
-        // Mismatched task sets never dominate.
-        let mut partial = DecisionVector::new();
-        partial.set(a, 9, 99);
-        assert!(!lo.dominated_by(&partial));
-        assert!(!partial.dominated_by(&hi));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use atom_lqn::LqnError;
 
 /// Buffers for the geometric acceleration inside `relax_inner`.
 #[derive(Debug, Clone, Default)]
-pub struct AccelBuffers {
+struct AccelBuffers {
     prev_w: Vec<f64>,
     prev_step: Vec<f64>,
     step: Vec<f64>,
