@@ -5,8 +5,9 @@
 //! per user), the fluid aggregate (per-step MVA steady states), and the
 //! hybrid of the two (fluid in steady state, per-user around a
 //! mid-run scaling transient). The headline metric is completed client
-//! requests *simulated* per wall-clock second; raw DES events per wall
-//! second ride along for the event-engine view.
+//! requests *simulated* per wall-clock second; DES events handled
+//! (timers dispatched + processor completions fired) per wall second
+//! ride along for the event-engine view.
 //!
 //! Artefact: `scale.csv` (one row per backend × population) in the
 //! output directory, plus the multi-tenant wall-clock points on the
@@ -56,7 +57,8 @@ pub struct ScalePoint {
     pub wall_seconds: f64,
     /// Client requests completed over the horizon.
     pub requests: u64,
-    /// DES events dispatched over the horizon.
+    /// DES events handled over the horizon (timers dispatched plus
+    /// processor completions fired).
     pub events: u64,
     /// Backend handovers performed (hybrid only).
     pub switches: u64,
@@ -70,7 +72,7 @@ impl ScalePoint {
         self.requests as f64 / self.wall_seconds.max(1e-9)
     }
 
-    /// Raw DES events dispatched per wall-clock second.
+    /// DES events handled per wall-clock second.
     pub fn events_per_wall_s(&self) -> f64 {
         self.events as f64 / self.wall_seconds.max(1e-9)
     }

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use atom_sim::processor::{GroupId, JobId, PsProcessor};
 use atom_sim::TimeWeighted;
 
-use crate::engine::Event;
+use crate::engine::{idx32, Event};
 use crate::runtime::{Cluster, ScaleAction};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,6 +85,9 @@ pub(crate) struct Invocation {
     /// Handle `(slot, span index)` into the span layer when this
     /// invocation belongs to a sampled (or one-shot traced) request.
     pub sampled: Option<(usize, usize)>,
+    /// Priced round trip of the child call this invocation is blocked
+    /// on while that call is in transit (see `Event::NetTransit`).
+    pub net_wait: f64,
 }
 
 /// Usable rate cap of one replica: its share bounded by the service's
@@ -319,8 +322,8 @@ impl Cluster {
         self.engine.push(
             ready_at,
             Event::ReplicaReady {
-                service: si,
-                replica,
+                service: idx32(si),
+                replica: idx32(replica),
             },
         );
     }

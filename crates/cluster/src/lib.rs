@@ -32,8 +32,9 @@
 //! The runtime is layered into private modules behind the
 //! [`runtime::Cluster`] facade:
 //!
-//! * `engine` — the simulation clock and a hierarchical timer-wheel
-//!   calendar (same pop order as a binary heap, O(1) amortised insert);
+//! * `engine` — the simulation clock, a hierarchical timer-wheel
+//!   calendar for timers (same pop order as a binary heap, O(1)
+//!   amortised insert) and one pending-completion slot per processor;
 //! * [`backend`] — the user population, behind a two-variant `Backend`
 //!   enum: the exact per-user DES (one think timer per user, the
 //!   default) and an aggregate *fluid* pool that batches the whole think

@@ -108,19 +108,24 @@ impl Cluster {
             let now = self.engine.now;
             let wait = net.round_trip(from, to, now);
             if wait > 0.0 {
-                self.engine.push(
-                    now + wait,
-                    Event::NetTransit {
-                        service: si,
-                        endpoint: ei,
-                        caller,
-                        wait,
-                    },
-                );
+                self.fabric.invocations[caller].as_mut().unwrap().net_wait = wait;
+                self.engine.push(now + wait, Event::NetTransit { caller });
                 return;
             }
         }
         self.start_call_delivered(si, ei, Some(caller), None, 0.0);
+    }
+
+    /// The round trip `caller` was blocked on is over: the call it is
+    /// parked on enters the callee service.
+    pub(crate) fn transit_done(&mut self, caller: usize) {
+        let i = self.fabric.invocations[caller].as_ref().unwrap();
+        let InvState::Calling { idx } = i.state else {
+            unreachable!("a caller in transit is in Calling state");
+        };
+        let (si, ei) = i.calls[idx];
+        let wait = i.net_wait;
+        self.start_call_delivered(si, ei, Some(caller), None, wait);
     }
 
     /// Starts an invocation at `(si, ei)` once any network transit has
@@ -179,6 +184,7 @@ impl Cluster {
             arrival: now,
             seen_queue,
             sampled,
+            net_wait: 0.0,
         });
         let svc = &mut self.fabric.services[si];
         let can_start = matches!(
@@ -241,22 +247,26 @@ impl Cluster {
         self.reschedule_processor(pi);
     }
 
+    /// Replaces `pi`'s entry in the engine's due index with its next
+    /// completion under the current allocation. Everything that adds or
+    /// removes a job calls this; a bare `set_group_cap` does not, which
+    /// leaves the entry stale (see `processor_check`).
     pub(crate) fn reschedule_processor(&mut self, pi: usize) {
-        if let Some((t, _)) = self.fabric.processors[pi].next_completion(self.engine.now) {
-            let generation = self.fabric.processors[pi].generation();
-            self.engine.push(
-                t,
-                Event::ProcessorCheck {
-                    proc: pi,
-                    generation,
-                },
-            );
-        }
+        let proc = &mut self.fabric.processors[pi];
+        let next = proc.next_completion(self.engine.now);
+        let generation = proc.generation();
+        self.engine
+            .set_completion(pi, next.map(|(t, _)| (t, generation)));
     }
 
-    pub(crate) fn processor_check(&mut self, pi: usize, generation: u64) {
+    /// `pi`'s due-index entry, computed under `generation`, came due.
+    /// An entry from before the processor's last reallocation is stale —
+    /// its time was computed at rates that no longer hold — and is
+    /// dropped: the processor then has no pending completion until the
+    /// next `reschedule_processor`. Returns whether the entry was live.
+    pub(crate) fn processor_check(&mut self, pi: usize, generation: u64) -> bool {
         if self.fabric.processors[pi].generation() != generation {
-            return;
+            return false;
         }
         loop {
             let now = self.engine.now;
@@ -272,6 +282,7 @@ impl Cluster {
             }
         }
         self.reschedule_processor(pi);
+        true
     }
 
     fn demand_done(&mut self, inv: usize) {

@@ -3,7 +3,7 @@
 //!
 //! The runtime is layered (see [crate] docs):
 //!
-//! * `crate::engine` — clock + timer-wheel calendar;
+//! * `crate::engine` — clock, timer-wheel calendar, processor due index;
 //! * [`crate::backend`] — the user population (`PerUserDes` or
 //!   `FluidPool`, behind the `Backend` enum);
 //! * `crate::fabric` — servers, replicas, scaling actuation, faults;
@@ -21,7 +21,7 @@ use atom_workload::WorkloadSpec;
 
 use crate::accum::WindowAccum;
 use crate::backend::{Backend, BackendKind, BackendMode, FluidPool, PerUserDes, PopCtx};
-use crate::engine::{Engine, Event};
+use crate::engine::{idx32, Due, Engine, Event};
 use crate::error::ClusterError;
 use crate::fabric::{effective_cap, Fabric, Replica, ReplicaState, ServiceRt};
 use crate::monitor::WindowReport;
@@ -465,7 +465,7 @@ impl Cluster {
         let mut cluster = Cluster {
             spec: spec.clone(),
             rng,
-            engine: Engine::new(),
+            engine: Engine::new(np),
             fabric,
             tenants: tenant_rts,
             accum,
@@ -637,8 +637,13 @@ impl Cluster {
             }
         }
         for (t, tenant, population) in changes {
-            self.engine
-                .push(t, Event::PopulationChange { tenant, population });
+            self.engine.push(
+                t,
+                Event::PopulationChange {
+                    tenant: idx32(tenant),
+                    population: idx32(population),
+                },
+            );
         }
         // A source that classifies its own burst onsets (trace replay)
         // schedules them as explicit hints; the hybrid policy then skips
@@ -657,13 +662,16 @@ impl Cluster {
                 self.engine.push(t, Event::SpikeHint);
             }
         }
-        while let Some(t) = self.engine.peek_time() {
-            if t > end {
-                break;
-            }
-            let (t, ev) = self.engine.pop().expect("peeked");
+        while let Some((t, due)) = self.engine.pop_due(end) {
             self.engine.now = t.max(self.engine.now);
-            self.dispatch(ev);
+            match due {
+                Due::Timer(ev) => self.dispatch(ev),
+                Due::Completion { proc, generation } => {
+                    if self.processor_check(proc, generation) {
+                        self.telemetry.processor_check_events += 1;
+                    }
+                }
+            }
         }
         self.engine.now = end;
         // The fluid backend integrates the partial tail step so the
@@ -690,15 +698,11 @@ impl Cluster {
             }
             Event::PopulationChange { tenant, population } => {
                 self.telemetry.population_change_events += 1;
-                self.backend_set_population(tenant, population);
+                self.backend_set_population(tenant as usize, population as usize);
             }
             Event::ReplicaReady { service, replica } => {
                 self.telemetry.replica_ready_events += 1;
-                self.replica_ready(service, replica);
-            }
-            Event::ProcessorCheck { proc, generation } => {
-                self.telemetry.processor_check_events += 1;
-                self.processor_check(proc, generation);
+                self.replica_ready(service as usize, replica as usize);
             }
             Event::ApplyScaling { batch } => {
                 self.telemetry.apply_scaling_events += 1;
@@ -729,14 +733,9 @@ impl Cluster {
                 self.telemetry.latency_done_events += 1;
                 self.proceed_to_calls(inv);
             }
-            Event::NetTransit {
-                service,
-                endpoint,
-                caller,
-                wait,
-            } => {
+            Event::NetTransit { caller } => {
                 self.telemetry.net_transit_events += 1;
-                self.start_call_delivered(service, endpoint, Some(caller), None, wait);
+                self.transit_done(caller);
             }
             Event::Fault { idx } => {
                 self.telemetry.fault_events += 1;
@@ -851,7 +850,7 @@ impl Cluster {
                 t,
                 Event::PopulationChange {
                     tenant: 0,
-                    population: p,
+                    population: idx32(p),
                 },
             );
         }

@@ -1,5 +1,11 @@
 //! Cluster-side telemetry: DES event counts and scale-action latency.
 //!
+//! An *event* is something the engine handed to the cluster and the
+//! cluster acted on: a calendar timer dispatched, or a processor's
+//! pending completion fired. Bookkeeping the engine does for itself —
+//! overwriting a processor's due time, dropping one that went stale — is
+//! not an event.
+//!
 //! The counters live on the [`Cluster`](crate::runtime::Cluster) and are
 //! incremented as events dispatch; they observe the simulation without
 //! feeding anything back into it (no RNG draws, no float state that the
@@ -33,7 +39,11 @@ pub struct ClusterTelemetry {
     pub population_change_events: u64,
     /// `ReplicaReady` events dispatched (container start-ups completed).
     pub replica_ready_events: u64,
-    /// `ProcessorCheck` events dispatched (PS-quantum re-evaluations).
+    /// Processor completions handled: each time a processor's pending
+    /// completion came due and was live, the jobs finishing at that
+    /// instant (one, unless several tie within 1e-12 s) left the CPU
+    /// together. Due times that were superseded or went stale before
+    /// they fired are not counted.
     pub processor_check_events: u64,
     /// `ApplyScaling` events dispatched (batches reaching the
     /// orchestration API, whether applied or rejected).
@@ -88,7 +98,8 @@ pub struct ClusterTelemetry {
 }
 
 impl ClusterTelemetry {
-    /// Total DES events dispatched.
+    /// Total DES events handled: calendar timers dispatched plus
+    /// processor completions fired.
     pub fn total_events(&self) -> u64 {
         self.user_ready_events
             + self.population_change_events

@@ -12,6 +12,10 @@
 //! list and re-enter the wheel as soon as the cursor reaches their
 //! top-level window.
 //!
+//! Each level keeps one `u64` **occupancy word**, bit `s` set while slot
+//! `s` holds an entry, so finding a level's next non-empty slot is a mask
+//! and a `trailing_zeros` instead of a walk over up to 64 `Vec`s.
+//!
 //! Within one level-0 tick, events are ordered by their exact `f64` time
 //! (then insertion sequence), so the pop order is *identical* to
 //! `EventQueue` — a property the cluster's bitwise-reproducibility pins
@@ -47,6 +51,10 @@ struct Entry<E> {
     seq: u64,
     event: E,
 }
+
+// Sixteen bytes of bookkeeping per entry: a 16-byte payload (what the
+// cluster's calendar carries) makes a 32-byte entry, two to a cache line.
+const _: () = assert!(std::mem::size_of::<Entry<[u64; 2]>>() == 32);
 
 impl<E> Entry<E> {
     /// `(time, seq)` precedes `other` — the calendar's total order.
@@ -86,6 +94,8 @@ pub struct TimerWheel<E> {
     /// `levels[l][s]` holds entries whose tick hashes to slot `s` of
     /// level `l` (possibly from a future lap; filtered on expiry).
     levels: Vec<Vec<Vec<Entry<E>>>>,
+    /// Bit `s` of `occupied[l]` is set iff `levels[l][s]` is non-empty.
+    occupied: [u64; LEVELS],
     /// Entries beyond the top-level horizon at insertion time.
     overflow: Vec<Entry<E>>,
     /// Smallest tick in `overflow` (`u64::MAX` when it is empty): the
@@ -127,6 +137,7 @@ impl<E> TimerWheel<E> {
             levels: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
+            occupied: [0; LEVELS],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
             ready: VecDeque::new(),
@@ -153,6 +164,7 @@ impl<E> TimerWheel<E> {
                 slot.clear();
             }
         }
+        self.occupied = [0; LEVELS];
         self.overflow.clear();
         self.overflow_min = u64::MAX;
         self.ready.clear();
@@ -193,6 +205,7 @@ impl<E> TimerWheel<E> {
             if (t ^ self.cursor) >> (BITS * (lvl as u32 + 1)) == 0 {
                 let slot = ((t >> (BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
                 self.levels[lvl][slot].push(entry);
+                self.occupied[lvl] |= 1 << slot;
                 self.in_wheel += 1;
                 return;
             }
@@ -207,19 +220,18 @@ impl<E> TimerWheel<E> {
     /// An unexpired level-`l` entry always shares the cursor's
     /// level-`l+1` slot (true at filing by construction, and preserved
     /// because the cursor is clamped to never pass a pending entry), so
-    /// scanning the aligned 64-slot window from the cursor's own slot
-    /// covers every entry of the level.
+    /// the occupancy bits of the aligned 64-slot window from the cursor's
+    /// own slot up cover every entry of the level.
     fn first_due(&self, lvl: usize) -> Option<(u64, u64)> {
         let shift = BITS * lvl as u32;
         let wstart = self.cursor >> shift;
-        let wend = (wstart | (SLOTS as u64 - 1)) + 1;
-        for s in wstart..wend {
-            let slot = (s & (SLOTS as u64 - 1)) as usize;
-            if !self.levels[lvl][slot].is_empty() {
-                return Some((s << shift, s));
-            }
+        let from = wstart & (SLOTS as u64 - 1);
+        let due = self.occupied[lvl] & (u64::MAX << from);
+        if due == 0 {
+            return None;
         }
-        None
+        let s = (wstart - from) + u64::from(due.trailing_zeros());
+        Some((s << shift, s))
     }
 
     /// Moves the cursor forward until `ready` holds the next run of
@@ -266,6 +278,7 @@ impl<E> TimerWheel<E> {
             let shift = BITS * lvl as u32;
             let slot = (s & (SLOTS as u64 - 1)) as usize;
             let due = std::mem::take(&mut self.levels[lvl][slot]);
+            self.occupied[lvl] &= !(1 << slot);
             self.in_wheel -= due.len();
             // Entering the slot: the cursor moves to its start (never
             // past any pending entry — all ticks in the slot are ≥ it).
