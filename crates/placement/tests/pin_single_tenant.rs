@@ -344,27 +344,27 @@ const SCENARIOS: [Scenario; 5] = [
     (
         "chain_scaling",
         scenario_chain_scaling,
-        pins(0xd698eaa21965d58c, 0x62b22ee6e69a6985),
+        pins(0xd698eaa21965d58c, 0x4645591a95f470e3),
     ),
     (
         "faults",
         scenario_faults,
-        pins(0x4f3d835124c41b09, 0x985bd894724cd17a),
+        pins(0x4f3d835124c41b09, 0x49a9e176e7970118),
     ),
     (
         "ramp_noise",
         scenario_ramp_noise,
-        pins(0xc1e092aeb14f5eef, 0x77412bdc974bc732),
+        pins(0xc1e092aeb14f5eef, 0xaf0a52eb5ed75c01),
     ),
     (
         "bursty",
         scenario_bursty,
-        pins(0xcc6d3a5183aa6cfb, 0x1d886fb9767913d2),
+        pins(0xcc6d3a5183aa6cfb, 0xe922f795988cdac5),
     ),
     (
         "spike_probe_trace",
         scenario_spike_probe_trace,
-        pins(0x502643ca44f8b728, 0xf30b317ebb0ad148),
+        pins(0x502643ca44f8b728, 0xcb6d3fcc9b894954),
     ),
 ];
 
