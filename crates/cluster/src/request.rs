@@ -411,3 +411,97 @@ impl Cluster {
         backend.request_complete(&mut ctx, local);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Event;
+    use crate::runtime::{Cluster, ClusterOptions};
+    use crate::spec::{AppSpec, EndpointId, ServiceId};
+    use atom_sim::processor::GroupId;
+    use atom_workload::{RequestMix, WorkloadSpec};
+
+    /// One service on one server, a deterministic 1 s job per request on
+    /// a one-core share (so a job alone finishes exactly 1.0 after it
+    /// starts), and two users who on their own never arrive: the tests
+    /// place arrivals by hand, at exact instants.
+    fn idle_cluster() -> Cluster {
+        let mut spec = AppSpec::new();
+        let node = spec.add_server("node", 4, 1.0);
+        let svc = spec.add_service("api", node, 8, 1, 1.0);
+        let ep = spec.add_endpoint(svc, "op", 1.0, 0.0);
+        spec.add_feature("op", svc, ep);
+        let workload = WorkloadSpec::constant(RequestMix::uniform(1), 2, 1e12);
+        let mut cluster = Cluster::new(&spec, workload, ClusterOptions::default()).unwrap();
+        cluster.set_probe(ServiceId(0), EndpointId(0));
+        cluster
+    }
+
+    #[test]
+    fn a_timer_at_the_instant_of_a_completion_goes_first() {
+        let mut cluster = idle_cluster();
+        // User 0 arrives at 1.0, so its job is due at exactly 2.0 — the
+        // instant user 1 arrives.
+        cluster.engine.push(1.0, Event::UserReady { user: 0 });
+        cluster.engine.push(2.0, Event::UserReady { user: 1 });
+        let report = cluster.run_window(4.0);
+        assert_eq!(report.feature_counts[0], 2);
+        // The arrival was handled first: it found the first job still on
+        // the CPU (had the completion gone first it would have seen an
+        // empty one). The completion then fired at the same instant, so
+        // neither request was slowed: each took its bare demand.
+        assert_eq!(
+            cluster.take_probe_samples(),
+            vec![(0.0, 1.0), (1.0, 1.0)],
+            "(jobs seen on arrival, response time) per request"
+        );
+        assert_eq!(cluster.telemetry().processor_check_events, 2);
+    }
+
+    #[test]
+    fn a_stale_due_entry_is_dropped_without_dispatch() {
+        let mut cluster = idle_cluster();
+        cluster.engine.push(1.0, Event::UserReady { user: 0 });
+        cluster.run_window(1.5);
+        let events = cluster.telemetry().total_events();
+        // A cap move with no reschedule behind it (what `kill_replica`
+        // does): the processor reallocates, the entry due at 2.0 was
+        // computed under the generation before.
+        cluster.fabric.processors[0].set_group_cap(1.5, GroupId(0), 1.0);
+        let report = cluster.run_window(1.0);
+        assert_eq!(report.feature_counts[0], 0, "the completion did not fire");
+        assert_eq!(
+            cluster.telemetry().total_events(),
+            events,
+            "and dropping it is not an event"
+        );
+        // The entry is gone, not deferred: only a reschedule brings the
+        // overdue job back, at the time of the reschedule.
+        let report = cluster.run_window(1.0);
+        assert_eq!(report.feature_counts[0], 0);
+        cluster.reschedule_processor(0);
+        let report = cluster.run_window(1.0);
+        assert_eq!(report.feature_counts[0], 1);
+        assert_eq!(cluster.take_probe_samples(), vec![(0.0, 2.5)]);
+        assert_eq!(cluster.telemetry().processor_check_events, 1);
+    }
+
+    #[test]
+    fn a_completion_at_the_window_end_belongs_to_that_window() {
+        let mut cluster = idle_cluster();
+        cluster.engine.push(1.0, Event::UserReady { user: 0 });
+        // Due at exactly 2.0 = the end of this window.
+        let report = cluster.run_window(2.0);
+        assert_eq!(report.feature_counts[0], 1);
+
+        // Due at 4.0, one ulp past a window ending just before it: that
+        // window must leave it for the next.
+        cluster.engine.push(3.0, Event::UserReady { user: 1 });
+        let just_before = f64::from_bits(4.0_f64.to_bits() - 1);
+        let report = cluster.run_window(just_before - 2.0);
+        assert_eq!(report.end, just_before);
+        assert_eq!(report.feature_counts[0], 0);
+        let report = cluster.run_window(1.0);
+        assert_eq!(report.feature_counts[0], 1);
+        assert_eq!(cluster.take_probe_samples(), vec![(0.0, 1.0), (0.0, 1.0)]);
+    }
+}

@@ -277,25 +277,27 @@ impl<E> TimerWheel<E> {
             let (start, lvl, s) = best.expect("in_wheel > 0 ⇒ some level has a due slot");
             let shift = BITS * lvl as u32;
             let slot = (s & (SLOTS as u64 - 1)) as usize;
-            let due = std::mem::take(&mut self.levels[lvl][slot]);
             self.occupied[lvl] &= !(1 << slot);
-            self.in_wheel -= due.len();
             // Entering the slot: the cursor moves to its start (never
             // past any pending entry — all ticks in the slot are ≥ it).
             self.cursor = self.cursor.max(start);
             if lvl == 0 {
-                // A level-0 slot is a single tick: expire it.
-                let mut due = due;
+                // A level-0 slot is a single tick: expire it. Draining
+                // leaves the slot its buffer for the next lap.
+                let due = &mut self.levels[0][slot];
+                self.in_wheel -= due.len();
                 due.sort_by(|a, b| {
                     a.time
                         .partial_cmp(&b.time)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then_with(|| a.seq.cmp(&b.seq))
                 });
-                self.ready.extend(due);
+                self.ready.extend(due.drain(..));
                 self.cursor = start + 1;
                 return true;
             }
+            let due = std::mem::take(&mut self.levels[lvl][slot]);
+            self.in_wheel -= due.len();
             // Cascade: each entry shares slot `s`, so with the cursor
             // now inside that slot it re-files at a strictly lower
             // level — the loop always makes progress.

@@ -129,3 +129,134 @@ fn matches_heap_across_top_level_windows_under_closed_loop_load() {
         }
     }
 }
+
+/// Pushes `(time, id)` into both calendars.
+fn push_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, time: f64, id: u64) {
+    heap.push(time, id);
+    wheel.push(time, id);
+}
+
+/// Pops both calendars until empty, asserting identical streams; returns
+/// the number of events popped.
+fn drain_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, what: &str) -> usize {
+    let mut popped = 0;
+    loop {
+        let h = heap.pop();
+        assert_eq!(h, wheel.pop(), "{what}: divergence after {popped} pops");
+        if h.is_none() {
+            return popped;
+        }
+        popped += 1;
+    }
+}
+
+#[test]
+fn matches_heap_on_sparse_schedules_across_every_level_boundary() {
+    // A handful of timers around each power of 64 ticks — the last tick
+    // of one level-l slot, the first of the next, the wrap from slot 63
+    // to the next lap — and nothing in between, so nearly every slot the
+    // occupancy search skips is empty and every level's word is used on
+    // both sides of the cursor's own slot.
+    const TICK: f64 = 0.5;
+    let mut heap = EventQueue::new();
+    let mut wheel = TimerWheel::with_tick(TICK);
+    let mut id = 0u64;
+    for level in 1..=4u32 {
+        let span = 64u64.pow(level);
+        for k in [1, 2, 31, 32, 63, 64, 65] {
+            let boundary = (k * span) as f64 * TICK;
+            for offset in [-1.5 * TICK, -0.25 * TICK, 0.0, 0.25 * TICK, 1.5 * TICK] {
+                push_both(&mut heap, &mut wheel, boundary + offset, id);
+                id += 1;
+            }
+        }
+    }
+    // Pop half of them with a sparse successor pushed after every pop:
+    // some land in the slot the cursor is in, some a level or two up.
+    let mut rng = SimRng::seed_from(77);
+    for n in 0..id / 2 {
+        let h = heap.pop();
+        assert_eq!(h, wheel.pop(), "divergence at pop {n}");
+        let (now, _) = h.unwrap();
+        let ahead = TICK * 64f64.powf(rng.uniform() * 4.2);
+        push_both(&mut heap, &mut wheel, now + ahead, id + n);
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+    }
+    let left = drain_both(&mut heap, &mut wheel, "sparse");
+    assert_eq!(left as u64, id);
+}
+
+#[test]
+fn matches_heap_when_overflow_refiles_more_than_once() {
+    // Timers one, two and three horizons out, pushed while nearer ones
+    // keep the wheel occupied: each re-filing puts the next window's
+    // timers in the wheel and sends the rest back to the overflow list.
+    const TICK: f64 = 0.125;
+    let horizon = TICK * (1u64 << 24) as f64;
+    let mut heap = EventQueue::new();
+    let mut wheel = TimerWheel::with_tick(TICK);
+    let mut rng = SimRng::seed_from(78);
+    let mut id = 0u64;
+    for windows_out in [3.0, 1.0, 2.0, 3.0, 1.0] {
+        for _ in 0..6 {
+            let t = (windows_out + rng.uniform()) * horizon;
+            push_both(&mut heap, &mut wheel, t, id);
+            id += 1;
+        }
+        // Two that tie exactly, across the horizon: FIFO must survive
+        // the trip through the overflow list.
+        let t = (windows_out + 0.5) * horizon;
+        push_both(&mut heap, &mut wheel, t, id);
+        push_both(&mut heap, &mut wheel, t, id + 1);
+        id += 2;
+    }
+    for _ in 0..40 {
+        push_both(&mut heap, &mut wheel, rng.uniform() * horizon, id);
+        id += 1;
+    }
+    // Pop through the first window with pushes landing in later ones.
+    for n in 0..30 {
+        let h = heap.pop();
+        assert_eq!(h, wheel.pop(), "divergence at pop {n}");
+        let (now, _) = h.unwrap();
+        push_both(&mut heap, &mut wheel, now + 1.25 * horizon, id + n);
+    }
+    let left = drain_both(&mut heap, &mut wheel, "overflow");
+    assert_eq!(left as u64, id);
+}
+
+#[test]
+fn a_cleared_wheel_is_as_good_as_new() {
+    // Fill every level and the overflow list, run the cursor part of the
+    // way in, clear, and use the wheel again: nothing of the first life —
+    // entries, occupancy bits, the overflow minimum — may leak into the
+    // second. The cursor stays where it was, so the second life's times
+    // start there.
+    const TICK: f64 = 0.01;
+    let mut wheel: TimerWheel<u64> = TimerWheel::with_tick(TICK);
+    let mut rng = SimRng::seed_from(79);
+    for i in 0..2000u64 {
+        let t = TICK * 64f64.powf(rng.uniform() * 4.5);
+        wheel.push(t, i);
+    }
+    let mut now = 0.0;
+    for _ in 0..500 {
+        now = wheel.pop().expect("2000 pushed").0;
+    }
+    assert!(!wheel.is_empty());
+    wheel.clear();
+    assert!(wheel.is_empty());
+    assert_eq!(wheel.peek_time(), None);
+    assert_eq!(wheel.pop(), None);
+
+    let mut heap = EventQueue::new();
+    for i in 0..2000u64 {
+        let t = now + TICK * 64f64.powf(rng.uniform() * 4.5);
+        push_both(&mut heap, &mut wheel, t, i);
+        if i % 3 == 2 {
+            assert_eq!(heap.pop(), wheel.pop(), "divergence in the second life");
+        }
+        assert_eq!(heap.len(), wheel.len());
+    }
+    drain_both(&mut heap, &mut wheel, "after clear");
+}
