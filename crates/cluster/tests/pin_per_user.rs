@@ -21,7 +21,10 @@
 //! five digests with them — `faults` and `ramp_noise` kept theirs.
 //! `crates/sim/tests/processor_oracle.rs` bounds that change against the
 //! old implementation. The single digest per scenario was then split in
-//! two, on unchanged behaviour.
+//! two, on unchanged behaviour, and the telemetry halves re-captured
+//! when processor completions left the calendar: a superseded or stale
+//! due time stopped being an event, so `processor_check_events` fell
+//! (by 14–47 %) with every reports half where it was.
 //!
 //! If a future PR changes the cluster dynamics *on purpose*, re-run
 //! `print_golden_digests` (`--ignored --nocapture`) and update the

@@ -5,6 +5,26 @@
 
 use atom_sim::{EventQueue, SimRng, TimerWheel};
 
+/// Pushes `(time, id)` into both calendars.
+fn push_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, time: f64, id: u64) {
+    heap.push(time, id);
+    wheel.push(time, id);
+}
+
+/// Pops both calendars until empty, asserting identical streams; returns
+/// the number of events popped.
+fn drain_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, what: &str) -> usize {
+    let mut popped = 0;
+    loop {
+        let h = heap.pop();
+        assert_eq!(h, wheel.pop(), "{what}: divergence after {popped} pops");
+        if h.is_none() {
+            return popped;
+        }
+        popped += 1;
+    }
+}
+
 /// Drives both calendars through the same randomised schedule and
 /// asserts identical pop streams.
 fn check_schedule(seed: u64, ops: usize, time_scale: f64, tie_prob: f64) {
@@ -27,8 +47,7 @@ fn check_schedule(seed: u64, ops: usize, time_scale: f64, tie_prob: f64) {
                 now + dt - if rng.uniform() < 0.1 { dt * 0.5 } else { 0.0 }
             };
             last_time = time;
-            heap.push(time, next_id);
-            wheel.push(time, next_id);
+            push_both(&mut heap, &mut wheel, time, next_id);
             next_id += 1;
         } else {
             let h = heap.pop();
@@ -40,15 +59,7 @@ fn check_schedule(seed: u64, ops: usize, time_scale: f64, tie_prob: f64) {
         }
         assert_eq!(heap.len(), wheel.len());
     }
-    // Drain both to the end.
-    loop {
-        let h = heap.pop();
-        let w = wheel.pop();
-        assert_eq!(h, w, "drain divergence (seed {seed})");
-        if h.is_none() {
-            break;
-        }
-    }
+    drain_both(&mut heap, &mut wheel, &format!("drain (seed {seed})"));
 }
 
 #[test]
@@ -102,13 +113,11 @@ fn matches_heap_across_top_level_windows_under_closed_loop_load() {
         let mut wheel = TimerWheel::with_tick(TICK);
         for user in 0..32u64 {
             let t = rng.exponential(window / 40.0);
-            heap.push(t, user);
-            wheel.push(t, user);
+            push_both(&mut heap, &mut wheel, t, user);
         }
         for k in 1..=4u64 {
             let t = k as f64 * window - TICK / 2.0;
-            heap.push(t, 100 + k);
-            wheel.push(t, 100 + k);
+            push_both(&mut heap, &mut wheel, t, 100 + k);
         }
         let mut now = 0.0f64;
         while now < 4.5 * window {
@@ -123,30 +132,9 @@ fn matches_heap_across_top_level_windows_under_closed_loop_load() {
                 window / 40_000.0
             };
             let next = now + rng.exponential(mean);
-            heap.push(next, user);
-            wheel.push(next, user);
+            push_both(&mut heap, &mut wheel, next, user);
             assert_eq!(heap.len(), wheel.len());
         }
-    }
-}
-
-/// Pushes `(time, id)` into both calendars.
-fn push_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, time: f64, id: u64) {
-    heap.push(time, id);
-    wheel.push(time, id);
-}
-
-/// Pops both calendars until empty, asserting identical streams; returns
-/// the number of events popped.
-fn drain_both(heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, what: &str) -> usize {
-    let mut popped = 0;
-    loop {
-        let h = heap.pop();
-        assert_eq!(h, wheel.pop(), "{what}: divergence after {popped} pops");
-        if h.is_none() {
-            return popped;
-        }
-        popped += 1;
     }
 }
 
