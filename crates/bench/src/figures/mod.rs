@@ -267,8 +267,23 @@ fn print_setup() {
     atom_obs::info!(
         "Table I  : case A: N=1000, fe share 0.2; case B: N=4000, fe share 1.0; mix 57/29/14, Z=7s"
     );
-    atom_obs::info!("Table V  : server-1: 4 cores @1.2 (router, front-end, carts-db)");
-    atom_obs::info!("           server-2: 4 cores @0.8 (catalogue, carts, catalogue-db)");
+    let spec = atom_sockshop::SockShop::default().app_spec();
+    for (i, server) in spec.servers.iter().enumerate() {
+        let hosted: Vec<&str> = spec
+            .services
+            .iter()
+            .filter(|s| s.server.0 == i)
+            .map(|s| s.name.as_str())
+            .collect();
+        atom_obs::info!(
+            "{} {}: {} cores @{} ({})",
+            if i == 0 { "Table V  :" } else { "          " },
+            server.name,
+            server.cores,
+            server.speed,
+            hosted.join(", ")
+        );
+    }
     atom_obs::info!("Table VI : browsing 63/32/5, shopping 54/26/20, ordering 33/17/50; N in {{1000,2000,3000}}, Z=7s");
     atom_obs::info!("protocol : 40-minute runs, workload ramps 500->N over the first 25 minutes, 5-minute windows");
 }

@@ -7,20 +7,11 @@ use std::sync::OnceLock;
 use atom_cluster::{Cluster, ClusterOptions, WindowReport};
 use atom_core::workload::{RequestMix, WorkloadSpec};
 use atom_lqn::analytic::{solve, SolverOptions};
-use atom_lqn::{LqnModel, LqnSolution};
+use atom_lqn::{LqnModel, LqnSolution, TaskId};
 use atom_sockshop::{scenarios, SockShop};
 
 use crate::output::{f, pct_err, Table};
 use crate::HarnessOptions;
-
-/// Validation service names, in the validation spec's service order.
-const SERVICES: [&str; 5] = [
-    "front-end",
-    "carts",
-    "catalogue",
-    "catalogue-db",
-    "carts-db",
-];
 
 /// One validation run: the analytic solution and the measured window.
 #[derive(Debug, Clone)]
@@ -65,27 +56,28 @@ pub fn run_workload(
     }
 }
 
-/// Per-service model-vs-measured TPS and utilisation for one run.
+/// Per-service model-vs-measured TPS and utilisation for one run. The
+/// LQN is derived from the spec, so its server tasks are the spec's
+/// services in the same order.
 fn service_rows(run: &ValidationRun) -> Vec<(String, f64, f64, f64, f64)> {
     // (name, model_tps, measured_tps, model_util, measured_util)
-    SERVICES
+    run.lqn
+        .tasks()
         .iter()
         .enumerate()
-        .map(|(si, name)| {
-            let task = run.lqn.task_by_name(name).expect("task");
-            let model_tps: f64 = run
-                .lqn
-                .task(task)
+        .filter(|(_, task)| !task.is_reference())
+        .map(|(si, task)| {
+            let model_tps: f64 = task
                 .entries
                 .iter()
                 .map(|&e| run.model.entry_throughput(e))
                 .sum();
             let measured_tps: f64 = run.measured.endpoint_tps[si].iter().sum();
             (
-                name.to_string(),
+                task.name.clone(),
                 model_tps,
                 measured_tps,
-                run.model.task_utilization(task),
+                run.model.task_utilization(TaskId(si)),
                 run.measured.service_utilization[si],
             )
         })
@@ -135,12 +127,12 @@ pub fn table3(runs: &[ValidationRun], opts: &HarnessOptions) {
         "Util err max",
         "Util err avg",
     ]);
-    for (si, name) in SERVICES.iter().enumerate() {
+    let rows: Vec<_> = runs.iter().map(service_rows).collect();
+    for (si, (name, ..)) in rows[0].iter().enumerate() {
         let mut tps_errors = Vec::new();
         let mut util_errors = Vec::new();
-        for run in runs {
-            let rows = service_rows(run);
-            let (_, m_tps, s_tps, m_u, s_u) = rows[si].clone();
+        for run in &rows {
+            let (_, m_tps, s_tps, m_u, s_u) = run[si].clone();
             tps_errors.push(pct_err(m_tps, s_tps));
             util_errors.push(pct_err(m_u, s_u));
         }
@@ -237,37 +229,32 @@ pub fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
         "paper model",
         "paper measured",
     ]);
-    let endpoints: [(&str, usize, &str); 10] = [
-        ("home", 0, "front-end/home"),
-        ("catalogue", 0, "front-end/catalogue"),
-        ("carts", 0, "front-end/carts"),
-        ("get", 1, "carts/get"),
-        ("add", 1, "carts/add"),
-        ("delete", 1, "carts/delete"),
-        ("list", 2, "catalogue/list"),
-        ("item", 2, "catalogue/item"),
-        ("cat-query", 3, "catalogue-db/query"),
-        ("cart-query", 4, "carts-db/query"),
-    ];
-    for (i, (entry_name, si, label)) in endpoints.iter().enumerate() {
-        let entry = run.lqn.entry_by_name(entry_name).expect("entry");
-        let model = run.model.entry_throughput(entry);
-        // Within a service, endpoint order matches the LQN entry order.
-        let local = run
+    let spec = SockShop::default().validation_app_spec(run.workload.single_host);
+    let endpoints = spec.services.iter().enumerate().flat_map(|(si, svc)| {
+        let rows = svc.endpoints.iter().enumerate();
+        rows.map(move |(ei, ep)| (si, ei, &svc.name, &ep.name))
+    });
+    for ((si, ei, service, endpoint), (label, paper_model, paper_measured)) in
+        endpoints.zip(PAPER_TPS)
+    {
+        assert_eq!(
+            label,
+            format!("{service}/{endpoint}"),
+            "paper rows follow the spec"
+        );
+        let entry = run
             .lqn
-            .task(run.lqn.entry(entry).task)
-            .entries
-            .iter()
-            .position(|&e| e == entry)
-            .expect("entry in its task");
-        let measured = run.measured.endpoint_tps[*si][local];
+            .entry_by_name(&format!("{service}.{endpoint}"))
+            .expect("derived entry");
+        let model = run.model.entry_throughput(entry);
+        let measured = run.measured.endpoint_tps[si][ei];
         table.row(vec![
             label.to_string(),
             f(model, 1),
             f(measured, 1),
             f(pct_err(model, measured), 1),
-            f(PAPER_TPS[i].1, 1),
-            f(PAPER_TPS[i].2, 1),
+            f(paper_model, 1),
+            f(paper_measured, 1),
         ]);
     }
     table.print();
@@ -281,26 +268,20 @@ pub fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
         "paper model",
         "paper measured",
     ]);
-    for (i, (name, _, _)) in [
-        ("front-end", 0, ""),
-        ("carts", 1, ""),
-        ("catalogue", 2, ""),
-        ("catalogue-db", 3, ""),
-        ("carts-db", 4, ""),
-    ]
-    .iter()
-    .enumerate()
+    for ((si, svc), (name, paper_model, paper_measured)) in
+        spec.services.iter().enumerate().zip(PAPER_UTIL)
     {
-        let task = run.lqn.task_by_name(name).expect("task");
+        assert_eq!(name, svc.name, "paper rows follow the spec");
+        let task = run.lqn.task_by_name(name).expect("derived task");
         let model = 100.0 * run.model.task_utilization(task);
-        let measured = 100.0 * run.measured.service_utilization[i];
+        let measured = 100.0 * run.measured.service_utilization[si];
         util.row(vec![
             name.to_string(),
             f(model, 1),
             f(measured, 1),
             f(pct_err(model, measured), 1),
-            f(PAPER_UTIL[i].1, 1),
-            f(PAPER_UTIL[i].2, 1),
+            f(paper_model, 1),
+            f(paper_measured, 1),
         ]);
     }
     util.print();

@@ -162,10 +162,9 @@ impl ModelBinding {
     /// topology (co-located pairs price at zero). Calls issued by the
     /// reference task stay free, mirroring the simulated fabric, which
     /// never charges root requests. The mapping is placement-intrinsic —
-    /// processor index `i` is server `i` of the topology, the invariant
-    /// every model-construction path in this workspace maintains — so it
-    /// works for hand-built LQNs and [`ModelBinding::from_app_spec`]
-    /// bindings alike.
+    /// processor index `i` is server `i` of the topology, which
+    /// [`ModelBinding::from_app_spec`] guarantees by construction; a
+    /// binding built by hand must list its processors in server order.
     ///
     /// Call this whenever the cluster runs with
     /// [`ClusterOptions::with_topology`] — the LQN then predicts the

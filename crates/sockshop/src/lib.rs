@@ -4,26 +4,23 @@
 //! that the reproduction's "measurements" land near the published
 //! numbers.
 //!
-//! Two deployments are modelled:
+//! Two deployments are modelled: [`SockShop::validation_app_spec`], the
+//! §III-C validation subset used for Tables III/IV and Fig. 5, and
+//! [`SockShop::app_spec`], the §V evaluation deployment of Table V used
+//! for Figs. 7–13.
 //!
-//! * [`SockShop::validation_app_spec`] — the §III-C validation subset
-//!   (no router; front-end + carts service on server 1, catalogue
-//!   service + both databases on server 2, one core online per server),
-//!   used for Tables III/IV and Fig. 5;
-//! * [`SockShop::app_spec`] — the §V evaluation deployment of Table V
-//!   (router, front-end and carts-db on the 4-core 1.2 GHz server;
-//!   catalogue service, carts service and catalogue-db on the 4-core
-//!   0.8 GHz server), used for Figs. 7–13.
-//!
-//! [`SockShop::lqn_model`] builds the matching LQN (Fig. 3) and
-//! [`SockShop::binding`] the controller knowledge base. Demands are
-//! CPU-milliseconds at a 1.0-GHz reference; they were calibrated against
-//! Table IV (workload 1, N = 3000): e.g. the front-end's measured 387.8
-//! requests/s at 65.9–75.2% of one 1.2 GHz core pins its mean demand near
-//! 2.3 ms, and the cart database's 44–48% at 55.6 requests/s pins its
-//! query cost near 6.4 ms. Front-end entries carry ~0.55–0.75 s of pure
-//! (non-CPU) latency so that the closed-loop response time reproduces the
-//! paper's ~388 TPS at N = 3000, Z = 7 s.
+//! The application is described once — services, endpoints, call graph —
+//! and each deployment is a placement table over that description; the
+//! LQNs (Fig. 3, [`SockShop::lqn_model`]) and the controller knowledge
+//! base ([`SockShop::binding`]) are derived from the resulting `AppSpec`
+//! by [`ModelBinding::from_app_spec`]. Demands are CPU-milliseconds at a
+//! 1.0-GHz reference; they were calibrated against Table IV (workload 1,
+//! N = 3000): e.g. the front-end's measured 387.8 requests/s at 65.9–75.2%
+//! of one 1.2 GHz core pins its mean demand near 2.3 ms, and the cart
+//! database's 44–48% at 55.6 requests/s pins its query cost near 6.4 ms.
+//! Front-end entries carry ~0.55–0.75 s of pure (non-CPU) latency so that
+//! the closed-loop response time reproduces the paper's ~388 TPS at
+//! N = 3000, Z = 7 s.
 //!
 //! Feature order everywhere: `0 = home`, `1 = catalogue`, `2 = carts`.
 //!
@@ -42,9 +39,9 @@
 
 pub mod scenarios;
 
-use atom_cluster::{AppSpec, ServiceId};
-use atom_core::{ModelBinding, ObjectiveSpec, ServiceBinding};
-use atom_lqn::{EntryId, LqnModel, TaskId};
+use atom_cluster::{AppSpec, EndpointId, ServerId, ServiceId};
+use atom_core::{ModelBinding, ObjectiveSpec};
+use atom_lqn::LqnModel;
 
 /// Index of the `home` feature.
 pub const FEATURE_HOME: usize = 0;
@@ -53,8 +50,8 @@ pub const FEATURE_CATALOGUE: usize = 1;
 /// Index of the `carts` feature.
 pub const FEATURE_CARTS: usize = 2;
 
-/// Names of the six microservices, in the service-id order used by every
-/// builder in this crate.
+/// Names of the six microservices, in the service-id order of the
+/// evaluation deployment (the validation subset has ids of its own).
 pub const SERVICE_NAMES: [&str; 6] = [
     "router",
     "front-end",
@@ -126,219 +123,141 @@ impl Default for SockShop {
     }
 }
 
-impl SockShop {
-    // ------------------------------------------------------------------
-    // evaluation deployment (Table V)
-    // ------------------------------------------------------------------
+/// One service of a deployment: `(service, server index, CPU share per
+/// replica, max replicas, start-up delay)`.
+type Placement = (usize, usize, f64, usize, f64);
 
-    /// The §V evaluation deployment: Table V servers, initial
-    /// configuration sized for 500 browsing users.
+impl SockShop {
+    /// The one description of the Sock Shop (Fig. 1 / Fig. 3): what each
+    /// service is, which endpoints it exposes at what cost, and who calls
+    /// whom — deployed on `servers` (`(name, cores, speed)`) as
+    /// `placements`, in service-id order, says. A service the deployment
+    /// leaves out (the validation subset has no router) takes its endpoints
+    /// and calls with it; requests enter at the router when there is one
+    /// and at the front-end otherwise.
+    fn deploy(&self, servers: &[(&str, usize, f64)], placements: &[Placement]) -> AppSpec {
+        let mut spec = AppSpec::new();
+        for &(name, cores, speed) in servers {
+            spec.add_server(name, cores, speed);
+        }
+        let mut ids: [Option<ServiceId>; 6] = [None; 6];
+        for &(svc, server, share, max_replicas, startup_delay) in placements {
+            let (threads, parallelism, stateful) = match svc {
+                SVC_ROUTER => (512, Some(4), true),
+                SVC_FRONT_END => (1024, Some(1), false), // Node.js event loop
+                SVC_CATALOGUE | SVC_CARTS => (64, None, false),
+                _ => (32, None, true), // the two databases
+            };
+            let id = spec.add_service(SERVICE_NAMES[svc], ServerId(server), threads, 1, share);
+            let service = spec.service_mut(id);
+            service.parallelism = parallelism;
+            service.stateful = stateful;
+            service.max_replicas = max_replicas;
+            service.startup_delay = startup_delay;
+            ids[svc] = Some(id);
+        }
+        // Calls (Fig. 1 / Table IV) as (callee, endpoint, mean): the router
+        // forwards each feature to the front-end, the catalogue feature
+        // fans to list + item, the carts feature spreads uniformly over
+        // get / add / delete, and each of those queries its database once.
+        let forward = [0, 1, 2].map(|feature| [(SVC_FRONT_END, feature, 1.0)]);
+        let list_or_item = [(SVC_CATALOGUE, 0, 0.5), (SVC_CATALOGUE, 1, 0.5)];
+        let any_cart_op = [0, 1, 2].map(|op| (SVC_CARTS, op, 1.0 / 3.0));
+        let (cat_query, cart_query) = ([(SVC_CATALOGUE_DB, 0, 1.0)], [(SVC_CARTS_DB, 0, 1.0)]);
+        // (service, endpoint, demand, latency, calls), callees before
+        // callers so that every call finds its target. An endpoint's local
+        // id is its position among its service's rows.
+        type Calls<'a> = &'a [(usize, usize, f64)];
+        #[rustfmt::skip]
+        let endpoints: [(usize, &str, f64, f64, Calls); 13] = [
+            (SVC_CATALOGUE_DB, "query",           self.d_catalogue_db,  0.0,              &[]),
+            (SVC_CARTS_DB,     "query",           self.d_carts_db,      0.0,              &[]),
+            (SVC_CATALOGUE,    "list",            self.d_catalogue_svc, 0.0,              &cat_query),
+            (SVC_CATALOGUE,    "item",            self.d_catalogue_svc, 0.0,              &cat_query),
+            (SVC_CARTS,        "get",             self.d_carts_svc,     0.0,              &cart_query),
+            (SVC_CARTS,        "add",             self.d_carts_svc,     0.0,              &cart_query),
+            (SVC_CARTS,        "delete",          self.d_carts_svc,     0.0,              &cart_query),
+            (SVC_FRONT_END,    "home",            self.d_home,          self.l_home,      &[]),
+            (SVC_FRONT_END,    "catalogue",       self.d_catalogue,     self.l_catalogue, &list_or_item),
+            (SVC_FRONT_END,    "carts",           self.d_carts,         self.l_carts,     &any_cart_op),
+            (SVC_ROUTER,       "route-home",      self.d_router,        0.0,              &forward[0]),
+            (SVC_ROUTER,       "route-catalogue", self.d_router,        0.0,              &forward[1]),
+            (SVC_ROUTER,       "route-carts",     self.d_router,        0.0,              &forward[2]),
+        ];
+        for (svc, name, demand, latency, calls) in endpoints {
+            let Some(id) = ids[svc] else { continue };
+            let endpoint = spec.add_endpoint(id, name, demand, self.demand_cv);
+            spec.set_latency(id, endpoint, latency);
+            for &(to, to_endpoint, mean) in calls {
+                if let Some(to) = ids[to] {
+                    spec.add_call(id, endpoint, to, EndpointId(to_endpoint), mean);
+                }
+            }
+        }
+        // Feature `i` enters at endpoint `i` of the outermost service.
+        if let Some(front) = ids[SVC_ROUTER].or(ids[SVC_FRONT_END]) {
+            for (i, name) in ["home", "catalogue", "carts"].into_iter().enumerate() {
+                spec.add_feature(name, front, EndpointId(i));
+            }
+        }
+        spec
+    }
+
+    /// The §V evaluation deployment: router, front-end and carts-db on the
+    /// 4-core 1.2 GHz server of Table V, catalogue service, carts service
+    /// and catalogue-db on the 4-core 0.8 GHz one; initial configuration
+    /// sized for 500 browsing users. Service ids are the `SVC_*` constants.
     pub fn app_spec(&self) -> AppSpec {
-        self.app_spec_with(false)
+        self.deploy(
+            &[("server-1", 4, 1.2), ("server-2", 4, 0.8)],
+            &[
+                (SVC_ROUTER, 0, 0.15, 1, 2.0),
+                (SVC_FRONT_END, 0, 0.2, 8, 4.0),
+                (SVC_CATALOGUE, 1, 0.05, 8, 3.0),
+                (SVC_CARTS, 1, 0.08, 8, 6.0), // JVM start-up
+                (SVC_CATALOGUE_DB, 1, 0.1, 1, 2.0),
+                (SVC_CARTS_DB, 0, 0.12, 1, 2.0),
+            ],
+        )
     }
 
     /// Same, but with every *stateful* service pre-allocated one full
     /// core — the setup the paper uses when evaluating UH (which cannot
     /// scale stateful services).
     pub fn app_spec_stateful_full_core(&self) -> AppSpec {
-        self.app_spec_with(true)
-    }
-
-    fn app_spec_with(&self, stateful_full_core: bool) -> AppSpec {
-        let mut spec = AppSpec::new();
-        let s1 = spec.add_server("server-1", 4, 1.2);
-        let s2 = spec.add_server("server-2", 4, 0.8);
-
-        let stateful_share = |normal: f64| if stateful_full_core { 1.0 } else { normal };
-
-        // Order must match SERVICE_NAMES / SVC_* constants.
-        let router = spec.add_service("router", s1, 512, 1, stateful_share(0.15));
-        spec.service_mut(router).stateful = true;
-        spec.service_mut(router).parallelism = Some(4);
-        spec.service_mut(router).max_replicas = 1;
-
-        let fe = spec.add_service("front-end", s1, 1024, 1, 0.2);
-        spec.service_mut(fe).parallelism = Some(1); // Node.js event loop
-        spec.service_mut(fe).max_replicas = 8;
-        spec.service_mut(fe).startup_delay = 4.0;
-
-        let catalogue = spec.add_service("catalogue", s2, 64, 1, 0.05);
-        spec.service_mut(catalogue).max_replicas = 8;
-        spec.service_mut(catalogue).startup_delay = 3.0;
-
-        let carts = spec.add_service("carts", s2, 64, 1, 0.08);
-        spec.service_mut(carts).max_replicas = 8;
-        spec.service_mut(carts).startup_delay = 6.0; // JVM start-up
-
-        let catalogue_db = spec.add_service("catalogue-db", s2, 32, 1, stateful_share(0.1));
-        spec.service_mut(catalogue_db).stateful = true;
-        spec.service_mut(catalogue_db).max_replicas = 1;
-
-        let carts_db = spec.add_service("carts-db", s1, 32, 1, stateful_share(0.12));
-        spec.service_mut(carts_db).stateful = true;
-        spec.service_mut(carts_db).max_replicas = 1;
-
-        // Endpoints.
-        let r_home = spec.add_endpoint(router, "route-home", self.d_router, self.demand_cv);
-        let r_cat = spec.add_endpoint(router, "route-catalogue", self.d_router, self.demand_cv);
-        let r_cart = spec.add_endpoint(router, "route-carts", self.d_router, self.demand_cv);
-        let f_home = spec.add_endpoint(fe, "home", self.d_home, self.demand_cv);
-        let f_cat = spec.add_endpoint(fe, "catalogue", self.d_catalogue, self.demand_cv);
-        let f_cart = spec.add_endpoint(fe, "carts", self.d_carts, self.demand_cv);
-        spec.set_latency(fe, f_home, self.l_home);
-        spec.set_latency(fe, f_cat, self.l_catalogue);
-        spec.set_latency(fe, f_cart, self.l_carts);
-        let c_list = spec.add_endpoint(catalogue, "list", self.d_catalogue_svc, self.demand_cv);
-        let c_item = spec.add_endpoint(catalogue, "item", self.d_catalogue_svc, self.demand_cv);
-        let k_get = spec.add_endpoint(carts, "get", self.d_carts_svc, self.demand_cv);
-        let k_add = spec.add_endpoint(carts, "add", self.d_carts_svc, self.demand_cv);
-        let k_del = spec.add_endpoint(carts, "delete", self.d_carts_svc, self.demand_cv);
-        let cdb_q = spec.add_endpoint(catalogue_db, "query", self.d_catalogue_db, self.demand_cv);
-        let kdb_q = spec.add_endpoint(carts_db, "query", self.d_carts_db, self.demand_cv);
-
-        // Call graph (Fig. 1 / Table IV): router → front-end; the
-        // catalogue feature fans to list+item (0.5 each), each querying
-        // the catalogue db once; the carts feature spreads uniformly over
-        // get/add/delete, each querying the carts db once.
-        spec.add_call(router, r_home, fe, f_home, 1.0);
-        spec.add_call(router, r_cat, fe, f_cat, 1.0);
-        spec.add_call(router, r_cart, fe, f_cart, 1.0);
-        spec.add_call(fe, f_cat, catalogue, c_list, 0.5);
-        spec.add_call(fe, f_cat, catalogue, c_item, 0.5);
-        spec.add_call(fe, f_cart, carts, k_get, 1.0 / 3.0);
-        spec.add_call(fe, f_cart, carts, k_add, 1.0 / 3.0);
-        spec.add_call(fe, f_cart, carts, k_del, 1.0 / 3.0);
-        spec.add_call(catalogue, c_list, catalogue_db, cdb_q, 1.0);
-        spec.add_call(catalogue, c_item, catalogue_db, cdb_q, 1.0);
-        spec.add_call(carts, k_get, carts_db, kdb_q, 1.0);
-        spec.add_call(carts, k_add, carts_db, kdb_q, 1.0);
-        spec.add_call(carts, k_del, carts_db, kdb_q, 1.0);
-
-        spec.add_feature("home", router, r_home);
-        spec.add_feature("catalogue", router, r_cat);
-        spec.add_feature("carts", router, r_cart);
+        let mut spec = self.app_spec();
+        for service in spec.services.iter_mut().filter(|s| s.stateful) {
+            service.initial_share = 1.0;
+        }
         spec
     }
 
-    /// The evaluation LQN (Fig. 3): same topology/demands as
-    /// [`SockShop::app_spec`], with `users` clients at `think_time` and
-    /// the given request `mix` (home/catalogue/carts fractions).
+    /// The evaluation LQN (Fig. 3), the model of [`SockShop::binding`]:
+    /// `users` clients at `think_time` issuing the request `mix`
+    /// (home/catalogue/carts fractions).
     ///
     /// # Panics
     ///
     /// Panics if `mix` does not have three entries.
     pub fn lqn_model(&self, users: usize, think_time: f64, mix: &[f64]) -> LqnModel {
-        assert_eq!(mix.len(), 3, "mix must be [home, catalogue, carts]");
-        let (model, _) = self.lqn_with_ids(users, think_time, mix);
-        model
-    }
-
-    /// The evaluation LQN plus the ids needed for bindings.
-    fn lqn_with_ids(&self, users: usize, think_time: f64, mix: &[f64]) -> (LqnModel, SockShopIds) {
-        let mut m = LqnModel::new();
-        let p1 = m.add_processor("server-1", 4, 1.2);
-        let p2 = m.add_processor("server-2", 4, 0.8);
-
-        let router = m.add_task("router", p1, 512, 1).unwrap();
-        m.set_parallelism(router, Some(4)).unwrap();
-        m.set_cpu_share(router, Some(0.15)).unwrap();
-        let fe = m.add_task("front-end", p1, 1024, 1).unwrap();
-        m.set_parallelism(fe, Some(1)).unwrap();
-        m.set_cpu_share(fe, Some(0.2)).unwrap();
-        let catalogue = m.add_task("catalogue", p2, 64, 1).unwrap();
-        m.set_cpu_share(catalogue, Some(0.05)).unwrap();
-        let carts = m.add_task("carts", p2, 64, 1).unwrap();
-        m.set_cpu_share(carts, Some(0.08)).unwrap();
-        let catalogue_db = m.add_task("catalogue-db", p2, 32, 1).unwrap();
-        m.set_cpu_share(catalogue_db, Some(0.1)).unwrap();
-        let carts_db = m.add_task("carts-db", p1, 32, 1).unwrap();
-        m.set_cpu_share(carts_db, Some(0.12)).unwrap();
-
-        let r_home = m.add_entry("route-home", router, self.d_router).unwrap();
-        let r_cat = m
-            .add_entry("route-catalogue", router, self.d_router)
-            .unwrap();
-        let r_cart = m.add_entry("route-carts", router, self.d_router).unwrap();
-        let f_home = m.add_entry("home", fe, self.d_home).unwrap();
-        let f_cat = m.add_entry("catalogue", fe, self.d_catalogue).unwrap();
-        let f_cart = m.add_entry("carts", fe, self.d_carts).unwrap();
-        m.set_latency(f_home, self.l_home).unwrap();
-        m.set_latency(f_cat, self.l_catalogue).unwrap();
-        m.set_latency(f_cart, self.l_carts).unwrap();
-        let c_list = m
-            .add_entry("list", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let c_item = m
-            .add_entry("item", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let k_get = m.add_entry("get", carts, self.d_carts_svc).unwrap();
-        let k_add = m.add_entry("add", carts, self.d_carts_svc).unwrap();
-        let k_del = m.add_entry("delete", carts, self.d_carts_svc).unwrap();
-        let cdb_q = m
-            .add_entry("cat-query", catalogue_db, self.d_catalogue_db)
-            .unwrap();
-        let kdb_q = m
-            .add_entry("cart-query", carts_db, self.d_carts_db)
-            .unwrap();
-
-        m.add_call(r_home, f_home, 1.0).unwrap();
-        m.add_call(r_cat, f_cat, 1.0).unwrap();
-        m.add_call(r_cart, f_cart, 1.0).unwrap();
-        m.add_call(f_cat, c_list, 0.5).unwrap();
-        m.add_call(f_cat, c_item, 0.5).unwrap();
-        m.add_call(f_cart, k_get, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_add, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_del, 1.0 / 3.0).unwrap();
-        m.add_call(c_list, cdb_q, 1.0).unwrap();
-        m.add_call(c_item, cdb_q, 1.0).unwrap();
-        m.add_call(k_get, kdb_q, 1.0).unwrap();
-        m.add_call(k_add, kdb_q, 1.0).unwrap();
-        m.add_call(k_del, kdb_q, 1.0).unwrap();
-
-        let client = m.add_reference_task("users", users, think_time).unwrap();
-        let ce = m.reference_entry(client).unwrap();
-        m.add_call(ce, r_home, mix[0]).unwrap();
-        m.add_call(ce, r_cat, mix[1]).unwrap();
-        m.add_call(ce, r_cart, mix[2]).unwrap();
-
-        (
-            m,
-            SockShopIds {
-                client,
-                tasks: [router, fe, catalogue, carts, catalogue_db, carts_db],
-                features: [r_home, r_cat, r_cart],
-            },
-        )
+        self.binding(users, think_time, mix).model
     }
 
     /// The controller knowledge base for the evaluation deployment:
-    /// LQN template + service mappings + scaling bounds.
+    /// LQN template + service mappings + scaling bounds, derived from
+    /// [`SockShop::app_spec`]. The replica bounds are the spec's; so are
+    /// the share bounds, except that this scenario does not let the
+    /// vertical-only services (router and the two databases) drop below
+    /// a tenth of a core.
     pub fn binding(&self, users: usize, think_time: f64, mix: &[f64]) -> ModelBinding {
-        let (model, ids) = self.lqn_with_ids(users, think_time, mix);
-        let bounds: [(usize, (f64, f64)); 6] = [
-            (1, (0.1, 4.0)),  // router: vertical only, multi-threaded
-            (8, (0.05, 1.0)), // front-end: single-threaded, horizontal past 1 core
-            (8, (0.05, 1.0)), // catalogue
-            (8, (0.05, 1.0)), // carts
-            (1, (0.1, 4.0)),  // catalogue-db
-            (1, (0.1, 4.0)),  // carts-db
-        ];
-        let services = (0..6)
-            .map(|i| ServiceBinding {
-                name: SERVICE_NAMES[i].to_string(),
-                service: ServiceId(i),
-                task: ids.tasks[i],
-                scalable: true,
-                max_replicas: bounds[i].0,
-                share_bounds: bounds[i].1,
-            })
-            .collect();
-        ModelBinding {
-            model,
-            client: ids.client,
-            services,
-            feature_entries: ids.features.to_vec(),
+        let spec = self.app_spec();
+        let mut binding = ModelBinding::from_app_spec(&spec, users, think_time, mix);
+        for (service, deployed) in binding.services.iter_mut().zip(&spec.services) {
+            if deployed.stateful {
+                service.share_bounds.0 = 0.1;
+            }
         }
+        binding
     }
 
     /// The paper's objective for the Sock Shop: carts transactions carry
@@ -347,19 +266,18 @@ impl SockShop {
     /// accept slightly-saturated equilibria with zero headroom), an 80%
     /// utilisation cap, and the Table V server capacities.
     pub fn objective(&self) -> ObjectiveSpec {
+        let servers = self.app_spec().servers;
         ObjectiveSpec {
             feature_weights: vec![1.0, 2.0, 5.0],
             tau_revenue: 1.0,
             tau_cost: 0.25,
             sla_response: vec![1.5, 1.5, 1.5],
             max_utilization: 0.8,
-            server_capacity: vec![(0, 4.0), (1, 4.0)],
+            server_capacity: (0..servers.len())
+                .map(|i| (i, servers[i].cores as f64))
+                .collect(),
         }
     }
-
-    // ------------------------------------------------------------------
-    // validation deployment (§III-C)
-    // ------------------------------------------------------------------
 
     /// The §III-C validation subset: no router; front-end + carts service
     /// on server 1 (1.2 GHz), catalogue service + both databases on
@@ -367,51 +285,18 @@ impl SockShop {
     /// collapses everything onto one server (the Docker-compose setup of
     /// workloads 2 and 4).
     pub fn validation_app_spec(&self, single_host: bool) -> AppSpec {
-        let mut spec = AppSpec::new();
-        let s1 = spec.add_server("server-1", 1, 1.2);
-        let s2 = if single_host {
-            s1
-        } else {
-            spec.add_server("server-2", 1, 0.8)
-        };
-        let fe = spec.add_service("front-end", s1, 1024, 1, 1.0);
-        spec.service_mut(fe).parallelism = Some(1);
-        let carts = spec.add_service("carts", s1, 64, 1, 1.0);
-        let catalogue = spec.add_service("catalogue", s2, 64, 1, 1.0);
-        let catalogue_db = spec.add_service("catalogue-db", s2, 32, 1, 1.0);
-        spec.service_mut(catalogue_db).stateful = true;
-        let carts_db = spec.add_service("carts-db", s2, 32, 1, 1.0);
-        spec.service_mut(carts_db).stateful = true;
-
-        let f_home = spec.add_endpoint(fe, "home", self.d_home, self.demand_cv);
-        let f_cat = spec.add_endpoint(fe, "catalogue", self.d_catalogue, self.demand_cv);
-        let f_cart = spec.add_endpoint(fe, "carts", self.d_carts, self.demand_cv);
-        spec.set_latency(fe, f_home, self.l_home);
-        spec.set_latency(fe, f_cat, self.l_catalogue);
-        spec.set_latency(fe, f_cart, self.l_carts);
-        let c_list = spec.add_endpoint(catalogue, "list", self.d_catalogue_svc, self.demand_cv);
-        let c_item = spec.add_endpoint(catalogue, "item", self.d_catalogue_svc, self.demand_cv);
-        let k_get = spec.add_endpoint(carts, "get", self.d_carts_svc, self.demand_cv);
-        let k_add = spec.add_endpoint(carts, "add", self.d_carts_svc, self.demand_cv);
-        let k_del = spec.add_endpoint(carts, "delete", self.d_carts_svc, self.demand_cv);
-        let cdb_q = spec.add_endpoint(catalogue_db, "query", self.d_catalogue_db, self.demand_cv);
-        let kdb_q = spec.add_endpoint(carts_db, "query", self.d_carts_db, self.demand_cv);
-
-        spec.add_call(fe, f_cat, catalogue, c_list, 0.5);
-        spec.add_call(fe, f_cat, catalogue, c_item, 0.5);
-        spec.add_call(fe, f_cart, carts, k_get, 1.0 / 3.0);
-        spec.add_call(fe, f_cart, carts, k_add, 1.0 / 3.0);
-        spec.add_call(fe, f_cart, carts, k_del, 1.0 / 3.0);
-        spec.add_call(catalogue, c_list, catalogue_db, cdb_q, 1.0);
-        spec.add_call(catalogue, c_item, catalogue_db, cdb_q, 1.0);
-        spec.add_call(carts, k_get, carts_db, kdb_q, 1.0);
-        spec.add_call(carts, k_add, carts_db, kdb_q, 1.0);
-        spec.add_call(carts, k_del, carts_db, kdb_q, 1.0);
-
-        spec.add_feature("home", fe, f_home);
-        spec.add_feature("catalogue", fe, f_cat);
-        spec.add_feature("carts", fe, f_cart);
-        spec
+        let servers = [("server-1", 1, 1.2), ("server-2", 1, 0.8)];
+        let s2 = usize::from(!single_host);
+        // A full core each; never scaled, so the `AppSpec` defaults stand.
+        let placements = [
+            (SVC_FRONT_END, 0),
+            (SVC_CARTS, 0),
+            (SVC_CATALOGUE, s2),
+            (SVC_CATALOGUE_DB, s2),
+            (SVC_CARTS_DB, s2),
+        ]
+        .map(|(svc, server)| (svc, server, 1.0, 16, 2.0));
+        self.deploy(&servers[..=s2], &placements)
     }
 
     /// The validation LQN matching [`SockShop::validation_app_spec`]
@@ -428,69 +313,9 @@ impl SockShop {
         mix: &[f64],
         single_host: bool,
     ) -> LqnModel {
-        assert_eq!(mix.len(), 3, "mix must be [home, catalogue, carts]");
-        let mut m = LqnModel::new();
-        let p1 = m.add_processor("server-1", 1, 1.2);
-        let p2 = if single_host {
-            p1
-        } else {
-            m.add_processor("server-2", 1, 0.8)
-        };
-        let fe = m.add_task("front-end", p1, 1024, 1).unwrap();
-        m.set_parallelism(fe, Some(1)).unwrap();
-        let carts = m.add_task("carts", p1, 64, 1).unwrap();
-        let catalogue = m.add_task("catalogue", p2, 64, 1).unwrap();
-        let catalogue_db = m.add_task("catalogue-db", p2, 32, 1).unwrap();
-        let carts_db = m.add_task("carts-db", p2, 32, 1).unwrap();
-
-        let f_home = m.add_entry("home", fe, self.d_home).unwrap();
-        let f_cat = m.add_entry("catalogue", fe, self.d_catalogue).unwrap();
-        let f_cart = m.add_entry("carts", fe, self.d_carts).unwrap();
-        m.set_latency(f_home, self.l_home).unwrap();
-        m.set_latency(f_cat, self.l_catalogue).unwrap();
-        m.set_latency(f_cart, self.l_carts).unwrap();
-        let c_list = m
-            .add_entry("list", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let c_item = m
-            .add_entry("item", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let k_get = m.add_entry("get", carts, self.d_carts_svc).unwrap();
-        let k_add = m.add_entry("add", carts, self.d_carts_svc).unwrap();
-        let k_del = m.add_entry("delete", carts, self.d_carts_svc).unwrap();
-        let cdb_q = m
-            .add_entry("cat-query", catalogue_db, self.d_catalogue_db)
-            .unwrap();
-        let kdb_q = m
-            .add_entry("cart-query", carts_db, self.d_carts_db)
-            .unwrap();
-
-        m.add_call(f_cat, c_list, 0.5).unwrap();
-        m.add_call(f_cat, c_item, 0.5).unwrap();
-        m.add_call(f_cart, k_get, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_add, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_del, 1.0 / 3.0).unwrap();
-        m.add_call(c_list, cdb_q, 1.0).unwrap();
-        m.add_call(c_item, cdb_q, 1.0).unwrap();
-        m.add_call(k_get, kdb_q, 1.0).unwrap();
-        m.add_call(k_add, kdb_q, 1.0).unwrap();
-        m.add_call(k_del, kdb_q, 1.0).unwrap();
-
-        let client = m.add_reference_task("users", users, think_time).unwrap();
-        let ce = m.reference_entry(client).unwrap();
-        m.add_call(ce, f_home, mix[0]).unwrap();
-        m.add_call(ce, f_cat, mix[1]).unwrap();
-        m.add_call(ce, f_cart, mix[2]).unwrap();
-        m
+        let spec = self.validation_app_spec(single_host);
+        ModelBinding::from_app_spec(&spec, users, think_time, mix).model
     }
-}
-
-/// Ids produced alongside the evaluation LQN.
-#[derive(Debug, Clone, Copy)]
-struct SockShopIds {
-    client: TaskId,
-    tasks: [TaskId; 6],
-    features: [EntryId; 3],
 }
 
 #[cfg(test)]
@@ -570,6 +395,36 @@ mod tests {
     }
 
     #[test]
+    fn scaling_bounds_are_the_spec_rule_plus_the_stateful_floor() {
+        let binding = SockShop::default().binding(500, 7.0, &[0.63, 0.32, 0.05]);
+        let bounds: Vec<_> = binding
+            .services
+            .iter()
+            .map(|s| (s.name.as_str(), s.max_replicas, s.share_bounds))
+            .collect();
+        assert_eq!(
+            bounds,
+            [
+                ("router", 1, (0.1, 4.0)),
+                ("front-end", 8, (0.05, 1.0)),
+                ("catalogue", 8, (0.05, 1.0)),
+                ("carts", 8, (0.05, 1.0)),
+                ("catalogue-db", 1, (0.1, 4.0)),
+                ("carts-db", 1, (0.1, 4.0)),
+            ]
+        );
+        assert!(binding.services.iter().all(|s| s.scalable));
+    }
+
+    #[test]
+    fn objective_capacity_is_table_v() {
+        assert_eq!(
+            SockShop::default().objective().server_capacity,
+            [(0, 4.0), (1, 4.0)]
+        );
+    }
+
+    #[test]
     fn initial_config_handles_500_browsing_users() {
         let shop = SockShop::default();
         let model = shop.lqn_model(500, 7.0, &[0.63, 0.32, 0.05]);
@@ -631,64 +486,5 @@ mod tests {
             "router {}",
             req[SVC_ROUTER]
         );
-    }
-}
-
-#[cfg(test)]
-mod perf_probe {
-    use super::*;
-    use atom_core::optimizer::search;
-    use atom_ga::{Budget, GaOptions};
-
-    #[test]
-    fn ga_search_completes_quickly() {
-        let shop = SockShop::default();
-        let binding = shop.binding(3000, 7.0, &[0.33, 0.17, 0.50]);
-        let start = std::time::Instant::now();
-        let result = search(
-            &binding,
-            &binding.model,
-            &shop.objective(),
-            GaOptions {
-                budget: Budget::Evaluations(600),
-                ..Default::default()
-            },
-        );
-        let elapsed = start.elapsed().as_secs_f64();
-        println!("600-eval GA search: {elapsed:.2}s, eval {:?}", result.eval);
-        assert!(elapsed < 30.0, "GA search too slow: {elapsed}s");
-    }
-}
-
-#[cfg(test)]
-mod derived_binding_tests {
-    use super::*;
-    use atom_core::ModelBinding;
-    use atom_lqn::analytic::{solve, SolverOptions};
-
-    /// The §IV-A "derive the model from the topology" path must agree
-    /// with the hand-built Fig. 3 model.
-    #[test]
-    fn derived_binding_matches_handwritten_model() {
-        let shop = SockShop::default();
-        let mix = [0.33, 0.17, 0.50];
-        let hand = shop.binding(2000, 7.0, &mix);
-        let derived = ModelBinding::from_app_spec(&shop.app_spec(), 2000, 7.0, &mix);
-        let a = solve(&hand.model, SolverOptions::default()).unwrap();
-        let b = solve(&derived.model, SolverOptions::default()).unwrap();
-        let rel = (a.client_throughput - b.client_throughput).abs() / a.client_throughput;
-        assert!(
-            rel < 1e-6,
-            "hand {} vs derived {}",
-            a.client_throughput,
-            b.client_throughput
-        );
-        assert_eq!(derived.services.len(), 6);
-        // Stateful services are vertical-only in the derived binding.
-        for name in ["router", "catalogue-db", "carts-db"] {
-            let sb = derived.services.iter().find(|s| s.name == name).unwrap();
-            assert_eq!(sb.max_replicas, 1, "{name}");
-            assert!(sb.share_bounds.1 > 1.0, "{name} can scale past one core");
-        }
     }
 }

@@ -37,38 +37,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     row("total TPS", analytic.total_throughput(), measured.total_tps);
-    for (f, name) in ["home", "catalogue", "carts"].iter().enumerate() {
-        let entry = model.entry_by_name(name).expect("feature entry");
+    // The model is derived from the spec: entries are `service.endpoint`,
+    // server tasks are the spec's services in the same order.
+    for (f, feature) in spec.features.iter().enumerate() {
+        let service = &spec.services[feature.service.0];
+        let endpoint = &service.endpoints[feature.endpoint.0];
+        let entry = model
+            .entry_by_name(&format!("{}.{}", service.name, endpoint.name))
+            .expect("feature entry");
         row(
-            &format!("TPS {name}"),
+            &format!("TPS {}", feature.name),
             analytic.entry_throughput(entry),
             measured.feature_tps[f],
         );
     }
-    for (si, name) in [
-        "front-end",
-        "carts",
-        "catalogue",
-        "catalogue-db",
-        "carts-db",
-    ]
-    .iter()
-    .enumerate()
-    {
-        let task = model.task_by_name(name).expect("task");
+    for (si, service) in spec.services.iter().enumerate() {
+        let task = model.task_by_name(&service.name).expect("task");
         row(
-            &format!("util% {name}"),
+            &format!("util% {}", service.name),
             100.0 * analytic.task_utilization(task),
-            100.0
-                * measured.service_utilization[match *name {
-                    "front-end" => 0,
-                    "carts" => 1,
-                    "catalogue" => 2,
-                    "catalogue-db" => 3,
-                    _ => 4,
-                }],
+            100.0 * measured.service_utilization[si],
         );
-        let _ = si;
     }
     Ok(())
 }
