@@ -296,33 +296,102 @@ impl AppSpec {
             .map(ServiceId)
     }
 
-    /// Validates the spec: at least one feature, ids in range, acyclic
-    /// call graph.
+    /// Validates the spec: at least one feature, every id in range (a
+    /// service's server, a call's and a feature's service and endpoint),
+    /// every number in its domain (cores, threads, replicas and
+    /// parallelism at least one; speeds and shares positive; demands,
+    /// their cv, latencies, start-up delays and call means finite and
+    /// non-negative), acyclic call graph. A spec deserialised from outside
+    /// the program has been through none of the `add_*` assertions, so
+    /// this is the gate everything downstream relies on.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidSpec`] with the reason.
     pub fn validate(&self) -> Result<(), ClusterError> {
         if self.features.is_empty() {
-            return Err(ClusterError::InvalidSpec {
-                reason: "no client-visible features".into(),
-            });
+            return Err(ClusterError::invalid_spec("no client-visible features"));
         }
-        // Cycle check over (service, endpoint) nodes.
-        let mut nodes = Vec::new();
-        for (si, s) in self.services.iter().enumerate() {
-            for ei in 0..s.endpoints.len() {
-                nodes.push((si, ei));
+        let amount = |x: f64| x.is_finite() && x >= 0.0;
+        let endpoint_exists = |service: ServiceId, endpoint: EndpointId| {
+            (self.services.get(service.0)).is_some_and(|s| endpoint.0 < s.endpoints.len())
+        };
+        for s in &self.servers {
+            if s.cores == 0 || !(amount(s.speed) && s.speed > 0.0) {
+                return Err(ClusterError::invalid_spec(format!(
+                    "server `{}` needs at least one core and a positive speed",
+                    s.name
+                )));
             }
         }
-        let index = |si: usize, ei: usize| -> usize {
-            nodes.iter().position(|&(a, b)| a == si && b == ei).unwrap()
+        for s in &self.services {
+            let name = &s.name;
+            if s.server.0 >= self.servers.len() {
+                return Err(ClusterError::invalid_spec(format!(
+                    "service `{name}` runs on unknown server {}",
+                    s.server.0
+                )));
+            }
+            if s.threads == 0 || s.initial_replicas == 0 || s.parallelism == Some(0) {
+                return Err(ClusterError::invalid_spec(format!(
+                    "service `{name}` needs at least one thread, replica and core of parallelism"
+                )));
+            }
+            if !(amount(s.initial_share) && s.initial_share > 0.0 && amount(s.startup_delay)) {
+                return Err(ClusterError::invalid_spec(format!(
+                    "service `{name}` needs a positive share and a non-negative start-up delay"
+                )));
+            }
+            for ep in &s.endpoints {
+                if !(amount(ep.demand) && amount(ep.demand_cv) && amount(ep.latency)) {
+                    return Err(ClusterError::invalid_spec(format!(
+                        "endpoint `{name}.{}` has a negative or non-finite demand, cv or latency",
+                        ep.name
+                    )));
+                }
+                for c in &ep.calls {
+                    if !endpoint_exists(c.service, c.endpoint) {
+                        return Err(ClusterError::invalid_spec(format!(
+                            "endpoint `{name}.{}` calls unknown endpoint {} of service {}",
+                            ep.name, c.endpoint.0, c.service.0
+                        )));
+                    }
+                    if !amount(c.mean) {
+                        return Err(ClusterError::invalid_spec(format!(
+                            "endpoint `{name}.{}` has a negative or non-finite call mean",
+                            ep.name
+                        )));
+                    }
+                }
+            }
+        }
+        for f in &self.features {
+            if !endpoint_exists(f.service, f.endpoint) {
+                return Err(ClusterError::invalid_spec(format!(
+                    "feature `{}` enters at unknown endpoint {} of service {}",
+                    f.name, f.endpoint.0, f.service.0
+                )));
+            }
+        }
+        // Cycle check (Kahn) over (service, endpoint) nodes, numbered
+        // service by service.
+        let mut first = Vec::with_capacity(self.services.len());
+        let mut n = 0;
+        for s in &self.services {
+            first.push(n);
+            n += s.endpoints.len();
+        }
+        let calls_of = |si: usize, ei: usize| {
+            let calls = self.services[si].endpoints[ei].calls.iter();
+            calls.map(|c| first[c.service.0] + c.endpoint.0)
         };
-        let n = nodes.len();
+        let nodes: Vec<(usize, usize)> = (self.services.iter().enumerate())
+            .flat_map(|(si, s)| (0..s.endpoints.len()).map(move |ei| (si, ei)))
+            .collect();
         let mut indeg = vec![0usize; n];
         for &(si, ei) in &nodes {
-            for c in &self.services[si].endpoints[ei].calls {
-                indeg[index(c.service.0, c.endpoint.0)] += 1;
+            for j in calls_of(si, ei) {
+                indeg[j] += 1;
             }
         }
         let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
@@ -330,8 +399,7 @@ impl AppSpec {
         while let Some(i) = stack.pop() {
             seen += 1;
             let (si, ei) = nodes[i];
-            for c in &self.services[si].endpoints[ei].calls {
-                let j = index(c.service.0, c.endpoint.0);
+            for j in calls_of(si, ei) {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     stack.push(j);
@@ -339,9 +407,9 @@ impl AppSpec {
             }
         }
         if seen != n {
-            return Err(ClusterError::InvalidSpec {
-                reason: "endpoint call graph contains a cycle".into(),
-            });
+            return Err(ClusterError::invalid_spec(
+                "endpoint call graph contains a cycle",
+            ));
         }
         Ok(())
     }
@@ -429,6 +497,43 @@ mod tests {
         let db = spec.service_by_name("db").unwrap();
         spec.add_call(db, EndpointId(0), web, EndpointId(0), 1.0);
         assert!(spec.validate().is_err());
+    }
+
+    /// A spec that arrives as JSON has been through none of the `add_*`
+    /// assertions: `validate` is what rejects it, with a typed error.
+    #[test]
+    fn rejects_dangling_ids_and_out_of_domain_numbers() {
+        type Corruption = fn(&mut AppSpec);
+        let corruptions: [(&str, Corruption); 12] = [
+            ("unknown endpoint", |s| {
+                s.services[0].endpoints[0].calls[0].service = ServiceId(99)
+            }),
+            ("unknown endpoint", |s| {
+                s.services[0].endpoints[0].calls[0].endpoint = EndpointId(7)
+            }),
+            ("call mean", |s| {
+                s.services[0].endpoints[0].calls[0].mean = f64::NAN
+            }),
+            ("feature `page`", |s| s.features[0].service = ServiceId(2)),
+            ("feature `page`", |s| s.features[0].endpoint = EndpointId(1)),
+            ("unknown server", |s| s.services[1].server = ServerId(1)),
+            ("demand", |s| s.services[1].endpoints[0].demand = -1.0),
+            ("demand", |s| {
+                s.services[1].endpoints[0].latency = f64::INFINITY
+            }),
+            ("positive share", |s| s.services[0].initial_share = 0.0),
+            ("at least one thread", |s| s.services[0].threads = 0),
+            ("at least one thread", |s| {
+                s.services[0].parallelism = Some(0)
+            }),
+            ("at least one core", |s| s.servers[0].cores = 0),
+        ];
+        for (expected, corrupt) in corruptions {
+            let mut spec = two_tier();
+            corrupt(&mut spec);
+            let message = spec.validate().unwrap_err().to_string();
+            assert!(message.contains(expected), "`{message}` lacks `{expected}`");
+        }
     }
 
     #[test]

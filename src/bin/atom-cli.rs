@@ -80,6 +80,24 @@ fn example_scenario() -> Scenario {
     }
 }
 
+/// Reads a scenario and checks it where it enters the program: the spec
+/// must validate, the mix must have one entry per feature and the think
+/// time must be a duration, so that nothing downstream meets an id or a
+/// number it cannot handle.
+fn load_scenario(path: &str) -> Result<Scenario, Box<dyn std::error::Error>> {
+    let scenario: Scenario = serde_json::from_str(&fs::read_to_string(path)?)?;
+    scenario.app.validate()?;
+    let (mix, features) = (scenario.workload.mix.len(), scenario.app.features.len());
+    if mix != features {
+        return Err(format!("the workload mix has {mix} entries for {features} features").into());
+    }
+    let think_time = scenario.workload.think_time;
+    if !(think_time.is_finite() && think_time >= 0.0) {
+        return Err(format!("the think time must be >= 0, got {think_time}").into());
+    }
+    Ok(scenario)
+}
+
 fn binding_for(scenario: &Scenario) -> ModelBinding {
     ModelBinding::from_app_spec(
         &scenario.app,
@@ -317,24 +335,17 @@ fn main() -> ExitCode {
             );
             Ok(())
         }
-        Some("run") if args.len() == 2 => (|| {
-            let scenario: Scenario = serde_json::from_str(&fs::read_to_string(&args[1])?)?;
-            run_scenario(&scenario)
-        })(),
-        Some("export-lqn") if args.len() == 2 => (|| {
-            let scenario: Scenario = serde_json::from_str(&fs::read_to_string(&args[1])?)?;
-            print!("{}", to_lqn_text(&binding_for(&scenario).model));
-            Ok(())
-        })(),
+        Some("run") if args.len() == 2 => load_scenario(&args[1]).and_then(|s| run_scenario(&s)),
+        Some("export-lqn") if args.len() == 2 => {
+            load_scenario(&args[1]).map(|s| print!("{}", to_lqn_text(&binding_for(&s).model)))
+        }
         Some("solve") if args.len() == 2 => solve_lqn_file(&args[1]),
-        Some("trace") if args.len() == 2 => (|| {
-            let scenario: Scenario = serde_json::from_str(&fs::read_to_string(&args[1])?)?;
-            trace_scenario(&scenario)
-        })(),
-        Some("compare") if args.len() == 2 => (|| {
-            let scenario: Scenario = serde_json::from_str(&fs::read_to_string(&args[1])?)?;
-            compare_scenario(&scenario)
-        })(),
+        Some("trace") if args.len() == 2 => {
+            load_scenario(&args[1]).and_then(|s| trace_scenario(&s))
+        }
+        Some("compare") if args.len() == 2 => {
+            load_scenario(&args[1]).and_then(|s| compare_scenario(&s))
+        }
         _ => {
             eprintln!(
                 "usage:\n  atom-cli example-scenario\n  atom-cli run <scenario.json>\n  \
