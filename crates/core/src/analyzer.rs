@@ -187,33 +187,10 @@ impl WorkloadAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::ServiceBinding;
-    use atom_cluster::ServiceId;
-    use atom_lqn::TaskId;
 
+    /// One service, two features (10 ms and 20 ms), 10 users thinking 1 s.
     fn binding() -> ModelBinding {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 4, 1.0);
-        let t = m.add_task("svc", p, 8, 1).unwrap();
-        let e1 = m.add_entry("home", t, 0.01).unwrap();
-        let e2 = m.add_entry("cart", t, 0.02).unwrap();
-        let c = m.add_reference_task("users", 10, 1.0).unwrap();
-        let ce = m.reference_entry(c).unwrap();
-        m.add_call(ce, e1, 0.5).unwrap();
-        m.add_call(ce, e2, 0.5).unwrap();
-        ModelBinding {
-            model: m,
-            client: c,
-            services: vec![ServiceBinding {
-                name: "svc".into(),
-                service: ServiceId(0),
-                task: TaskId(0),
-                scalable: true,
-                max_replicas: 4,
-                share_bounds: (0.1, 1.0),
-            }],
-            feature_entries: vec![e1, e2],
-        }
+        crate::fixtures::chain((4, 1.0), &[("svc", 8, 1.0, &[0.01, 0.02])], 10, 1.0)
     }
 
     fn report(counts: Vec<u64>, users: usize) -> WindowReport {

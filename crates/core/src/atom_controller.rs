@@ -494,30 +494,9 @@ mod testkit {
     //! (which drive their unit through `Atom::decide`).
 
     use super::*;
-    use crate::binding::ServiceBinding;
 
     pub(super) fn binding(share: f64) -> ModelBinding {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 8, 1.0);
-        let web = m.add_task("web", p, 64, 1).unwrap();
-        m.set_cpu_share(web, Some(share)).unwrap();
-        let page = m.add_entry("page", web, 0.01).unwrap();
-        let c = m.add_reference_task("users", 100, 2.0).unwrap();
-        m.add_call(m.reference_entry(c).unwrap(), page, 1.0)
-            .unwrap();
-        ModelBinding {
-            model: m,
-            client: c,
-            services: vec![ServiceBinding {
-                name: "web".into(),
-                service: ServiceId(0),
-                task: web,
-                scalable: true,
-                max_replicas: 8,
-                share_bounds: (0.1, 1.0),
-            }],
-            feature_entries: vec![page],
-        }
+        crate::fixtures::web(share, 100)
     }
 
     pub(super) fn report(users: usize, replicas: usize, share: f64) -> WindowReport {

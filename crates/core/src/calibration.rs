@@ -106,32 +106,11 @@ impl DemandCalibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::ServiceBinding;
-    use atom_cluster::ServiceId;
 
+    /// One service, two features (10 ms and 20 ms) on a speed-2 server,
+    /// which exercises the units.
     fn binding() -> ModelBinding {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 4, 2.0); // speed 2: exercises units
-        let t = m.add_task("svc", p, 8, 1).unwrap();
-        let e1 = m.add_entry("a", t, 0.010).unwrap();
-        let e2 = m.add_entry("b", t, 0.020).unwrap();
-        let c = m.add_reference_task("users", 10, 1.0).unwrap();
-        let ce = m.reference_entry(c).unwrap();
-        m.add_call(ce, e1, 0.5).unwrap();
-        m.add_call(ce, e2, 0.5).unwrap();
-        ModelBinding {
-            model: m,
-            client: c,
-            services: vec![ServiceBinding {
-                name: "svc".into(),
-                service: ServiceId(0),
-                task: t,
-                scalable: true,
-                max_replicas: 4,
-                share_bounds: (0.1, 1.0),
-            }],
-            feature_entries: vec![e1, e2],
-        }
+        crate::fixtures::chain((4, 2.0), &[("svc", 8, 1.0, &[0.010, 0.020])], 10, 1.0)
     }
 
     fn report(busy_cores: f64, tps: [f64; 2]) -> WindowReport {
@@ -166,7 +145,7 @@ mod tests {
         // Applying rescales both entries.
         let mut model = b.model.clone();
         cal.apply(&b, &mut model);
-        let e1 = model.entry_by_name("a").unwrap();
+        let e1 = model.entry_by_name("svc.a").unwrap();
         assert!((model.entry(e1).demand - 0.020).abs() < 1e-4);
     }
 

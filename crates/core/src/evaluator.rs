@@ -527,48 +527,14 @@ impl std::fmt::Debug for CandidateEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::ServiceBinding;
-    use atom_cluster::ServiceId;
     use atom_lqn::analytic::solve;
     use atom_lqn::TaskId;
 
     /// Two-service chain, same shape as the optimizer tests.
     fn setup(users: usize) -> (ModelBinding, ObjectiveSpec) {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 8, 1.0);
-        let web = m.add_task("web", p, 64, 1).unwrap();
-        m.set_cpu_share(web, Some(0.5)).unwrap();
-        let db = m.add_task("db", p, 16, 1).unwrap();
-        m.set_cpu_share(db, Some(1.0)).unwrap();
-        let page = m.add_entry("page", web, 0.008).unwrap();
-        let query = m.add_entry("query", db, 0.002).unwrap();
-        m.add_call(page, query, 1.0).unwrap();
-        let c = m.add_reference_task("users", users, 2.0).unwrap();
-        m.add_call(m.reference_entry(c).unwrap(), page, 1.0)
-            .unwrap();
-        let binding = ModelBinding {
-            model: m,
-            client: c,
-            services: vec![
-                ServiceBinding {
-                    name: "web".into(),
-                    service: ServiceId(0),
-                    task: web,
-                    scalable: true,
-                    max_replicas: 8,
-                    share_bounds: (0.1, 1.0),
-                },
-                ServiceBinding {
-                    name: "db".into(),
-                    service: ServiceId(1),
-                    task: db,
-                    scalable: true,
-                    max_replicas: 4,
-                    share_bounds: (0.1, 2.0),
-                },
-            ],
-            feature_entries: vec![page],
-        };
+        let mut binding = crate::fixtures::web_db(users);
+        binding.services[1].max_replicas = 4;
+        binding.services[1].share_bounds = (0.1, 2.0);
         let mut obj = ObjectiveSpec::balanced(1);
         obj.server_capacity = vec![(0, 8.0)];
         (binding, obj)

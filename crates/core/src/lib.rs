@@ -89,3 +89,6 @@ pub use planner::PlannerMode;
 // transforms in `atom_lqn`): one integer-lattice type from GA genome to
 // actuator.
 pub use atom_lqn::{share_index, DecisionVector, TaskDecision, SHARE_STEP};
+
+#[cfg(test)]
+mod fixtures;

@@ -166,32 +166,11 @@ impl ObjectiveSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::ServiceBinding;
-    use atom_cluster::ServiceId;
     use atom_lqn::analytic::{solve, SolverOptions};
     use atom_lqn::TaskId;
 
     fn setup() -> (ModelBinding, ObjectiveSpec) {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 4, 1.0);
-        let t = m.add_task("svc", p, 8, 1).unwrap();
-        m.set_cpu_share(t, Some(1.0)).unwrap();
-        let e = m.add_entry("op", t, 0.01).unwrap();
-        let c = m.add_reference_task("users", 200, 1.0).unwrap();
-        m.add_call(m.reference_entry(c).unwrap(), e, 1.0).unwrap();
-        let binding = ModelBinding {
-            model: m,
-            client: c,
-            services: vec![ServiceBinding {
-                name: "svc".into(),
-                service: ServiceId(0),
-                task: t,
-                scalable: true,
-                max_replicas: 8,
-                share_bounds: (0.1, 1.0),
-            }],
-            feature_entries: vec![e],
-        };
+        let binding = crate::fixtures::chain((4, 1.0), &[("svc", 8, 1.0, &[0.01])], 200, 1.0);
         let mut obj = ObjectiveSpec::balanced(1);
         obj.server_capacity = vec![(0, 4.0)];
         (binding, obj)

@@ -257,45 +257,13 @@ mod tests {
 
     /// Two-service chain where the bottleneck is the web tier.
     fn setup(users: usize) -> (ModelBinding, ObjectiveSpec) {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 8, 1.0);
-        let web = m.add_task("web", p, 64, 1).unwrap();
-        m.set_cpu_share(web, Some(0.5)).unwrap();
-        let db = m.add_task("db", p, 16, 1).unwrap();
-        m.set_cpu_share(db, Some(1.0)).unwrap();
-        let page = m.add_entry("page", web, 0.008).unwrap();
-        let query = m.add_entry("query", db, 0.002).unwrap();
-        m.add_call(page, query, 1.0).unwrap();
-        let c = m.add_reference_task("users", users, 2.0).unwrap();
-        m.add_call(m.reference_entry(c).unwrap(), page, 1.0)
-            .unwrap();
-        let binding = ModelBinding {
-            model: m,
-            client: c,
-            services: vec![
-                ServiceBinding {
-                    name: "web".into(),
-                    service: ServiceId(0),
-                    task: web,
-                    scalable: true,
-                    max_replicas: 8,
-                    share_bounds: (0.1, 1.0),
-                },
-                ServiceBinding {
-                    name: "db".into(),
-                    service: ServiceId(1),
-                    task: db,
-                    scalable: true,
-                    max_replicas: 1,
-                    // The db is multi-threaded (16 threads), so vertical
-                    // scaling past one core is usable; without the extra
-                    // headroom the heavy-load case would be infeasible by
-                    // construction (1 core of demand at U_max = 0.95).
-                    share_bounds: (0.1, 2.0),
-                },
-            ],
-            feature_entries: vec![page],
-        };
+        let mut binding = crate::fixtures::web_db(users);
+        // The db is vertical-only but multi-threaded (16 threads), so
+        // scaling it past one core is usable; without the extra headroom
+        // the heavy-load case would be infeasible by construction (1 core
+        // of demand at U_max = 0.95).
+        binding.services[1].max_replicas = 1;
+        binding.services[1].share_bounds = (0.1, 2.0);
         let mut obj = ObjectiveSpec::balanced(1);
         obj.server_capacity = vec![(0, 8.0)];
         (binding, obj)

@@ -203,32 +203,10 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binding::ServiceBinding;
-    use atom_cluster::ServiceId;
-    use atom_lqn::{LqnModel, TaskId};
+    use atom_lqn::TaskId;
 
     fn setup(users: usize) -> ModelBinding {
-        let mut m = LqnModel::new();
-        let p = m.add_processor("p", 8, 1.0);
-        let web = m.add_task("web", p, 64, 1).unwrap();
-        m.set_cpu_share(web, Some(0.5)).unwrap();
-        let page = m.add_entry("page", web, 0.01).unwrap();
-        let c = m.add_reference_task("users", users, 2.0).unwrap();
-        m.add_call(m.reference_entry(c).unwrap(), page, 1.0)
-            .unwrap();
-        ModelBinding {
-            model: m,
-            client: c,
-            services: vec![ServiceBinding {
-                name: "web".into(),
-                service: ServiceId(0),
-                task: web,
-                scalable: true,
-                max_replicas: 8,
-                share_bounds: (0.1, 1.0),
-            }],
-            feature_entries: vec![page],
-        }
+        crate::fixtures::web(0.5, users)
     }
 
     fn dv(replicas: usize, share_idx: usize) -> DecisionVector {
