@@ -132,9 +132,9 @@ pub fn table3(runs: &[ValidationRun], opts: &HarnessOptions) {
         let mut tps_errors = Vec::new();
         let mut util_errors = Vec::new();
         for run in &rows {
-            let (_, m_tps, s_tps, m_u, s_u) = run[si].clone();
-            tps_errors.push(pct_err(m_tps, s_tps));
-            util_errors.push(pct_err(m_u, s_u));
+            let (_, m_tps, s_tps, m_u, s_u) = &run[si];
+            tps_errors.push(pct_err(*m_tps, *s_tps));
+            util_errors.push(pct_err(*m_u, *s_u));
         }
         let stats = |v: &[f64]| {
             let min = v.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -381,25 +381,22 @@ impl AppSpec {
             first.push(n);
             n += s.endpoints.len();
         }
-        let calls_of = |si: usize, ei: usize| {
-            let calls = self.services[si].endpoints[ei].calls.iter();
-            calls.map(|c| first[c.service.0] + c.endpoint.0)
-        };
-        let nodes: Vec<(usize, usize)> = (self.services.iter().enumerate())
-            .flat_map(|(si, s)| (0..s.endpoints.len()).map(move |ei| (si, ei)))
+        let callees: Vec<Vec<usize>> = (self.services.iter())
+            .flat_map(|s| &s.endpoints)
+            .map(|ep| {
+                let calls = ep.calls.iter();
+                calls.map(|c| first[c.service.0] + c.endpoint.0).collect()
+            })
             .collect();
         let mut indeg = vec![0usize; n];
-        for &(si, ei) in &nodes {
-            for j in calls_of(si, ei) {
-                indeg[j] += 1;
-            }
+        for &j in callees.iter().flatten() {
+            indeg[j] += 1;
         }
         let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0;
         while let Some(i) = stack.pop() {
             seen += 1;
-            let (si, ei) = nodes[i];
-            for j in calls_of(si, ei) {
+            for &j in &callees[i] {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     stack.push(j);

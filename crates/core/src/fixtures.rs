@@ -55,7 +55,6 @@ pub(crate) fn web(share: f64, users: usize) -> ModelBinding {
 /// core, 2 ms) once per request on an 8-core server, `users` clients
 /// thinking 2 s: the web tier is the bottleneck.
 pub(crate) fn web_db(users: usize) -> ModelBinding {
-    let services: [(&str, usize, f64, &[f64]); 2] =
-        [("web", 64, 0.5, &[0.008]), ("db", 16, 1.0, &[0.002])];
+    let services = [("web", 64, 0.5, &[0.008][..]), ("db", 16, 1.0, &[0.002])];
     chain((8, 1.0), &services, users, 2.0)
 }

@@ -30,7 +30,8 @@ fn corrupt(spec: &mut AppSpec, field: usize, site: usize, value: usize) {
     let service = &mut spec.services[site % 6];
     let endpoints = service.endpoints.len();
     let endpoint = &mut service.endpoints[site / 6 % endpoints];
-    match field % 17 {
+    let field = field % 17;
+    match field {
         0 => spec.servers[site % servers].cores = id,
         1 => spec.servers[site % servers].speed = number,
         2 => service.server = ServerId(id),
@@ -45,15 +46,13 @@ fn corrupt(spec: &mut AppSpec, field: usize, site: usize, value: usize) {
         11 => endpoint.latency = number,
         12 => spec.features[site % features].service = ServiceId(id),
         13 => spec.features[site % features].endpoint = EndpointId(id),
-        _ => {
-            if let Some(call) = endpoint.calls.first_mut() {
-                match field % 17 {
-                    14 => call.service = ServiceId(id),
-                    15 => call.endpoint = EndpointId(id),
-                    _ => call.mean = number,
-                }
-            }
-        }
+        // The remaining three corrupt the endpoint's first call, if any.
+        _ => match endpoint.calls.first_mut() {
+            Some(call) if field == 14 => call.service = ServiceId(id),
+            Some(call) if field == 15 => call.endpoint = EndpointId(id),
+            Some(call) => call.mean = number,
+            None => {}
+        },
     }
 }
 
