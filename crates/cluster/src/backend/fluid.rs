@@ -24,11 +24,11 @@
 //!   mean matches the nominal rate, so throughput is right but bursts
 //!   are flattened (hybrid runs therefore stay per-user under MMPP);
 //! * population changes are read from the source's continuous envelope
-//!   ([`PopulationSource::average_population`]) at step resolution.
+//!   ([`Population::average_population`]) at step resolution.
 
 use atom_mva::{closed::solve_exact, solve_amva, AmvaOptions, ClassSpec, ClosedNetwork, Station};
 use atom_sim::TimeWeighted;
-use atom_workload::{PopulationSource, WorkloadSpec};
+use atom_workload::{Population, WorkloadSpec};
 
 use super::PopCtx;
 use crate::accum::WindowAccum;
@@ -310,7 +310,7 @@ impl FluidPool {
         &mut self,
         t1: f64,
         inputs: &FluidInputs,
-        source: &dyn PopulationSource,
+        source: &Population,
         accum: &mut WindowAccum,
     ) {
         let t0 = self.last_step;

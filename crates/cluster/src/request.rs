@@ -31,20 +31,9 @@ impl Cluster {
             .in_system_tw
             .update(self.engine.now, self.accum.in_system as f64);
         self.accum.peak_in_system = self.accum.peak_in_system.max(self.accum.in_system);
-        // A trace-backed source can carry per-bin mix shifts; the static
-        // path (the default) draws from the aggregate mix exactly as
-        // before, preserving the RNG stream bitwise.
-        let feature = {
-            let workload = &self.tenants[ti].workload;
-            if workload.dynamic_mix {
-                match workload.source.mix_at(self.engine.now) {
-                    Some(mix) => self.rng.categorical(&mix),
-                    None => self.rng.categorical(workload.mix.fractions()),
-                }
-            } else {
-                self.rng.categorical(workload.mix.fractions())
-            }
-        };
+        let feature = self
+            .rng
+            .categorical(self.tenants[ti].workload.mix.fractions());
         let feature = self.tenants[ti].layout.feature_offset + feature;
         let f = &self.spec.features[feature];
         let (si, ei) = (f.service.0, f.endpoint.0);

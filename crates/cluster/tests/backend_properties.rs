@@ -214,7 +214,7 @@ fn hybrid_switch_counters_reconcile() {
 
 #[test]
 fn trace_source_is_bitwise_identical_to_equivalent_steps_profile() {
-    // A trace replayed through `PopulationSource` and the hand-built
+    // A trace replayed as a `Population` and the hand-built
     // `LoadProfile::Steps` with the same (time, population) pairs must
     // drive the per-user DES to bitwise-identical reports.
     let app = spec(0.005, 1.0);

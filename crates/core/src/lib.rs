@@ -65,10 +65,9 @@ pub mod solver {
 /// The workload surface, re-exported (like [`solver`]) so downstream
 /// crates — bench harnesses, scenario builders — don't need a direct
 /// `atom_workload` dependency: [`workload::WorkloadSpec`] and its
-/// builders, the open [`workload::PopulationSource`] abstraction with
-/// the synthetic [`workload::LoadProfile`]s and trace-replay
-/// [`workload::TraceSource`] implementations, and the streaming trace
-/// readers in [`workload::trace`].
+/// builders, the [`workload::Population`] it runs — a synthetic
+/// [`workload::LoadProfile`] or a replayed [`workload::TraceSource`] —
+/// and the streaming trace readers in [`workload::trace`].
 pub mod workload {
     pub use atom_workload::*;
     pub use atom_workload::{burstiness, mix, profile, source, trace};

@@ -34,10 +34,9 @@ use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 use std::str::FromStr;
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::profile;
-use crate::source::PopulationSource;
 
 /// Supported trace dialects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -205,7 +204,7 @@ impl Default for TraceOptions {
     }
 }
 
-/// A replayed trace as a population source: piecewise-constant
+/// A replayed trace as a population: piecewise-constant
 /// `(time, population)` steps with the same semantics — and the same
 /// arithmetic — as [`LoadProfile::Steps`](crate::LoadProfile::Steps),
 /// plus authoritative spike hints derived from the trace itself.
@@ -214,11 +213,6 @@ pub struct TraceSource {
     name: String,
     format: TraceFormat,
     steps: Vec<(f64, usize)>,
-    /// Per-bin `(time, mix)` shifts, time-ascending; empty when the
-    /// trace carries no class information. Consulted only by workloads
-    /// that opt into `dynamic_mix`.
-    #[serde(default)]
-    mix_shifts: Vec<(f64, Vec<f64>)>,
 }
 
 impl TraceSource {
@@ -233,21 +227,7 @@ impl TraceSource {
             name: name.into(),
             format,
             steps,
-            mix_shifts: Vec::new(),
         }
-    }
-
-    /// Attaches per-bin request-mix shifts (time-ascending `(t, mix)`
-    /// pairs; the mix at `t` holds until the next shift).
-    #[must_use]
-    pub fn with_mix_shifts(mut self, mix_shifts: Vec<(f64, Vec<f64>)>) -> Self {
-        self.mix_shifts = mix_shifts;
-        self
-    }
-
-    /// The per-bin mix shifts the source carries (empty if none).
-    pub fn mix_shifts(&self) -> &[(f64, Vec<f64>)] {
-        &self.mix_shifts
     }
 
     /// The trace's name (file stem for file-backed replays).
@@ -255,38 +235,33 @@ impl TraceSource {
         &self.name
     }
 
-    /// The dialect the trace was read as.
-    pub fn format(&self) -> TraceFormat {
-        self.format
-    }
-
     /// The replay's `(time, population)` steps.
     pub fn steps(&self) -> &[(f64, usize)] {
         &self.steps
     }
-}
 
-impl PopulationSource for TraceSource {
-    fn population_at(&self, t: f64) -> usize {
+    /// Population at time `t`, as [`LoadProfile::Steps`](crate::LoadProfile::Steps).
+    pub fn population_at(&self, t: f64) -> usize {
         profile::steps_population_at(&self.steps, t)
     }
 
-    fn peak(&self) -> usize {
-        profile::steps_peak(&self.steps)
-    }
-
-    fn change_points(&self, t0: f64, t1: f64) -> Vec<(f64, usize)> {
+    /// The steps in `(t0, t1]`, as [`LoadProfile::Steps`](crate::LoadProfile::Steps).
+    pub fn change_points(&self, t0: f64, t1: f64) -> Vec<(f64, usize)> {
         profile::steps_change_points(&self.steps, t0, t1)
     }
 
-    fn average_population(&self, t0: f64, t1: f64) -> f64 {
+    /// Time-averaged population over `[t0, t1]`, as
+    /// [`LoadProfile::Steps`](crate::LoadProfile::Steps).
+    pub fn average_population(&self, t0: f64, t1: f64) -> f64 {
         if t1 <= t0 {
             return profile::steps_population_at(&self.steps, t0) as f64;
         }
         profile::steps_average_population(&self.steps, t0, t1)
     }
 
-    fn spike_points(&self, t0: f64, t1: f64, threshold: f64) -> Vec<f64> {
+    /// Step times in `(t0, t1]` whose population jumps by at least
+    /// `threshold` relative to the step before.
+    pub fn spike_points(&self, t0: f64, t1: f64, threshold: f64) -> Vec<f64> {
         let mut out = Vec::new();
         let mut prev: Option<usize> = None;
         for &(time, pop) in &self.steps {
@@ -300,32 +275,6 @@ impl PopulationSource for TraceSource {
             prev = Some(pop);
         }
         out
-    }
-
-    fn provides_spike_hints(&self) -> bool {
-        true
-    }
-
-    fn mix_at(&self, t: f64) -> Option<Vec<f64>> {
-        // Last shift at or before `t`; before the first shift (or with
-        // none recorded) the aggregate mix applies.
-        self.mix_shifts
-            .iter()
-            .take_while(|(time, _)| *time <= t)
-            .last()
-            .map(|(_, mix)| mix.clone())
-    }
-
-    fn kind(&self) -> &'static str {
-        "trace"
-    }
-
-    fn params(&self) -> Content {
-        Serialize::to_content(self)
-    }
-
-    fn clone_source(&self) -> Box<dyn PopulationSource> {
-        Box::new(self.clone())
     }
 }
 
@@ -499,7 +448,7 @@ pub fn read_trace<R: BufRead>(
         peak_weight,
     };
     Ok(TraceReplay {
-        source: TraceSource::from_steps(name, format, steps).with_mix_shifts(mix_shifts.clone()),
+        source: TraceSource::from_steps(name, format, steps),
         mix: smooth_mix(class_total, opts.mix_floor),
         mix_shifts,
         stats,
@@ -819,7 +768,6 @@ task_3,5,j_2,1,Terminated,65,90,300,0.2
         );
         // 10% drift is below a 50% threshold; 110→400 and 400→105 are not.
         assert_eq!(src.spike_points(0.0, 120.0, 0.5), vec![60.0, 90.0]);
-        assert!(src.provides_spike_hints());
         // Window clipping.
         assert_eq!(src.spike_points(0.0, 60.0, 0.5), vec![60.0]);
     }

@@ -1,14 +1,12 @@
 //! Properties of the streaming trace readers and the `TraceSource`
-//! population source: reads must be deterministic regardless of reader
+//! population: reads must be deterministic regardless of reader
 //! buffering, a replayed step list must be indistinguishable bitwise
 //! from the equivalent hand-built `LoadProfile::Steps`, and malformed
 //! input must surface as typed errors carrying the offending line.
 
 use std::io::{BufReader, Cursor};
 
-use atom_workload::{
-    read_trace, LoadProfile, PopulationSource, TraceError, TraceFormat, TraceOptions, TraceSource,
-};
+use atom_workload::{read_trace, LoadProfile, TraceError, TraceFormat, TraceOptions, TraceSource};
 use proptest::prelude::*;
 
 fn alibaba_line(task: usize, instances: u64, secs: f64, plan_cpu: f64) -> String {
@@ -122,7 +120,7 @@ fn steps_strategy() -> impl Strategy<Value = Vec<(f64, usize)>> {
 }
 
 proptest! {
-    /// `TraceSource` must answer every `PopulationSource` query with
+    /// `TraceSource` must answer every population query with
     /// the exact bits of the equivalent hand-built `Steps` profile.
     #[test]
     fn trace_source_matches_steps_profile_bitwise(
@@ -132,7 +130,6 @@ proptest! {
     ) {
         let profile = LoadProfile::Steps(steps.clone());
         let source = TraceSource::from_steps("p", TraceFormat::Google, steps);
-        prop_assert_eq!(profile.peak(), source.peak());
         for &t in &times {
             prop_assert_eq!(profile.population_at(t), source.population_at(t));
             prop_assert_eq!(
