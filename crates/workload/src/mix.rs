@@ -100,17 +100,6 @@ impl RequestMix {
     pub fn is_empty(&self) -> bool {
         self.fractions.is_empty()
     }
-
-    /// Estimates a mix from observed per-feature request counts — the
-    /// workload analyzer's job in ATOM's MAPE loop (§IV-A).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MixError`] under the same conditions as
-    /// [`RequestMix::new`].
-    pub fn from_counts(counts: &[u64]) -> Result<Self, MixError> {
-        RequestMix::new(counts.iter().map(|&c| c as f64).collect())
-    }
 }
 
 #[cfg(test)]
@@ -137,13 +126,6 @@ mod tests {
     fn uniform_splits_evenly() {
         let m = RequestMix::uniform(4);
         assert!(m.fractions().iter().all(|&f| (f - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
-    fn from_counts_matches_analyzer_behaviour() {
-        let m = RequestMix::from_counts(&[570, 290, 140]).unwrap();
-        assert!((m.fraction(0) - 0.57).abs() < 1e-12);
-        assert!((m.fraction(2) - 0.14).abs() < 1e-12);
     }
 
     #[test]
