@@ -11,10 +11,16 @@
 //! (`--help` prints them) plus `all`, the default. `--smoke` runs the
 //! named rows' CI gates instead of the experiments — `--smoke all`
 //! every gate, the bare `--smoke` the journal-schema gate — and exits 1
-//! after listing every violated check.
+//! after listing every violated check. A bad flag (an unparsable
+//! number, an unknown format, a missing value, a `--trace-file` that
+//! does not read) or an unknown command prints `error: …` and exits 2.
+
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 use atom_bench::figures::{run_commands, RunError, EXPERIMENTS};
 use atom_bench::HarnessOptions;
+use atom_core::workload::{read_trace_file, TraceFormat, TraceOptions};
 
 fn print_help() {
     println!(
@@ -36,29 +42,49 @@ fn print_help() {
     );
 }
 
+/// Reports `err` on stderr and exits with its code.
+fn exit_with(err: RunError) -> ! {
+    match &err {
+        RunError::Usage(msg) => atom_obs::error!("error: {msg}"),
+        RunError::Gates(failures) => {
+            for msg in failures {
+                atom_obs::error!("smoke FAILED: {msg}");
+            }
+        }
+    }
+    std::process::exit(err.exit_code());
+}
+
+fn usage_error(msg: String) -> ! {
+    exit_with(RunError::Usage(msg))
+}
+
+/// Parses `flag`'s value, or exits with a usage error naming it.
+fn parse<T: FromStr>(flag: &str, value: String, what: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format!("{flag} needs {what}, got `{value}`")))
+}
+
 fn main() {
     let mut opts = HarnessOptions::default();
     let mut commands: Vec<String> = Vec::new();
     let (mut smoke, mut quiet, mut verbose) = (false, false, false);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |what: &str| args.next().unwrap_or_else(|| panic!("{a} needs {what}"));
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(format!("{a} needs {what}")))
+        };
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--quiet" => quiet = true,
             "--verbose" => verbose = true,
             "--smoke" => smoke = true,
-            "--seed" => {
-                opts.seed = value("an integer")
-                    .parse()
-                    .expect("--seed needs an integer")
-            }
+            "--seed" => opts.seed = parse(&a, value("an integer"), "an integer"),
             "--users" => {
-                opts.users = value("a positive integer")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .expect("--users needs a positive integer");
+                let what = "a positive integer";
+                opts.users = parse::<NonZeroUsize>(&a, value(what), what).get();
             }
             "--out" => opts.out_dir = value("a directory").into(),
             "--trace-out" => opts.trace_out = Some(value("a file path").into()),
@@ -66,14 +92,18 @@ fn main() {
             "--spans-out" => opts.spans_out = Some(value("a file path").into()),
             "--trace-file" => opts.trace_file = Some(value("a file path").into()),
             "--format" => {
-                opts.trace_format = Some(
-                    value("`alibaba` or `google`")
-                        .parse()
-                        .expect("--format needs `alibaba` or `google`"),
-                );
+                let what = "`alibaba` or `google`";
+                opts.trace_format = Some(parse(&a, value(what), what));
             }
             "--help" | "-h" => return print_help(),
             _ => commands.push(a),
+        }
+    }
+    // A trace that does not read is a bad flag, not a failed experiment.
+    if let Some(path) = &opts.trace_file {
+        let format = opts.trace_format.unwrap_or(TraceFormat::Alibaba);
+        if let Err(e) = read_trace_file(path, format, &TraceOptions::new()) {
+            usage_error(format!("--trace-file {}: {e}", path.display()));
         }
     }
     atom_obs::log::configure(quiet, verbose);
@@ -83,16 +113,6 @@ fn main() {
     match run_commands(EXPERIMENTS, &opts, &commands, smoke) {
         Ok(()) if smoke => {}
         Ok(()) => atom_obs::info!("\nartefacts written to {}", opts.out_dir.display()),
-        Err(err) => {
-            match &err {
-                RunError::Usage(msg) => atom_obs::error!("{msg}"),
-                RunError::Gates(failures) => {
-                    for msg in failures {
-                        atom_obs::error!("smoke FAILED: {msg}");
-                    }
-                }
-            }
-            std::process::exit(err.exit_code());
-        }
+        Err(err) => exit_with(err),
     }
 }
