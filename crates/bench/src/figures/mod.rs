@@ -364,12 +364,27 @@ pub fn run_commands(
     }
 }
 
-/// Maps `f` over `cells` on the evaluator's worker count
-/// (`ATOM_EVAL_WORKERS`), index-strided, results in cell order. Every
-/// cell is self-contained, so the output is bitwise independent of the
-/// worker count.
+/// The launcher's worker count: the `ATOM_EVAL_WORKERS` environment
+/// variable when set to a positive integer, else 1. The one place the
+/// variable is parsed.
+fn default_workers() -> usize {
+    std::env::var("ATOM_EVAL_WORKERS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&w| w >= 1)
+        .unwrap_or(1)
+}
+
+/// Maps `f` over `cells` on `ATOM_EVAL_WORKERS` threads (default 1),
+/// results in cell order. Every cell is self-contained, so the output
+/// is bitwise independent of the worker count.
 pub fn fan_out<C: Sync, T: Send>(cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
-    let n_workers = atom_core::evaluator::default_workers().min(cells.len());
+    fan_out_on(default_workers(), cells, f)
+}
+
+/// [`fan_out`] on `workers` threads, index-strided.
+fn fan_out_on<C: Sync, T: Send>(workers: usize, cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
+    let n_workers = workers.min(cells.len());
     if n_workers <= 1 {
         return cells.iter().map(f).collect();
     }
@@ -470,9 +485,13 @@ mod tests {
     #[test]
     fn fan_out_keeps_cell_order() {
         let cells: Vec<usize> = (0..13).collect();
-        assert_eq!(
-            fan_out(&cells, |c| c * 2),
-            (0..13).map(|c| c * 2).collect::<Vec<_>>()
-        );
+        let expect: Vec<usize> = cells.iter().map(|c| c * 2).collect();
+        for workers in [1, 2, 3] {
+            assert_eq!(
+                fan_out_on(workers, &cells, |c| c * 2),
+                expect,
+                "workers={workers}"
+            );
+        }
     }
 }

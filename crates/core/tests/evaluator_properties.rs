@@ -1,19 +1,16 @@
 //! Property tests for the unified candidate-evaluation layer and the
 //! integer-lattice candidate representation: parity with the direct
 //! solve path, losslessness of the lattice encoding, and
-//! seed-determinism of the searches regardless of evaluator worker
-//! threads.
+//! seed-determinism of random search.
 
 use atom_cluster::ServiceId;
 use atom_core::evaluator::CandidateEvaluator;
-use atom_core::optimizer::{
-    decode, lattice_genome, random_search, search_with, share_index_bounds,
-};
+use atom_core::optimizer::{decode, lattice_genome, random_search, share_index_bounds};
 use atom_core::solver::{solve, SolverOptions};
 use atom_core::{
     share_index, DecisionVector, ModelBinding, ObjectiveSpec, ServiceBinding, SHARE_STEP,
 };
-use atom_ga::{Budget, Evaluation, GaOptions, GeneValue};
+use atom_ga::{Evaluation, GeneValue};
 use atom_lqn::{LqnModel, TaskId};
 use proptest::prelude::*;
 
@@ -83,19 +80,16 @@ fn decision_strategy() -> impl Strategy<Value = DecisionVector> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A batch reproduces the direct clone-and-solve path bitwise, at
-    /// any worker count.
+    /// A batch reproduces the direct clone-and-solve path bitwise.
     #[test]
     fn batched_evaluator_matches_direct_path(
         decisions in proptest::collection::vec(decision_strategy(), 1..12),
         users in 50usize..1500,
-        workers in 1usize..5,
     ) {
         let (binding, obj) = setup(users, 8.0);
         let expect: Vec<Evaluation> =
             decisions.iter().map(|d| direct(&binding, &obj, d)).collect();
         let got = CandidateEvaluator::new(&binding, &binding.model, &obj)
-            .with_workers(workers)
             .evaluate_batch(&decisions);
         prop_assert_eq!(got, expect);
     }
@@ -156,29 +150,6 @@ proptest! {
             prop_assert!(share >= s.share_bounds.0 - 1e-12);
             prop_assert!(share <= s.share_bounds.1 + 1e-12);
         }
-    }
-
-    /// The lattice-GA search is bitwise deterministic in its seed
-    /// regardless of how many worker threads the evaluator fans batches
-    /// over: same best decision, same evaluation, same counters.
-    #[test]
-    fn search_deterministic_across_worker_counts(seed in 0u64..200, users in 100usize..1200) {
-        let (binding, obj) = setup(users, 8.0);
-        let ga = GaOptions {
-            budget: Budget::Evaluations(120),
-            seed,
-            ..Default::default()
-        };
-        let mut serial = CandidateEvaluator::new(&binding, &binding.model, &obj);
-        let a = search_with(&mut serial, ga);
-        let mut threaded = CandidateEvaluator::new(&binding, &binding.model, &obj)
-            .with_workers(4);
-        let b = search_with(&mut threaded, ga);
-        prop_assert_eq!(&a.decision, &b.decision);
-        prop_assert_eq!(a.eval, b.eval);
-        prop_assert_eq!(a.evaluations, b.evaluations);
-        prop_assert_eq!(a.stats.solves, b.stats.solves);
-        prop_assert_eq!(a.stats.cache_hits, b.stats.cache_hits);
     }
 
     /// Random search stays deterministic in its seed through the

@@ -45,8 +45,7 @@ fn sockshop_search_winner_and_counters_are_pinned() {
         seed: 42,
         ..Default::default()
     };
-    let mut evaluator =
-        CandidateEvaluator::new(&binding, &binding.model, &objective).with_workers(4);
+    let mut evaluator = CandidateEvaluator::new(&binding, &binding.model, &objective);
     let found = search_with(&mut evaluator, ga);
 
     let winner: Vec<(usize, usize, usize)> = found
