@@ -26,24 +26,13 @@
 //!   same-direction transfers on a saturated link wait for each other. The gap between the two is exactly what the
 //!   drift audit's network residence comparison measures.
 //!
-//! Everything is deterministic. The only randomness — optional
-//! propagation jitter — is driven by a splitmix64 counter seeded from
-//! the topology spec, never by the simulation's RNG, so enabling a
-//! topology with zero-delay edges leaves a simulation's event order and
-//! random stream bitwise intact.
+//! Everything is deterministic and draws nothing from the simulation's
+//! RNG, so enabling a topology with zero-delay edges leaves a
+//! simulation's event order and random stream bitwise intact.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-
-/// The splitmix64 mixer (public-domain constants); also used by the
-/// cluster's placement and sampling layers for order-free determinism.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One link of the fabric: propagation latency plus a shared bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,12 +73,6 @@ pub struct TopologySpec {
     pub server_rack: Vec<usize>,
     /// Message payload per direction (request or response), bytes.
     pub payload_bytes: f64,
-    /// Optional propagation jitter as a fraction of the edge latency in
-    /// `[0, 1)`; each transit's latency is scaled by a splitmix64 draw
-    /// in `[1 - jitter, 1 + jitter)`. Zero (the default) disables it.
-    pub jitter: f64,
-    /// Seed of the jitter stream (independent of the simulation RNG).
-    pub jitter_seed: u64,
 }
 
 /// Default payload per message direction: 16 KiB, a mid-size REST
@@ -114,8 +97,6 @@ impl TopologySpec {
             aggregation: agg,
             server_rack,
             payload_bytes: DEFAULT_PAYLOAD_BYTES,
-            jitter: 0.0,
-            jitter_seed: 0,
         }
     }
 
@@ -134,15 +115,6 @@ impl TopologySpec {
     #[must_use]
     pub fn with_payload_bytes(mut self, bytes: f64) -> Self {
         self.payload_bytes = bytes;
-        self
-    }
-
-    /// Enables propagation jitter (fraction of edge latency, `[0, 1)`)
-    /// on its own splitmix64 stream.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        self.jitter = jitter;
-        self.jitter_seed = seed;
         self
     }
 
@@ -213,8 +185,8 @@ impl TopologySpec {
     /// # Errors
     ///
     /// Returns a description of the first violation: an out-of-range
-    /// rack, a negative/NaN latency, a non-positive bandwidth, a
-    /// negative payload, or jitter outside `[0, 1)`.
+    /// rack, a negative/NaN latency, a non-positive bandwidth, or a
+    /// negative payload.
     pub fn validate(&self) -> Result<(), String> {
         if self.server_rack.is_empty() {
             return Err("topology has no servers".into());
@@ -235,9 +207,6 @@ impl TopologySpec {
         }
         if !(self.payload_bytes.is_finite() && self.payload_bytes >= 0.0) {
             return Err("payload_bytes must be finite and >= 0".into());
-        }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err("jitter must be in [0, 1)".into());
         }
         Ok(())
     }
@@ -400,8 +369,6 @@ pub struct LinkFabric {
     spec: TopologySpec,
     /// `edges[e][dir]`: the two directional channels of edge `e`.
     edges: Vec<[ChannelState; 2]>,
-    /// Monotone counter feeding the jitter stream.
-    jitter_draws: u64,
 }
 
 impl LinkFabric {
@@ -417,29 +384,12 @@ impl LinkFabric {
             panic!("invalid topology: {why}");
         }
         let edges = vec![[ChannelState::default(), ChannelState::default()]; spec.n_edges()];
-        LinkFabric {
-            spec,
-            edges,
-            jitter_draws: 0,
-        }
+        LinkFabric { spec, edges }
     }
 
     /// The topology this fabric simulates.
     pub fn spec(&self) -> &TopologySpec {
         &self.spec
-    }
-
-    /// This transit's propagation scale factor: `1.0` without jitter,
-    /// otherwise a splitmix64 draw in `[1 - jitter, 1 + jitter)` on the
-    /// fabric's own stream.
-    fn jitter_factor(&mut self) -> f64 {
-        if self.spec.jitter == 0.0 {
-            return 1.0;
-        }
-        let word = splitmix64(self.spec.jitter_seed ^ self.jitter_draws);
-        self.jitter_draws += 1;
-        let u = (word >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 + self.spec.jitter * (2.0 * u - 1.0)
     }
 
     /// Sends one message through direction `dir` of `edge` starting at
@@ -448,7 +398,6 @@ impl LinkFabric {
     fn transit(&mut self, edge: usize, dir: usize, t: f64) -> f64 {
         let spec = self.spec.edge(edge);
         let tx = self.spec.payload_bytes / spec.bandwidth;
-        let latency = spec.latency * self.jitter_factor();
         let state = &mut self.edges[edge][dir];
         while state.in_flight.front().is_some_and(|&done| done <= t) {
             state.in_flight.pop_front();
@@ -463,7 +412,7 @@ impl LinkFabric {
             state.busy_until = t + wait + tx;
             state.in_flight.push_back(state.busy_until);
         }
-        t + wait + tx + latency
+        t + wait + tx + spec.latency
     }
 
     /// Prices the full round trip of a call issued at `now` from server
@@ -613,34 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn transits_are_deterministic() {
-        let run = || {
-            let mut fabric = LinkFabric::new(spec().with_jitter(0.2, 99));
-            let mut total = 0.0;
-            for i in 0..100 {
-                total += fabric.round_trip(i % 4, (i + 2) % 4, i as f64 * 0.01);
-            }
-            (total, fabric.collect_window(1.0))
-        };
-        let (a, sa) = run();
-        let (b, sb) = run();
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn jitter_stays_within_its_band_and_its_own_stream() {
-        let mut fabric = LinkFabric::new(spec().with_jitter(0.5, 7));
-        let base = NetworkDelay::new(spec());
-        for i in 0..200 {
-            let d = fabric.round_trip(0, 1, 1000.0 + i as f64);
-            // Same-rack round trip: 2 transits of latency 1 ms (±50%)
-            // + 1 ms tx each; queueing may add more but never less.
-            assert!(d >= base.round_trip(0, 1) * 0.5, "{d}");
-        }
-    }
-
-    #[test]
     fn validation_rejects_bad_specs() {
         let mut bad = spec();
         bad.server_rack[0] = 9;
@@ -650,9 +571,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = spec();
         bad.aggregation.bandwidth = 0.0;
-        assert!(bad.validate().is_err());
-        let mut bad = spec();
-        bad.jitter = 1.0;
         assert!(bad.validate().is_err());
         assert!(spec().validate().is_ok());
         assert!(TopologySpec::zero_delay(8).validate().is_ok());
