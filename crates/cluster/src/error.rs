@@ -32,11 +32,6 @@ pub enum ClusterError {
 }
 
 impl ClusterError {
-    /// An unknown-id error for the given id kind.
-    pub fn unknown_id(kind: &'static str, id: usize) -> Self {
-        ClusterError::UnknownId { kind, id }
-    }
-
     /// An out-of-range-parameter error.
     pub fn invalid_parameter(what: impl Into<String>) -> Self {
         ClusterError::InvalidParameter { what: what.into() }
@@ -69,7 +64,10 @@ mod tests {
     #[test]
     fn display_nonempty() {
         for e in [
-            ClusterError::unknown_id("service", 1),
+            ClusterError::UnknownId {
+                kind: "service",
+                id: 1,
+            },
             ClusterError::invalid_parameter("x"),
             ClusterError::invalid_spec("y"),
         ] {
@@ -79,13 +77,6 @@ mod tests {
 
     #[test]
     fn constructors_match_variants() {
-        assert_eq!(
-            ClusterError::unknown_id("server", 3),
-            ClusterError::UnknownId {
-                kind: "server",
-                id: 3
-            }
-        );
         assert_eq!(
             ClusterError::invalid_parameter("p"),
             ClusterError::InvalidParameter { what: "p".into() }

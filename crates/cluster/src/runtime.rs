@@ -581,12 +581,6 @@ impl Cluster {
         self.spans.take_forced()
     }
 
-    /// Whether span sampling is enabled (a positive
-    /// [`ClusterOptions::span_sample_rate`]).
-    pub fn spans_enabled(&self) -> bool {
-        self.spans.enabled()
-    }
-
     /// Drains the completed sampled spans accumulated since the last
     /// drain (empty unless span sampling is enabled). Spans of one
     /// request are contiguous, parents before children.
@@ -1424,7 +1418,6 @@ mod tests {
             ClusterOptions::new().with_span_sampling(1.0, 7),
         )
         .unwrap();
-        assert!(cluster.spans_enabled());
         let report = cluster.run_window(60.0);
         let spans = cluster.take_spans();
         assert!(!spans.is_empty());
@@ -1498,7 +1491,6 @@ mod tests {
         let spec = one_service_spec(0.01, 0.5, 16);
         let mut cluster =
             Cluster::new(&spec, constant_workload(20, 1.0), ClusterOptions::default()).unwrap();
-        assert!(!cluster.spans_enabled());
         let r = cluster.run_window(60.0);
         assert_eq!(r.span_stats, None);
         assert!(cluster.take_spans().is_empty());

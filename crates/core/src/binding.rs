@@ -207,11 +207,6 @@ impl ModelBinding {
         }
     }
 
-    /// The binding controlling `task`, if any.
-    pub fn by_task(&self, task: TaskId) -> Option<&ServiceBinding> {
-        self.services.iter().find(|s| s.task == task)
-    }
-
     /// The binding controlling cluster `service`, if any.
     pub fn by_service(&self, service: ServiceId) -> Option<&ServiceBinding> {
         self.services.iter().find(|s| s.service == service)
@@ -285,8 +280,6 @@ mod tests {
     #[test]
     fn lookups_work() {
         let b = binding();
-        let t = b.services[0].task;
-        assert_eq!(b.by_task(t).unwrap().name, "svc");
         assert_eq!(b.by_service(ServiceId(0)).unwrap().name, "svc");
         assert!(b.by_service(ServiceId(9)).is_none());
         assert_eq!(b.scalable().count(), 1);

@@ -192,13 +192,6 @@ impl Ensemble {
         })
     }
 
-    /// Rolling one-step-ahead sMAPE of the model that currently answers
-    /// queries (`None` until it has been scored). This is the number the
-    /// controller's accuracy guardrail thresholds.
-    pub fn rolling_error(&self) -> Option<f64> {
-        self.score(self.best())
-    }
-
     /// The models in the ensemble.
     pub fn models(&self) -> &[Model] {
         &self.models
@@ -228,7 +221,7 @@ mod tests {
         let f = e.forecast(2.0).unwrap();
         assert_ne!(f.model, "naive", "a trend-aware model must win a ramp");
         assert!((f.value - 1400.0).abs() < 30.0, "value {}", f.value);
-        assert!(e.rolling_error().unwrap() < 0.05);
+        assert!(f.rolling_smape.unwrap() < 0.05);
     }
 
     #[test]
@@ -263,7 +256,7 @@ mod tests {
             e.observe(v);
         }
         // Flat series: every scored model is perfect over any window.
-        assert_eq!(e.rolling_error(), Some(0.0));
+        assert_eq!(e.forecast(1.0).unwrap().rolling_smape, Some(0.0));
         assert_eq!(e.scores.iter().map(|s| s.len()).max(), Some(2));
     }
 }

@@ -134,12 +134,6 @@ impl SolverOptions {
         self.warm_start = hint;
         self
     }
-
-    /// Returns the options with the given convergence tolerance.
-    pub const fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
 }
 
 /// The loosest residual of the population balance a solve may return
@@ -1113,7 +1107,10 @@ mod tests {
     #[test]
     fn rejects_bad_options() {
         let model = repairman(0.1, 1, 1, 1.0);
-        let opts = SolverOptions::default().with_tolerance(0.0);
+        let opts = SolverOptions {
+            tolerance: 0.0,
+            ..SolverOptions::default()
+        };
         assert!(matches!(
             solve(&model, opts),
             Err(LqnError::InvalidParameter { .. })

@@ -55,23 +55,17 @@ impl BottleneckReport {
     }
 }
 
-/// Analyzes a solved model with the default 90% saturation threshold.
-pub fn analyze(model: &LqnModel, solution: &LqnSolution) -> BottleneckReport {
-    analyze_with_threshold(model, solution, 0.9)
-}
+/// The utilisation at which a task counts as *saturated*.
+const SATURATION: f64 = 0.9;
 
 /// Analyzes a solved model; a task is *saturated* when its utilisation is
-/// at least `threshold`.
+/// at least 90%.
 ///
 /// # Panics
 ///
 /// Panics if the solution's dimensions do not match the model, or the
 /// call graph is cyclic (solved models are acyclic by construction).
-pub fn analyze_with_threshold(
-    model: &LqnModel,
-    solution: &LqnSolution,
-    threshold: f64,
-) -> BottleneckReport {
+pub fn analyze(model: &LqnModel, solution: &LqnSolution) -> BottleneckReport {
     assert_eq!(
         solution.task_utilization.len(),
         model.tasks().len(),
@@ -79,7 +73,7 @@ pub fn analyze_with_threshold(
     );
     let nt = model.tasks().len();
     let saturated: Vec<bool> = (0..nt)
-        .map(|ti| !model.tasks()[ti].is_reference() && solution.task_utilization[ti] >= threshold)
+        .map(|ti| !model.tasks()[ti].is_reference() && solution.task_utilization[ti] >= SATURATION)
         .collect();
 
     // For each task, decompose its throughput-weighted blocking time into
@@ -187,7 +181,7 @@ pub fn analyze_with_threshold(
     BottleneckReport {
         root_bottlenecks,
         pressures,
-        threshold,
+        threshold: SATURATION,
     }
 }
 

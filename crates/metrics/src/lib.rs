@@ -104,16 +104,6 @@ impl CapacityTrace {
     }
 }
 
-/// Sums `T_u` over services (the paper's headline metric).
-pub fn total_underprovision_time(traces: &[CapacityTrace]) -> f64 {
-    traces.iter().map(|t| t.underprovision_time()).sum()
-}
-
-/// Sums `A_u` over services.
-pub fn total_underprovision_area(traces: &[CapacityTrace]) -> f64 {
-    traces.iter().map(|t| t.underprovision_area()).sum()
-}
-
 /// A time series of per-window TPS values.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TpsSeries {
@@ -240,11 +230,6 @@ impl AvailabilityTrace {
         }
     }
 
-    /// Smallest window availability (1.0 when empty).
-    pub fn min_availability(&self) -> f64 {
-        self.points.iter().map(|&(_, _, a)| a).fold(1.0, f64::min)
-    }
-
     /// Integrated unavailability `∫ (1 − a) dt` (seconds of effective
     /// downtime) — e.g. a window of 120 s at availability 0.75
     /// contributes 30.
@@ -368,14 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn totals_sum_services() {
-        let a = trace(&[(2.0, 1.0)]);
-        let b = trace(&[(3.0, 1.0)]);
-        assert_eq!(total_underprovision_time(&[a.clone(), b.clone()]), 200.0);
-        assert_eq!(total_underprovision_area(&[a, b]), 300.0);
-    }
-
-    #[test]
     #[should_panic(expected = "ordered")]
     fn rejects_out_of_order_windows() {
         let mut t = CapacityTrace::new();
@@ -422,7 +399,6 @@ mod tests {
         a.push(200.0, 300.0, 0.75); // recovering
         a.push(300.0, 400.0, 1.0);
         assert_eq!(a.mean_availability(), 0.8125);
-        assert_eq!(a.min_availability(), 0.5);
         assert_eq!(a.downtime(), 75.0);
         // Below 0.9 for the two middle windows; below 0.6 only for one.
         assert_eq!(a.longest_outage(0.9), 200.0);
@@ -444,7 +420,6 @@ mod tests {
     fn empty_availability_is_perfect() {
         let a = AvailabilityTrace::new();
         assert_eq!(a.mean_availability(), 1.0);
-        assert_eq!(a.min_availability(), 1.0);
         assert_eq!(a.downtime(), 0.0);
         assert_eq!(a.longest_outage(0.99), 0.0);
     }

@@ -61,41 +61,6 @@ pub fn throughput_bounds(net: &ClosedNetwork) -> Bounds {
     Bounds { lower, upper }
 }
 
-/// Asymptotic response-time bounds for a single-class network:
-///
-/// ```text
-/// max(D, N·D_max − Z)  ≤  R(N)  ≤  N·D
-/// ```
-///
-/// The lower bound combines the no-contention minimum with the
-/// saturation asymptote (each of `N` jobs needs `D_max` at the
-/// bottleneck per cycle); the upper bound is every job queueing behind
-/// every other job at every station.
-///
-/// # Panics
-///
-/// Panics if the network is not single-class.
-pub fn response_time_bounds(net: &ClosedNetwork) -> Bounds {
-    assert_eq!(
-        net.num_classes(),
-        1,
-        "response_time_bounds requires a single-class network"
-    );
-    let n = net.classes()[0].population() as f64;
-    let z = net.classes()[0].think_time();
-    let total_d: f64 = net.stations().iter().map(|s| s.demand(0)).sum();
-    let mut d_max_per_server: f64 = 0.0;
-    for st in net.stations() {
-        if let StationKind::Queueing { servers } = st.kind() {
-            d_max_per_server = d_max_per_server.max(st.demand(0) / servers as f64);
-        }
-    }
-    Bounds {
-        lower: total_d.max(n * d_max_per_server - z),
-        upper: n * total_d,
-    }
-}
-
 /// Index and demand of the bottleneck station: the queueing station with
 /// the smallest capacity `m_k / D_k`. Returns `None` if the network has no
 /// queueing station with positive demand.
@@ -148,29 +113,6 @@ mod tests {
                 b.upper
             );
         }
-    }
-
-    #[test]
-    fn exact_response_within_bounds() {
-        for &(n, z) in &[(1usize, 0.0), (10, 1.0), (100, 2.0)] {
-            let network = net(&[(0.1, 1), (0.05, 2)], n, z);
-            let b = response_time_bounds(&network);
-            let r = solve_exact(&network).unwrap().response_time[0];
-            assert!(
-                r >= b.lower - 1e-9 && r <= b.upper + 1e-9,
-                "R={r} outside [{}, {}] at n={n}",
-                b.lower,
-                b.upper
-            );
-        }
-    }
-
-    #[test]
-    fn response_lower_bound_grows_with_saturation() {
-        let light = response_time_bounds(&net(&[(0.1, 1)], 5, 1.0));
-        let heavy = response_time_bounds(&net(&[(0.1, 1)], 500, 1.0));
-        assert!(heavy.lower > light.lower);
-        assert!((heavy.lower - (500.0 * 0.1 - 1.0)).abs() < 1e-9);
     }
 
     #[test]

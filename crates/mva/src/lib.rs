@@ -15,7 +15,6 @@
 //!   networks with a multi-server correction, the workhorse approximation
 //!   referenced by the ATOM paper (Section IV-C, "Bard-Schweitzer single step
 //!   mean value analysis");
-//! * [`open`] — Erlang-B/C and M/M/m utilities;
 //! * [`bounds`] — asymptotic (bottleneck) bounds used as invariants in
 //!   property tests.
 //!
@@ -43,7 +42,6 @@ pub mod bounds;
 pub mod closed;
 pub mod error;
 pub mod network;
-pub mod open;
 
 pub use amva::{solve_amva, AmvaOptions};
 pub use error::MvaError;

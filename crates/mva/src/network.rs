@@ -216,11 +216,6 @@ impl ClosedNetwork {
     pub fn num_classes(&self) -> usize {
         self.classes.len()
     }
-
-    /// Total population across all classes.
-    pub fn total_population(&self) -> usize {
-        self.classes.iter().map(|c| c.population).sum()
-    }
 }
 
 /// Solver output: per-class and per-station performance metrics.
@@ -301,7 +296,7 @@ mod tests {
         .unwrap();
         assert_eq!(net.num_stations(), 2);
         assert_eq!(net.num_classes(), 1);
-        assert_eq!(net.total_population(), 10);
+        assert_eq!(net.classes()[0].population(), 10);
         assert_eq!(net.stations()[0].servers(), 2);
         assert_eq!(net.stations()[1].servers(), usize::MAX);
         assert_eq!(net.classes()[0].think_time(), 3.0);

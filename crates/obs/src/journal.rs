@@ -74,11 +74,6 @@ impl Journal {
         self.events.is_empty()
     }
 
-    /// Total events ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Events evicted from the head of the ring (pushed but no longer
     /// retained). Non-zero means the exported JSONL is a truncated view
     /// of the run and readers should treat its head as missing history.
@@ -140,7 +135,7 @@ mod tests {
             j.push(i as f64, Record::Note(format!("n{i}")));
         }
         assert_eq!(j.len(), 3);
-        assert_eq!(j.total_pushed(), 5);
+        assert_eq!(j.dropped(), 2);
         let seqs: Vec<u64> = j.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
         let notes: Vec<&Record> = j.iter().map(|e| &e.record).collect();
@@ -162,7 +157,6 @@ mod tests {
         }
         // 11 pushed into a ring of 4: the first 7 are gone.
         assert_eq!(j.len(), 4);
-        assert_eq!(j.total_pushed(), 11);
         assert_eq!(j.dropped(), 7);
         // The retained window is the most recent one and sequence
         // numbers still expose the truncation point.

@@ -102,14 +102,6 @@ impl Registry {
             .record(value);
     }
 
-    /// The histogram `name` with explicit `bounds`, creating it on first
-    /// use (existing histograms keep their original bounds).
-    pub fn histogram_with(&mut self, name: &str, bounds: Vec<f64>) -> &mut Histogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-    }
-
     /// Read access to histogram `name`, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -229,17 +221,21 @@ mod tests {
         r.inc("zeta_total");
         r.inc("alpha_total");
         r.set_gauge("mid_gauge", 1.5);
-        let h = r.histogram_with("lat", vec![1.0, 2.0]);
-        h.record(0.5);
-        h.record(1.5);
-        h.record(9.0);
+        for v in [0.5, 1.5, 9.0] {
+            r.observe("lat", v);
+        }
         let text = r.prometheus_text();
         let alpha = text.find("alpha_total 1").unwrap();
         let zeta = text.find("zeta_total 1").unwrap();
         assert!(alpha < zeta, "counters must be name-sorted");
         assert!(text.contains("# TYPE mid_gauge gauge"));
-        assert!(text.contains("lat_bucket{le=\"1\"} 1"));
-        assert!(text.contains("lat_bucket{le=\"2\"} 2"));
+        let buckets: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("lat_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+        assert!(buckets.contains(&1) && buckets.contains(&2), "{buckets:?}");
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("lat_count 3"));
     }

@@ -1,7 +1,6 @@
 //! The shared node pool tenants contend for.
 
 use atom_cluster::spec::ServerSpec;
-use atom_net::{EdgeSpec, TopologySpec};
 
 /// A fixed set of physical nodes. Unlike an [`AppSpec`]'s server list —
 /// which one application owns outright — a pool is shared: the
@@ -10,10 +9,8 @@ use atom_net::{EdgeSpec, TopologySpec};
 ///
 /// Every node sits in a *rack* (default: rack 0). Racks feed the
 /// scheduler's locality preference ([`place`](crate::schedule::place)
-/// keeps a tenant's services co-racked when capacity allows) and map
-/// directly onto the two-tier network topology the cluster's link
-/// fabric prices ([`NodePool::two_tier_topology`]). A single-rack pool
-/// behaves exactly like the pre-rack scheduler.
+/// keeps a tenant's services co-racked when capacity allows). A
+/// single-rack pool behaves exactly like the pre-rack scheduler.
 ///
 /// [`AppSpec`]: atom_cluster::AppSpec
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -73,20 +70,6 @@ impl NodePool {
         self.racks.iter().map(|&r| r + 1).max().unwrap_or(0)
     }
 
-    /// The pool's two-tier network topology: every rack uplink gets
-    /// `rack`, the aggregation hop gets `aggregation`. Feed the result
-    /// to [`ClusterOptions::with_topology`] so the simulated link fabric
-    /// prices exactly the rack boundaries this pool's scheduler sees.
-    ///
-    /// [`ClusterOptions::with_topology`]: atom_cluster::ClusterOptions::with_topology
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty pool.
-    pub fn two_tier_topology(&self, rack: EdgeSpec, aggregation: EdgeSpec) -> TopologySpec {
-        TopologySpec::two_tier(self.racks.clone(), rack, aggregation)
-    }
-
     /// Total CPU cores across the pool.
     pub fn capacity_cores(&self) -> f64 {
         self.servers.iter().map(|s| s.cores as f64).sum()
@@ -120,20 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn racks_map_onto_a_two_tier_topology() {
+    fn nodes_land_in_their_declared_racks() {
         let mut pool = NodePool::new();
         pool.add_node_in_rack("a", 4, 1.0, 0);
         pool.add_node_in_rack("b", 4, 1.0, 1);
         pool.add_node_in_rack("c", 4, 1.0, 1);
         assert_eq!(pool.n_racks(), 2);
         assert_eq!(pool.rack_of(2), 1);
-        let topo =
-            pool.two_tier_topology(EdgeSpec::new(0.0005, 1.25e9), EdgeSpec::new(0.002, 1.25e10));
-        assert_eq!(topo.n_racks(), 2);
-        assert_eq!(topo.rack_of(1), 1);
-        // Same-rack path crosses no aggregation hop; cross-rack does.
-        assert_eq!(topo.path(1, 2).edges(), &[1]);
-        assert_eq!(topo.path(0, 1).edges(), &[0, 2, 1]);
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub mod wheel;
 pub use calendar::EventQueue;
 pub use processor::{GroupId, JobId, PsProcessor};
 pub use random::{Distribution, SimRng};
-pub use stats::{BatchMeans, RunningStats, TimeWeighted};
+pub use stats::{RunningStats, TimeWeighted};
 pub use wheel::TimerWheel;

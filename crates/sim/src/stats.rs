@@ -269,142 +269,3 @@ mod tests {
         assert_eq!(quantile(&[], 0.5), None);
     }
 }
-
-/// Batch-means confidence intervals for steady-state simulation output.
-///
-/// Correlated observations (response times from one run) are grouped into
-/// `batches` equal batches; the batch means are approximately independent,
-/// so a t-interval over them is a defensible confidence interval — the
-/// standard output-analysis method for discrete-event simulation.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batches: usize,
-    values: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator targeting the given number of batches
-    /// (20–40 is customary).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batches < 2`.
-    pub fn new(batches: usize) -> Self {
-        assert!(batches >= 2, "need at least two batches");
-        BatchMeans {
-            batches,
-            values: Vec::new(),
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.values.push(x);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Overall mean and the half-width of an approximate 95% confidence
-    /// interval from the batch means. Returns `None` with fewer than one
-    /// observation per batch.
-    pub fn mean_and_ci(&self) -> Option<(f64, f64)> {
-        let per_batch = self.values.len() / self.batches;
-        if per_batch == 0 {
-            return None;
-        }
-        let mut means = Vec::with_capacity(self.batches);
-        for b in 0..self.batches {
-            let chunk = &self.values[b * per_batch..(b + 1) * per_batch];
-            means.push(chunk.iter().sum::<f64>() / chunk.len() as f64);
-        }
-        let k = means.len() as f64;
-        let grand = means.iter().sum::<f64>() / k;
-        let var = means.iter().map(|m| (m - grand).powi(2)).sum::<f64>() / (k - 1.0);
-        // Student-t 97.5% quantiles for k-1 degrees of freedom (k >= 2).
-        let t = t_quantile_975(means.len() - 1);
-        Some((grand, t * (var / k).sqrt()))
-    }
-}
-
-/// Two-sided 95% Student-t quantile (0.975 one-sided) by degrees of
-/// freedom; saturates to the normal quantile for large df.
-fn t_quantile_975(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    if df == 0 {
-        f64::INFINITY
-    } else if df <= TABLE.len() {
-        TABLE[df - 1]
-    } else {
-        1.96
-    }
-}
-
-#[cfg(test)]
-mod batch_means_tests {
-    use super::*;
-    use crate::random::SimRng;
-
-    #[test]
-    fn iid_coverage_is_reasonable() {
-        // For iid exponentials the CI should usually contain the mean.
-        let mut covered = 0;
-        for seed in 0..40 {
-            let mut rng = SimRng::seed_from(seed);
-            let mut bm = BatchMeans::new(20);
-            for _ in 0..4000 {
-                bm.push(rng.exponential(2.0));
-            }
-            let (mean, hw) = bm.mean_and_ci().unwrap();
-            if (mean - 2.0).abs() <= hw {
-                covered += 1;
-            }
-        }
-        assert!(covered >= 32, "coverage too low: {covered}/40");
-    }
-
-    #[test]
-    fn too_few_observations_is_none() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..5 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.mean_and_ci(), None);
-        assert_eq!(bm.len(), 5);
-    }
-
-    #[test]
-    fn constant_signal_has_zero_width() {
-        let mut bm = BatchMeans::new(5);
-        for _ in 0..100 {
-            bm.push(3.5);
-        }
-        let (mean, hw) = bm.mean_and_ci().unwrap();
-        assert_eq!(mean, 3.5);
-        assert!(hw < 1e-12);
-    }
-
-    #[test]
-    fn t_quantiles_monotone() {
-        assert!(t_quantile_975(1) > t_quantile_975(5));
-        assert!(t_quantile_975(5) > t_quantile_975(100));
-        assert_eq!(t_quantile_975(100), 1.96);
-    }
-
-    #[test]
-    #[should_panic(expected = "two batches")]
-    fn rejects_one_batch() {
-        BatchMeans::new(1);
-    }
-}
