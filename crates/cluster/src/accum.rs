@@ -80,7 +80,7 @@ impl Cluster {
         let span = end - self.accum.window_start;
         let nf = self.spec.features.len();
         let ns = self.fabric.services.len();
-        let np = self.fabric.processors.len();
+        let np = self.spec.servers.len();
 
         let mut feature_tps = vec![0.0; nf];
         let mut feature_response = vec![0.0; nf];

@@ -23,11 +23,11 @@
 pub(crate) mod fluid;
 pub(crate) mod per_user;
 
-use atom_sim::SimRng;
+use atom_sim::{Engine, SimRng};
 use atom_workload::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::Engine;
+use crate::event::Event;
 
 pub(crate) use fluid::FluidPool;
 pub(crate) use per_user::PerUserDes;
@@ -78,7 +78,7 @@ impl std::fmt::Display for BackendKind {
 /// the RNG, and the workload description. Borrowed fresh per call so
 /// backends never hold pieces of the cluster across events.
 pub(crate) struct PopCtx<'a> {
-    pub engine: &'a mut Engine,
+    pub engine: &'a mut Engine<Event>,
     pub rng: &'a mut SimRng,
     pub workload: &'a WorkloadSpec,
 }

@@ -8,7 +8,7 @@ use atom_sim::TimeWeighted;
 use atom_workload::burstiness::Mmpp2;
 
 use super::PopCtx;
-use crate::engine::Event;
+use crate::event::Event;
 
 /// One discrete user per population slot. Slots of retired users are
 /// reused so the `Vec` stays as small as the peak population.

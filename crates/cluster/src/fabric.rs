@@ -8,10 +8,10 @@
 
 use std::collections::VecDeque;
 
-use atom_sim::processor::{GroupId, JobId, PsProcessor};
-use atom_sim::TimeWeighted;
+use atom_sim::processor::{GroupId, JobId};
+use atom_sim::{ProcessorTable, TimeWeighted};
 
-use crate::engine::{idx32, Event};
+use crate::event::{idx32, Event};
 use crate::runtime::{Cluster, ScaleAction};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,10 +102,9 @@ pub(crate) fn effective_cap(share: f64, parallelism: Option<usize>) -> f64 {
 /// All orchestration-plane state: the machines, the containers, the
 /// in-flight work, pending actuations, and active fault episodes.
 pub(crate) struct Fabric {
-    pub processors: Vec<PsProcessor>,
-    /// Per-processor invocation of each executing CPU job, indexed by
-    /// the job's slot (`JobId` is a dense, reused index).
-    pub proc_jobs: Vec<Vec<Option<usize>>>,
+    /// The servers' processors, with the invocation of each executing
+    /// CPU job.
+    pub processors: ProcessorTable<usize>,
     pub services: Vec<ServiceRt>,
     pub invocations: Vec<Option<Invocation>>,
     pub free_invs: Vec<usize>,
@@ -180,7 +179,7 @@ impl Cluster {
         for g in groups {
             self.fabric.processors[pi].set_group_cap(now, g, cap);
         }
-        self.reschedule_processor(pi);
+        self.fabric.processors.publish(&mut self.engine, pi);
 
         // Horizontal.
         let live: Vec<usize> = self.fabric.services[si]
@@ -346,25 +345,24 @@ impl Cluster {
             .collect();
         // Jobs executing on the victim, in `JobId` order: the order leaks
         // into replica selection for the re-dispatched work.
-        let executing: Vec<(JobId, usize)> = self.fabric.proc_jobs[pi]
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, inv)| inv.map(|inv| (JobId(slot), inv)))
+        let executing: Vec<JobId> = self
+            .fabric
+            .processors
+            .running(pi)
             .filter(|&(_, inv)| {
                 let i = self.fabric.invocations[inv]
                     .as_ref()
                     .expect("job maps to live inv");
                 i.service == si && i.replica == replica
             })
+            .map(|(job, _)| job)
             .collect();
         self.fabric.services[si].replicas[replica].busy_threads = self.fabric.services[si].replicas
             [replica]
             .busy_threads
             .saturating_sub(executing.len());
-        for (job, inv) in executing {
-            self.fabric.processors[pi].remove_job(now, job);
-            self.fabric.proc_jobs[pi][job.0] = None;
-            displaced.push(inv);
+        for job in executing {
+            displaced.push(self.fabric.processors.remove_job(pi, now, job));
         }
         self.update_alloc(si);
         displaced
@@ -421,7 +419,7 @@ impl Cluster {
             self.requeue_invocation(inv);
         }
         let pi = self.fabric.services[si].server;
-        self.reschedule_processor(pi);
+        self.fabric.processors.publish(&mut self.engine, pi);
     }
 
     /// Every replica on server `pi` dies; replacements can only begin
@@ -429,7 +427,7 @@ impl Cluster {
     /// Displaced work backlogs on the starting replacements and drains
     /// when they come up.
     pub(crate) fn server_outage(&mut self, pi: usize, duration: f64) {
-        if pi >= self.fabric.processors.len() {
+        if pi >= self.spec.servers.len() {
             return;
         }
         let back_at = self.engine.now + duration;
@@ -462,6 +460,6 @@ impl Cluster {
         for inv in displaced_all {
             self.requeue_invocation(inv);
         }
-        self.reschedule_processor(pi);
+        self.fabric.processors.publish(&mut self.engine, pi);
     }
 }

@@ -32,9 +32,11 @@
 //! The runtime is layered into private modules behind the
 //! [`runtime::Cluster`] facade:
 //!
-//! * `engine` — the simulation clock, a hierarchical timer-wheel
-//!   calendar for timers (same pop order as a binary heap, O(1)
-//!   amortised insert) and one pending-completion slot per processor;
+//! * [`atom_sim::Engine`] — the simulation clock, a hierarchical
+//!   timer-wheel calendar for timers (same pop order as a binary heap,
+//!   O(1) amortised insert) and one pending-completion slot per
+//!   processor, shared with `atom-lqn`'s simulator; `event` holds the
+//!   cluster's timers and [`atom_sim::ProcessorTable`] its processors;
 //! * [`backend`] — the user population, behind a two-variant `Backend`
 //!   enum: the exact per-user DES (one think timer per user, the
 //!   default) and an aggregate *fluid* pool that batches the whole think
@@ -70,8 +72,8 @@
 
 mod accum;
 pub mod backend;
-mod engine;
 pub mod error;
+mod event;
 mod fabric;
 pub mod monitor;
 mod request;

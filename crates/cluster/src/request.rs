@@ -9,7 +9,7 @@
 //! inline.
 
 use crate::backend::PopCtx;
-use crate::engine::Event;
+use crate::event::Event;
 use crate::fabric::{InvState, Invocation, ReplicaState};
 use crate::runtime::{Cluster, TenantRt, TENANT_LOCAL_MASK, TENANT_SHIFT};
 
@@ -50,12 +50,8 @@ impl Cluster {
     fn expand_calls(&mut self, si: usize, ei: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for c in &self.spec.services[si].endpoints[ei].calls {
-            let whole = c.mean.floor() as usize;
-            let frac = c.mean - c.mean.floor();
-            let count = whole + usize::from(frac > 0.0 && self.rng.bernoulli(frac));
-            for _ in 0..count {
-                out.push((c.service.0, c.endpoint.0));
-            }
+            let count = self.rng.call_count(c.mean);
+            out.extend(std::iter::repeat_n((c.service.0, c.endpoint.0), count));
         }
         out
     }
@@ -212,69 +208,19 @@ impl Cluster {
         }
         self.fabric.invocations[inv].as_mut().unwrap().state = InvState::Executing;
         let ep = &self.spec.services[si].endpoints[ei];
-        let demand = if ep.demand == 0.0 {
-            0.0
-        } else if ep.demand_cv == 0.0 {
-            ep.demand
-        } else if (ep.demand_cv - 1.0).abs() < 1e-12 {
-            self.rng.exponential(ep.demand)
-        } else {
-            self.rng.lognormal(ep.demand, ep.demand_cv)
-        };
+        let demand = self.rng.demand(ep.demand, ep.demand_cv);
         if demand == 0.0 {
             self.demand_done(inv);
             return;
         }
         let pi = self.fabric.services[si].server;
         let group = self.fabric.services[si].replicas[replica].group;
-        let job = self.fabric.processors[pi].add_job(now, group, demand);
-        let slots = &mut self.fabric.proc_jobs[pi];
-        if job.0 == slots.len() {
-            slots.push(None);
-        }
-        slots[job.0] = Some(inv);
-        self.reschedule_processor(pi);
+        self.fabric
+            .processors
+            .add_job(&mut self.engine, pi, group, demand, inv);
     }
 
-    /// Replaces `pi`'s entry in the engine's due index with its next
-    /// completion under the current allocation. Everything that adds or
-    /// removes a job calls this; a bare `set_group_cap` does not, which
-    /// leaves the entry stale (see `processor_check`).
-    pub(crate) fn reschedule_processor(&mut self, pi: usize) {
-        let proc = &mut self.fabric.processors[pi];
-        let next = proc.next_completion(self.engine.now);
-        let generation = proc.generation();
-        self.engine
-            .set_completion(pi, next.map(|(t, _)| (t, generation)));
-    }
-
-    /// `pi`'s due-index entry, computed under `generation`, came due.
-    /// An entry from before the processor's last reallocation is stale —
-    /// its time was computed at rates that no longer hold — and is
-    /// dropped: the processor then has no pending completion until the
-    /// next `reschedule_processor`. Returns whether the entry was live.
-    pub(crate) fn processor_check(&mut self, pi: usize, generation: u64) -> bool {
-        if self.fabric.processors[pi].generation() != generation {
-            return false;
-        }
-        loop {
-            let now = self.engine.now;
-            match self.fabric.processors[pi].next_completion(now) {
-                Some((t, job)) if t <= now + 1e-12 => {
-                    self.fabric.processors[pi].remove_job(now, job);
-                    let inv = self.fabric.proc_jobs[pi][job.0]
-                        .take()
-                        .expect("job maps to inv");
-                    self.demand_done(inv);
-                }
-                _ => break,
-            }
-        }
-        self.reschedule_processor(pi);
-        true
-    }
-
-    fn demand_done(&mut self, inv: usize) {
+    pub(crate) fn demand_done(&mut self, inv: usize) {
         // Pure-latency (I/O) stage before the downstream calls.
         let (si, ei) = {
             let i = self.fabric.invocations[inv].as_ref().unwrap();
@@ -403,7 +349,7 @@ impl Cluster {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::Event;
+    use crate::event::Event;
     use crate::runtime::{Cluster, ClusterOptions};
     use crate::spec::{AppSpec, EndpointId, ServiceId};
     use atom_sim::processor::GroupId;
@@ -467,7 +413,7 @@ mod tests {
         // overdue job back, at the time of the reschedule.
         let report = cluster.run_window(1.0);
         assert_eq!(report.feature_counts[0], 0);
-        cluster.reschedule_processor(0);
+        cluster.fabric.processors.publish(&mut cluster.engine, 0);
         let report = cluster.run_window(1.0);
         assert_eq!(report.feature_counts[0], 1);
         assert_eq!(cluster.take_probe_samples(), vec![(0.0, 2.5)]);

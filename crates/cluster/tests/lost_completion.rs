@@ -4,7 +4,7 @@
 //! `PsProcessor::set_group_cap` reallocates, which bumps the processor's
 //! generation and makes the pending completion the engine holds for it
 //! stale. Every caller that also adds or removes a job follows up with
-//! `reschedule_processor`; four that only move a cap do not —
+//! `ProcessorTable::publish`; four that only move a cap do not —
 //! `kill_replica`, `replica_ready` when nothing was queued on the
 //! replica, the scale-down branches of `apply_action`, and
 //! `fail_replica`. After one of those the processor has *no* pending

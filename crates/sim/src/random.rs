@@ -1,5 +1,5 @@
-//! Seedable randomness and the service-time distributions used by the
-//! simulators.
+//! Seedable randomness and the per-hop samplers both simulators draw
+//! from: a service demand and a call count.
 //!
 //! Only `rand`'s uniform generator is used as a primitive; exponential,
 //! lognormal, and normal variates are derived via inverse-CDF and
@@ -135,6 +135,32 @@ impl SimRng {
         self.uniform() < p
     }
 
+    /// A service demand with arithmetic mean `mean` and coefficient of
+    /// variation `cv`: 0 for a zero mean, the mean itself at cv 0, an
+    /// exponential draw at cv 1 and a lognormal one otherwise.
+    #[inline]
+    pub fn demand(&mut self, mean: f64, cv: f64) -> f64 {
+        if mean == 0.0 {
+            0.0
+        } else if cv == 0.0 {
+            mean
+        } else if (cv - 1.0).abs() < 1e-12 {
+            self.exponential(mean)
+        } else {
+            self.lognormal(mean, cv)
+        }
+    }
+
+    /// How many times a call with a mean of `mean` per invocation is made
+    /// this time: `floor(mean)`, plus one with probability
+    /// `mean - floor(mean)`. A whole mean draws nothing.
+    #[inline]
+    pub fn call_count(&mut self, mean: f64) -> usize {
+        let whole = mean.floor();
+        let frac = mean - whole;
+        whole as usize + usize::from(frac > 0.0 && self.bernoulli(frac))
+    }
+
     /// Derives an independent child RNG; used to give each simulator
     /// component its own stream.
     pub fn fork(&mut self) -> SimRng {
@@ -142,62 +168,13 @@ impl SimRng {
     }
 }
 
-/// A service-time (or think-time) distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Distribution {
-    /// Always the same value.
-    Constant(f64),
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean of the distribution.
-        mean: f64,
-    },
-    /// Lognormal with the given arithmetic mean and coefficient of
-    /// variation.
-    Lognormal {
-        /// Arithmetic mean.
-        mean: f64,
-        /// Coefficient of variation (std dev / mean).
-        cv: f64,
-    },
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-}
-
-impl Distribution {
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Distribution::Constant(v) => v,
-            Distribution::Exponential { mean } => mean,
-            Distribution::Lognormal { mean, .. } => mean,
-            Distribution::Uniform { lo, hi } => (lo + hi) / 2.0,
-        }
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        match *self {
-            Distribution::Constant(v) => v,
-            Distribution::Exponential { mean } => rng.exponential(mean),
-            Distribution::Lognormal { mean, cv } => rng.lognormal(mean, cv),
-            Distribution::Uniform { lo, hi } => rng.uniform_in(lo, hi),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_mean(d: Distribution, n: usize, seed: u64) -> f64 {
+    fn demand_mean(mean: f64, cv: f64, n: usize, seed: u64) -> f64 {
         let mut rng = SimRng::seed_from(seed);
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
+        (0..n).map(|_| rng.demand(mean, cv)).sum::<f64>() / n as f64
     }
 
     #[test]
@@ -211,16 +188,15 @@ mod tests {
 
     #[test]
     fn exponential_mean_converges() {
-        let m = sample_mean(Distribution::Exponential { mean: 2.5 }, 200_000, 1);
+        let m = demand_mean(2.5, 1.0, 200_000, 1);
         assert!((m - 2.5).abs() < 0.05, "mean {m}");
     }
 
     #[test]
     fn lognormal_mean_and_cv_converge() {
-        let d = Distribution::Lognormal { mean: 1.0, cv: 0.5 };
         let mut rng = SimRng::seed_from(2);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| rng.demand(1.0, 0.5)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
@@ -260,12 +236,20 @@ mod tests {
     }
 
     #[test]
-    fn constant_distribution() {
-        assert_eq!(
-            Distribution::Constant(3.0).sample(&mut SimRng::seed_from(0)),
-            3.0
-        );
-        assert_eq!(Distribution::Constant(3.0).mean(), 3.0);
+    fn degenerate_demands_draw_nothing() {
+        let mut rng = SimRng::seed_from(0);
+        assert_eq!(rng.demand(3.0, 0.0), 3.0);
+        assert_eq!(rng.demand(0.0, 0.7), 0.0);
+        assert_eq!(rng.call_count(2.0), 2);
+        assert_eq!(rng.uniform(), SimRng::seed_from(0).uniform());
+    }
+
+    #[test]
+    fn call_counts_average_to_the_mean() {
+        let mut rng = SimRng::seed_from(6);
+        let n = 100_000;
+        let total: usize = (0..n).map(|_| rng.call_count(2.3)).sum();
+        assert!((total as f64 / n as f64 - 2.3).abs() < 0.01);
     }
 
     #[test]

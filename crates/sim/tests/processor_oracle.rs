@@ -686,7 +686,8 @@ fn a_check_fired_at_the_returned_time_always_completes_a_job() {
         // A read part of the way there splits the clock arithmetic.
         cpu.remaining(now + 0.4 * (t - now), job);
         now = t;
-        // The check: what `processor_check` does when the event fires.
+        // The check: what `ProcessorTable::pop_finished` does when the
+        // completion comes due.
         let (due, due_job) = cpu.next_completion(now).expect("jobs are running");
         assert!(
             due <= now + 1e-12,
