@@ -181,11 +181,7 @@ fn scenario_chain_scaling(topology: bool) -> Pins {
     let mut cluster = Cluster::new(
         &spec,
         workload,
-        maybe_topology(
-            ClusterOptions::new().with_seed(42).with_vertical_delay(2.0),
-            &spec,
-            topology,
-        ),
+        maybe_topology(ClusterOptions::new().with_seed(42), &spec, topology),
     )
     .unwrap();
     let mut d = Digest::new();

@@ -30,6 +30,12 @@ pub use forecaster::ForecastConfig;
 use forecaster::Forecaster;
 use reconciler::Reconciler;
 
+/// Maximum tolerated monitor-dropout fraction before a window is treated
+/// as degraded: its scrape-based counters are discarded and the
+/// controller falls back to the last trusted telemetry instead of
+/// re-fitting the model on under-counted garbage.
+const MAX_DROPOUT: f64 = 0.25;
+
 /// Configuration of the ATOM controller.
 #[derive(Debug, Clone)]
 pub struct AtomConfig {
@@ -54,15 +60,6 @@ pub struct AtomConfig {
     /// (the paper's §VII future work; default off = statically profiled
     /// demands, as in the paper).
     pub online_demands: bool,
-    /// Maximum tolerated monitor-dropout fraction before a window is
-    /// treated as degraded: its scrape-based counters are discarded and
-    /// the controller falls back to the last trusted telemetry instead
-    /// of re-fitting the model on under-counted garbage.
-    pub max_dropout: f64,
-    /// How many times a scaling action that the actuator did not apply
-    /// (an actuation-failure fault dropped the batch) is re-issued
-    /// before being abandoned.
-    pub max_actuation_retries: usize,
     /// Proactive planning: forecast demand at `t + actuation horizon`
     /// and plan for that (default off — reactive, as in the paper).
     pub forecast: ForecastConfig,
@@ -85,8 +82,6 @@ impl AtomConfig {
             quick_fixes: true,
             peak_monitoring: true,
             online_demands: false,
-            max_dropout: 0.25,
-            max_actuation_retries: 3,
             forecast: ForecastConfig::default(),
         }
     }
@@ -154,7 +149,6 @@ impl Atom {
             planner: Planner {
                 mode: config.planner_mode,
                 quick_fixes: config.quick_fixes,
-                ..Planner::default()
             },
             window: 0,
             trusted: None,
@@ -418,7 +412,7 @@ impl Autoscaler for Atom {
     fn decide(&mut self, report: &WindowReport) -> Vec<ScaleAction> {
         let window = self.window;
         self.window += 1;
-        let degraded = report.degraded(self.config.max_dropout);
+        let degraded = report.degraded(MAX_DROPOUT);
         // The journal record grows with each phase and `finish` closes it;
         // it holds only values the decision computes anyway (inert).
         let snapshot = snapshot_of(report, degraded);

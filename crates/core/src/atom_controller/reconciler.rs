@@ -7,6 +7,11 @@ use atom_obs::ActuationOutcome;
 use super::AtomConfig;
 use crate::binding::ModelBinding;
 
+/// How many times a scaling action that the actuator did not apply (an
+/// actuation-failure fault dropped the batch) is re-issued before being
+/// abandoned.
+const MAX_ACTUATION_RETRIES: usize = 3;
+
 /// A scaling action issued but not yet confirmed by the actuator state.
 #[derive(Debug, Clone, Copy)]
 struct PendingAction {
@@ -102,7 +107,7 @@ impl Reconciler {
             self.pending.retain(|p| p.action.service != a.service);
             self.pending.push(PendingAction {
                 action: *a,
-                retries_left: config.max_actuation_retries,
+                retries_left: MAX_ACTUATION_RETRIES,
                 due: now + config.actuation_delay,
             });
         }

@@ -44,6 +44,13 @@ fn rule_record(
     record
 }
 
+/// Maximum tolerated monitor-dropout fraction: a window darker than this
+/// under-reports utilisation, and doubling on such readings would be
+/// acting on noise — the scaler holds instead. More lenient than ATOM's
+/// threshold because the rules only ever scale *up*, so a missed trigger
+/// costs a window, not a bad re-fit.
+const MAX_DROPOUT: f64 = 0.5;
+
 /// Shared configuration of the rule-based scalers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuleConfig {
@@ -60,12 +67,6 @@ pub struct RuleConfig {
     pub max_replicas: usize,
     /// Hard cap on per-replica share (cores).
     pub max_share: f64,
-    /// Maximum tolerated monitor-dropout fraction: a window darker than
-    /// this under-reports utilisation, and doubling on such readings
-    /// would be acting on noise — the scaler holds instead. More lenient
-    /// than ATOM's threshold because the rules only ever scale *up*, so
-    /// a missed trigger costs a window, not a bad re-fit.
-    pub max_dropout: f64,
 }
 
 impl Default for RuleConfig {
@@ -74,7 +75,6 @@ impl Default for RuleConfig {
             trigger_utilization: 0.875,
             max_replicas: 16,
             max_share: 4.0,
-            max_dropout: 0.5,
         }
     }
 }
@@ -109,7 +109,7 @@ impl Autoscaler for UhScaler {
     fn decide(&mut self, report: &WindowReport) -> Vec<ScaleAction> {
         let window = self.window;
         self.window += 1;
-        let degraded = report.degraded(self.config.max_dropout);
+        let degraded = report.degraded(MAX_DROPOUT);
         let mut actions = Vec::new();
         if !degraded {
             for (si, svc) in self.spec.services.iter().enumerate() {
@@ -172,7 +172,7 @@ impl Autoscaler for UvScaler {
     fn decide(&mut self, report: &WindowReport) -> Vec<ScaleAction> {
         let window = self.window;
         self.window += 1;
-        let degraded = report.degraded(self.config.max_dropout);
+        let degraded = report.degraded(MAX_DROPOUT);
         let mut actions = Vec::new();
         if !degraded {
             for si in 0..self.spec.services.len() {

@@ -53,14 +53,15 @@ pub enum PlannerMode {
     },
 }
 
+/// Relative TPS loss the quick fixes consider insignificant (the paper's
+/// "does not affect the TPS significantly").
+const TPS_TOLERANCE: f64 = 0.02;
+
 /// The planner. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Planner {
     /// Conservatism mode.
     pub mode: PlannerMode,
-    /// Relative TPS loss considered insignificant by the quick fixes
-    /// (the paper's "does not affect the TPS significantly").
-    pub tps_tolerance: f64,
     /// Whether the two §IV-C quick fixes run at all (disabled by the
     /// ablation harness to quantify their contribution).
     pub quick_fixes: bool,
@@ -70,7 +71,6 @@ impl Default for Planner {
     fn default() -> Self {
         Planner {
             mode: PlannerMode::Standard,
-            tps_tolerance: 0.02,
             quick_fixes: true,
         }
     }
@@ -120,7 +120,7 @@ impl Planner {
                 let mut trial = adopted.clone();
                 trial.set(s.task, prev.replicas, prev.share_idx);
                 if let Some(tps) = evaluator.predicted_tps(&trial) {
-                    if tps >= adopted_tps * (1.0 - self.tps_tolerance) {
+                    if tps >= adopted_tps * (1.0 - TPS_TOLERANCE) {
                         adopted = trial;
                         adopted_tps = tps;
                     }
@@ -144,7 +144,7 @@ impl Planner {
                     let mut trial = adopted.clone();
                     trial.set(s.task, new_r, new_idx);
                     if let Some(tps) = evaluator.predicted_tps(&trial) {
-                        if tps >= adopted_tps * (1.0 - self.tps_tolerance) {
+                        if tps >= adopted_tps * (1.0 - TPS_TOLERANCE) {
                             adopted = trial;
                             adopted_tps = tps;
                         }
@@ -301,7 +301,6 @@ mod tests {
                 max_relative_change: 0.5,
             },
             quick_fixes: false,
-            ..Default::default()
         };
         let plan = planner.plan(&binding, &binding.model, candidate, &current);
         let d = plan.get(TaskId(0)).unwrap();

@@ -159,11 +159,7 @@ fn one_service_spec(demand: f64, share: f64, threads: usize) -> AppSpec {
 fn scenario_chain_scaling() -> Pins {
     let spec = chain_spec();
     let workload = WorkloadSpec::constant(RequestMix::uniform(1), 50, 1.0);
-    let mut mtc = deploy(
-        &spec,
-        workload,
-        ClusterOptions::new().with_seed(42).with_vertical_delay(2.0),
-    );
+    let mut mtc = deploy(&spec, workload, ClusterOptions::new().with_seed(42));
     let mut d = Digest::new();
     digest_report(&mut d, &mtc.run_window(120.0));
     // Straight onto the simulator, as the original scenario scaled —
