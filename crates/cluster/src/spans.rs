@@ -28,6 +28,7 @@
 //! the root sequence a disabled layer never counts, nor records into
 //! the window aggregates, the export log or the `span_*` telemetry.
 
+use atom_sim::nearest_rank;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendKind;
@@ -142,13 +143,6 @@ impl ServiceSpanStats {
             net_mean: 0.0,
         }
     }
-}
-
-/// Nearest-rank percentile of `sorted` (ascending, non-empty).
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
-    let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
 }
 
 /// A sampled request's spans while any of its hops are still open. The

@@ -124,10 +124,9 @@ impl ClusterTelemetry {
         let mut sorted = self.scale_latencies.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let n = sorted.len();
-        let rank = ((0.95 * n as f64).ceil() as usize).clamp(1, n);
         Some(ScaleLatencyStats {
             mean: sorted.iter().sum::<f64>() / n as f64,
-            p95: sorted[rank - 1],
+            p95: atom_sim::nearest_rank(&sorted, 0.95),
             max: sorted[n - 1],
             count: n,
         })

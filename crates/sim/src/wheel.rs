@@ -1,6 +1,6 @@
 //! A hierarchical timer-wheel event calendar.
 //!
-//! Same contract as [`crate::calendar::EventQueue`] — events pop in
+//! Same contract as the binary-heap [`crate::calendar`] — events pop in
 //! `(time, insertion order)` order, NaN times are rejected — but pushes
 //! and pops are O(1) amortised instead of O(log n), which matters once a
 //! cluster simulation carries hundreds of thousands of pending think
@@ -18,7 +18,7 @@
 //!
 //! Within one level-0 tick, events are ordered by their exact `f64` time
 //! (then insertion sequence), so the pop order is *identical* to
-//! `EventQueue` — a property the cluster's bitwise-reproducibility pins
+//! the heap — a property the simulators' bitwise-reproducibility pins
 //! rely on and `tests/wheel_equivalence.rs` checks against randomised
 //! schedules.
 
@@ -59,7 +59,7 @@ const _: () = assert!(std::mem::size_of::<Entry<[u64; 2]>>() == 32);
 impl<E> Entry<E> {
     /// `(time, seq)` precedes `other` — the calendar's total order.
     /// `partial_cmp` (not `total_cmp`) so `-0.0 == 0.0` ties break by
-    /// sequence, exactly like `EventQueue`.
+    /// sequence, exactly like the heap.
     fn before(&self, other: &Self) -> bool {
         match self.time.partial_cmp(&other.time) {
             Some(std::cmp::Ordering::Less) => true,
@@ -70,7 +70,7 @@ impl<E> Entry<E> {
 }
 
 /// A future-event list with timer-wheel internals and
-/// [`EventQueue`](crate::calendar::EventQueue)-identical ordering.
+/// the binary heap's ([`crate::calendar`]) ordering.
 ///
 /// # Examples
 ///
@@ -320,7 +320,7 @@ impl<E> TimerWheel<E> {
 
     /// Time of the earliest pending event without removing it.
     ///
-    /// Takes `&mut self` (unlike `EventQueue::peek_time`) because
+    /// Takes `&mut self` (unlike the heap's `peek_time`) because
     /// peeking may rotate wheel internals to find the next entry.
     pub fn peek_time(&mut self) -> Option<f64> {
         if !self.advance() {
