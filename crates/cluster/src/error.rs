@@ -11,13 +11,6 @@ use std::fmt;
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
-    /// Referenced an id that does not exist.
-    UnknownId {
-        /// What kind of id.
-        kind: &'static str,
-        /// The numeric id.
-        id: usize,
-    },
     /// A parameter was out of range.
     InvalidParameter {
         /// Human-readable description.
@@ -48,7 +41,6 @@ impl ClusterError {
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::UnknownId { kind, id } => write!(f, "unknown {kind} id {id}"),
             ClusterError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
             ClusterError::InvalidSpec { reason } => write!(f, "invalid app spec: {reason}"),
         }
@@ -64,10 +56,6 @@ mod tests {
     #[test]
     fn display_nonempty() {
         for e in [
-            ClusterError::UnknownId {
-                kind: "service",
-                id: 1,
-            },
             ClusterError::invalid_parameter("x"),
             ClusterError::invalid_spec("y"),
         ] {

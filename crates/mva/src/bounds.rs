@@ -61,30 +61,6 @@ pub fn throughput_bounds(net: &ClosedNetwork) -> Bounds {
     Bounds { lower, upper }
 }
 
-/// Index and demand of the bottleneck station: the queueing station with
-/// the smallest capacity `m_k / D_k`. Returns `None` if the network has no
-/// queueing station with positive demand.
-///
-/// # Panics
-///
-/// Panics if the network is not single-class.
-pub fn bottleneck(net: &ClosedNetwork) -> Option<(usize, f64)> {
-    assert_eq!(net.num_classes(), 1, "bottleneck requires single-class");
-    let mut best: Option<(usize, f64)> = None;
-    for (i, st) in net.stations().iter().enumerate() {
-        if let StationKind::Queueing { servers } = st.kind() {
-            let d = st.demand(0);
-            if d > 0.0 {
-                let cap = servers as f64 / d;
-                if best.is_none_or(|(_, c)| cap < c) {
-                    best = Some((i, cap));
-                }
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,25 +89,6 @@ mod tests {
                 b.upper
             );
         }
-    }
-
-    #[test]
-    fn bottleneck_identifies_slowest_station() {
-        let network = net(&[(0.1, 1), (0.4, 2), (0.05, 1)], 10, 1.0);
-        // Capacities: 10, 5, 20 -> station 1 is the bottleneck.
-        let (idx, cap) = bottleneck(&network).unwrap();
-        assert_eq!(idx, 1);
-        assert!((cap - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bottleneck_none_for_delay_only() {
-        let network = ClosedNetwork::new(
-            vec![Station::delay("d", vec![1.0])],
-            vec![ClassSpec::new("c", 5, 1.0)],
-        )
-        .unwrap();
-        assert!(bottleneck(&network).is_none());
     }
 
     #[test]
