@@ -34,7 +34,8 @@ pub struct SearchResult {
     pub eval: Evaluation,
     /// Candidate evaluations spent (cache hits included).
     pub evaluations: usize,
-    /// Evaluator counters for this search (solves, hits, wall time).
+    /// Evaluator counters for this search (candidates, solves, hits,
+    /// failures, solver sweeps).
     pub stats: EvaluatorStats,
     /// GA convergence read-out (all-empty for non-GA searches).
     pub ga: GaStats,
@@ -91,7 +92,7 @@ pub fn search(
 /// Runs the GA search through an existing evaluator (and its cache).
 ///
 /// Each GA population is evaluated as one batch, so the evaluator can
-/// deduplicate candidates and fan solves across worker threads. The GA
+/// deduplicate candidates before it solves them one by one. The GA
 /// runs with within-generation niching forced on: duplicate children are
 /// re-mutated into unexplored lattice points, so a generation's solve
 /// budget is spent on distinct candidates, while *cross*-generation
