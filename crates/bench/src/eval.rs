@@ -4,7 +4,6 @@
 use std::sync::OnceLock;
 
 use atom_cluster::ClusterOptions;
-use atom_core::baselines::RuleConfig;
 use atom_core::workload::WorkloadSpec;
 use atom_core::{
     run_experiment, Atom, AtomConfig, Autoscaler, ExperimentConfig, ExperimentResult,
@@ -106,11 +105,11 @@ pub fn run_one_with_cluster(
     let mut atom;
     let scaler: &mut dyn Autoscaler = match kind {
         ScalerKind::Uh => {
-            uh = UhScaler::new(&spec, RuleConfig::default());
+            uh = UhScaler::new(&spec);
             &mut uh
         }
         ScalerKind::Uv => {
-            uv = UvScaler::new(&spec, RuleConfig::default());
+            uv = UvScaler::new(&spec);
             &mut uv
         }
         ScalerKind::Atom | ScalerKind::AtomT | ScalerKind::AtomS | ScalerKind::AtomP { .. } => {
@@ -130,14 +129,10 @@ pub fn run_one_with_cluster(
             }
             let mut cfg = AtomConfig::new(shop.objective());
             cfg.ga.budget = Budget::Evaluations(opts.ga_budget());
-            cfg.seed = opts.seed;
+            cfg.ga.seed = opts.seed;
             cfg.planner_mode = match kind {
-                ScalerKind::AtomT => PlannerMode::ConservativeTps {
-                    min_improvement: 0.05,
-                },
-                ScalerKind::AtomS => PlannerMode::ConservativeShare {
-                    max_relative_change: 0.5,
-                },
+                ScalerKind::AtomT => PlannerMode::ConservativeTps,
+                ScalerKind::AtomS => PlannerMode::ConservativeShare,
                 _ => PlannerMode::Standard,
             };
             if let ScalerKind::AtomP { season_windows } = kind {

@@ -38,7 +38,7 @@ fn atom_with(
     let binding = shop.binding(scenarios::INITIAL_USERS, scenarios::THINK_TIME, mix);
     let mut cfg = AtomConfig::new(shop.objective());
     cfg.ga.budget = Budget::Evaluations(opts.ga_budget());
-    cfg.seed = opts.seed;
+    cfg.ga.seed = opts.seed;
     tweak(&mut cfg);
     Atom::new(binding, cfg)
 }
@@ -184,7 +184,7 @@ pub fn online_demands_ablation(opts: &HarnessOptions) {
         );
         let mut cfg = AtomConfig::new(model_shop.objective());
         cfg.ga.budget = Budget::Evaluations(opts.ga_budget());
-        cfg.seed = opts.seed;
+        cfg.ga.seed = opts.seed;
         cfg.online_demands = online;
         let mut atom = Atom::new(binding, cfg);
         // The *cluster* always runs the true demands.

@@ -19,7 +19,6 @@
 //! ([`fan_out`]): every cell is self-contained, so the CSV is bitwise
 //! identical for any worker count.
 
-use atom_core::baselines::RuleConfig;
 use atom_core::{Autoscaler, UhScaler, UvScaler};
 use atom_metrics::jain_fairness_index;
 use atom_placement::{
@@ -172,9 +171,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutco
         let workload =
             scenarios::contention_workload(ti, scenario.tenants, baseline, peak, run_secs);
         scalers.push(if uses_uh {
-            Box::new(UhScaler::new(&app, RuleConfig::default()))
+            Box::new(UhScaler::new(&app))
         } else {
-            Box::new(UvScaler::new(&app, RuleConfig::default()))
+            Box::new(UvScaler::new(&app))
         });
         tenants.push(TenantSpec::new(format!("tenant-{ti}"), app, workload));
     }

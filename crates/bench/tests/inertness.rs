@@ -190,10 +190,9 @@ fn span_sampling_on_vs_off_is_bitwise_identical() {
         .all(|d| d.drift.is_none()));
 }
 
-/// A `ForecastConfig` with `enabled: false` must be inert no matter how
-/// its other knobs are set: the seed path (default config) and a config
-/// with every forecast knob scrambled produce bitwise-identical
-/// experiment outputs.
+/// A `ForecastConfig` with `enabled: false` must be inert whatever its
+/// seasonal period: the seed path (default config) and a disabled config
+/// with a period set produce bitwise-identical experiment outputs.
 #[test]
 fn disabled_forecast_config_is_bitwise_inert() {
     let windows = 3usize;
@@ -216,20 +215,16 @@ fn disabled_forecast_config_is_bitwise_inert() {
         ClusterOptions::new().with_seed(opts.seed),
     );
 
-    // Same experiment, wired by hand with scrambled-but-disabled
-    // forecast knobs.
+    // Same experiment, wired by hand with a disabled forecast that names
+    // a seasonal period.
     let w = workload();
     let binding = shop.binding(scenarios::INITIAL_USERS, w.think_time, w.mix.fractions());
     let mut cfg = AtomConfig::new(shop.objective());
     cfg.ga.budget = atom_ga::Budget::Evaluations(opts.ga_budget());
-    cfg.seed = opts.seed;
+    cfg.ga.seed = opts.seed;
     cfg.forecast = atom_core::ForecastConfig {
         enabled: false,
-        error_window: 1,
         season_windows: 13,
-        max_smape: 0.0,
-        envelope: 99.0,
-        min_history: 0,
     };
     let mut atom = Atom::new(binding, cfg);
     let scrambled = run_experiment(

@@ -36,21 +36,23 @@ use reconciler::Reconciler;
 /// re-fitting the model on under-counted garbage.
 const MAX_DROPOUT: f64 = 0.25;
 
+/// Seconds between window end and actions taking effect — ATOM's
+/// optimisation + planning latency (paper: ~2.5 min on average). The
+/// reconciler waits this long before it calls an action dropped, and
+/// the forecaster plans this far ahead until a scale-up is measured.
+const ACTUATION_DELAY: f64 = 150.0;
+
 /// Configuration of the ATOM controller.
 #[derive(Debug, Clone)]
 pub struct AtomConfig {
     /// Objective weights, SLA, and limits (§IV-B).
     pub objective: ObjectiveSpec,
-    /// GA hyper-parameters; the budget plays the paper's 2-minute bound
-    /// (use evaluations for determinism).
+    /// GA budget and seed; the budget plays the paper's 2-minute bound
+    /// (use evaluations for determinism), and each window derives its
+    /// own seed from this one.
     pub ga: GaOptions,
     /// Planner conservatism (`Standard`, ATOM-T, ATOM-S).
     pub planner_mode: PlannerMode,
-    /// Seconds between window end and actions taking effect — ATOM's
-    /// optimisation + planning latency (paper: ~2.5 min on average).
-    pub actuation_delay: f64,
-    /// Base RNG seed; each window derives its own.
-    pub seed: u64,
     /// Run the §IV-C planner quick fixes (ablation knob; default on).
     pub quick_fixes: bool,
     /// Use the monitor's peak sub-interval rate for effective-population
@@ -77,8 +79,6 @@ impl AtomConfig {
                 ..Default::default()
             },
             planner_mode: PlannerMode::Standard,
-            actuation_delay: 150.0,
-            seed: 1,
             quick_fixes: true,
             peak_monitoring: true,
             online_demands: false,
@@ -137,8 +137,8 @@ impl Atom {
         binding.assert_consistent();
         let base = match config.planner_mode {
             PlannerMode::Standard => "ATOM",
-            PlannerMode::ConservativeTps { .. } => "ATOM-T",
-            PlannerMode::ConservativeShare { .. } => "ATOM-S",
+            PlannerMode::ConservativeTps => "ATOM-T",
+            PlannerMode::ConservativeShare => "ATOM-S",
         };
         let forecaster = Forecaster::new(&config.forecast);
         let proactive = if forecaster.is_some() { "-P" } else { "" };
@@ -301,9 +301,10 @@ impl Atom {
     }
 
     /// This window's GA options: the configured ones, seeded per window
-    /// for determinism. Call after the window counter has advanced.
+    /// from the configured seed for determinism. Call after the window
+    /// counter has advanced.
     fn ga_options(&self) -> GaOptions {
-        let seed = self.config.seed.wrapping_mul(0x9E37_79B9);
+        let seed = self.config.ga.seed.wrapping_mul(0x9E37_79B9);
         GaOptions {
             seed: seed.wrapping_add(self.window),
             ..self.config.ga
@@ -421,10 +422,9 @@ impl Autoscaler for Atom {
         // Knowledge, closing last window's loop: score its predictions.
         record.drift = self.auditor.audit(report);
         // Monitor: what became of earlier orders, and this window's load.
-        let (binding, config) = (&self.binding, &self.config);
         let reissue =
             self.reconciler
-                .reconcile(report, binding, config, &mut record.actuation, &mut notes);
+                .reconcile(report, &self.binding, &mut record.actuation, &mut notes);
         let plan = 'hold: {
             let Some(load) = self.observe(report, degraded, !reissue.is_empty(), &mut notes) else {
                 break 'hold None;
@@ -434,7 +434,7 @@ impl Autoscaler for Atom {
             record.forecast = self
                 .forecaster
                 .as_mut()
-                .and_then(|f| f.demand(&self.config, &load, report, degraded, &mut notes));
+                .and_then(|f| f.demand(&load, report, degraded, &mut notes));
             let Some(model) = self.analyze(load, report, degraded, &mut record, &mut notes) else {
                 break 'hold None;
             };
@@ -463,14 +463,12 @@ impl Autoscaler for Atom {
         };
         // Execute: a hold plans nothing and still re-issues.
         let (diagnosis, planned) = plan.unwrap_or_default();
-        let actions = self
-            .reconciler
-            .issue(planned, reissue, report.end, &self.config);
+        let actions = self.reconciler.issue(planned, reissue, report.end);
         self.finish(record, diagnosis, notes, actions)
     }
 
     fn actuation_delay(&self) -> f64 {
-        self.config.actuation_delay
+        ACTUATION_DELAY
     }
 
     fn explain_last(&self) -> Option<String> {
@@ -538,7 +536,6 @@ mod testkit {
     pub(super) fn proactive_config() -> AtomConfig {
         let mut cfg = fast_config();
         cfg.forecast = ForecastConfig::enabled();
-        cfg.forecast.min_history = 2;
         cfg
     }
 }
@@ -596,18 +593,8 @@ mod tests {
             Atom::new(binding(0.5), c).name().to_string()
         };
         assert_eq!(mk(PlannerMode::Standard), "ATOM");
-        assert_eq!(
-            mk(PlannerMode::ConservativeTps {
-                min_improvement: 0.05
-            }),
-            "ATOM-T"
-        );
-        assert_eq!(
-            mk(PlannerMode::ConservativeShare {
-                max_relative_change: 0.25
-            }),
-            "ATOM-S"
-        );
+        assert_eq!(mk(PlannerMode::ConservativeTps), "ATOM-T");
+        assert_eq!(mk(PlannerMode::ConservativeShare), "ATOM-S");
     }
 
     #[test]
@@ -629,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    fn actuation_delay_is_config() {
+    fn actuation_delay_is_150_seconds() {
         let atom = Atom::new(binding(0.5), fast_config());
         assert_eq!(atom.actuation_delay(), 150.0);
     }

@@ -5,8 +5,21 @@ use atom_cluster::WindowReport;
 use atom_forecast::Ensemble;
 use atom_obs::ForecastRecord;
 
-use super::AtomConfig;
+use super::ACTUATION_DELAY;
 use crate::analyzer::LoadView;
+
+/// One-step-ahead sMAPE samples averaged per model when ranking the
+/// ensemble (and when thresholding the fallback guardrail).
+const ERROR_WINDOW: usize = 8;
+/// Rolling-sMAPE ceiling above which the forecast is discarded and the
+/// window planned reactively.
+const MAX_SMAPE: f64 = 0.35;
+/// Relative headroom above the observation the prediction may claim: the
+/// planned load is clamped to `[observed, observed * (1 + ENVELOPE)]`.
+const ENVELOPE: f64 = 1.0;
+/// Observed (non-degraded) windows required before the first forecast is
+/// trusted.
+const MIN_HISTORY: usize = 3;
 
 /// Configuration of the proactive (forecast-driven) planning path.
 ///
@@ -14,52 +27,28 @@ use crate::analyzer::LoadView;
 /// which lands every scale-up one actuation horizon late. When enabled,
 /// the controller keeps a bounded history of observed load, forecasts
 /// the demand at `t + horizon` (the horizon read from measured scale
-/// latency, falling back to the configured actuation delay), and hands
-/// the *predicted* load to the unchanged planner — guarded so a bad
-/// forecast can never do worse than reactive planning:
+/// latency, falling back to the 150 s actuation delay), and hands the
+/// *predicted* load to the unchanged planner — guarded so a bad forecast
+/// can never do worse than reactive planning:
 ///
-/// * the prediction is clamped to an envelope above the observation and
+/// * no forecast before the third observed window;
+/// * the prediction is clamped to at most twice the observation and
 ///   never below it (no scale-down on a forecast alone);
-/// * when the answering model's rolling one-step sMAPE exceeds
-///   [`ForecastConfig::max_smape`], the window is planned reactively.
-#[derive(Debug, Clone, PartialEq)]
+/// * when the answering model's rolling one-step sMAPE over the last 8
+///   windows exceeds 0.35, the window is planned reactively.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ForecastConfig {
     /// Master switch; `false` leaves every decision byte-identical to
     /// the reactive controller.
     pub enabled: bool,
-    /// One-step-ahead sMAPE samples averaged per model when ranking the
-    /// ensemble (and when thresholding the fallback guardrail).
-    pub error_window: usize,
     /// Dominant workload period in monitoring windows; `>= 2` adds a
     /// seasonal smoother with that cycle to the ensemble (e.g. a
     /// diurnal cycle of 24 five-minute windows would be 288).
     pub season_windows: usize,
-    /// Rolling-sMAPE ceiling above which the forecast is discarded and
-    /// the window planned reactively.
-    pub max_smape: f64,
-    /// Relative headroom above the observation the prediction may claim:
-    /// the planned load is clamped to `[observed, observed*(1+envelope)]`.
-    pub envelope: f64,
-    /// Observed (non-degraded) windows required before the first
-    /// forecast is trusted.
-    pub min_history: usize,
-}
-
-impl Default for ForecastConfig {
-    fn default() -> Self {
-        ForecastConfig {
-            enabled: false,
-            error_window: 8,
-            season_windows: 0,
-            max_smape: 0.35,
-            envelope: 1.0,
-            min_history: 3,
-        }
-    }
 }
 
 impl ForecastConfig {
-    /// The default knobs with the master switch on.
+    /// Forecasting on, with no seasonal model.
     pub fn enabled() -> Self {
         ForecastConfig {
             enabled: true,
@@ -74,7 +63,7 @@ impl ForecastConfig {
 pub(super) struct Forecaster {
     ensemble: Ensemble,
     /// Non-degraded windows the ensemble has observed so far (gates the
-    /// first trusted forecast behind `min_history`).
+    /// first trusted forecast behind `MIN_HISTORY`).
     history: usize,
 }
 
@@ -82,7 +71,7 @@ impl Forecaster {
     /// The forecaster `cfg` asks for: `None` unless it is enabled.
     pub(super) fn new(cfg: &ForecastConfig) -> Option<Self> {
         cfg.enabled.then(|| Forecaster {
-            ensemble: Ensemble::new(cfg.error_window, cfg.season_windows),
+            ensemble: Ensemble::new(ERROR_WINDOW, cfg.season_windows),
             history: 0,
         })
     }
@@ -91,16 +80,14 @@ impl Forecaster {
     /// predicts the demand at the moment actions issued *now* will have
     /// taken effect, behind the guardrails [`ForecastConfig`] describes.
     /// Returns `None` on degraded windows (their counters would poison
-    /// the models) or while history is shorter than `min_history`.
+    /// the models) or while history is shorter than `MIN_HISTORY`.
     pub(super) fn demand(
         &mut self,
-        config: &AtomConfig,
         load: &LoadView,
         report: &WindowReport,
         degraded: bool,
         notes: &mut Vec<String>,
     ) -> Option<ForecastRecord> {
-        let cfg = &config.forecast;
         if degraded {
             notes.push("monitor degraded: forecaster paused this window".into());
             return None;
@@ -108,7 +95,7 @@ impl Forecaster {
         let observed = load.users as f64;
         self.ensemble.observe(observed);
         self.history += 1;
-        if self.history < cfg.min_history.max(1) {
+        if self.history < MIN_HISTORY {
             return None;
         }
         let span = report.duration();
@@ -117,24 +104,22 @@ impl Forecaster {
         }
         // The horizon is how long a scale-up takes to land *here*, as
         // measured (issue-to-ready p95); before any scale-up completes
-        // the configured actuation delay is the best estimate.
+        // the actuation delay is the best estimate.
         let horizon = report
             .scale_latency
             .map(|s| s.p95)
-            .unwrap_or(config.actuation_delay)
+            .unwrap_or(ACTUATION_DELAY)
             .max(0.0);
         let f = self.ensemble.forecast(horizon / span)?;
-        let fallback = f.rolling_smape.is_some_and(|e| e > cfg.max_smape);
+        let fallback = f.rolling_smape.is_some_and(|e| e > MAX_SMAPE);
         let planned = if fallback {
             notes.push(format!(
-                "forecast unreliable (rolling sMAPE {:.2} > {:.2}): planning reactively",
+                "forecast unreliable (rolling sMAPE {:.2} > {MAX_SMAPE:.2}): planning reactively",
                 f.rolling_smape.unwrap_or(f64::NAN),
-                cfg.max_smape
             ));
             observed
         } else {
-            f.value
-                .clamp(observed, observed * (1.0 + cfg.envelope.max(0.0)))
+            f.value.clamp(observed, observed * (1.0 + ENVELOPE))
         };
         let clamped = !fallback && (planned - f.value).abs() > 1e-9;
         if !fallback && planned > observed {
@@ -187,7 +172,9 @@ mod tests {
     fn proactive_ramp_plans_above_the_observation() {
         let loads = [100, 200, 300, 400, 500, 600];
         let recs = ramp_records(proactive_config(), &loads);
-        assert!(recs[0].is_none(), "min_history gates the first window");
+        // Warm-up: the first forecast comes with the third window.
+        assert!(recs[..MIN_HISTORY - 1].iter().all(Option::is_none));
+        assert!(recs[MIN_HISTORY - 1].is_some(), "{recs:?}");
         let last = recs.last().unwrap().as_ref().expect("forecast");
         assert_eq!(last.observed, 600.0);
         assert!(
@@ -196,8 +183,8 @@ mod tests {
         );
         assert!(!last.fallback);
         // No scale latency was ever measured in these synthetic reports,
-        // so the horizon falls back to the configured actuation delay.
-        assert_eq!(last.horizon, 150.0);
+        // so the horizon falls back to the actuation delay.
+        assert_eq!(last.horizon, ACTUATION_DELAY);
     }
 
     #[test]
@@ -236,26 +223,36 @@ mod tests {
 
     #[test]
     fn envelope_clamps_runaway_predictions() {
-        // A zero envelope pins the plan to the observation, so any
-        // upward extrapolation must come back clamped.
-        let mut cfg = proactive_config();
-        cfg.forecast.envelope = 0.0;
-        let loads = [100, 200, 300, 400, 500, 600];
-        let recs = ramp_records(cfg, &loads);
-        let last = recs.last().unwrap().as_ref().expect("forecast");
-        assert!(last.predicted > 600.0, "clean ramp extrapolates upwards");
-        assert!(last.clamped, "{last:?}");
-        assert_eq!(last.planned, 600.0);
+        // Scale-ups that take 50 minutes to land put the horizon ten
+        // windows out, where the ramp's trend runs past twice the
+        // observation: the plan must come back clamped to the envelope.
+        let stats = atom_cluster::ScaleLatencyStats {
+            mean: 3000.0,
+            p95: 3000.0,
+            max: 3000.0,
+            count: 1,
+        };
+        let mut atom = Atom::new(binding(0.5), proactive_config());
+        for (k, n) in [100usize, 200, 300, 400, 500, 600].into_iter().enumerate() {
+            let r = at_window(report(n, 1, 0.5).with_scale_latency(Some(stats)), k);
+            let _ = atom.decide(&r);
+        }
+        let last = atom
+            .take_decision_record()
+            .and_then(|r| r.forecast)
+            .expect("forecast");
+        assert!(last.predicted > 1200.0, "{last:?}");
+        assert!(last.clamped && !last.fallback, "{last:?}");
+        assert_eq!(last.planned, 600.0 * (1.0 + ENVELOPE));
     }
 
     #[test]
     fn erratic_load_falls_back_to_reactive() {
-        let mut cfg = proactive_config();
-        cfg.forecast.max_smape = 0.05;
-        // Wild oscillation: every model's rolling sMAPE blows past 5%.
+        // Wild oscillation: every model's rolling sMAPE blows past 0.35.
         let loads = [100, 2000, 150, 1800, 120, 2200, 90, 1900];
-        let recs = ramp_records(cfg, &loads);
+        let recs = ramp_records(proactive_config(), &loads);
         let last = recs.last().unwrap().as_ref().expect("forecast");
+        assert!(last.rolling_smape.is_some_and(|e| e > MAX_SMAPE));
         assert!(last.fallback, "guardrail must fire: {last:?}");
         assert_eq!(last.planned, last.observed);
     }
@@ -275,16 +272,12 @@ mod tests {
     #[test]
     fn disabled_forecast_is_inert_on_the_decision_path() {
         // Same seed, same windows: a controller with forecasting off but
-        // scrambled forecast knobs must produce byte-identical decisions
-        // to the default config.
+        // a seasonal period set must produce byte-identical decisions to
+        // the default config.
         let mut scrambled = fast_config();
         scrambled.forecast = ForecastConfig {
             enabled: false,
-            error_window: 3,
             season_windows: 7,
-            max_smape: 0.01,
-            envelope: 9.0,
-            min_history: 0,
         };
         let run = |cfg: AtomConfig| {
             let mut atom = Atom::new(binding(0.2), cfg);

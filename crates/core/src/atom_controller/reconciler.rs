@@ -4,7 +4,7 @@
 use atom_cluster::{ScaleAction, WindowReport};
 use atom_obs::ActuationOutcome;
 
-use super::AtomConfig;
+use super::ACTUATION_DELAY;
 use crate::binding::ModelBinding;
 
 /// How many times a scaling action that the actuator did not apply (an
@@ -41,7 +41,6 @@ impl Reconciler {
         &mut self,
         report: &WindowReport,
         binding: &ModelBinding,
-        config: &AtomConfig,
         outcome: &mut ActuationOutcome,
         notes: &mut Vec<String>,
     ) -> Vec<ScaleAction> {
@@ -76,7 +75,7 @@ impl Reconciler {
                 ));
                 self.pending.push(PendingAction {
                     retries_left: p.retries_left - 1,
-                    due: report.end + config.actuation_delay,
+                    due: report.end + ACTUATION_DELAY,
                     ..p
                 });
                 outcome.reissued.push(service);
@@ -101,14 +100,13 @@ impl Reconciler {
         mut planned: Vec<ScaleAction>,
         reissue: Vec<ScaleAction>,
         now: f64,
-        config: &AtomConfig,
     ) -> Vec<ScaleAction> {
         for a in &planned {
             self.pending.retain(|p| p.action.service != a.service);
             self.pending.push(PendingAction {
                 action: *a,
                 retries_left: MAX_ACTUATION_RETRIES,
-                due: now + config.actuation_delay,
+                due: now + ACTUATION_DELAY,
             });
         }
         for a in reissue {

@@ -51,50 +51,35 @@ fn rule_record(
 /// costs a window, not a bad re-fit.
 const MAX_DROPOUT: f64 = 0.5;
 
-/// Shared configuration of the rule-based scalers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuleConfig {
-    /// Fraction of the *allocated* capacity that triggers a doubling.
-    /// The paper's example reads "if the CPU utilization reaches 35%, a
-    /// value near to the limit of 40%" for a container whose share is
-    /// 0.4 — i.e. utilisation is metered in cores against the share as
-    /// the limit, which is 35/40 = 0.875 of the allocation. Scaling
-    /// before ~87% of the allocation is busy would pre-scale starved
-    /// downstream services and erase the layered-bottleneck behaviour of
-    /// Fig. 11.
-    pub trigger_utilization: f64,
-    /// Hard cap on replicas per service.
-    pub max_replicas: usize,
-    /// Hard cap on per-replica share (cores).
-    pub max_share: f64,
-}
+/// Fraction of the *allocated* capacity that triggers a doubling. The
+/// paper's example reads "if the CPU utilization reaches 35%, a value near
+/// to the limit of 40%" for a container whose share is 0.4 — i.e.
+/// utilisation is metered in cores against the share as the limit, which
+/// is 35/40 = 0.875 of the allocation. Scaling before ~87% of the
+/// allocation is busy would pre-scale starved downstream services and
+/// erase the layered-bottleneck behaviour of Fig. 11.
+const TRIGGER_UTILIZATION: f64 = 0.875;
 
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            trigger_utilization: 0.875,
-            max_replicas: 16,
-            max_share: 4.0,
-        }
-    }
-}
+/// Hard cap on replicas per service.
+const MAX_REPLICAS: usize = 16;
+
+/// Hard cap on per-replica share (cores).
+const MAX_SHARE: f64 = 4.0;
 
 /// Utilisation-triggered **horizontal** doubling (stateless services
 /// only).
 #[derive(Debug, Clone)]
 pub struct UhScaler {
     spec: AppSpec,
-    config: RuleConfig,
     window: u64,
     last_record: Option<DecisionRecord>,
 }
 
 impl UhScaler {
     /// Creates the scaler for an application.
-    pub fn new(spec: &AppSpec, config: RuleConfig) -> Self {
+    pub fn new(spec: &AppSpec) -> Self {
         UhScaler {
             spec: spec.clone(),
-            config,
             window: 0,
             last_record: None,
         }
@@ -117,10 +102,10 @@ impl Autoscaler for UhScaler {
                     continue; // UH never scales stateful services
                 }
                 let util = report.service_utilization[si];
-                if util >= self.config.trigger_utilization {
+                if util >= TRIGGER_UTILIZATION {
                     // Respect both the deployment's per-service bound (the
                     // paper's Q_i) and the scaler's own cap.
-                    let cap = svc.max_replicas.min(self.config.max_replicas);
+                    let cap = svc.max_replicas.min(MAX_REPLICAS);
                     let replicas = (report.service_replicas[si] * 2).min(cap);
                     if replicas > report.service_replicas[si] {
                         actions.push(ScaleAction {
@@ -147,17 +132,15 @@ impl Autoscaler for UhScaler {
 #[derive(Debug, Clone)]
 pub struct UvScaler {
     spec: AppSpec,
-    config: RuleConfig,
     window: u64,
     last_record: Option<DecisionRecord>,
 }
 
 impl UvScaler {
     /// Creates the scaler for an application.
-    pub fn new(spec: &AppSpec, config: RuleConfig) -> Self {
+    pub fn new(spec: &AppSpec) -> Self {
         UvScaler {
             spec: spec.clone(),
-            config,
             window: 0,
             last_record: None,
         }
@@ -177,8 +160,8 @@ impl Autoscaler for UvScaler {
         if !degraded {
             for si in 0..self.spec.services.len() {
                 let util = report.service_utilization[si];
-                if util >= self.config.trigger_utilization {
-                    let share = (report.service_shares[si] * 2.0).min(self.config.max_share);
+                if util >= TRIGGER_UTILIZATION {
+                    let share = (report.service_shares[si] * 2.0).min(MAX_SHARE);
                     if share > report.service_shares[si] {
                         actions.push(ScaleAction {
                             service: ServiceId(si),
@@ -234,7 +217,7 @@ mod tests {
 
     #[test]
     fn uh_doubles_replicas_when_hot() {
-        let mut uh = UhScaler::new(&spec(), RuleConfig::default());
+        let mut uh = UhScaler::new(&spec());
         let actions = uh.decide(&report(vec![0.9, 0.95]));
         // Only the stateless api scales; db is stateful.
         assert_eq!(actions.len(), 1);
@@ -245,7 +228,7 @@ mod tests {
 
     #[test]
     fn uh_idle_does_nothing() {
-        let mut uh = UhScaler::new(&spec(), RuleConfig::default());
+        let mut uh = UhScaler::new(&spec());
         assert!(uh.decide(&report(vec![0.1, 0.1])).is_empty());
         // Moderate load below the trigger does not scale either: this is
         // what keeps starved downstream services unscaled (Fig. 11).
@@ -254,7 +237,7 @@ mod tests {
 
     #[test]
     fn uv_doubles_share_for_all() {
-        let mut uv = UvScaler::new(&spec(), RuleConfig::default());
+        let mut uv = UvScaler::new(&spec());
         let actions = uv.decide(&report(vec![0.9, 0.95]));
         assert_eq!(actions.len(), 2);
         assert_eq!(actions[0].share, 0.8);
@@ -264,8 +247,8 @@ mod tests {
 
     #[test]
     fn degraded_windows_are_skipped() {
-        let mut uh = UhScaler::new(&spec(), RuleConfig::default());
-        let mut uv = UvScaler::new(&spec(), RuleConfig::default());
+        let mut uh = UhScaler::new(&spec());
+        let mut uv = UvScaler::new(&spec());
         // Hot readings, but the monitor was dark 60% of the window: the
         // utilisation is under-counted garbage — and still looked hot, so
         // acting on it would be pure coincidence. Both scalers hold.
@@ -280,7 +263,7 @@ mod tests {
 
     #[test]
     fn rule_scalers_journal_their_decisions() {
-        let mut uh = UhScaler::new(&spec(), RuleConfig::default());
+        let mut uh = UhScaler::new(&spec());
         assert!(uh.take_decision_record().is_none(), "no decision yet");
         let actions = uh.decide(&report(vec![0.9, 0.95]));
         let rec = uh.take_decision_record().expect("record");
@@ -292,7 +275,7 @@ mod tests {
         assert!(rec.evaluator.is_none() && rec.ga.is_none());
         // A degraded window journals the hold with its reason.
         let dark = report(vec![0.9, 0.95]).with_monitor_dropout_fraction(0.6);
-        let mut uv = UvScaler::new(&spec(), RuleConfig::default());
+        let mut uv = UvScaler::new(&spec());
         assert!(uv.decide(&dark).is_empty());
         let rec = uv.take_decision_record().expect("record");
         assert!(rec.snapshot.degraded && rec.actuation.held);
@@ -301,18 +284,20 @@ mod tests {
 
     #[test]
     fn caps_respected() {
-        let cfg = RuleConfig {
-            max_replicas: 2,
-            max_share: 0.5,
-            ..Default::default()
-        };
-        let mut uh = UhScaler::new(&spec(), cfg);
+        // A service allowed 64 replicas still stops at the scaler's 16.
+        let mut app = spec();
+        app.service_mut(ServiceId(0)).max_replicas = 64;
+        let mut uh = UhScaler::new(&app);
         let mut r = report(vec![0.95, 0.1]);
-        r.service_replicas = vec![2, 1];
+        r.service_replicas = vec![12, 1];
+        assert_eq!(uh.decide(&r)[0].replicas, MAX_REPLICAS, "doubling capped");
+        r.service_replicas = vec![MAX_REPLICAS, 1];
         assert!(uh.decide(&r).is_empty(), "already at max replicas");
-        let mut uv = UvScaler::new(&spec(), cfg);
+        let mut uv = UvScaler::new(&app);
         let mut r = report(vec![0.95, 0.1]);
-        r.service_shares = vec![0.5, 1.0];
+        r.service_shares = vec![3.0, 1.0];
+        assert_eq!(uv.decide(&r)[0].share, MAX_SHARE, "doubling capped");
+        r.service_shares = vec![MAX_SHARE, 1.0];
         assert!(uv.decide(&r).is_empty(), "already at max share");
     }
 }

@@ -17,29 +17,21 @@ use atom_lqn::{LqnModel, TaskId};
 
 use crate::binding::ModelBinding;
 
+/// EMA smoothing factor in `(0, 1]` (1 = use only the last window).
+const SMOOTHING: f64 = 0.5;
+
+/// Windows where a service completed fewer invocations per second than
+/// this are too noisy to calibrate on, and are ignored.
+const MIN_RATE: f64 = 1.0;
+
 /// Per-service multiplicative demand corrections learned online.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DemandCalibrator {
-    /// EMA smoothing factor in `(0, 1]` (1 = use only the last window).
-    pub smoothing: f64,
-    /// Ignore windows where a service completed fewer invocations per
-    /// second than this (too noisy to calibrate on).
-    pub min_rate: f64,
     scales: HashMap<TaskId, f64>,
 }
 
-impl Default for DemandCalibrator {
-    fn default() -> Self {
-        DemandCalibrator {
-            smoothing: 0.5,
-            min_rate: 1.0,
-            scales: HashMap::new(),
-        }
-    }
-}
-
 impl DemandCalibrator {
-    /// Creates a calibrator with default smoothing.
+    /// Creates a calibrator with no corrections learned yet.
     pub fn new() -> Self {
         DemandCalibrator::default()
     }
@@ -61,7 +53,7 @@ impl DemandCalibrator {
                 continue;
             };
             let x_total: f64 = endpoint_tps.iter().sum();
-            if x_total < self.min_rate {
+            if x_total < MIN_RATE {
                 continue;
             }
             // Observed mean demand per invocation at reference speed.
@@ -79,7 +71,7 @@ impl DemandCalibrator {
             }
             let instant = observed / weighted;
             let current = self.scale(sb.task);
-            let updated = current + self.smoothing * (instant - current);
+            let updated = current + SMOOTHING * (instant - current);
             self.scales.insert(sb.task, updated.clamp(0.05, 20.0));
         }
     }
@@ -183,11 +175,8 @@ mod tests {
     #[test]
     fn scale_is_clamped() {
         let b = binding();
-        let mut cal = DemandCalibrator {
-            smoothing: 1.0,
-            ..Default::default()
-        };
+        let mut cal = DemandCalibrator::new();
         cal.observe(&b, &report(1e6, [100.0, 100.0]));
-        assert!(cal.scale(b.services[0].task) <= 20.0);
+        assert_eq!(cal.scale(b.services[0].task), 20.0);
     }
 }

@@ -247,7 +247,7 @@ pub fn run_experiment(
 mod tests {
     use super::*;
     use crate::autoscaler::NoopScaler;
-    use crate::baselines::{RuleConfig, UvScaler};
+    use crate::baselines::UvScaler;
     use atom_workload::{LoadProfile, RequestMix};
 
     fn app() -> AppSpec {
@@ -295,7 +295,7 @@ mod tests {
     fn uv_reduces_underprovisioning_vs_noop() {
         let mut noop = NoopScaler;
         let base = run_experiment(&app(), ramp_workload(), &mut noop, config(8)).unwrap();
-        let mut uv = UvScaler::new(&app(), RuleConfig::default());
+        let mut uv = UvScaler::new(&app());
         let scaled = run_experiment(&app(), ramp_workload(), &mut uv, config(8)).unwrap();
         assert!(!scaled.actions.is_empty(), "UV must act on the hot service");
         assert!(
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn telemetry_summary_rides_along_the_run() {
-        let mut uv = UvScaler::new(&app(), RuleConfig::default());
+        let mut uv = UvScaler::new(&app());
         let result = run_experiment(&app(), ramp_workload(), &mut uv, config(8)).unwrap();
         assert_eq!(result.telemetry.decisions.len(), 8);
         assert!(

@@ -22,7 +22,7 @@
 //! lattice point — so each probe either hits the search's memo cache or
 //! seeds it with a reusable entry.
 
-use atom_lqn::{share_index, DecisionVector, LqnModel};
+use atom_lqn::{share_index, DecisionVector};
 
 use crate::binding::ModelBinding;
 use crate::evaluator::CandidateEvaluator;
@@ -36,26 +36,27 @@ use atom_lqn::TaskDecision;
 pub enum PlannerMode {
     /// Plain ATOM: always adopt the (quick-fixed) GA answer.
     Standard,
-    /// ATOM-T: adopt only if predicted TPS improves by at least this
-    /// fraction over keeping the current configuration.
-    ConservativeTps {
-        /// Minimum relative TPS improvement (e.g. 0.05 = 5%).
-        min_improvement: f64,
-    },
-    /// ATOM-S: bound the change in total allocated CPU per window; a
-    /// plan that moves further is interpolated toward the current
-    /// configuration so the system improves *steadily* (Fig. 7's
-    /// description) instead of stalling outright — the paper notes that a
-    /// reject-only threshold risks "completely stopping the improvement".
-    ConservativeShare {
-        /// Maximum relative change of `Σ r_i s_i` (e.g. 0.25 = 25%).
-        max_relative_change: f64,
-    },
+    /// ATOM-T: adopt only if predicted TPS improves by at least 5 % over
+    /// keeping the current configuration.
+    ConservativeTps,
+    /// ATOM-S: bound the change in total allocated CPU `Σ r_i s_i` to
+    /// 50 % per window; a plan that moves further is interpolated toward
+    /// the current configuration so the system improves *steadily*
+    /// (Fig. 7's description) instead of stalling outright — the paper
+    /// notes that a reject-only threshold risks "completely stopping the
+    /// improvement".
+    ConservativeShare,
 }
 
 /// Relative TPS loss the quick fixes consider insignificant (the paper's
 /// "does not affect the TPS significantly").
 const TPS_TOLERANCE: f64 = 0.02;
+
+/// ATOM-T's minimum relative TPS improvement.
+const MIN_IMPROVEMENT: f64 = 0.05;
+
+/// ATOM-S's maximum relative change of the total allocated CPU.
+const MAX_RELATIVE_CHANGE: f64 = 0.5;
 
 /// The planner. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -78,25 +79,9 @@ impl Default for Planner {
 
 impl Planner {
     /// Polishes `candidate` against `current`, returning the decision to
-    /// execute.
-    ///
-    /// `model` is the analyzer-instantiated LQN of this window.
-    /// Convenience wrapper over [`Planner::plan_with`] with a throwaway
-    /// evaluator; the controller passes the search's evaluator instead,
-    /// so quick-fix trials hit its memo cache.
-    pub fn plan(
-        &self,
-        binding: &ModelBinding,
-        model: &LqnModel,
-        candidate: DecisionVector,
-        current: &DecisionVector,
-    ) -> DecisionVector {
-        let mut evaluator = CandidateEvaluator::solver_only(model);
-        self.plan_with(binding, &mut evaluator, candidate, current)
-    }
-
-    /// Like [`Planner::plan`], but all TPS predictions go through the
-    /// given evaluator (and its cache).
+    /// execute. All TPS predictions go through `evaluator` — the
+    /// controller passes the search's, so quick-fix trials hit its memo
+    /// cache.
     pub fn plan_with(
         &self,
         binding: &ModelBinding,
@@ -156,25 +141,21 @@ impl Planner {
         // Conservative filter.
         match self.mode {
             PlannerMode::Standard => adopted,
-            PlannerMode::ConservativeTps { min_improvement } => {
-                match evaluator.predicted_tps(current) {
-                    Some(current_tps) if adopted_tps < current_tps * (1.0 + min_improvement) => {
-                        current.clone()
-                    }
-                    _ => adopted,
+            PlannerMode::ConservativeTps => match evaluator.predicted_tps(current) {
+                Some(current_tps) if adopted_tps < current_tps * (1.0 + MIN_IMPROVEMENT) => {
+                    current.clone()
                 }
-            }
-            PlannerMode::ConservativeShare {
-                max_relative_change,
-            } => {
+                _ => adopted,
+            },
+            PlannerMode::ConservativeShare => {
                 let c_now = current.total_cpu_share();
                 let c_new = adopted.total_cpu_share();
                 let delta = (c_new - c_now).abs();
-                if c_now > 0.0 && delta > max_relative_change * c_now {
+                if c_now > 0.0 && delta > MAX_RELATIVE_CHANGE * c_now {
                     // Interpolate toward the plan so the total CPU moves
                     // by (up to lattice rounding) the allowed amount this
                     // window.
-                    let alpha = (max_relative_change * c_now / delta).clamp(0.0, 1.0);
+                    let alpha = (MAX_RELATIVE_CHANGE * c_now / delta).clamp(0.0, 1.0);
                     let mut clamped = current.clone();
                     for s in binding.scalable() {
                         let (Some(new), Some(old)) = (adopted.get(s.task), current.get(s.task))
@@ -209,6 +190,17 @@ mod tests {
         crate::fixtures::web(0.5, users)
     }
 
+    /// `planner`'s answer through a throwaway solver-only evaluator.
+    fn polish(
+        planner: &Planner,
+        binding: &ModelBinding,
+        candidate: DecisionVector,
+        current: &DecisionVector,
+    ) -> DecisionVector {
+        let mut evaluator = CandidateEvaluator::solver_only(&binding.model);
+        planner.plan_with(binding, &mut evaluator, candidate, current)
+    }
+
     fn dv(replicas: usize, share_idx: usize) -> DecisionVector {
         let mut d = DecisionVector::new();
         d.set(TaskId(0), replicas, share_idx);
@@ -223,7 +215,7 @@ mod tests {
         let candidate = dv(4, 20); // 4×1.00
         let current = dv(1, 10); // 1×0.50
         let planner = Planner::default();
-        let plan = planner.plan(&binding, &binding.model, candidate, &current);
+        let plan = polish(&planner, &binding, candidate, &current);
         let d = plan.get(TaskId(0)).unwrap();
         assert_eq!(
             (d.replicas, d.share_idx),
@@ -240,7 +232,7 @@ mod tests {
         let candidate = dv(2, 10);
         let current = dv(2, 10);
         let planner = Planner::default();
-        let plan = planner.plan(&binding, &binding.model, candidate, &current);
+        let plan = polish(&planner, &binding, candidate, &current);
         let d = plan.get(TaskId(0)).unwrap();
         assert_eq!(d.replicas, 1, "should consolidate to one replica");
         assert_eq!(d.share_idx, 20, "doubled share stays on the lattice");
@@ -255,7 +247,7 @@ mod tests {
         let candidate = dv(4, 20);
         let current = candidate.clone();
         let planner = Planner::default();
-        let plan = planner.plan(&binding, &binding.model, candidate, &current);
+        let plan = polish(&planner, &binding, candidate, &current);
         assert_eq!(plan.get(TaskId(0)).unwrap().replicas, 4);
     }
 
@@ -267,12 +259,10 @@ mod tests {
         let current = dv(1, 20);
         let candidate = dv(4, 20);
         let planner = Planner {
-            mode: PlannerMode::ConservativeTps {
-                min_improvement: 0.05,
-            },
+            mode: PlannerMode::ConservativeTps,
             ..Default::default()
         };
-        let plan = planner.plan(&binding, &binding.model, candidate, &current);
+        let plan = polish(&planner, &binding, candidate, &current);
         assert_eq!(plan, current);
     }
 
@@ -282,12 +272,10 @@ mod tests {
         let current = dv(1, 20);
         let candidate = dv(8, 20);
         let planner = Planner {
-            mode: PlannerMode::ConservativeTps {
-                min_improvement: 0.05,
-            },
+            mode: PlannerMode::ConservativeTps,
             ..Default::default()
         };
-        let plan = planner.plan(&binding, &binding.model, candidate.clone(), &current);
+        let plan = polish(&planner, &binding, candidate.clone(), &current);
         assert_eq!(plan.get(TaskId(0)).unwrap().replicas, 8);
     }
 
@@ -297,12 +285,10 @@ mod tests {
         let current = dv(1, 20);
         let candidate = dv(8, 20); // 8x jump in total CPU
         let planner = Planner {
-            mode: PlannerMode::ConservativeShare {
-                max_relative_change: 0.5,
-            },
+            mode: PlannerMode::ConservativeShare,
             quick_fixes: false,
         };
-        let plan = planner.plan(&binding, &binding.model, candidate, &current);
+        let plan = polish(&planner, &binding, candidate, &current);
         let d = plan.get(TaskId(0)).unwrap();
         let total = d.replicas as f64 * d.share();
         // Moves toward 8 cores but only by the bounded step (up to the
@@ -313,7 +299,7 @@ mod tests {
         assert!(total < 4.0, "far below the 8-core target");
         // A modest change passes untouched.
         let modest = dv(1, 20);
-        let plan = planner.plan(&binding, &binding.model, modest.clone(), &current);
+        let plan = polish(&planner, &binding, modest.clone(), &current);
         assert_eq!(plan, modest);
     }
 }

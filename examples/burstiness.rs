@@ -4,7 +4,6 @@
 //!
 //! Run with `cargo run --release --example burstiness`.
 
-use atom::core::baselines::RuleConfig;
 use atom::core::{run_experiment, Atom, AtomConfig, Autoscaler, ExperimentConfig, UvScaler};
 use atom::sockshop::{scenarios, SockShop};
 use atom_cluster::ClusterOptions;
@@ -25,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut uv;
         let mut atom;
         let scaler: &mut dyn Autoscaler = if which == "UV" {
-            uv = UvScaler::new(&spec, RuleConfig::default());
+            uv = UvScaler::new(&spec);
             &mut uv
         } else {
             let binding = shop.binding(500, scenarios::THINK_TIME, workload.mix.fractions());

@@ -3,7 +3,6 @@
 //!
 //! Run with `cargo run --release --example scaling_comparison`.
 
-use atom::core::baselines::RuleConfig;
 use atom::core::{
     run_experiment, Atom, AtomConfig, Autoscaler, ExperimentConfig, UhScaler, UvScaler,
 };
@@ -42,11 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut atom;
         let scaler: &mut dyn Autoscaler = match which {
             "UH" => {
-                uh = UhScaler::new(&spec, RuleConfig::default());
+                uh = UhScaler::new(&spec);
                 &mut uh
             }
             "UV" => {
-                uv = UvScaler::new(&spec, RuleConfig::default());
+                uv = UvScaler::new(&spec);
                 &mut uv
             }
             _ => {

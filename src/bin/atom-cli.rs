@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use atom::cluster::{AppSpec, ClusterOptions};
 use atom::core::autoscaler::NoopScaler;
-use atom::core::baselines::RuleConfig;
 use atom::core::{
     run_experiment, Atom, AtomConfig, Autoscaler, ExperimentConfig, ModelBinding, ObjectiveSpec,
     UhScaler, UvScaler,
@@ -132,16 +131,16 @@ fn run_scenario_result(
                 .collect();
             let mut cfg = AtomConfig::new(objective);
             cfg.ga.budget = Budget::Evaluations(scenario.ga_evaluations);
-            cfg.seed = scenario.seed;
+            cfg.ga.seed = scenario.seed;
             atom_scaler = Atom::new(binding, cfg);
             &mut atom_scaler
         }
         "uh" => {
-            uh = UhScaler::new(&scenario.app, RuleConfig::default());
+            uh = UhScaler::new(&scenario.app);
             &mut uh
         }
         "uv" => {
-            uv = UvScaler::new(&scenario.app, RuleConfig::default());
+            uv = UvScaler::new(&scenario.app);
             &mut uv
         }
         "none" => {

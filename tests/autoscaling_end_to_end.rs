@@ -3,7 +3,6 @@
 //! regenerates at paper scale).
 
 use atom::core::autoscaler::NoopScaler;
-use atom::core::baselines::RuleConfig;
 use atom::core::{run_experiment, Atom, AtomConfig, ExperimentConfig, UhScaler, UvScaler};
 use atom::sockshop::{scenarios, SockShop, SVC_CARTS, SVC_CATALOGUE, SVC_FRONT_END};
 use atom_cluster::ClusterOptions;
@@ -58,7 +57,7 @@ fn atom_beats_rule_based_baselines_on_heavy_ordering_mix() {
     let shop = SockShop::default();
     let make_workload = || scenarios::evaluation_workload(scenarios::ordering_mix(), 3000);
 
-    let mut uh = UhScaler::new(&shop.app_spec_stateful_full_core(), RuleConfig::default());
+    let mut uh = UhScaler::new(&shop.app_spec_stateful_full_core());
     let uh_result = run_experiment(
         &shop.app_spec_stateful_full_core(),
         make_workload(),
@@ -67,7 +66,7 @@ fn atom_beats_rule_based_baselines_on_heavy_ordering_mix() {
     )
     .unwrap();
 
-    let mut uv = UvScaler::new(&shop.app_spec(), RuleConfig::default());
+    let mut uv = UvScaler::new(&shop.app_spec());
     let uv_result =
         run_experiment(&shop.app_spec(), make_workload(), &mut uv, config(8, 5)).unwrap();
 
@@ -120,7 +119,7 @@ fn light_browsing_mix_keeps_scalers_close() {
     let shop = SockShop::default();
     let make_workload = || scenarios::evaluation_workload(scenarios::browsing_mix(), 1000);
 
-    let mut uv = UvScaler::new(&shop.app_spec(), RuleConfig::default());
+    let mut uv = UvScaler::new(&shop.app_spec());
     let uv_result =
         run_experiment(&shop.app_spec(), make_workload(), &mut uv, config(6, 11)).unwrap();
     let mut atom = atom_scaler(&shop, make_workload().mix.fractions(), 200);

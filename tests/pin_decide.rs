@@ -141,7 +141,7 @@ fn three_decides_on_fixed_reports_are_pinned() {
     let binding = shop.binding(1000, 7.0, &ORDERING_MIX);
     let mut config = AtomConfig::new(shop.objective());
     config.ga.budget = Budget::Evaluations(300);
-    config.seed = 42;
+    config.ga.seed = 42;
     let mut atom = Atom::new(binding, config);
 
     let mut replicas = vec![1usize; 6];
