@@ -71,13 +71,11 @@ pub struct TopologySpec {
     pub aggregation: EdgeSpec,
     /// Rack of each server, indexed by the app spec's server order.
     pub server_rack: Vec<usize>,
-    /// Message payload per direction (request or response), bytes.
-    pub payload_bytes: f64,
 }
 
-/// Default payload per message direction: 16 KiB, a mid-size REST
-/// response.
-pub const DEFAULT_PAYLOAD_BYTES: f64 = 16.0 * 1024.0;
+/// Payload per message direction (request or response): 16 KiB, a
+/// mid-size REST response.
+const PAYLOAD_BYTES: f64 = 16.0 * 1024.0;
 
 impl TopologySpec {
     /// A two-tier topology: `server_rack[i]` is server `i`'s rack, every
@@ -96,7 +94,6 @@ impl TopologySpec {
             rack_edges: vec![rack; n_racks],
             aggregation: agg,
             server_rack,
-            payload_bytes: DEFAULT_PAYLOAD_BYTES,
         }
     }
 
@@ -109,13 +106,6 @@ impl TopologySpec {
             EdgeSpec::free(),
             EdgeSpec::free(),
         )
-    }
-
-    /// Sets the per-direction payload, bytes.
-    #[must_use]
-    pub fn with_payload_bytes(mut self, bytes: f64) -> Self {
-        self.payload_bytes = bytes;
-        self
     }
 
     /// Number of racks.
@@ -185,8 +175,7 @@ impl TopologySpec {
     /// # Errors
     ///
     /// Returns a description of the first violation: an out-of-range
-    /// rack, a negative/NaN latency, a non-positive bandwidth, or a
-    /// negative payload.
+    /// rack, a negative/NaN latency, or a non-positive bandwidth.
     pub fn validate(&self) -> Result<(), String> {
         if self.server_rack.is_empty() {
             return Err("topology has no servers".into());
@@ -204,9 +193,6 @@ impl TopologySpec {
             if spec.bandwidth.is_nan() || spec.bandwidth <= 0.0 {
                 return Err(format!("edge {} has invalid bandwidth", self.edge_name(e)));
             }
-        }
-        if !(self.payload_bytes.is_finite() && self.payload_bytes >= 0.0) {
-            return Err("payload_bytes must be finite and >= 0".into());
         }
         Ok(())
     }
@@ -292,7 +278,7 @@ impl NetworkDelay {
         let mut total = 0.0;
         for &e in self.spec.path(from, to).edges() {
             let edge = self.spec.edge(e);
-            total += edge.latency + self.spec.payload_bytes / edge.bandwidth;
+            total += edge.latency + PAYLOAD_BYTES / edge.bandwidth;
         }
         total
     }
@@ -397,7 +383,7 @@ impl LinkFabric {
     /// channel's queue + counters.
     fn transit(&mut self, edge: usize, dir: usize, t: f64) -> f64 {
         let spec = self.spec.edge(edge);
-        let tx = self.spec.payload_bytes / spec.bandwidth;
+        let tx = PAYLOAD_BYTES / spec.bandwidth;
         let state = &mut self.edges[edge][dir];
         while state.in_flight.front().is_some_and(|&done| done <= t) {
             state.in_flight.pop_front();
@@ -405,7 +391,7 @@ impl LinkFabric {
         let wait = (state.busy_until - t).max(0.0);
         state.wait_seconds += wait;
         state.busy_seconds += tx;
-        state.bytes += self.spec.payload_bytes;
+        state.bytes += PAYLOAD_BYTES;
         state.transits += 1;
         state.max_depth = state.max_depth.max(state.in_flight.len() as u64);
         if tx > 0.0 {
@@ -481,14 +467,14 @@ mod tests {
     use super::*;
 
     /// Two racks of two servers: 0,1 in rack 0 and 2,3 in rack 1; 1 ms
-    /// rack edges, 5 ms aggregation, 1 MB/s links, 1000-byte payloads.
+    /// rack edges, 5 ms aggregation, links that move one payload in 1 ms.
     fn spec() -> TopologySpec {
+        let bandwidth = PAYLOAD_BYTES / 1e-3;
         TopologySpec::two_tier(
             vec![0, 0, 1, 1],
-            EdgeSpec::new(0.001, 1e6),
-            EdgeSpec::new(0.005, 1e6),
+            EdgeSpec::new(0.001, bandwidth),
+            EdgeSpec::new(0.005, bandwidth),
         )
-        .with_payload_bytes(1000.0)
     }
 
     #[test]
@@ -507,7 +493,7 @@ mod tests {
     #[test]
     fn pricing_matches_the_hop_structure() {
         let delay = NetworkDelay::new(spec());
-        // tx = 1000 B / 1e6 B/s = 1 ms per edge.
+        // tx = 1 ms per edge.
         assert_eq!(delay.round_trip(0, 0), 0.0);
         let same_rack = delay.one_way(0, 1);
         assert!((same_rack - 0.002).abs() < 1e-12, "{same_rack}");
@@ -530,7 +516,7 @@ mod tests {
         assert_eq!(stats[0].transits, 4);
         assert!(stats[0].mean_wait > 0.0);
         assert!(stats[0].max_queue_depth >= 1);
-        assert!((stats[0].bytes - 4000.0).abs() < 1e-9);
+        assert!((stats[0].bytes - 4.0 * PAYLOAD_BYTES).abs() < 1e-9);
         // Counters reset; queue state persists.
         let again = fabric.collect_window(1.0);
         assert_eq!(again[0].transits, 0);
