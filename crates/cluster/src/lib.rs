@@ -82,7 +82,7 @@ pub mod spans;
 pub mod spec;
 pub mod telemetry;
 
-pub use atom_faults::{FaultEvent, FaultKind, FaultPlan, FaultSchedule};
+pub use atom_faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use atom_net::{EdgeSpec, EdgeWindowStats, NetworkDelay, TopologySpec};
 pub use backend::{BackendKind, BackendMode};
 pub use error::ClusterError;

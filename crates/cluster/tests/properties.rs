@@ -2,7 +2,7 @@
 //! must hold for arbitrary topologies, workloads, and scaling actions.
 
 use atom_cluster::{
-    AppSpec, Cluster, ClusterOptions, FaultKind, FaultPlan, FaultSchedule, ScaleAction, ServiceId,
+    AppSpec, Cluster, ClusterOptions, FaultKind, FaultSchedule, ScaleAction, ServiceId,
     WindowReport,
 };
 use atom_workload::{LoadProfile, RequestMix, WorkloadSpec};
@@ -44,6 +44,53 @@ fn setup_strategy() -> impl Strategy<Value = Setup> {
                 seed,
             },
         )
+}
+
+/// One fault of any of the five kinds, somewhere in the 240 s the faulted
+/// runs simulate, aimed at the two services and the one server `build`
+/// deploys.
+fn fault_strategy() -> impl Strategy<Value = (f64, FaultKind)> {
+    let kind = prop_oneof![
+        (0usize..2).prop_map(|service| FaultKind::ReplicaCrash { service }),
+        (5.0f64..15.0).prop_map(|duration| FaultKind::ServerOutage {
+            server: 0,
+            duration
+        }),
+        (10.0f64..40.0).prop_map(|duration| FaultKind::MonitorDropout { duration }),
+        (10.0f64..30.0).prop_map(|duration| FaultKind::ActuationFailure { duration }),
+        (1.5f64..3.5, 10.0f64..30.0)
+            .prop_map(|(factor, duration)| FaultKind::SlowStart { factor, duration }),
+    ];
+    (0.0f64..240.0, kind)
+}
+
+/// Up to nine faults, in the order `FaultSchedule` keeps them.
+fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
+    proptest::collection::vec(fault_strategy(), 0..10).prop_map(|faults| {
+        faults
+            .into_iter()
+            .fold(FaultSchedule::new(), |s, (t, kind)| s.at(t, kind))
+    })
+}
+
+#[test]
+fn the_schedule_strategy_draws_every_fault_kind() {
+    let mut seen = [false; 5];
+    let mut rng = proptest::TestRng::seed_from_u64(1);
+    for _ in 0..64 {
+        for e in schedule_strategy().generate(&mut rng).events() {
+            let kind = match e.kind {
+                FaultKind::ReplicaCrash { .. } => 0,
+                FaultKind::ServerOutage { .. } => 1,
+                FaultKind::MonitorDropout { .. } => 2,
+                FaultKind::ActuationFailure { .. } => 3,
+                FaultKind::SlowStart { .. } => 4,
+                _ => unreachable!("the strategy draws the five kinds above"),
+            };
+            seen[kind] = true;
+        }
+    }
+    assert_eq!(seen, [true; 5]);
 }
 
 fn build(s: &Setup) -> (AppSpec, WorkloadSpec) {
@@ -295,16 +342,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A faulty run is a pure function of its seed: two clusters built
-    /// from the same spec, options, and generated fault schedule produce
+    /// from the same spec, options, and fault schedule produce
     /// bitwise-identical window reports.
     #[test]
-    fn faulty_runs_are_deterministic_in_seed(s in setup_strategy(), fault_seed in 0u64..1000) {
-        let plan = FaultPlan::new(240.0, 2, 1)
-            .with_crashes(2.0)
-            .with_outages(1.0, 8.0)
-            .with_dropouts(1.5, 25.0)
-            .with_actuation_failures(1.0, 15.0)
-            .with_slow_starts(1.0, 2.5, 20.0);
+    fn faulty_runs_are_deterministic_in_seed(s in setup_strategy(), faults in schedule_strategy()) {
         let run = || {
             let (app, workload) = build(&s);
             let mut cluster = Cluster::new(
@@ -312,7 +353,7 @@ proptest! {
                 workload,
                 ClusterOptions::new()
                     .with_seed(s.seed)
-                    .with_faults(plan.generate(fault_seed)),
+                    .with_faults(faults.clone()),
             )
             .unwrap();
             (0..3).map(|_| cluster.run_window(80.0)).collect::<Vec<_>>()
@@ -320,23 +361,16 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Arbitrary generated fault schedules never break the cluster's
+    /// Arbitrary fault schedules never break the cluster's
     /// invariants, even interleaved with scaling actions: at least one
     /// live replica per service, ready ≤ live, and all fault telemetry
     /// within range.
     #[test]
     fn random_fault_schedules_never_break_the_cluster(
         s in setup_strategy(),
-        fault_seed in 0u64..1000,
+        faults in schedule_strategy(),
         actions in proptest::collection::vec((0usize..2, 1usize..6, 0.05f64..2.0), 1..5),
     ) {
-        let faults = FaultPlan::new(240.0, 2, 1)
-            .with_crashes(3.0)
-            .with_outages(1.5, 10.0)
-            .with_dropouts(2.0, 30.0)
-            .with_actuation_failures(1.5, 20.0)
-            .with_slow_starts(1.0, 3.0, 25.0)
-            .generate(fault_seed);
         let (app, workload) = build(&s);
         let mut cluster = Cluster::new(
             &app,

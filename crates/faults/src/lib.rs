@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! Deterministic, seeded fault schedules for the cluster testbed.
+//! Deterministic fault schedules for the cluster testbed.
 //!
 //! A production autoscaler must keep converging when replicas crash,
 //! nodes go dark, and the monitoring plane drops windows. This crate
@@ -12,9 +12,7 @@
 //! replay *bit-for-bit* the same execution — fault experiments stay as
 //! reproducible as fault-free ones.
 //!
-//! Two ways to build a schedule:
-//!
-//! * hand-written, for curated chaos scenarios:
+//! Schedules are written by hand, for curated chaos scenarios:
 //!
 //! ```
 //! use atom_faults::{FaultKind, FaultSchedule};
@@ -26,17 +24,12 @@
 //! assert_eq!(schedule.len(), 3);
 //! ```
 //!
-//! * generated from rates by a seeded [`FaultPlan`], for randomized
-//!   soak testing (`generate` is a pure function of the seed).
-//!
 //! The semantics of each kind — what the cluster does when the event
 //! fires, and what the controller is allowed to observe — are defined
 //! by the consumer (`atom-cluster`); this crate only guarantees a
 //! well-formed, deterministic timeline.
 
 use serde::{Deserialize, Serialize};
-
-use atom_sim::SimRng;
 
 /// One kind of injected failure.
 ///
@@ -233,193 +226,6 @@ impl FaultSchedule {
     }
 }
 
-/// Rates and shapes for generating a random [`FaultSchedule`].
-///
-/// Each `mean_*` field is the *expected number of events* of that kind
-/// over the horizon; arrival times are exponential (Poisson process),
-/// truncated to the horizon. [`FaultPlan::generate`] is a pure function
-/// of the seed: equal seeds give equal schedules, byte for byte.
-///
-/// ```
-/// use atom_faults::FaultPlan;
-///
-/// let plan = FaultPlan::new(3600.0, 6, 2)
-///     .with_crashes(2.0)
-///     .with_outages(1.0, 60.0)
-///     .with_dropouts(1.0, 300.0);
-/// assert_eq!(plan.generate(7), plan.generate(7));
-/// ```
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Schedule horizon (seconds); no fault fires at or beyond it.
-    pub horizon: f64,
-    /// Number of services crashes may target (uniformly).
-    pub services: usize,
-    /// Number of servers outages may target (uniformly).
-    pub servers: usize,
-    /// Expected replica crashes over the horizon.
-    pub mean_crashes: f64,
-    /// Expected server outages over the horizon.
-    pub mean_outages: f64,
-    /// Duration of each server outage (seconds).
-    pub outage_duration: f64,
-    /// Expected monitor dropouts over the horizon.
-    pub mean_dropouts: f64,
-    /// Duration of each monitor dropout (seconds).
-    pub dropout_duration: f64,
-    /// Expected actuation failures over the horizon.
-    pub mean_actuation_failures: f64,
-    /// Duration of each actuation failure (seconds).
-    pub actuation_failure_duration: f64,
-    /// Expected slow-start episodes over the horizon.
-    pub mean_slow_starts: f64,
-    /// Start-up delay multiplier during a slow-start episode.
-    pub slow_start_factor: f64,
-    /// Duration of each slow-start episode (seconds).
-    pub slow_start_duration: f64,
-}
-
-impl FaultPlan {
-    /// A plan over `horizon` seconds for an app with `services` services
-    /// on `servers` servers; all rates start at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not positive or either count is zero.
-    pub fn new(horizon: f64, services: usize, servers: usize) -> Self {
-        assert!(
-            horizon.is_finite() && horizon > 0.0,
-            "horizon must be positive, got {horizon}"
-        );
-        assert!(services > 0, "need at least one service");
-        assert!(servers > 0, "need at least one server");
-        FaultPlan {
-            horizon,
-            services,
-            servers,
-            mean_crashes: 0.0,
-            mean_outages: 0.0,
-            outage_duration: 60.0,
-            mean_dropouts: 0.0,
-            dropout_duration: 300.0,
-            mean_actuation_failures: 0.0,
-            actuation_failure_duration: 300.0,
-            mean_slow_starts: 0.0,
-            slow_start_factor: 3.0,
-            slow_start_duration: 600.0,
-        }
-    }
-
-    /// Sets the expected number of replica crashes.
-    #[must_use]
-    pub fn with_crashes(mut self, mean: f64) -> Self {
-        self.mean_crashes = mean;
-        self
-    }
-
-    /// Sets the expected number and duration of server outages.
-    #[must_use]
-    pub fn with_outages(mut self, mean: f64, duration: f64) -> Self {
-        self.mean_outages = mean;
-        self.outage_duration = duration;
-        self
-    }
-
-    /// Sets the expected number and duration of monitor dropouts.
-    #[must_use]
-    pub fn with_dropouts(mut self, mean: f64, duration: f64) -> Self {
-        self.mean_dropouts = mean;
-        self.dropout_duration = duration;
-        self
-    }
-
-    /// Sets the expected number and duration of actuation failures.
-    #[must_use]
-    pub fn with_actuation_failures(mut self, mean: f64, duration: f64) -> Self {
-        self.mean_actuation_failures = mean;
-        self.actuation_failure_duration = duration;
-        self
-    }
-
-    /// Sets the expected number, factor, and duration of slow starts.
-    #[must_use]
-    pub fn with_slow_starts(mut self, mean: f64, factor: f64, duration: f64) -> Self {
-        self.mean_slow_starts = mean;
-        self.slow_start_factor = factor;
-        self.slow_start_duration = duration;
-        self
-    }
-
-    /// Generates a schedule: a deterministic function of `seed`.
-    ///
-    /// Each category draws from its own forked RNG stream, so adding a
-    /// category (or raising one rate) never reshuffles the others —
-    /// experiments stay comparable across plan tweaks.
-    pub fn generate(&self, seed: u64) -> FaultSchedule {
-        let mut root = SimRng::seed_from(seed);
-        let mut streams: Vec<SimRng> = (0..5).map(|_| root.fork()).collect();
-        let mut schedule = FaultSchedule::new();
-
-        let times = |rng: &mut SimRng, mean_events: f64, horizon: f64| -> Vec<f64> {
-            let mut out = Vec::new();
-            if mean_events <= 0.0 {
-                return out;
-            }
-            let mean_gap = horizon / mean_events;
-            let mut t = rng.exponential(mean_gap);
-            while t < horizon {
-                out.push(t);
-                t += rng.exponential(mean_gap);
-            }
-            out
-        };
-
-        let weights = vec![1.0; self.services];
-        for t in times(&mut streams[0], self.mean_crashes, self.horizon) {
-            let service = streams[0].categorical(&weights);
-            schedule.push(t, FaultKind::ReplicaCrash { service });
-        }
-        let server_weights = vec![1.0; self.servers];
-        for t in times(&mut streams[1], self.mean_outages, self.horizon) {
-            let server = streams[1].categorical(&server_weights);
-            schedule.push(
-                t,
-                FaultKind::ServerOutage {
-                    server,
-                    duration: self.outage_duration,
-                },
-            );
-        }
-        for t in times(&mut streams[2], self.mean_dropouts, self.horizon) {
-            schedule.push(
-                t,
-                FaultKind::MonitorDropout {
-                    duration: self.dropout_duration,
-                },
-            );
-        }
-        for t in times(&mut streams[3], self.mean_actuation_failures, self.horizon) {
-            schedule.push(
-                t,
-                FaultKind::ActuationFailure {
-                    duration: self.actuation_failure_duration,
-                },
-            );
-        }
-        for t in times(&mut streams[4], self.mean_slow_starts, self.horizon) {
-            schedule.push(
-                t,
-                FaultKind::SlowStart {
-                    factor: self.slow_start_factor,
-                    duration: self.slow_start_duration,
-                },
-            );
-        }
-        schedule
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,49 +286,6 @@ mod tests {
                 factor: 0.5,
                 duration: 10.0,
             },
-        );
-    }
-
-    #[test]
-    fn generate_is_seed_deterministic() {
-        let plan = FaultPlan::new(3600.0, 6, 2)
-            .with_crashes(3.0)
-            .with_outages(1.0, 60.0)
-            .with_dropouts(2.0, 300.0)
-            .with_actuation_failures(1.0, 200.0)
-            .with_slow_starts(1.0, 4.0, 500.0);
-        assert_eq!(plan.generate(42), plan.generate(42));
-        assert_ne!(plan.generate(42), plan.generate(43));
-    }
-
-    #[test]
-    fn generate_respects_horizon_and_indices() {
-        let plan = FaultPlan::new(1000.0, 3, 2)
-            .with_crashes(10.0)
-            .with_outages(5.0, 30.0);
-        let s = plan.generate(7);
-        assert!(!s.is_empty());
-        assert!(s.events().iter().all(|e| e.time < 1000.0));
-        s.validate(3, 2).expect("generated indices in range");
-    }
-
-    #[test]
-    fn raising_one_rate_leaves_other_streams_alone() {
-        let base = FaultPlan::new(2000.0, 4, 2)
-            .with_crashes(3.0)
-            .with_dropouts(2.0, 100.0);
-        let more_dropouts = base.with_dropouts(6.0, 100.0);
-        let crashes = |s: &FaultSchedule| -> Vec<(f64, FaultKind)> {
-            s.events()
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::ReplicaCrash { .. }))
-                .map(|e| (e.time, e.kind))
-                .collect()
-        };
-        assert_eq!(
-            crashes(&base.generate(11)),
-            crashes(&more_dropouts.generate(11)),
-            "independent streams: dropout rate must not reshuffle crashes"
         );
     }
 

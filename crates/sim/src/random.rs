@@ -6,7 +6,7 @@
 //! Box–Muller so that no additional dependency is needed.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// A seedable simulation RNG.
 ///
@@ -160,12 +160,6 @@ impl SimRng {
         let frac = mean - whole;
         whole as usize + usize::from(frac > 0.0 && self.bernoulli(frac))
     }
-
-    /// Derives an independent child RNG; used to give each simulator
-    /// component its own stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -250,16 +244,6 @@ mod tests {
         let n = 100_000;
         let total: usize = (0..n).map(|_| rng.call_count(2.3)).sum();
         assert!((total as f64 / n as f64 - 2.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn fork_streams_differ() {
-        let mut root = SimRng::seed_from(9);
-        let mut a = root.fork();
-        let mut b = root.fork();
-        let va: Vec<f64> = (0..10).map(|_| a.uniform()).collect();
-        let vb: Vec<f64> = (0..10).map(|_| b.uniform()).collect();
-        assert_ne!(va, vb);
     }
 
     #[test]
