@@ -2,15 +2,11 @@
 //!
 //! Bucket upper bounds are fixed at construction (explicit list or a
 //! geometric ladder), so recording is O(log buckets) and the memory
-//! footprint is independent of the sample count. Quantiles are estimated
-//! by linear interpolation inside the covering bucket — exact to within
-//! one bucket width, which the unit tests pin against an exact
-//! reference.
+//! footprint is independent of the sample count.
 
 /// A fixed-bucket histogram over non-negative-ish `f64` samples.
 ///
-/// Values above the last bound land in an overflow bucket whose
-/// "width" for interpolation purposes is `[last_bound, max]`.
+/// Values above the last bound land in an overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Ascending inclusive upper bounds (`le` in Prometheus terms).
@@ -19,8 +15,6 @@ pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
     sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Histogram {
@@ -41,8 +35,6 @@ impl Histogram {
             counts: vec![0; n + 1],
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -71,8 +63,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
     }
 
     /// Number of recorded samples.
@@ -85,66 +75,10 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean of recorded samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest recorded sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Bucket upper bounds and per-bucket counts (the final count is the
     /// overflow bucket above the last bound).
     pub fn buckets(&self) -> (&[f64], &[u64]) {
         (&self.bounds, &self.counts)
-    }
-
-    /// The `q`-quantile (`0 ≤ q ≤ 1`), linearly interpolated inside the
-    /// covering bucket; `None` when empty or `q` is out of range.
-    ///
-    /// The estimate is exact to within the covering bucket's width; the
-    /// true min/max are used as the outermost interpolation anchors so
-    /// `quantile(0)` and `quantile(1)` are exact.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        // Rank of the sample the quantile falls on (1-based, nearest-rank
-        // with interpolation across the bucket carrying it).
-        let target = q * self.count as f64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let before = seen;
-            seen += c;
-            if (seen as f64) < target {
-                continue;
-            }
-            // The quantile lies in bucket i: interpolate within it.
-            let lower = if i == 0 {
-                self.min
-            } else {
-                self.bounds[i - 1].max(self.min)
-            };
-            let upper = if i < self.bounds.len() {
-                self.bounds[i].min(self.max)
-            } else {
-                self.max
-            };
-            let (lower, upper) = (lower.min(upper), upper.max(lower));
-            let frac = ((target - before as f64) / c as f64).clamp(0.0, 1.0);
-            return Some(lower + frac * (upper - lower));
-        }
-        Some(self.max)
     }
 }
 
@@ -163,59 +97,12 @@ mod tests {
         // 0.5, 1.0 ≤ 1.0 | 1.5, 2.0 ≤ 2.0 | 3.0, 4.0 ≤ 4.0 | 9.0 overflow
         assert_eq!(counts, &[2, 2, 2, 1]);
         assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(9.0));
+        assert_eq!(h.sum(), 21.0);
     }
 
     #[test]
     fn exponential_ladder() {
         let h = Histogram::exponential(1.0, 2.0, 4);
         assert_eq!(h.buckets().0, &[1.0, 2.0, 4.0, 8.0]);
-    }
-
-    /// Exact reference quantile: nearest-rank on the sorted samples.
-    fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
-        let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
-        sorted[rank - 1]
-    }
-
-    #[test]
-    fn quantiles_match_exact_reference_within_bucket_width() {
-        // Geometric buckets from 1 to 1024; samples spread across them.
-        let mut h = Histogram::exponential(1.0, 2.0, 10);
-        let samples: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        for &v in &samples {
-            h.record(v);
-        }
-        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let est = h.quantile(q).unwrap();
-            let exact = exact_quantile(&samples, q.max(0.001));
-            // Bucket width at the exact value bounds the estimation error.
-            let width = exact; // geometric factor 2 ⇒ width ≤ value
-            assert!(
-                (est - exact).abs() <= width,
-                "q={q}: est {est} vs exact {exact} (width {width})"
-            );
-        }
-        // The extremes are anchored on true min/max.
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(1000.0));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantiles() {
-        let h = Histogram::with_bounds(vec![1.0]);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-    }
-
-    #[test]
-    fn single_bucket_quantile_is_bounded_by_observed_range() {
-        let mut h = Histogram::with_bounds(vec![100.0]);
-        h.record(10.0);
-        h.record(20.0);
-        let q = h.quantile(0.5).unwrap();
-        assert!((10.0..=20.0).contains(&q), "q={q}");
     }
 }

@@ -13,10 +13,7 @@
 //!
 //! * [`Registry`] — named counters, gauges, and histograms with a
 //!   Prometheus-text-format snapshot ([`Registry::prometheus_text`]);
-//! * [`Histogram`] — HDR-style fixed-bucket histogram with interpolated
-//!   quantiles;
-//! * [`Span`] — a span-style scoped timer over *sim time* (the caller
-//!   supplies both endpoints; no clock is ever read);
+//! * [`Histogram`] — HDR-style fixed-bucket histogram;
 //! * [`Journal`] — a bounded ring buffer of [`Record`]s with JSONL
 //!   export, headed by the per-window MAPE-K [`DecisionRecord`];
 //! * [`log`] — a process-wide verbosity level and the [`info!`],
@@ -40,4 +37,4 @@ pub use record::{
     ActuationOutcome, ChosenAction, DecisionRecord, DriftRecord, ForecastRecord, GaGenerations,
     Record, RunRecord, ServiceDemand, ServiceDrift, SolveCounters, TelemetrySnapshot,
 };
-pub use registry::{escape_label_value, with_labels, Registry, Span};
+pub use registry::{escape_label_value, with_labels, Registry};

@@ -68,11 +68,6 @@ impl Registry {
         Self::default()
     }
 
-    /// Increments counter `name` by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Increments counter `name` by `by`.
     pub fn add(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += by;
@@ -105,21 +100,6 @@ impl Registry {
     /// Read access to histogram `name`, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Merges `other` into `self`: counters add, gauges overwrite, and
-    /// `other`'s histograms replace same-named ones (bucket layouts may
-    /// differ between sources, so bucket-wise addition is not defined).
-    pub fn absorb(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.insert(k.clone(), v.clone());
-        }
     }
 
     /// Renders the registry in the Prometheus text exposition format:
@@ -164,41 +144,6 @@ impl Registry {
     }
 }
 
-/// A span-style scoped timer over **simulated** time.
-///
-/// The caller supplies both endpoints — no clock is read — so spans are
-/// deterministic by construction:
-///
-/// ```
-/// use atom_obs::{Registry, Span};
-/// let mut reg = Registry::new();
-/// let span = Span::begin("solve_seconds", 100.0);
-/// // ... simulated work advances sim time to 100.25 ...
-/// span.end(&mut reg, 100.25);
-/// assert_eq!(reg.histogram("solve_seconds").unwrap().count(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Span {
-    name: String,
-    start: f64,
-}
-
-impl Span {
-    /// Opens a span named `name` at sim time `start`.
-    pub fn begin(name: impl Into<String>, start: f64) -> Self {
-        Span {
-            name: name.into(),
-            start,
-        }
-    }
-
-    /// Closes the span at sim time `end`, recording the duration into
-    /// the registry histogram bearing the span's name.
-    pub fn end(self, registry: &mut Registry, end: f64) {
-        registry.observe(&self.name, end - self.start);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +151,7 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut r = Registry::new();
-        r.inc("solves");
+        r.add("solves", 1);
         r.add("solves", 4);
         r.set_gauge("hit_rate", 0.42);
         assert_eq!(r.counter("solves"), 5);
@@ -218,8 +163,8 @@ mod tests {
     #[test]
     fn prometheus_text_is_sorted_and_cumulative() {
         let mut r = Registry::new();
-        r.inc("zeta_total");
-        r.inc("alpha_total");
+        r.add("zeta_total", 1);
+        r.add("alpha_total", 1);
         r.set_gauge("mid_gauge", 1.5);
         for v in [0.5, 1.5, 9.0] {
             r.observe("lat", v);
@@ -254,7 +199,7 @@ mod tests {
     #[test]
     fn labeled_series_export_one_type_line_per_family() {
         let mut r = Registry::new();
-        r.inc(&with_labels("atom_req_total", &[("svc", "front-end")]));
+        r.add(&with_labels("atom_req_total", &[("svc", "front-end")]), 1);
         r.add(&with_labels("atom_req_total", &[("svc", "orders")]), 2);
         r.set_gauge(&with_labels("atom_drift", &[("svc", "x\"y")]), -0.25);
         let text = r.prometheus_text();
@@ -274,27 +219,5 @@ mod tests {
     #[test]
     fn with_labels_without_labels_is_the_bare_name() {
         assert_eq!(with_labels("atom_solves", &[]), "atom_solves");
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_overwrites_gauges() {
-        let mut a = Registry::new();
-        a.add("c", 2);
-        a.set_gauge("g", 1.0);
-        let mut b = Registry::new();
-        b.add("c", 3);
-        b.set_gauge("g", 9.0);
-        a.absorb(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.gauge("g"), Some(9.0));
-    }
-
-    #[test]
-    fn span_records_sim_time_delta() {
-        let mut r = Registry::new();
-        Span::begin("d", 10.0).end(&mut r, 12.5);
-        let h = r.histogram("d").unwrap();
-        assert_eq!(h.count(), 1);
-        assert!((h.sum() - 2.5).abs() < 1e-12);
     }
 }
