@@ -1,7 +1,7 @@
 //! Hermetic stand-in for `proptest`.
 //!
 //! Provides the subset of proptest's API this workspace's property tests
-//! use — [`Strategy`] with `prop_map`, range / tuple / `Just` strategies,
+//! use — [`Strategy`] with `prop_map`, range and tuple strategies,
 //! `proptest::collection::vec`, `proptest::option::of`, `prop_oneof!`,
 //! and the `proptest!` / `prop_assert*` macros — as a deterministic
 //! generate-and-check loop. There is **no shrinking**: a failing case
@@ -214,18 +214,6 @@ impl<T> Strategy for Union<T> {
     }
 }
 
-/// Always produces a clone of the given value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_int_range_strategy {
     ($($ty:ty),*) => {$(
         impl Strategy for Range<$ty> {
@@ -240,7 +228,7 @@ macro_rules! impl_int_range_strategy {
     )*};
 }
 
-impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range_strategy!(u32, u64, usize, i64);
 
 macro_rules! impl_int_range_inclusive_strategy {
     ($($ty:ty),*) => {$(
@@ -256,7 +244,7 @@ macro_rules! impl_int_range_inclusive_strategy {
     )*};
 }
 
-impl_int_range_inclusive_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range_inclusive_strategy!(u8, usize, i64);
 
 impl Strategy for Range<f64> {
     type Value = f64;
@@ -270,14 +258,6 @@ impl Strategy for Range<f64> {
         } else {
             v
         }
-    }
-}
-
-impl Strategy for Range<f32> {
-    type Value = f32;
-
-    fn generate(&self, rng: &mut TestRng) -> f32 {
-        (self.start as f64..self.end as f64).generate(rng) as f32
     }
 }
 
@@ -302,8 +282,6 @@ impl_tuple_strategy!(
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5),
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6),
     (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8, J: 9),
 );
 
 /// Collection strategies (`proptest::collection::vec`).
@@ -317,23 +295,10 @@ pub mod collection {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }
 
-    impl SizeRange for usize {
-        fn pick(&self, _rng: &mut TestRng) -> usize {
-            *self
-        }
-    }
-
     impl SizeRange for Range<usize> {
         fn pick(&self, rng: &mut TestRng) -> usize {
             assert!(self.start < self.end, "empty size range");
             self.start + rng.below((self.end - self.start) as u64) as usize
-        }
-    }
-
-    impl SizeRange for Range<i32> {
-        fn pick(&self, rng: &mut TestRng) -> usize {
-            assert!(0 <= self.start && self.start < self.end, "bad size range");
-            self.start as usize + rng.below((self.end - self.start) as u64) as usize
         }
     }
 
@@ -423,8 +388,7 @@ where
 /// Everything a property-test file usually imports.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
+        prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, ProptestConfig, Strategy,
     };
 }
 
@@ -459,21 +423,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)*) => {{
         let (l, r) = (&$left, &$right);
         $crate::prop_assert!(l == r, $($fmt)*);
-    }};
-}
-
-/// Fails the current case if the two expressions are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            l != r,
-            "assertion failed: `{} != {}` (both: {:?})",
-            stringify!($left),
-            stringify!($right),
-            l
-        );
     }};
 }
 
@@ -564,7 +513,7 @@ mod tests {
 
     #[test]
     fn oneof_hits_all_alternatives() {
-        let strat = prop_oneof![Just(1usize), Just(2usize), Just(3usize)];
+        let strat = prop_oneof![1usize..2, 2usize..3, 3usize..4];
         let mut seen = [false; 4];
         let mut rng = TestRng::seed_from_u64(4);
         for _ in 0..100 {
@@ -580,7 +529,7 @@ mod tests {
             prop_assert!(x < 1000);
             prop_assert!((0.0..1.0).contains(&y), "y out of range: {y}");
             prop_assume!(x != 999);
-            prop_assert_ne!(x, 999);
+            prop_assert!(x != 999);
         }
     }
 }

@@ -8,10 +8,8 @@
 //! `atom_sim::SimRng`. Seeded streams therefore match the ones the real
 //! dependency would produce, keeping every experiment reproducible.
 
-/// The core of an RNG: raw 32/64-bit output.
+/// The core of an RNG: raw 64-bit output.
 pub trait RngCore {
-    /// Next 32 random bits.
-    fn next_u32(&mut self) -> u32;
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
 }
@@ -46,19 +44,13 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for u64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
 /// Named generators.
 pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// xoshiro256++ — the algorithm behind `rand` 0.8's `SmallRng` on
     /// 64-bit platforms.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone)]
     pub struct SmallRng {
         s: [u64; 4],
     }
@@ -86,11 +78,6 @@ pub mod rngs {
     }
 
     impl RngCore for SmallRng {
-        #[inline]
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
         #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;

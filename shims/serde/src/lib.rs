@@ -11,10 +11,9 @@
 //! enums (unit, newtype, tuple, and struct variants), `#[serde(default)]`
 //! and `#[serde(default = "path")]` field attributes, missing
 //! `Option<T>` fields defaulting to `None`, and impls for the std types
-//! the workspace serialises (integers, floats, `bool`, `String`,
-//! `Option`, `Vec`, tuples, maps).
+//! the workspace serialises (`u64`, `usize`, `i64`, `f64`, `bool`,
+//! `String`, `Option`, `Vec`, pairs and triples).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -190,7 +189,7 @@ macro_rules! impl_unsigned {
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_unsigned!(u64, usize);
 
 macro_rules! impl_signed {
     ($($ty:ty),*) => {$(
@@ -221,7 +220,7 @@ macro_rules! impl_signed {
     )*};
 }
 
-impl_signed!(i8, i16, i32, i64, isize);
+impl_signed!(i64);
 
 macro_rules! impl_float {
     ($($ty:ty),*) => {$(
@@ -243,7 +242,7 @@ macro_rules! impl_float {
     )*};
 }
 
-impl_float!(f32, f64);
+impl_float!(f64);
 
 impl Serialize for String {
     fn to_content(&self) -> Content {
@@ -260,27 +259,6 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        match content {
-            Content::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::expected("single-char string", other, "char")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Container impls
 // ---------------------------------------------------------------------------
@@ -288,18 +266,6 @@ impl Deserialize for char {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_content(&self) -> Content {
         (**self).to_content()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_content(&self) -> Content {
-        (**self).to_content()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        T::from_content(content).map(Box::new)
     }
 }
 
@@ -340,34 +306,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::to_content).collect())
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_content()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        match content {
-            Content::Map(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_content(v)?)))
-                .collect(),
-            other => Err(DeError::expected("map", other, "BTreeMap")),
-        }
-    }
-}
-
 macro_rules! impl_tuple {
     ($( ($($name:ident : $idx:tt),+) ),+ $(,)?) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
@@ -389,14 +327,7 @@ macro_rules! impl_tuple {
     )+};
 }
 
-impl_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3),
-    (A: 0, B: 1, C: 2, D: 3, E: 4),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5),
-);
+impl_tuple!((A: 0, B: 1), (A: 0, B: 1, C: 2));
 
 #[cfg(test)]
 mod tests {
