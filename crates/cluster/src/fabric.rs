@@ -132,7 +132,22 @@ pub(crate) struct Fabric {
     pub probe_samples: Vec<(f64, f64)>,
 }
 
+/// The invocation in an occupied slot of `Fabric::invocations`.
+fn live<T>(slot: Option<T>) -> T {
+    slot.expect("an invocation slot is occupied from alloc_invocation until finish_invocation")
+}
+
 impl Fabric {
+    /// The live invocation `inv`.
+    pub(crate) fn inv(&self, inv: usize) -> &Invocation {
+        live(self.invocations[inv].as_ref())
+    }
+
+    /// The live invocation `inv`, mutably.
+    pub(crate) fn inv_mut(&mut self, inv: usize) -> &mut Invocation {
+        live(self.invocations[inv].as_mut())
+    }
+
     /// Whether the monitoring plane sees events at `now` (false while
     /// inside a monitor-dropout interval).
     pub fn monitor_observing(&self, now: f64) -> bool {
@@ -350,9 +365,7 @@ impl Cluster {
             .processors
             .running(pi)
             .filter(|&(_, inv)| {
-                let i = self.fabric.invocations[inv]
-                    .as_ref()
-                    .expect("job maps to live inv");
+                let i = self.fabric.inv(inv);
                 i.service == si && i.replica == replica
             })
             .map(|(job, _)| job)
@@ -372,24 +385,12 @@ impl Cluster {
     /// request is retried from the start of its CPU stage; demand is
     /// re-sampled).
     pub(crate) fn requeue_invocation(&mut self, inv: usize) {
-        let si = self.fabric.invocations[inv].as_ref().unwrap().service;
+        let si = self.fabric.inv(inv).service;
         let replica = self.pick_replica(si);
-        {
-            let i = self.fabric.invocations[inv].as_mut().unwrap();
-            i.replica = replica;
-            i.state = InvState::Queued;
-        }
-        let svc = &mut self.fabric.services[si];
-        let can_start = matches!(
-            svc.replicas[replica].state,
-            ReplicaState::Ready | ReplicaState::Draining
-        ) && svc.replicas[replica].busy_threads < svc.threads;
-        if can_start {
-            svc.replicas[replica].busy_threads += 1;
-            self.begin_service(inv);
-        } else {
-            svc.replicas[replica].queue.push_back(inv);
-        }
+        let i = self.fabric.inv_mut(inv);
+        i.replica = replica;
+        i.state = InvState::Queued;
+        self.admit(si, replica, inv);
     }
 
     /// One replica of `si` dies; the orchestrator restarts a replacement

@@ -86,14 +86,14 @@ impl Cluster {
     fn issue_call(&mut self, si: usize, ei: usize, caller: usize) {
         if let Some(net) = self.net.as_mut() {
             let from = {
-                let parent = self.fabric.invocations[caller].as_ref().unwrap().service;
+                let parent = self.fabric.inv(caller).service;
                 self.fabric.services[parent].server
             };
             let to = self.fabric.services[si].server;
             let now = self.engine.now;
             let wait = net.round_trip(from, to, now);
             if wait > 0.0 {
-                self.fabric.invocations[caller].as_mut().unwrap().net_wait = wait;
+                self.fabric.inv_mut(caller).net_wait = wait;
                 self.engine.push(now + wait, Event::NetTransit { caller });
                 return;
             }
@@ -104,7 +104,7 @@ impl Cluster {
     /// The round trip `caller` was blocked on is over: the call it is
     /// parked on enters the callee service.
     pub(crate) fn transit_done(&mut self, caller: usize) {
-        let i = self.fabric.invocations[caller].as_ref().unwrap();
+        let i = self.fabric.inv(caller);
         let InvState::Calling { idx } = i.state else {
             unreachable!("a caller in transit is in Calling state");
         };
@@ -149,7 +149,7 @@ impl Cluster {
             }
         } else {
             caller
-                .and_then(|c| self.fabric.invocations[c].as_ref().and_then(|i| i.sampled))
+                .and_then(|c| self.fabric.inv(c).sampled)
                 .map(|(slot, parent)| {
                     let server = self.fabric.services[si].server;
                     let backend = self.tenants[0].backend.kind();
@@ -171,16 +171,21 @@ impl Cluster {
             sampled,
             net_wait: 0.0,
         });
+        self.admit(si, replica, inv);
+    }
+
+    /// Starts `inv` on `replica` of service `si` when that replica serves
+    /// and has a free thread; queues it there otherwise.
+    pub(crate) fn admit(&mut self, si: usize, replica: usize, inv: usize) {
         let svc = &mut self.fabric.services[si];
-        let can_start = matches!(
-            svc.replicas[replica].state,
-            ReplicaState::Ready | ReplicaState::Draining
-        ) && svc.replicas[replica].busy_threads < svc.threads;
-        if can_start {
-            svc.replicas[replica].busy_threads += 1;
+        let rep = &mut svc.replicas[replica];
+        if matches!(rep.state, ReplicaState::Ready | ReplicaState::Draining)
+            && rep.busy_threads < svc.threads
+        {
+            rep.busy_threads += 1;
             self.begin_service(inv);
         } else {
-            svc.replicas[replica].queue.push_back(inv);
+            rep.queue.push_back(inv);
         }
     }
 
@@ -199,14 +204,12 @@ impl Cluster {
 
     pub(crate) fn begin_service(&mut self, inv: usize) {
         let now = self.engine.now;
-        let (si, ei, replica) = {
-            let i = self.fabric.invocations[inv].as_ref().unwrap();
-            (i.service, i.endpoint, i.replica)
-        };
-        if let Some(handle) = self.fabric.invocations[inv].as_ref().unwrap().sampled {
+        let i = self.fabric.inv_mut(inv);
+        i.state = InvState::Executing;
+        let (si, ei, replica, sampled) = (i.service, i.endpoint, i.replica, i.sampled);
+        if let Some(handle) = sampled {
             self.spans.begin(handle, now);
         }
-        self.fabric.invocations[inv].as_mut().unwrap().state = InvState::Executing;
         let ep = &self.spec.services[si].endpoints[ei];
         let demand = self.rng.demand(ep.demand, ep.demand_cv);
         if demand == 0.0 {
@@ -222,10 +225,8 @@ impl Cluster {
 
     pub(crate) fn demand_done(&mut self, inv: usize) {
         // Pure-latency (I/O) stage before the downstream calls.
-        let (si, ei) = {
-            let i = self.fabric.invocations[inv].as_ref().unwrap();
-            (i.service, i.endpoint)
-        };
+        let i = self.fabric.inv(inv);
+        let (si, ei) = (i.service, i.endpoint);
         let latency = self.spec.services[si].endpoints[ei].latency;
         if latency > 0.0 {
             let wait = self.rng.exponential(latency);
@@ -237,14 +238,9 @@ impl Cluster {
     }
 
     pub(crate) fn proceed_to_calls(&mut self, inv: usize) {
-        let has_calls = !self.fabric.invocations[inv]
-            .as_ref()
-            .unwrap()
-            .calls
-            .is_empty();
-        if has_calls {
-            self.fabric.invocations[inv].as_mut().unwrap().state = InvState::Calling { idx: 0 };
-            let (si, ei) = self.fabric.invocations[inv].as_ref().unwrap().calls[0];
+        let i = self.fabric.inv_mut(inv);
+        if let Some(&(si, ei)) = i.calls.first() {
+            i.state = InvState::Calling { idx: 0 };
             self.issue_call(si, ei, inv);
         } else {
             self.finish_invocation(inv);
@@ -252,17 +248,13 @@ impl Cluster {
     }
 
     fn child_done(&mut self, inv: usize) {
-        let (next, total) = {
-            let i = self.fabric.invocations[inv].as_ref().unwrap();
-            let idx = match i.state {
-                InvState::Calling { idx } => idx + 1,
-                _ => unreachable!("caller must be in Calling state"),
-            };
-            (idx, i.calls.len())
+        let i = self.fabric.inv_mut(inv);
+        let InvState::Calling { idx } = i.state else {
+            unreachable!("caller must be in Calling state");
         };
-        if next < total {
-            self.fabric.invocations[inv].as_mut().unwrap().state = InvState::Calling { idx: next };
-            let (si, ei) = self.fabric.invocations[inv].as_ref().unwrap().calls[next];
+        let next = idx + 1;
+        if let Some(&(si, ei)) = i.calls.get(next) {
+            i.state = InvState::Calling { idx: next };
             self.issue_call(si, ei, inv);
         } else {
             self.finish_invocation(inv);
@@ -271,20 +263,17 @@ impl Cluster {
 
     fn finish_invocation(&mut self, inv: usize) {
         let now = self.engine.now;
-        let (si, _ei, replica, caller, root, arrival, seen_queue, ei, sampled) = {
-            let i = self.fabric.invocations[inv].as_ref().unwrap();
-            (
-                i.service,
-                i.endpoint,
-                i.replica,
-                i.caller,
-                i.root,
-                i.arrival,
-                i.seen_queue,
-                i.endpoint,
-                i.sampled,
-            )
-        };
+        let i = self.fabric.inv(inv);
+        let (si, ei, replica, caller, root, arrival, seen_queue, sampled) = (
+            i.service,
+            i.endpoint,
+            i.replica,
+            i.caller,
+            i.root,
+            i.arrival,
+            i.seen_queue,
+            i.sampled,
+        );
         if let Some(handle) = sampled {
             let observing = self.monitor_observing();
             self.spans
