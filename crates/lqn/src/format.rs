@@ -173,8 +173,12 @@ pub fn from_lqn_text(text: &str) -> Result<LqnModel, LqnError> {
                     return Err(bad(line, "malformed processor"));
                 }
                 let name = tokens[1].to_string();
-                let cores: usize = tokens[3].parse().map_err(|_| bad(line, "bad cores"))?;
-                let speed: f64 = tokens[5].parse().map_err(|_| bad(line, "bad speed"))?;
+                let cores = (tokens[3].parse::<usize>().ok())
+                    .filter(|&c| c > 0)
+                    .ok_or_else(|| bad(line, "bad cores"))?;
+                let speed = (tokens[5].parse::<f64>().ok())
+                    .filter(|s| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| bad(line, "bad speed"))?;
                 if processors.contains_key(&name) {
                     return Err(bad(line, "duplicate processor"));
                 }

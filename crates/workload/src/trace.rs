@@ -404,8 +404,7 @@ pub fn read_trace<R: BufRead>(
     let last = *bins.keys().next_back().expect("bins is non-empty");
     if last - first >= MAX_BINS {
         return Err(TraceError::Invalid(format!(
-            "trace spans {} bins of {}s (cap {MAX_BINS}); raise bin_secs",
-            last - first + 1,
+            "trace spans more than {MAX_BINS} bins of {}s; raise bin_secs",
             opts.bin_secs
         )));
     }

@@ -2,7 +2,8 @@
 //! population: reads must be deterministic regardless of reader
 //! buffering, a replayed step list must be indistinguishable bitwise
 //! from the equivalent hand-built `LoadProfile::Steps`, and malformed
-//! input must surface as typed errors carrying the offending line.
+//! input must surface as typed errors carrying the offending line — never
+//! as a panic, whatever the bytes.
 
 use std::io::{BufReader, Cursor};
 
@@ -29,6 +30,29 @@ fn alibaba_body(bins: usize) -> String {
         ));
         out.push('\n');
     }
+    out
+}
+
+/// The shipped sample traces: the valid documents the splices cut up.
+const ALIBABA_SAMPLE: &str = include_str!("../../../assets/traces/alibaba_sample.csv");
+const GOOGLE_SAMPLE: &str = include_str!("../../../assets/traces/google_sample.csv");
+
+/// Reads `bytes` as a trace in both formats; either may fail, neither
+/// may panic.
+fn read_both(bytes: &[u8]) {
+    for format in [TraceFormat::Alibaba, TraceFormat::Google] {
+        let _ = read_trace(Cursor::new(bytes), "t", format, &TraceOptions::new());
+    }
+}
+
+/// `doc` up to byte `i`, then `noise`, then `doc` again from byte `j`
+/// (both taken modulo the length): a truncation, a deletion or a repeat.
+fn splice(doc: &str, i: usize, j: usize, noise: &[u8]) -> Vec<u8> {
+    let doc = doc.as_bytes();
+    let (i, j) = (i % (doc.len() + 1), j % (doc.len() + 1));
+    let mut out = doc[..i].to_vec();
+    out.extend_from_slice(noise);
+    out.extend_from_slice(&doc[j..]);
     out
 }
 
@@ -105,6 +129,31 @@ fn comment_only_input_is_empty_not_malformed() {
     assert!(matches!(err, TraceError::Empty), "got {err:?}");
 }
 
+#[test]
+fn a_start_time_past_the_bin_range_is_an_error_not_an_overflow() {
+    // The first row lands in bin 0, the second saturates the bin index at
+    // u64::MAX: the span check must not overflow computing its message.
+    let body = "task_0,1,j,1,Terminated,0,60,50,1\ntask_1,1,j,1,Terminated,1e300,60,50,1\n";
+    let err = read_trace(
+        Cursor::new(body),
+        "t",
+        TraceFormat::Alibaba,
+        &TraceOptions::new(),
+    )
+    .expect_err("a trace that spans more bins than the cap");
+    assert!(matches!(err, TraceError::Invalid(_)), "got {err:?}");
+}
+
+#[test]
+fn the_sample_traces_the_splices_cut_up_are_valid() {
+    for (doc, format) in [
+        (ALIBABA_SAMPLE, TraceFormat::Alibaba),
+        (GOOGLE_SAMPLE, TraceFormat::Google),
+    ] {
+        read_trace(Cursor::new(doc), "t", format, &TraceOptions::new()).expect("sample parses");
+    }
+}
+
 /// Step lists with strictly increasing times starting at 0.
 fn steps_strategy() -> impl Strategy<Value = Vec<(f64, usize)>> {
     proptest::collection::vec((0.0f64..500.0, 0usize..3000), 1..24).prop_map(|raw| {
@@ -117,6 +166,27 @@ fn steps_strategy() -> impl Strategy<Value = Vec<(f64, usize)>> {
             })
             .collect()
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_readers(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        read_both(&bytes);
+    }
+
+    #[test]
+    fn spliced_sample_traces_never_panic_the_readers(
+        i in 0usize..1 << 20,
+        j in 0usize..1 << 20,
+        noise in proptest::collection::vec(0u8..=255, 0..4),
+    ) {
+        read_both(&splice(ALIBABA_SAMPLE, i, j, &noise));
+        read_both(&splice(GOOGLE_SAMPLE, i, j, &noise));
+    }
 }
 
 proptest! {
