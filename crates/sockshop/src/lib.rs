@@ -43,13 +43,6 @@ use atom_cluster::{AppSpec, EndpointId, ServerId, ServiceId};
 use atom_core::{ModelBinding, ObjectiveSpec};
 use atom_lqn::LqnModel;
 
-/// Index of the `home` feature.
-pub const FEATURE_HOME: usize = 0;
-/// Index of the `catalogue` feature.
-pub const FEATURE_CATALOGUE: usize = 1;
-/// Index of the `carts` feature.
-pub const FEATURE_CARTS: usize = 2;
-
 /// Names of the six microservices, in the service-id order of the
 /// evaluation deployment (the validation subset has ids of its own).
 pub const SERVICE_NAMES: [&str; 6] = [
