@@ -239,7 +239,7 @@ impl FluidPool {
                 if n <= EXACT_MAX_POPULATION {
                     solve_exact(&net).ok()
                 } else {
-                    solve_amva(&net, AmvaOptions::default()).ok()
+                    solve_amva(&net, AmvaOptions).ok()
                 }
             });
         let (x, residence) = match &solution {

@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn amva_tracks_exact_single_class(net in single_class_network()) {
         let exact = solve_exact(&net).unwrap();
-        let approx = solve_amva(&net, AmvaOptions::default()).unwrap();
+        let approx = solve_amva(&net, AmvaOptions).unwrap();
         // Bard–Schweitzer is typically within a few percent; allow a
         // conservative envelope including multi-server approximations.
         let rel = (exact.throughput[0] - approx.throughput[0]).abs()
