@@ -25,12 +25,25 @@
 //! idle, advancing at the per-job rate `alloc / jobs · speed`. A job
 //! entering with `work` gets the **finish tag** `V + work` and completes
 //! when `V` reaches it; its remaining work is `tag − V`. Tags sit in a
-//! per-group ordered set keyed by `(tag, JobId)`, so adding and removing
-//! a job cost O(log jobs), the next completion is a minimum over the
-//! groups' first tags, and a rate change (a new cap, a water-filling
+//! per-group min-heap keyed by `(tag, JobId)`: adding a job and removing
+//! the group's next finisher (every normal completion) cost O(log jobs),
+//! a group's next finisher is a peek, and the next completion is a
+//! minimum over the groups' heap tops. Removing any other job costs
+//! O(jobs in the group) — only a replica failure pulls running jobs out
+//! of turn, and it is rare. A rate change (a new cap, a water-filling
 //! pass) rewrites one rate per group and touches no job. `V` returns to 0
 //! whenever its group empties, which keeps tags near the size of one
 //! job's work on any group that ever idles.
+//!
+//! # Reallocation
+//!
+//! Each group keeps its **demand**, `min(cap, jobs)` cores (0 when it
+//! has no job). The water-filling pass reads only the demands, so a job
+//! that enters or leaves a group without moving its demand — the common
+//! case once a group holds more jobs than its cap — leaves every
+//! allocation as it was, and only that group's per-job rate is
+//! recomputed, by the same formula as the full pass. Any other change
+//! runs the full pass. Either way the generation is bumped.
 //!
 //! Callers drive simulation time explicitly: every mutating call takes
 //! the current time and advances the clocks and the busy integrals to it.
@@ -41,7 +54,8 @@
 //! repeats it, so a check that fires at the returned time finds that job
 //! due whatever rounding the clocks picked up on the way there.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of a group (container) on a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,9 +78,33 @@ struct Group {
     /// Virtual clock: work each job has received since the group was
     /// last idle.
     vclock: f64,
-    /// Active jobs by finish tag. Tags are non-negative, so their bit
-    /// patterns order as their values do.
-    queue: BTreeSet<(u64, JobId)>,
+    /// Cores the group asked for at the last reallocation:
+    /// `min(cap, jobs)`, 0 with no job.
+    demand: f64,
+    /// Active jobs, earliest finish tag on top. Tags are non-negative,
+    /// so their bit patterns order as their values do.
+    queue: BinaryHeap<Reverse<(u64, JobId)>>,
+}
+
+impl Group {
+    /// Cores the group asks for now: `min(cap, jobs)`, 0 with no job.
+    fn current_demand(&self) -> f64 {
+        if self.queue.is_empty() {
+            0.0
+        } else {
+            self.cap.min(self.queue.len() as f64)
+        }
+    }
+
+    /// Work-units per second each job receives at the current
+    /// allocation: `alloc / jobs · speed`, 0 with no job.
+    fn job_rate(&self, speed: f64) -> f64 {
+        if self.queue.is_empty() {
+            0.0
+        } else {
+            self.alloc / self.queue.len() as f64 * speed
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -151,7 +189,8 @@ impl PsProcessor {
             busy_integral: 0.0,
             rate: 0.0,
             vclock: 0.0,
-            queue: BTreeSet::new(),
+            demand: 0.0,
+            queue: BinaryHeap::new(),
         });
         GroupId(self.groups.len() - 1)
     }
@@ -192,9 +231,11 @@ impl PsProcessor {
                 JobId(self.jobs.len() - 1)
             }
         };
-        self.groups[group.0].queue.insert((tag.to_bits(), id));
+        self.groups[group.0]
+            .queue
+            .push(Reverse((tag.to_bits(), id)));
         self.active_count += 1;
-        self.reallocate();
+        self.reallocate_after_job_change(group);
         id
     }
 
@@ -208,14 +249,19 @@ impl PsProcessor {
         self.advance(now);
         let j = self.jobs[job.0].take().expect("job does not exist");
         let g = &mut self.groups[j.group.0];
-        g.queue.remove(&(j.tag.to_bits(), job));
+        let key = Reverse((j.tag.to_bits(), job));
+        if g.queue.peek() == Some(&key) {
+            g.queue.pop();
+        } else {
+            g.queue.retain(|k| *k != key);
+        }
         let residual = (j.tag - g.vclock).max(0.0);
         if g.queue.is_empty() {
             g.vclock = 0.0;
         }
         self.active_count -= 1;
         self.free_slots.push(job.0);
-        self.reallocate();
+        self.reallocate_after_job_change(j.group);
         residual
     }
 
@@ -241,7 +287,7 @@ impl PsProcessor {
         let mut best: Option<(f64, JobId)> = None;
         for g in &self.groups {
             if g.rate > 0.0 {
-                if let Some(&(tag, job)) = g.queue.first() {
+                if let Some(&Reverse((tag, job))) = g.queue.peek() {
                     let t = now + (f64::from_bits(tag) - g.vclock).max(0.0) / g.rate;
                     if best.is_none_or(|b| (t, job) < b) {
                         best = Some((t, job));
@@ -316,6 +362,21 @@ impl PsProcessor {
         g.busy_integral + g.alloc * dt
     }
 
+    /// Reallocates after a job entered or left `group`. When the group's
+    /// demand is unchanged, so is every allocation (the water-filling
+    /// pass reads only demands), and only the group's per-job rate moves.
+    /// Bumps the generation counter either way.
+    fn reallocate_after_job_change(&mut self, group: GroupId) {
+        let g = &mut self.groups[group.0];
+        if g.current_demand() != g.demand {
+            self.reallocate();
+            return;
+        }
+        self.generation += 1;
+        self.pending = None;
+        g.rate = g.job_rate(self.speed);
+    }
+
     /// Recomputes the water-filling allocation and the per-group rates.
     /// Called internally after any change; bumps the generation counter.
     fn reallocate(&mut self) {
@@ -328,11 +389,9 @@ impl PsProcessor {
         demands.clear();
         for (i, g) in groups.iter_mut().enumerate() {
             g.alloc = 0.0;
-            if !g.queue.is_empty() {
-                let d = g.cap.min(g.queue.len() as f64);
-                if d > 0.0 {
-                    demands.push((i, d));
-                }
+            g.demand = g.current_demand();
+            if g.demand > 0.0 {
+                demands.push((i, g.demand));
             }
         }
         let total_demand: f64 = demands.iter().map(|&(_, d)| d).sum();
@@ -366,11 +425,7 @@ impl PsProcessor {
         // Per-job rates: equal split within the group, times speed.
         let mut total_alloc = 0.0;
         for g in groups.iter_mut() {
-            g.rate = if g.queue.is_empty() {
-                0.0
-            } else {
-                g.alloc / g.queue.len() as f64 * self.speed
-            };
+            g.rate = g.job_rate(self.speed);
             total_alloc += g.alloc;
         }
         self.total_alloc = total_alloc;
@@ -582,6 +637,43 @@ mod tests {
         // A new allocation is a new answer.
         cpu.set_group_cap(3.0, g, 0.0);
         assert_eq!(cpu.next_completion(3.0), None);
+    }
+
+    #[test]
+    fn removing_a_job_out_of_turn_keeps_the_rest_in_tag_order() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        let g = cpu.add_group(1.0);
+        // Tags 3, 1, 4, 1, 5 (the two 1s tie and go by JobId).
+        let works = [3.0, 1.0, 4.0, 1.0, 5.0];
+        let jobs: Vec<JobId> = works.iter().map(|&w| cpu.add_job(0.0, g, w)).collect();
+        // Neither is the group's next finisher.
+        cpu.remove_job(0.0, jobs[2]);
+        cpu.remove_job(0.0, jobs[3]);
+        let mut order = Vec::new();
+        let mut now = 0.0;
+        while let Some((t, job)) = cpu.next_completion(now) {
+            now = t;
+            cpu.remove_job(now, job);
+            order.push(job);
+        }
+        assert_eq!(order, vec![jobs[1], jobs[0], jobs[4]]);
+    }
+
+    #[test]
+    fn an_add_that_keeps_the_demand_still_bumps_the_generation() {
+        let mut cpu = PsProcessor::new(2.0, 1.0);
+        let g = cpu.add_group(0.5);
+        let first = cpu.add_job(0.0, g, 1.0);
+        let (t, _) = cpu.next_completion(0.0).unwrap();
+        assert_eq!(t, 2.0);
+        // Demand stays min(0.5, jobs) = 0.5: no reallocation, but the
+        // first job now runs at half the rate, so its promised time is
+        // stale and the generation must say so.
+        let before = cpu.generation();
+        cpu.add_job(0.0, g, 1.0);
+        assert_eq!(cpu.groups[g.0].demand, 0.5);
+        assert!(cpu.generation() > before);
+        assert_eq!(cpu.next_completion(0.0), Some((4.0, first)));
     }
 
     #[test]
