@@ -22,8 +22,6 @@
 //! rely on and `tests/wheel_equivalence.rs` checks against randomised
 //! schedules.
 
-use std::collections::VecDeque;
-
 /// Slots per level (a power of two; the slot index is a bit-field of the
 /// tick).
 const SLOTS: usize = 64;
@@ -101,8 +99,11 @@ pub struct TimerWheel<E> {
     /// Smallest tick in `overflow` (`u64::MAX` when it is empty): the
     /// cursor entering this tick's top-level window re-files the list.
     overflow_min: u64,
-    /// Expired entries in pop order.
-    ready: VecDeque<Entry<E>>,
+    /// Expired entries in *reverse* pop order: the next to pop is the
+    /// last, so popping is `Vec::pop`. A level-0 slot expires by swapping
+    /// its sorted buffer in (`ready` is empty then), so no entry is
+    /// copied on the way out.
+    ready: Vec<Entry<E>>,
     /// Entries currently filed in `levels` (not `ready`/`overflow`).
     in_wheel: usize,
     seq: u64,
@@ -140,7 +141,7 @@ impl<E> TimerWheel<E> {
             occupied: [0; LEVELS],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            ready: VecDeque::new(),
+            ready: Vec::new(),
             in_wheel: 0,
             seq: 0,
             len: 0,
@@ -194,8 +195,9 @@ impl<E> TimerWheel<E> {
         let t = self.tick_of(entry.time);
         if t < self.cursor {
             // Its tick already expired (same-instant reschedule or a
-            // past-time push): join the ready run in (time, seq) order.
-            let pos = self.ready.partition_point(|e| e.before(&entry));
+            // past-time push): join the ready run in reverse (time, seq)
+            // order, behind every entry that pops after it.
+            let pos = self.ready.partition_point(|e| entry.before(e));
             self.ready.insert(pos, entry);
             return;
         }
@@ -282,17 +284,20 @@ impl<E> TimerWheel<E> {
             // past any pending entry — all ticks in the slot are ≥ it).
             self.cursor = self.cursor.max(start);
             if lvl == 0 {
-                // A level-0 slot is a single tick: expire it. Draining
-                // leaves the slot its buffer for the next lap.
+                // A level-0 slot is a single tick: expire it, latest
+                // first (`seq` is unique, so an unstable sort is exact).
+                // The slot takes the empty `ready` buffer for its next
+                // lap.
+                debug_assert!(self.ready.is_empty());
                 let due = &mut self.levels[0][slot];
                 self.in_wheel -= due.len();
-                due.sort_by(|a, b| {
-                    a.time
-                        .partial_cmp(&b.time)
+                due.sort_unstable_by(|a, b| {
+                    b.time
+                        .partial_cmp(&a.time)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.seq.cmp(&b.seq))
+                        .then_with(|| b.seq.cmp(&a.seq))
                 });
-                self.ready.extend(due.drain(..));
+                std::mem::swap(&mut self.ready, due);
                 self.cursor = start + 1;
                 return true;
             }
@@ -313,7 +318,7 @@ impl<E> TimerWheel<E> {
         if !self.advance() {
             return None;
         }
-        let e = self.ready.pop_front().expect("advance filled ready");
+        let e = self.ready.pop().expect("advance filled ready");
         self.len -= 1;
         Some((e.time, e.event))
     }
@@ -326,7 +331,7 @@ impl<E> TimerWheel<E> {
         if !self.advance() {
             return None;
         }
-        self.ready.front().map(|e| e.time)
+        self.ready.last().map(|e| e.time)
     }
 }
 

@@ -248,3 +248,63 @@ fn a_cleared_wheel_is_as_good_as_new() {
     }
     drain_both(&mut heap, &mut wheel, "after clear");
 }
+
+#[test]
+fn matches_heap_when_pushes_land_in_a_half_consumed_ready_run() {
+    // `Engine::pop_due`'s pattern: peek, then pop, and the handler of
+    // what was popped pushes — at the very instant (a reschedule),
+    // elsewhere in the tick being consumed, or ticks behind the cursor.
+    // Fifty-odd timers per tick keep the ready run long, so those pushes
+    // land in the middle of it, before, between and after its entries.
+    const TICK: f64 = 1e-3;
+    for seed in 50..55 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut heap = EventQueue::new();
+        let mut wheel = TimerWheel::with_tick(TICK);
+        let mut id = 0u64;
+        for _ in 0..2000 {
+            let tick = (rng.uniform() * 40.0).floor();
+            // One in five on the tick's first instant: exact ties.
+            let within = if rng.bernoulli(0.2) {
+                0.0
+            } else {
+                rng.uniform()
+            };
+            push_both(&mut heap, &mut wheel, (tick + within) * TICK, id);
+            id += 1;
+        }
+        let mut pops = 0;
+        loop {
+            assert_eq!(
+                wheel.peek_time(),
+                heap.peek_time(),
+                "peek divergence after {pops} pops (seed {seed})"
+            );
+            let h = heap.pop();
+            assert_eq!(
+                h,
+                wheel.pop(),
+                "pop divergence after {pops} pops (seed {seed})"
+            );
+            let Some((now, _)) = h else { break };
+            pops += 1;
+            let tick_start = (now / TICK).floor() * TICK;
+            let u = rng.uniform();
+            let time = if u < 0.2 {
+                now
+            } else if u < 0.45 {
+                tick_start + rng.uniform() * TICK
+            } else if u < 0.65 {
+                now - (1.0 + rng.uniform() * 4.0) * TICK
+            } else if u < 0.8 {
+                now + rng.exponential(10.0 * TICK)
+            } else {
+                continue;
+            };
+            push_both(&mut heap, &mut wheel, time, id);
+            id += 1;
+            assert_eq!(heap.len(), wheel.len());
+        }
+        assert!(pops > 5000, "only {pops} pops (seed {seed})");
+    }
+}
