@@ -108,6 +108,10 @@ pub(crate) struct Fabric {
     pub services: Vec<ServiceRt>,
     pub invocations: Vec<Option<Invocation>>,
     pub free_invs: Vec<usize>,
+    /// Emptied call lists of finished invocations, reused by the next
+    /// ones instead of allocating; never longer than the peak number of
+    /// invocations in flight.
+    pub call_pool: Vec<Vec<(usize, usize)>>,
     pub pending_batches: Vec<Vec<ScaleAction>>,
     /// Issue time of each pending batch, parallel to `pending_batches`
     /// (for issue-to-ready scale-latency telemetry).
@@ -146,6 +150,17 @@ impl Fabric {
     /// The live invocation `inv`, mutably.
     pub(crate) fn inv_mut(&mut self, inv: usize) -> &mut Invocation {
         live(self.invocations[inv].as_mut())
+    }
+
+    /// Frees the slot of the finished invocation `inv` and pools its
+    /// call list for the next invocation.
+    pub(crate) fn release_inv(&mut self, inv: usize) {
+        let mut calls = live(self.invocations[inv].take()).calls;
+        if calls.capacity() > 0 {
+            calls.clear();
+            self.call_pool.push(calls);
+        }
+        self.free_invs.push(inv);
     }
 
     /// Whether the monitoring plane sees events at `now` (false while

@@ -48,7 +48,7 @@ impl Cluster {
     }
 
     fn expand_calls(&mut self, si: usize, ei: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
+        let mut out = self.fabric.call_pool.pop().unwrap_or_default();
         for c in &self.spec.services[si].endpoints[ei].calls {
             let count = self.rng.call_count(c.mean);
             out.extend(std::iter::repeat_n((c.service.0, c.endpoint.0), count));
@@ -289,8 +289,7 @@ impl Cluster {
                 }
             }
         }
-        self.fabric.invocations[inv] = None;
-        self.fabric.free_invs.push(inv);
+        self.fabric.release_inv(inv);
 
         // Release the thread / admit next.
         let svc = &mut self.fabric.services[si];

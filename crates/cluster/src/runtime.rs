@@ -426,6 +426,7 @@ impl Cluster {
             services,
             invocations: Vec::new(),
             free_invs: Vec::new(),
+            call_pool: Vec::new(),
             pending_batches: Vec::new(),
             batch_issued: Vec::new(),
             scaling_issued_at: None,
