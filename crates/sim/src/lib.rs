@@ -17,8 +17,9 @@
 //!   the wheel's reference;
 //! * [`processor::PsProcessor`] — a processor-sharing CPU with per-group
 //!   rate caps (containers with CPU shares) and per-job single-core caps,
-//!   solved by water-filling and kept in virtual time (O(log jobs) per
-//!   operation, however many jobs share a group); this is what makes
+//!   solved by water-filling and kept in virtual time (O(log jobs) to add
+//!   a job or complete one, however many jobs share a group; O(jobs in
+//!   the group) only to pull a job out of turn); this is what makes
 //!   "CPU share 0.2 = at most 20% of one core" (ATOM §II-A) and "a
 //!   single-threaded service cannot use a second core" (ATOM §II-B)
 //!   first-class semantics;

@@ -5,8 +5,8 @@
 //! jobs in interleaved batches (so both see the same machine), five
 //! times over, and the median of the per-round ratios is gated. The
 //! per-job implementation this one replaced walked every job on every
-//! operation and sat above 50×; an ordered set per group grows by the
-//! few tree levels between 16 and 4 096 keys.
+//! operation and sat above 50×; a heap per group grows by the few
+//! levels between 16 and 4 096 keys.
 
 use std::hint::black_box;
 use std::time::Instant;
