@@ -229,6 +229,6 @@ mod tests {
         let r = run_one(&shop, workload, ScalerKind::Uv, 3, 120.0, &opts);
         assert_eq!(r.reports.len(), 3);
         assert_eq!(r.scaler, "UV");
-        assert!(r.tps.points().len() == 3);
+        assert!(r.mean_tps(0, 3) > 0.0);
     }
 }

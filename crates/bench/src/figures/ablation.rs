@@ -141,7 +141,7 @@ pub fn peak_monitoring_ablation(opts: &HarnessOptions) {
             experiment_config(opts),
         )
         .expect("experiment");
-        let cum = result.tps.cumulative(0.0, horizon);
+        let cum = result.cumulative_tps(0.0, horizon);
         values.push(cum);
         table.row(vec![label.to_string(), f(cum, 0)]);
     }

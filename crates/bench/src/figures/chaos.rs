@@ -93,13 +93,9 @@ pub fn underprovisioned(result: &ExperimentResult, i: usize) -> bool {
 pub fn longest_idle_underprovisioned(result: &ExperimentResult) -> usize {
     let mut run = 0usize;
     let mut worst = 0usize;
-    for (i, report) in result.reports.iter().enumerate() {
+    for i in 0..result.reports.len() {
         let under = underprovisioned(result, i);
-        let acted = result
-            .actions
-            .entries()
-            .iter()
-            .any(|(t, _)| (*t - report.end).abs() < 1e-6);
+        let acted = result.window_actions(i).next().is_some();
         if under && !acted {
             run += 1;
             worst = worst.max(run);
@@ -183,7 +179,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
             f(r.underprovision_area(Some(&STATELESS)), 0),
             format!("{:.4}", r.mean_availability()),
             f(r.longest_outage(0.999), 0),
-            f(r.availability.iter().map(|a| a.downtime()).sum::<f64>(), 0),
+            f(r.downtime(), 0),
             failed.to_string(),
             r.actions.len().to_string(),
         ]);

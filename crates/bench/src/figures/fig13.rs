@@ -36,7 +36,7 @@ pub fn run(opts: &HarnessOptions) {
                     opts.window_secs(),
                     &rep_opts,
                 );
-                cum[k] += result.tps.cumulative(0.0, horizon);
+                cum[k] += result.cumulative_tps(0.0, horizon);
                 if rep == 0 {
                     first_traces.push(result.reports.iter().map(|r| r.total_tps).collect());
                 }

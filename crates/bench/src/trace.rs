@@ -2,7 +2,7 @@
 //! metrics snapshot behind `--trace-out` / `--metrics-out`.
 //!
 //! Both artefacts are derived *after the fact* from the
-//! [`TelemetrySummary`] riding along each [`ExperimentResult`] — no
+//! [`atom_core::TelemetrySummary`] riding along each [`ExperimentResult`] — no
 //! global state, no clocks, and nothing here feeds back into the
 //! experiments, so enabling the export leaves every other output
 //! bitwise identical.
@@ -11,7 +11,7 @@ use std::path::Path;
 
 use atom_cluster::spec::AppSpec;
 use atom_cluster::SampledSpan;
-use atom_core::{ExperimentResult, TelemetrySummary};
+use atom_core::ExperimentResult;
 use atom_obs::{Journal, Record, Registry};
 
 use crate::HarnessOptions;
@@ -110,7 +110,7 @@ pub fn journal_of(results: &[ExperimentResult]) -> Journal {
             journal.push(d.time, Record::Decision(d.clone()));
         }
         let end = r.reports.last().map_or(0.0, |w| w.end);
-        journal.push(end, Record::Run(TelemetrySummary::run_record(r)));
+        journal.push(end, Record::Run(r.run_record()));
     }
     journal
 }
@@ -197,11 +197,9 @@ pub fn registry_for(results: &[ExperimentResult]) -> Registry {
         }
         // Journal evictions: only surfaced when the ring actually
         // dropped records.
-        if r.telemetry.journal_dropped > 0 {
-            reg.add(
-                &format!("{slug}_journal_dropped_total"),
-                r.telemetry.journal_dropped,
-            );
+        let dropped = r.telemetry.journal_dropped();
+        if dropped > 0 {
+            reg.add(&format!("{slug}_journal_dropped_total"), dropped);
         }
         let (mut held, mut reissued, mut abandoned) = (0u64, 0u64, 0u64);
         let (mut fc_windows, mut fc_fallbacks, mut fc_clamped) = (0u64, 0u64, 0u64);

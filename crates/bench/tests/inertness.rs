@@ -30,8 +30,8 @@ fn canonical_csv(results: &[ExperimentResult]) -> String {
                 w.service_availability,
             ));
         }
-        for (t, text) in r.actions.entries() {
-            out.push_str(&format!("{},{t:?},{text}\n", r.scaler));
+        for (t, a) in &r.actions {
+            out.push_str(&format!("{},{t:?},{a:?}\n", r.scaler));
         }
         for e in r.explanations.iter().flatten() {
             out.push_str(&format!("{},{e}\n", r.scaler));

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let horizon = config.windows as f64 * config.window_secs;
-    let cum_uv = results[0].tps.cumulative(0.0, horizon);
-    let cum_atom = results[1].tps.cumulative(0.0, horizon);
+    let cum_uv = results[0].cumulative_tps(0.0, horizon);
+    let cum_atom = results[1].cumulative_tps(0.0, horizon);
     println!(
         "\ncumulative transactions:  UV {:.0}   ATOM {:.0}   (ATOM +{:.0}%)",
         cum_uv,

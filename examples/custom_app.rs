@@ -90,8 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.underprovision_time(None),
         result.actions.len()
     );
-    for (t, action) in result.actions.entries() {
-        println!("  t={t:>5.0}s  {action}");
+    for (t, a) in &result.actions {
+        let service = &app.services[a.service.0].name;
+        println!(
+            "  t={t:>5.0}s  {}: {service} -> {} x {:.2}",
+            result.scaler, a.replicas, a.share
+        );
     }
     Ok(())
 }

@@ -38,17 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
 
-    let mut action_idx = 0;
     for (i, report) in result.reports.iter().enumerate() {
-        let acts: Vec<&str> = result
-            .actions
-            .entries()
-            .iter()
-            .skip(action_idx)
-            .take_while(|(t, _)| *t <= report.end + 1e-9)
-            .map(|(_, d)| d.as_str())
+        let acts: Vec<String> = result
+            .window_actions(i)
+            .map(|a| {
+                let service = &spec.services[a.service.0].name;
+                format!(
+                    "{}: {service} -> {} x {:.2}",
+                    result.scaler, a.replicas, a.share
+                )
+            })
             .collect();
-        action_idx += acts.len();
         println!(
             "{:>6}  {:>5}  {:>6.1}  {}",
             i + 1,

@@ -161,7 +161,6 @@ fn run_scenario_result(
 fn run_scenario(scenario: &Scenario) -> Result<(), Box<dyn std::error::Error>> {
     let result = run_scenario_result(scenario)?;
     println!("window  users    TPS    resp[ms]  actions");
-    let mut action_idx = 0;
     for (i, r) in result.reports.iter().enumerate() {
         let total: u64 = r.feature_counts.iter().sum();
         let resp = if total > 0 {
@@ -174,15 +173,16 @@ fn run_scenario(scenario: &Scenario) -> Result<(), Box<dyn std::error::Error>> {
         } else {
             0.0
         };
-        let acts: Vec<&str> = result
-            .actions
-            .entries()
-            .iter()
-            .skip(action_idx)
-            .take_while(|(t, _)| *t <= r.end + 1e-9)
-            .map(|(_, d)| d.as_str())
+        let acts: Vec<String> = result
+            .window_actions(i)
+            .map(|a| {
+                let service = &scenario.app.services[a.service.0].name;
+                format!(
+                    "{}: {service} -> {} x {:.2}",
+                    result.scaler, a.replicas, a.share
+                )
+            })
             .collect();
-        action_idx += acts.len();
         println!(
             "{:>6}  {:>5}  {:>6.1}  {:>8.1}  {}",
             i + 1,
