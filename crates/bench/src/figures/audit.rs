@@ -18,9 +18,8 @@
 //!   every under-provisioned (service, window) cell's
 //!   violation-seconds, attributed to the dominant-residence service of
 //!   that window's span aggregates. Rows sum to the run's `T_u` over
-//!   the stateless services *by construction* (the cell filter is
-//!   exactly [`atom_metrics::CapacityTrace::underprovision_time`]'s
-//!   1%-of-a-core tolerance).
+//!   the stateless services *by construction*: both count exactly the
+//!   [`atom_metrics::CapacityWindow::underprovisioned`] cells.
 //!
 //! `--smoke` gates: every scenario audits windows with finite drift,
 //! the calm ramp's rolling sMAPE stays bounded, the attribution sums
@@ -41,12 +40,6 @@ use crate::HarnessOptions;
 /// Span sampling rate of the audit runs: 1% of root requests, the
 /// rate the overhead budget is stated against.
 pub const SPAN_RATE: f64 = 0.01;
-
-/// The violating-cell filter, kept identical to
-/// [`atom_metrics::CapacityTrace::underprovision_time`]'s default
-/// tolerance (1% of a core) so the attribution table reconciles with
-/// `T_u` exactly.
-const SHORTFALL_CORES: f64 = 0.01;
 
 /// Smoke gate: ceiling on the calm ramp's final rolling drift sMAPE.
 /// sMAPE is bounded by 2 (completely wrong); a model that tracks the
@@ -137,11 +130,11 @@ pub fn drift_records(result: &ExperimentResult) -> Vec<&DriftRecord> {
         .collect()
 }
 
-/// Builds the attribution rows of one outcome. Every (stateless
-/// service, window) cell whose shortfall exceeds `SHORTFALL_CORES`
-/// contributes its full window duration — exactly the cells
-/// [`ExperimentResult::underprovision_time`] counts — attributed to the
-/// window's dominant-residence service per the span aggregates.
+/// Builds the attribution rows of one outcome. Every under-provisioned
+/// (stateless service, window) cell contributes its full window
+/// duration — exactly the cells [`ExperimentResult::underprovision_time`]
+/// counts — attributed to the window's dominant-residence service per
+/// the span aggregates.
 pub fn attribute(outcome: &AuditOutcome, spec: &AppSpec) -> Vec<AttributionRow> {
     let result = &outcome.result;
     let name = |si: usize| {
@@ -154,7 +147,7 @@ pub fn attribute(outcome: &AuditOutcome, spec: &AppSpec) -> Vec<AttributionRow> 
     for &si in &STATELESS {
         let trace = &result.capacity[si];
         for (wi, w) in trace.windows().iter().enumerate() {
-            if w.shortfall() <= SHORTFALL_CORES {
+            if !w.underprovisioned() {
                 continue;
             }
             let report = &result.reports[wi];

@@ -30,9 +30,9 @@ use crate::HarnessOptions;
 pub const MAX_IDLE_UNDERPROVISIONED: usize = 5;
 
 /// Shortfall (cores) below which a window does not count as
-/// under-provisioned for the wedging check — same spirit as the
-/// `CapacityTrace` default tolerance, slightly looser to ignore
-/// boundary jitter from mid-window actuations.
+/// under-provisioned for the wedging check — same spirit as
+/// `CapacityWindow::underprovisioned`'s 1% of a core, deliberately
+/// looser to ignore boundary jitter from mid-window actuations.
 const SHORTFALL_TOLERANCE: f64 = 0.05;
 
 /// The injected schedule, scaled to the experiment horizon so the quick

@@ -188,12 +188,12 @@ pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutco
     let runs = run_multi_tenant(&mut mtc, &mut scalers, n_windows, window_secs);
 
     let mut outcomes = Vec::with_capacity(runs.len());
-    for (ti, run) in runs.iter().enumerate() {
+    for (ti, (result, verdicts)) in runs.into_iter().enumerate() {
         let app = &tenants[ti].app;
         let think = tenants[ti].workload.think_time;
         let mix = tenants[ti].workload.mix.fractions();
         let (mut slo, mut granted) = (0.0f64, 0.0f64);
-        for report in &run.reports {
+        for report in &result.reports {
             let dur = report.end - report.start;
             let offered = report.avg_users / think;
             let required = app.required_cores(mix, offered);
@@ -205,19 +205,18 @@ pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutco
             }
             granted += report.service_alloc_cores.iter().sum::<f64>() * dur;
         }
-        let rejected_seen = run
-            .actions
+        let rejected_seen = verdicts
             .iter()
-            .filter(|(_, _, v)| matches!(v, AdmissionVerdict::Rejected { .. }))
+            .filter(|v| matches!(v, AdmissionVerdict::Rejected { .. }))
             .count() as u64;
         outcomes.push(TenantOutcome {
-            tenant: run.tenant.clone(),
-            scaler: run.scaler.clone(),
+            tenant: tenants[ti].name.clone(),
+            scaler: result.scaler,
             slo_violation_s: slo,
             granted_core_s: granted,
             stats: mtc.admission_stats()[ti],
             rejected_seen,
-            decisions: run.decisions.clone(),
+            decisions: result.telemetry.decisions,
         });
     }
 

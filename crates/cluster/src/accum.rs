@@ -172,15 +172,13 @@ impl Cluster {
         self.accum.in_system_tw.reset(end);
         self.accum.peak_in_system = self.accum.in_system;
 
-        // Per-tenant window averages, in tenant order; the merged figure
-        // is their sum (bitwise the single value for one tenant, since
-        // a one-element sum is `0.0 + x`).
-        let tenant_avg_users: Vec<f64> = self
-            .tenants
-            .iter_mut()
-            .map(|t| t.backend.window_users(end))
-            .collect();
-        let avg_users = tenant_avg_users.iter().sum::<f64>();
+        // Per-tenant window averages, kept for `tenant_reports`; the
+        // merged figure is their sum in tenant order (bitwise the single
+        // value for one tenant, since a one-element sum is `0.0 + x`).
+        for t in &mut self.tenants {
+            t.window_avg_users = t.backend.window_users(end);
+        }
+        let avg_users = self.tenants.iter().map(|t| t.window_avg_users).sum();
 
         // Monitoring darkness overlapping this window; spent intervals
         // are pruned so the scan stays O(active faults).
@@ -230,34 +228,31 @@ impl Cluster {
             span_stats,
             network,
         };
-        // Per-tenant views exist only for multi-tenant clusters, so the
-        // single-tenant collection path (and its artefacts) stays
-        // byte-identical to the pre-tenancy runtime.
-        if self.tenants.len() > 1 {
-            self.tenant_reports = (0..self.tenants.len())
-                .map(|ti| self.tenant_view(&report, ti, tenant_avg_users[ti], span))
-                .collect();
-        }
         self.accum.feature_resp_sum = vec![0.0; nf];
         self.accum.window_start = end;
         report
     }
 
-    /// Slices one tenant's view out of the merged window report: its own
+    /// One view per tenant, in tenant order, of `merged` — the report the
+    /// latest [`Cluster::run_window`] returned. A view holds its tenant's
     /// feature and service columns (re-indexed to tenant-local ids), its
     /// own population figures, and the shared infrastructure columns
-    /// (server utilisation, dropout, scale latency) copied as-is.
-    fn tenant_view(
-        &self,
-        merged: &WindowReport,
-        ti: usize,
-        avg_users: f64,
-        span: f64,
-    ) -> WindowReport {
+    /// (server utilisation, dropout, scale latency) copied as-is. A
+    /// one-tenant cluster's single view equals `merged` except for
+    /// [`WindowReport::tenant`].
+    pub fn tenant_reports(&self, merged: &WindowReport) -> Vec<WindowReport> {
+        debug_assert_eq!(merged.end, self.accum.window_start, "not the latest window");
+        (0..self.tenants.len())
+            .map(|ti| self.tenant_view(merged, ti))
+            .collect()
+    }
+
+    fn tenant_view(&self, merged: &WindowReport, ti: usize) -> WindowReport {
         let t = &self.tenants[ti];
         let fr = t.layout.features();
         let sr = t.layout.services();
         let feature_counts = merged.feature_counts[fr.clone()].to_vec();
+        let span = merged.end - merged.start;
         let total_tps = feature_counts.iter().sum::<u64>() as f64 / span;
         WindowReport {
             start: merged.start,
@@ -275,7 +270,7 @@ impl Cluster {
             service_availability: merged.service_availability[sr.clone()].to_vec(),
             server_utilization: merged.server_utilization.clone(),
             total_tps,
-            avg_users,
+            avg_users: t.window_avg_users,
             users_at_end: t.backend.users_at_end(),
             peak_arrival_rate: merged.peak_arrival_rate,
             peak_in_system: merged.peak_in_system,

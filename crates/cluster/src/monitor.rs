@@ -112,8 +112,8 @@ pub struct WindowReport {
     #[serde(default)]
     pub backend_switches: usize,
     /// Which tenant this report describes, when it is one tenant's view
-    /// of a multi-tenant window (`Cluster::take_tenant_reports`). `None`
-    /// for merged and single-tenant reports.
+    /// of a window ([`Cluster::tenant_reports`](crate::Cluster::tenant_reports)).
+    /// `None` for the merged report `run_window` returns.
     #[serde(default)]
     pub tenant: Option<usize>,
     /// Per-service sampled-span aggregates for the window, one entry per

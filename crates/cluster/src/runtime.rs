@@ -227,12 +227,14 @@ impl TenantLayout {
     }
 }
 
-/// One tenant's live state: its population backend, its workload, and
-/// the slice of the merged spec it owns.
+/// One tenant's live state: its population backend, its workload, the
+/// slice of the merged spec it owns, and its average users over the
+/// most recent window.
 pub(crate) struct TenantRt {
     pub(crate) backend: Backend,
     pub(crate) workload: WorkloadSpec,
     pub(crate) layout: TenantLayout,
+    pub(crate) window_avg_users: f64,
 }
 
 /// The running cluster. See the [crate docs](crate).
@@ -255,9 +257,6 @@ pub struct Cluster {
     /// The simulated network fabric; `None` without a topology, in
     /// which case no network code runs on the request path.
     pub(crate) net: Option<atom_net::LinkFabric>,
-    /// Per-tenant reports of the most recent window; populated only for
-    /// multi-tenant clusters so single-tenant runs stay byte-stable.
-    pub(crate) tenant_reports: Vec<WindowReport>,
     /// End of the window currently (or most recently) being run — the
     /// horizon up to which population changes must be (re)scheduled when
     /// the hybrid policy switches to the per-user backend mid-window.
@@ -416,6 +415,7 @@ impl Cluster {
                 backend,
                 workload,
                 layout,
+                window_avg_users: 0.0,
             });
         }
         let start_fluid = matches!(tenant_rts[0].backend, Backend::Fluid(_));
@@ -463,16 +463,10 @@ impl Cluster {
             telemetry: ClusterTelemetry::default(),
             spans,
             net,
-            tenant_reports: Vec::new(),
             current_window_end: 0.0,
             transient_until: 0.0,
             fluid_gen: 0,
         };
-        // Per-tenant counters exist only for multi-tenant clusters, so
-        // single-tenant telemetry stays byte-identical.
-        if n_tenants > 1 {
-            cluster.telemetry.tenant_user_ready_events = vec![0; n_tenants];
-        }
         // The whole fault schedule enters the calendar upfront: fault
         // times are absolute, known, and few.
         for (idx, e) in cluster.options.faults.events().iter().enumerate() {
@@ -518,15 +512,6 @@ impl Cluster {
     /// [`Cluster::new`] path).
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// Per-tenant reports of the most recently completed window, in
-    /// tenant order. Empty for single-tenant clusters (the merged report
-    /// returned by `run_window` is the tenant's report there) and until
-    /// the first multi-tenant window completes. Draining resets the
-    /// buffer, so call once per window.
-    pub fn take_tenant_reports(&mut self) -> Vec<WindowReport> {
-        std::mem::take(&mut self.tenant_reports)
     }
 
     /// Live (ready + starting + draining) replica count of a service.
@@ -677,9 +662,6 @@ impl Cluster {
         match ev {
             Event::UserReady { user } => {
                 self.telemetry.user_ready_events += 1;
-                if !self.telemetry.tenant_user_ready_events.is_empty() {
-                    self.telemetry.tenant_user_ready_events[user >> TENANT_SHIFT] += 1;
-                }
                 self.user_ready(user);
             }
             Event::PopulationChange { tenant, population } => {
@@ -1224,6 +1206,23 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
+    }
+
+    #[test]
+    fn a_single_tenant_cluster_has_one_tenant_view() {
+        let spec = one_service_spec(0.01, 0.5, 64);
+        let options = ClusterOptions::new().with_span_sampling(1.0, 7);
+        let mut cluster = Cluster::new(&spec, constant_workload(40, 1.0), options).unwrap();
+        for _ in 0..2 {
+            let merged = cluster.run_window(60.0);
+            assert!(merged.span_stats.is_some());
+            let views = cluster.tenant_reports(&merged);
+            assert_eq!(views.len(), 1);
+            let mut view = views[0].clone();
+            assert_eq!(view.tenant, Some(0));
+            view.tenant = None;
+            assert_eq!(view, merged);
+        }
     }
 
     #[test]

@@ -85,11 +85,6 @@ pub struct ClusterTelemetry {
     /// was full (their window aggregates are still counted).
     #[serde(default)]
     pub span_requests_dropped: u64,
-    /// Per-tenant `UserReady` breakdown, in tenant order. Empty for
-    /// single-tenant clusters (the merged counter above is the tenant's
-    /// count there), so single-tenant artefacts stay byte-identical.
-    #[serde(default)]
-    pub tenant_user_ready_events: Vec<u64>,
     /// Scale-action latency samples: seconds from a controller *issuing*
     /// a scale-up (`schedule_scaling`) to each newly spawned replica
     /// becoming ready — actuation delay plus start-up delay, the

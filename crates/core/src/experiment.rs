@@ -62,10 +62,15 @@ pub struct TelemetrySummary {
     /// it keeps one (`None` for non-journaling scalers).
     pub decisions: Vec<Option<DecisionRecord>>,
     /// The cluster's event counters and scale-action latency samples.
+    /// In a tenant's record from `atom_placement::run_multi_tenant`,
+    /// these are the shared cluster's counters, the same for every
+    /// tenant.
     pub cluster: ClusterTelemetry,
-    /// Every sampled request span the cluster completed over the run
-    /// (empty unless [`ClusterOptions::with_span_sampling`] enabled the
-    /// span layer).
+    /// Every sampled request span the cluster completed over the run.
+    /// Empty unless [`ClusterOptions::with_span_sampling`] enabled the
+    /// span layer, and always empty in a tenant's record from
+    /// `atom_placement::run_multi_tenant`, which does not split spans by
+    /// tenant.
     pub spans: Vec<SampledSpan>,
 }
 
@@ -82,6 +87,53 @@ impl TelemetrySummary {
 }
 
 impl ExperimentResult {
+    /// An empty record of `scaler`'s run over an app of `services`
+    /// services, ready for [`ExperimentResult::window_step`].
+    pub fn new(scaler: &str, services: usize) -> Self {
+        ExperimentResult {
+            scaler: scaler.to_string(),
+            reports: Vec::new(),
+            capacity: vec![CapacityTrace::new(); services],
+            actions: Vec::new(),
+            explanations: Vec::new(),
+            telemetry: TelemetrySummary::default(),
+        }
+    }
+
+    /// One MAPE-K window step on a monitored `report`: record the report
+    /// and each service's capacity window, let `scaler` decide, record
+    /// its explanation and decision record, and stamp its actions with
+    /// `report.end`. Required capacity is `spec`'s at the window's
+    /// *offered* load: its average users at think time `think`, under
+    /// `mix`. Returns the actions, for the caller to actuate after
+    /// `scaler.actuation_delay()`.
+    pub fn window_step(
+        &mut self,
+        scaler: &mut dyn Autoscaler,
+        spec: &AppSpec,
+        mix: &[f64],
+        think: f64,
+        report: WindowReport,
+    ) -> Vec<ScaleAction> {
+        let offered_rate = report.avg_users / think.max(1e-9);
+        let required = spec.required_cores(mix, offered_rate);
+        for (si, trace) in self.capacity.iter_mut().enumerate() {
+            trace.push(CapacityWindow {
+                start: report.start,
+                end: report.end,
+                required: required[si],
+                allocated: report.service_alloc_cores[si],
+            });
+        }
+        let decided = scaler.decide(&report);
+        self.explanations.push(scaler.explain_last());
+        self.telemetry.decisions.push(scaler.take_decision_record());
+        self.actions
+            .extend(decided.iter().map(|&a| (report.end, a)));
+        self.reports.push(report);
+        decided
+    }
+
     /// The run-level journal record summarising this run.
     pub fn run_record(&self) -> RunRecord {
         let windows = self.reports.len();
@@ -259,54 +311,19 @@ pub fn run_experiment(
     let mix = workload.mix.fractions().to_vec();
     let think = workload.think_time;
     let mut cluster = Cluster::new(spec, workload, config.cluster)?;
-    let mut capacity: Vec<CapacityTrace> = (0..spec.services.len())
-        .map(|_| CapacityTrace::new())
-        .collect();
-    let mut actions = Vec::new();
-    let mut reports = Vec::with_capacity(config.windows);
-    let mut explanations = Vec::with_capacity(config.windows);
-    let mut decisions = Vec::with_capacity(config.windows);
-    let mut spans = Vec::new();
-
+    let mut result = ExperimentResult::new(scaler.name(), spec.services.len());
     for _ in 0..config.windows {
         let report = cluster.run_window(config.window_secs);
         // Drain completed spans per window so the layer's bounded log
         // never saturates over a long run (no-op while sampling is off).
-        spans.append(&mut cluster.take_spans());
-        // Required capacity from the *offered* workload of this window
-        // (avg users over the window at nominal think time).
-        let offered_rate = report.avg_users / think.max(1e-9);
-        let required = spec.required_cores(&mix, offered_rate);
-        for (si, trace) in capacity.iter_mut().enumerate() {
-            trace.push(CapacityWindow {
-                start: report.start,
-                end: report.end,
-                required: required[si],
-                allocated: report.service_alloc_cores[si],
-            });
-        }
-        let decided = scaler.decide(&report);
-        explanations.push(scaler.explain_last());
-        decisions.push(scaler.take_decision_record());
+        result.telemetry.spans.append(&mut cluster.take_spans());
+        let decided = result.window_step(scaler, spec, &mix, think, report);
         if !decided.is_empty() {
-            actions.extend(decided.iter().map(|&a| (report.end, a)));
             cluster.schedule_scaling(decided, scaler.actuation_delay());
         }
-        reports.push(report);
     }
-
-    Ok(ExperimentResult {
-        scaler: scaler.name().to_string(),
-        reports,
-        capacity,
-        actions,
-        explanations,
-        telemetry: TelemetrySummary {
-            decisions,
-            cluster: cluster.telemetry().clone(),
-            spans,
-        },
-    })
+    result.telemetry.cluster = cluster.telemetry().clone();
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -47,6 +47,12 @@ impl CapacityWindow {
     pub fn shortfall(&self) -> f64 {
         (self.required - self.allocated).max(0.0)
     }
+
+    /// Whether the window counts toward `T_u`: its shortfall exceeds 1%
+    /// of a core.
+    pub fn underprovisioned(&self) -> bool {
+        self.shortfall() > UNDERPROVISION_TOLERANCE
+    }
 }
 
 /// The capacity balance of one microservice across an experiment.
@@ -84,12 +90,12 @@ impl CapacityTrace {
         &self.windows
     }
 
-    /// `T_u^(i)`: seconds spent under-provisioned by more than 1% of a
-    /// core.
+    /// `T_u^(i)`: seconds spent in [`CapacityWindow::underprovisioned`]
+    /// windows.
     pub fn underprovision_time(&self) -> f64 {
         self.windows
             .iter()
-            .filter(|w| w.shortfall() > UNDERPROVISION_TOLERANCE)
+            .filter(|w| w.underprovisioned())
             .map(|w| w.duration())
             .sum()
     }

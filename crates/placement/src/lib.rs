@@ -15,17 +15,22 @@
 //!   rejected with a typed [`RejectReason`] once the pool is exhausted;
 //! * [`MultiTenantCluster`] / [`run_multi_tenant`] — per-tenant MAPE-K
 //!   loops (any [`Autoscaler`] mix) over the shared simulator, each
-//!   seeing only its tenant's [`WindowReport`] slice.
+//!   seeing only its tenant's [`WindowReport`] slice and each filling
+//!   its tenant's [`ExperimentResult`] through the window step
+//!   `run_experiment` uses, plus the admission verdict of every action.
 //!
 //! A one-tenant deployment through this layer is *bitwise identical* to
 //! driving [`atom_cluster::Cluster`] directly (pinned by
-//! `tests/pin_single_tenant.rs`): tenancy is free until there is a
-//! second tenant.
+//! `tests/pin_single_tenant.rs`), and a one-tenant [`run_multi_tenant`]
+//! on an ample pool returns `run_experiment`'s record up to
+//! `WindowReport::tenant`: tenancy is free until there is a second
+//! tenant.
 //!
 //! [`AppSpec`]: atom_cluster::AppSpec
 //! [`WorkloadSpec`]: atom_workload::WorkloadSpec
 //! [`WindowReport`]: atom_cluster::WindowReport
 //! [`Autoscaler`]: atom_core::Autoscaler
+//! [`ExperimentResult`]: atom_core::ExperimentResult
 
 #![warn(missing_docs)]
 
@@ -36,7 +41,7 @@ pub mod schedule;
 pub mod tenant;
 
 pub use admission::{AdmissionController, AdmissionStats, AdmissionVerdict, RejectReason};
-pub use multi::{run_multi_tenant, MultiTenantCluster, TenantRun};
+pub use multi::{run_multi_tenant, MultiTenantCluster};
 pub use pool::NodePool;
 pub use schedule::{place, Placement, PlacementError};
 pub use tenant::TenantSpec;

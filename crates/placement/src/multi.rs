@@ -2,7 +2,7 @@
 //! simulator, and the per-tenant MAPE-K driver.
 
 use atom_cluster::{Cluster, ClusterOptions, ScaleAction, ServiceId, TenantLayout, WindowReport};
-use atom_core::Autoscaler;
+use atom_core::{Autoscaler, ExperimentResult};
 
 use crate::admission::{AdmissionController, AdmissionStats, AdmissionVerdict};
 use crate::pool::NodePool;
@@ -20,7 +20,9 @@ pub struct MultiTenantCluster {
     cluster: Cluster,
     placement: Placement,
     admission: AdmissionController,
-    tenant_names: Vec<String>,
+    /// The tenants as deployed: [`run_multi_tenant`] sizes each one's
+    /// required capacity from its own app and workload.
+    tenants: Vec<TenantSpec>,
 }
 
 impl MultiTenantCluster {
@@ -54,7 +56,7 @@ impl MultiTenantCluster {
             cluster,
             placement,
             admission,
-            tenant_names: tenants.iter().map(|t| t.name.clone()).collect(),
+            tenants: tenants.to_vec(),
         })
     }
 
@@ -76,11 +78,6 @@ impl MultiTenantCluster {
     /// Number of tenants deployed.
     pub fn tenant_count(&self) -> usize {
         self.placement.layouts.len()
-    }
-
-    /// A tenant's display name.
-    pub fn tenant_name(&self, tenant: usize) -> &str {
-        &self.tenant_names[tenant]
     }
 
     /// A tenant's slice of the merged spec.
@@ -117,12 +114,6 @@ impl MultiTenantCluster {
     /// Runs one monitoring window and returns the merged report.
     pub fn run_window(&mut self, duration: f64) -> WindowReport {
         self.cluster.run_window(duration)
-    }
-
-    /// Per-tenant reports of the most recent window (see
-    /// [`Cluster::take_tenant_reports`]).
-    pub fn take_tenant_reports(&mut self) -> Vec<WindowReport> {
-        self.cluster.take_tenant_reports()
     }
 
     /// Routes one tenant's scale actions (tenant-local service ids)
@@ -163,28 +154,19 @@ impl MultiTenantCluster {
     }
 }
 
-/// One tenant's outcome of a [`run_multi_tenant`] drive.
-#[derive(Debug, Clone)]
-pub struct TenantRun {
-    /// The tenant's name.
-    pub tenant: String,
-    /// Its controller's name.
-    pub scaler: String,
-    /// The tenant's per-window reports (tenant-local indices).
-    pub reports: Vec<WindowReport>,
-    /// Every action the controller issued, with the admission verdict
-    /// and the window-end time it was issued at.
-    pub actions: Vec<(f64, ScaleAction, AdmissionVerdict)>,
-    /// One entry per window: the controller's decision record, if it
-    /// journals one (`None` entries for non-journaling scalers).
-    pub decisions: Vec<Option<atom_obs::DecisionRecord>>,
-}
-
 /// Drives one autoscaler per tenant against the shared cluster for
-/// `windows` monitoring windows: run a window, hand each controller its
-/// tenant's report, route the decisions through admission. Controllers
-/// see tenant-local indices throughout, exactly as if they owned the
-/// cluster — contention reaches them only through what admission grants.
+/// `windows` monitoring windows: run a window, take each tenant's view of
+/// it ([`Cluster::tenant_reports`]), and run that tenant's
+/// [`ExperimentResult::window_step`], routing the decided actions through
+/// admission. Controllers see tenant-local indices throughout, exactly
+/// as if they owned the cluster — contention reaches them only through
+/// what admission grants.
+///
+/// Returns, per tenant, its run record — required capacity sized from
+/// its own app and workload — and the [`AdmissionVerdict`] of each entry
+/// of the record's `actions`, in the same order. Every record's
+/// `telemetry.cluster` holds the shared cluster's counters, and its
+/// `telemetry.spans` stays empty.
 ///
 /// # Panics
 ///
@@ -194,40 +176,40 @@ pub fn run_multi_tenant(
     scalers: &mut [Box<dyn Autoscaler>],
     windows: usize,
     window_secs: f64,
-) -> Vec<TenantRun> {
+) -> Vec<(ExperimentResult, Vec<AdmissionVerdict>)> {
     assert_eq!(
         scalers.len(),
         cluster.tenant_count(),
         "one autoscaler per tenant"
     );
-    let mut runs: Vec<TenantRun> = (0..cluster.tenant_count())
-        .map(|ti| TenantRun {
-            tenant: cluster.tenant_name(ti).to_string(),
-            scaler: scalers[ti].name().to_string(),
-            reports: Vec::with_capacity(windows),
-            actions: Vec::new(),
-            decisions: Vec::with_capacity(windows),
+    let mut runs: Vec<_> = cluster
+        .tenants
+        .iter()
+        .zip(scalers.iter())
+        .map(|(t, s)| {
+            (
+                ExperimentResult::new(s.name(), t.app.services.len()),
+                Vec::new(),
+            )
         })
         .collect();
     for _ in 0..windows {
         let merged = cluster.run_window(window_secs);
-        let mut per_tenant = cluster.take_tenant_reports();
-        if per_tenant.is_empty() {
-            // Single tenant: the merged report *is* the tenant's view.
-            per_tenant = vec![merged];
-        }
-        for (ti, report) in per_tenant.into_iter().enumerate() {
-            let actions = scalers[ti].decide(&report);
-            runs[ti].decisions.push(scalers[ti].take_decision_record());
-            let end = report.end;
-            runs[ti].reports.push(report);
-            if !actions.is_empty() {
-                let delay = scalers[ti].actuation_delay();
-                for (action, verdict) in cluster.schedule_scaling(ti, actions, delay) {
-                    runs[ti].actions.push((end, action, verdict));
-                }
+        let views = cluster.cluster.tenant_reports(&merged);
+        for (ti, report) in views.into_iter().enumerate() {
+            let (result, verdicts) = &mut runs[ti];
+            let scaler = scalers[ti].as_mut();
+            let t = &cluster.tenants[ti];
+            let mix = t.workload.mix.fractions();
+            let decided = result.window_step(scaler, &t.app, mix, t.workload.think_time, report);
+            if !decided.is_empty() {
+                let granted = cluster.schedule_scaling(ti, decided, scaler.actuation_delay());
+                verdicts.extend(granted.into_iter().map(|(_, verdict)| verdict));
             }
         }
+    }
+    for (result, _) in &mut runs {
+        result.telemetry.cluster = cluster.cluster.telemetry().clone();
     }
     runs
 }
@@ -236,6 +218,7 @@ pub fn run_multi_tenant(
 mod tests {
     use super::*;
     use atom_cluster::AppSpec;
+    use atom_core::{run_experiment, ExperimentConfig, UvScaler};
     use atom_workload::{LoadProfile, RequestMix, WorkloadSpec};
 
     fn tenant(name: &str, users: usize) -> TenantSpec {
@@ -258,7 +241,7 @@ mod tests {
             MultiTenantCluster::new(&pool, &tenants, ClusterOptions::new().with_seed(5)).unwrap();
         assert_eq!(mtc.tenant_count(), 2);
         let merged = mtc.run_window(120.0);
-        let per = mtc.take_tenant_reports();
+        let per = mtc.cluster().tenant_reports(&merged);
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].tenant, Some(0));
         assert_eq!(per[1].tenant, Some(1));
@@ -271,6 +254,49 @@ mod tests {
         assert!((per[0].avg_users + per[1].avg_users - merged.avg_users).abs() < 1e-9);
         // The busier tenant completes more requests.
         assert!(per[1].feature_counts[0] > per[0].feature_counts[0]);
+    }
+
+    #[test]
+    fn one_tenant_gets_the_single_tenant_run_record() {
+        // One service on one ample node: each window has at most one
+        // action, so the admitted batches equal `run_experiment`'s.
+        let mut app = AppSpec::new();
+        let node = app.add_server("node", 16, 1.0);
+        let api = app.add_service("api", node, 64, 1, 0.2);
+        let ep = app.add_endpoint(api, "op", 0.004, 1.0);
+        app.add_feature("op", api, ep);
+        let ramp = LoadProfile::Ramp {
+            from: 50,
+            to: 400,
+            start: 0.0,
+            duration: 600.0,
+        };
+        let workload = WorkloadSpec::new(RequestMix::uniform(1), 2.0, ramp);
+        let options = ClusterOptions::new().with_seed(11);
+        let config = ExperimentConfig {
+            windows: 8,
+            window_secs: 120.0,
+            cluster: options.clone(),
+        };
+        let mut uv = UvScaler::new(&app);
+        let reference = run_experiment(&app, workload.clone(), &mut uv, config).unwrap();
+
+        let mut pool = NodePool::new();
+        pool.add_node("node", 16, 1.0);
+        let tenants = [TenantSpec::new("t0", app.clone(), workload)];
+        let mut mtc = MultiTenantCluster::new(&pool, &tenants, options).unwrap();
+        let mut scalers: Vec<Box<dyn Autoscaler>> = vec![Box::new(UvScaler::new(&app))];
+        let mut runs = run_multi_tenant(&mut mtc, &mut scalers, 8, 120.0);
+        assert_eq!(runs.len(), 1);
+        let (mut result, verdicts) = runs.pop().unwrap();
+        assert!(!result.actions.is_empty(), "UV must act on the ramp");
+        assert_eq!(verdicts.len(), result.actions.len());
+        assert!(verdicts.iter().all(|v| *v == AdmissionVerdict::Admitted));
+        for report in &mut result.reports {
+            assert_eq!(report.tenant, Some(0));
+            report.tenant = None;
+        }
+        assert_eq!(format!("{result:?}"), format!("{reference:?}"));
     }
 
     #[test]
