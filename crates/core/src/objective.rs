@@ -139,13 +139,19 @@ impl ObjectiveSpec {
                 }
             }
         }
-        // (4) per-server allocated share.
-        let per_proc = decision.per_processor_share(model);
+        // (4) per-server allocated share: `C_k` summed like the cost term,
+        // per task in task order, over the decided tasks the model places
+        // on server `k`; a server none of them runs on is unconstrained.
+        let tasks = model.tasks();
         for &(proc, cap) in &self.server_capacity {
-            if let Some(&alloc) = per_proc.get(&proc) {
-                if alloc > cap {
-                    violation += (alloc - cap) / cap;
+            let mut alloc = None;
+            for (task, d) in decision.iter() {
+                if tasks.get(task.0).is_some_and(|t| t.processor.0 == proc) {
+                    *alloc.get_or_insert(0.0) += d.replicas as f64 * d.share();
                 }
+            }
+            if let Some(alloc) = alloc.filter(|&a| a > cap) {
+                violation += (alloc - cap) / cap;
             }
         }
         // (5) per-microservice utilisation.
@@ -227,6 +233,31 @@ mod tests {
         let sol = solve(&model, SolverOptions::default()).unwrap();
         let eval = obj.evaluate(&binding, &model, &decision, &sol);
         assert!(eval.violation > 0.0);
+    }
+
+    #[test]
+    fn server_capacity_sums_each_servers_tasks() {
+        // web (2 × 0.50) and db (3 × 1.00) share processor 0, so
+        // constraint (4) sees 4 cores there.
+        let binding = crate::fixtures::web_db(100);
+        let mut obj = ObjectiveSpec::balanced(1);
+        obj.max_utilization = 10.0;
+        let mut decision = DecisionVector::new();
+        decision.set(TaskId(0), 2, 10).set(TaskId(1), 3, 20);
+        let mut model = binding.model.clone();
+        decision.apply(&mut model).unwrap();
+        let sol = solve(&model, SolverOptions::default()).unwrap();
+        let mut violation = |caps: Vec<(usize, f64)>, decision: &DecisionVector| {
+            obj.server_capacity = caps;
+            obj.evaluate(&binding, &model, decision, &sol).violation
+        };
+        assert_eq!(violation(vec![(0, 2.0)], &decision), 1.0);
+        assert_eq!(violation(vec![(0, 4.0)], &decision), 0.0);
+        // A server no decided task runs on is unconstrained.
+        assert_eq!(violation(vec![(7, 0.5)], &decision), 0.0);
+        // A task the model does not know places nothing.
+        decision.set(TaskId(99), 5, 20);
+        assert_eq!(violation(vec![(0, 2.0)], &decision), 1.0);
     }
 
     #[test]

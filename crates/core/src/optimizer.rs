@@ -118,9 +118,15 @@ pub fn search_with(evaluator: &mut CandidateEvaluator<'_>, ga: GaOptions) -> Sea
         niching: true,
         ..ga
     };
+    // One decision per batch slot, decoded over in place: a reused
+    // vector already holds every scalable task, so decoding only
+    // overwrites its entries.
+    let mut decisions: Vec<DecisionVector> = Vec::new();
     let result = optimize_batched(&genome, ga, |batch| {
-        let decisions: Vec<DecisionVector> =
-            batch.iter().map(|genes| decode(&scalable, genes)).collect();
+        decisions.resize_with(batch.len(), DecisionVector::new);
+        for (decision, genes) in decisions.iter_mut().zip(batch) {
+            decode_into(&scalable, genes, decision);
+        }
         evaluator.evaluate_batch(&decisions)
     });
     let after = evaluator.stats();
@@ -241,12 +247,19 @@ pub fn lattice_genome(scalable: &[&ServiceBinding]) -> Vec<Gene> {
 /// candidate is exactly actuatable and exactly memoisable.
 pub fn decode(scalable: &[&ServiceBinding], genes: &[GeneValue]) -> DecisionVector {
     let mut decision = DecisionVector::new();
+    decode_into(scalable, genes, &mut decision);
+    decision
+}
+
+/// [`decode`] into an existing decision, setting each scalable task's
+/// entry; a decision decoded from the same services before is
+/// overwritten without reallocating.
+fn decode_into(scalable: &[&ServiceBinding], genes: &[GeneValue], decision: &mut DecisionVector) {
     for (i, s) in scalable.iter().enumerate() {
         let replicas = genes[2 * i].as_i64().max(1) as usize;
         let share_idx = genes[2 * i + 1].as_i64().max(1) as usize;
         decision.set(s.task, replicas, share_idx);
     }
-    decision
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::model::{EntryId, ProcessorId, TaskId};
 /// Produced both by [`crate::analytic::solve`] and
 /// [`crate::sim::simulate`], so that model-vs-measurement comparisons
 /// (paper Tables III/IV) are a diff of two values of the same type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LqnSolution {
     /// Per-entry throughput (invocations per second), indexed by entry id.
     pub entry_throughput: Vec<f64>,
