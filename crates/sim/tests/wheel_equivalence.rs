@@ -308,3 +308,73 @@ fn matches_heap_when_pushes_land_in_a_half_consumed_ready_run() {
         assert!(pops > 5000, "only {pops} pops (seed {seed})");
     }
 }
+
+#[test]
+fn matches_heap_on_ties_pushed_right_after_a_boundary_step() {
+    // A level-0 expiry moves the cursor one tick past the slot it
+    // expired. When that tick starts a level-1 slot (a multiple of 64),
+    // a level-2 slot (of 4 096) or a new top-level window (of 64^4),
+    // the cursor now sits inside a slot whose entries were filed a level
+    // up, or in the overflow list, before it got there. A push at that
+    // moment that ties one of them exactly must still pop after it. On a
+    // coarse tick grid ties are the rule: half the pending times sit on
+    // the grid, and each is pushed again right after the step. Tick 0
+    // carries `-0.0`, `0.0` and negative times, which tie or order
+    // exactly like the heap's `partial_cmp`.
+    for (tick, seed0) in [(1.0, 80), (0.25, 90), (1e-3, 100)] {
+        for (case, boundary) in [64u64, 3 * 64, 4096, 2 * 4096, 1 << 24]
+            .into_iter()
+            .enumerate()
+        {
+            for seed in seed0..seed0 + 3 {
+                let what = format!("tick {tick}, boundary {boundary}, seed {seed}");
+                let mut rng = SimRng::seed_from(seed * 10 + case as u64);
+                let mut heap = EventQueue::new();
+                let mut wheel = TimerWheel::with_tick(tick);
+                let mut id = 0u64;
+                let mut push = |heap: &mut EventQueue<u64>, wheel: &mut TimerWheel<u64>, t| {
+                    push_both(heap, wheel, t, id);
+                    id += 1;
+                };
+                for t in [0.0, -0.0, -1.5 * tick, 0.0, -0.0, -1.5 * tick] {
+                    push(&mut heap, &mut wheel, t);
+                }
+                // Pending entries just past the boundary: in the slot the
+                // step enters and the few after it, at every level.
+                let span = (boundary * 2).min(3 * 4096);
+                let mut pending = Vec::new();
+                for _ in 0..24 {
+                    let n = boundary + (rng.uniform() * span as f64) as u64;
+                    let t = if rng.bernoulli(0.5) {
+                        n as f64 * tick
+                    } else {
+                        (n as f64 + 0.5) * tick
+                    };
+                    pending.push(t);
+                    push(&mut heap, &mut wheel, t);
+                }
+                // The entry whose expiry steps the cursor onto the boundary.
+                let step = (boundary as f64 - 0.5) * tick;
+                push(&mut heap, &mut wheel, step);
+                loop {
+                    let h = heap.pop();
+                    assert_eq!(h, wheel.pop(), "{what}: divergence before the step");
+                    if h.expect("the step is pending").0 == step {
+                        break;
+                    }
+                }
+                // Right after the step: exact ties with every pending time,
+                // a tie with the instant just expired (behind the cursor),
+                // and tick 0's signed zeros.
+                for &t in &pending {
+                    push(&mut heap, &mut wheel, t);
+                }
+                for t in [step, -0.0, 0.0, step] {
+                    push(&mut heap, &mut wheel, t);
+                }
+                let left = drain_both(&mut heap, &mut wheel, &what);
+                assert_eq!(left, 2 * pending.len() + 4, "{what}");
+            }
+        }
+    }
+}
