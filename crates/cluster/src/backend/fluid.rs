@@ -402,12 +402,12 @@ impl FluidPool {
         }
     }
 
-    pub fn user_live(&self, _user: usize) -> bool {
+    pub fn user_live(&self, _user: u32) -> bool {
         // Stale per-user events after a hybrid switch: ignored.
         false
     }
 
-    pub fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: usize) {
+    pub fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: u32) {
         // Residual per-user requests draining after a hybrid switch
         // complete against the aggregate: nothing to reschedule.
     }

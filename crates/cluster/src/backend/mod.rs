@@ -84,12 +84,13 @@ pub(crate) struct PopCtx<'a> {
 }
 
 /// The population plane: enum dispatch over the two backends (no
-/// vtable, no allocation; the hot path is a single match). The fabric
-/// (request execution, scaling, faults) is backend-agnostic; only these
-/// entry points differ.
+/// vtable; the hot path is a single match). The fabric (request
+/// execution, scaling, faults) is backend-agnostic; only these entry
+/// points differ. The fluid pool is boxed: it is several times the size
+/// of the per-user backend, which every tenant's hot path reads.
 pub(crate) enum Backend {
     PerUser(PerUserDes),
-    Fluid(FluidPool),
+    Fluid(Box<FluidPool>),
 }
 
 impl Backend {
@@ -112,7 +113,7 @@ impl Backend {
     /// Whether a `UserReady` event for `user` is still live (stale
     /// events for retired users — or for a switched-away per-user
     /// population — are ignored).
-    pub fn user_live(&self, user: usize) -> bool {
+    pub fn user_live(&self, user: u32) -> bool {
         match self {
             Backend::PerUser(b) => b.user_live(user),
             Backend::Fluid(b) => b.user_live(user),
@@ -120,7 +121,7 @@ impl Backend {
     }
 
     /// A root request of `user` completed; schedule the next think.
-    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: usize) {
+    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: u32) {
         match self {
             Backend::PerUser(b) => b.request_complete(ctx, user),
             Backend::Fluid(b) => b.request_complete(ctx, user),

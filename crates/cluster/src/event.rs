@@ -9,21 +9,22 @@
 /// exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
-    /// A user finished thinking and issues a request.
-    UserReady { user: usize },
+    /// User slot `user` of tenant `tenant` finished thinking and issues
+    /// a request.
+    UserReady { tenant: u16, user: u32 },
     /// The load profile of one tenant moves to a new target population.
-    PopulationChange { tenant: u32, population: u32 },
+    PopulationChange { tenant: u16, population: u32 },
     /// A starting replica becomes ready.
-    ReplicaReady { service: u32, replica: u32 },
+    ReplicaReady { service: u16, replica: u32 },
     /// A scheduled scaling batch reaches the orchestrator.
-    ApplyScaling { batch: usize },
+    ApplyScaling { batch: u32 },
     /// An invocation's pure-latency (I/O) stage ends.
-    LatencyDone { inv: usize },
+    LatencyDone { inv: u32 },
     /// An injected fault fires.
-    Fault { idx: usize },
+    Fault { idx: u32 },
     /// The fluid backend integrates up to the next aggregation step.
     /// `generation` invalidates steps scheduled before a backend switch.
-    FluidStep { generation: u64 },
+    FluidStep { generation: u32 },
     /// A cross-server call's network round trip (request out + response
     /// back, priced once at issue time against the link queues)
     /// completes; the call then enters the callee service. `caller` is
@@ -32,7 +33,7 @@ pub(crate) enum Event {
     /// Only emitted when a topology is configured and the priced delay
     /// is non-zero, so topology-free runs keep their event stream
     /// bitwise intact.
-    NetTransit { caller: usize },
+    NetTransit { caller: u32 },
     /// A population source announced an a-priori burst onset (trace
     /// replay spike hints); the hybrid policy treats it as a transient.
     SpikeHint,
@@ -40,11 +41,20 @@ pub(crate) enum Event {
     BackendCheck,
 }
 
-// A wheel entry is `(time, seq, event)`: a 16-byte event makes it 32
-// bytes, two to a cache line (`atom_sim::wheel` pins its half of that).
-const _: () = assert!(std::mem::size_of::<Event>() == 16);
+// A wheel entry is `(time, event)`: an 8-byte event makes it 16 bytes,
+// four to a cache line (`atom_sim::wheel` pins its half of that). A
+// million pending think timers then hold 16 MB of calendar.
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
 
-/// Narrows an index or count to the `u32` the paired event fields carry.
+/// Narrows an index or count to the `u32` an event field carries.
 pub(crate) fn idx32(v: usize) -> u32 {
     u32::try_from(v).expect("event payload fits 32 bits")
+}
+
+/// Narrows a tenant or service index to the `u16` an event field
+/// carries. `Cluster::new_multi_tenant` rejects specs with more services,
+/// and clusters with more tenants, than a `u16` can name, so this never
+/// fails on a cluster that was built.
+pub(crate) fn idx16(v: usize) -> u16 {
+    u16::try_from(v).expect("tenant and service indices fit 16 bits")
 }

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use atom_sim::processor::{GroupId, JobId};
 use atom_sim::{ProcessorTable, TimeWeighted};
 
-use crate::event::{idx32, Event};
+use crate::event::{idx16, idx32, Event};
 use crate::runtime::{Cluster, ScaleAction};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,8 +75,9 @@ pub(crate) struct Invocation {
     pub endpoint: usize,
     pub replica: usize,
     pub caller: Option<usize>,
-    /// Root invocations carry the feature index and issuing user.
-    pub root: Option<(usize, usize)>,
+    /// Root invocations carry the feature index and the issuing user's
+    /// tenant and slot.
+    pub root: Option<(usize, u16, u32)>,
     pub state: InvState,
     pub calls: Vec<(usize, usize)>,
     pub arrival: f64,
@@ -351,7 +352,7 @@ impl Cluster {
         self.engine.push(
             ready_at,
             Event::ReplicaReady {
-                service: idx32(si),
+                service: idx16(si),
                 replica: idx32(replica),
             },
         );

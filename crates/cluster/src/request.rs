@@ -9,15 +9,14 @@
 //! inline.
 
 use crate::backend::PopCtx;
-use crate::event::Event;
+use crate::event::{idx32, Event};
 use crate::fabric::{InvState, Invocation, ReplicaState};
-use crate::runtime::{Cluster, TenantRt, TENANT_LOCAL_MASK, TENANT_SHIFT};
+use crate::runtime::{Cluster, TenantRt};
 
 impl Cluster {
-    pub(crate) fn user_ready(&mut self, user: usize) {
-        let ti = user >> TENANT_SHIFT;
-        let local = user & TENANT_LOCAL_MASK;
-        if !self.tenants[ti].backend.user_live(local) {
+    pub(crate) fn user_ready(&mut self, tenant: u16, user: u32) {
+        let ti = usize::from(tenant);
+        if !self.tenants[ti].backend.user_live(user) {
             return; // retired while thinking
         }
         self.accum.roll_subinterval(self.engine.now);
@@ -40,7 +39,7 @@ impl Cluster {
         // Client requests enter over the frontier, not the fabric: the
         // closed population is external to the topology, so root calls
         // never pay a network transit.
-        self.start_call_delivered(si, ei, None, Some((feature, user)), 0.0);
+        self.start_call_delivered(si, ei, None, Some((feature, tenant, user)), 0.0);
     }
 
     pub(crate) fn monitor_observing(&self) -> bool {
@@ -94,7 +93,12 @@ impl Cluster {
             let wait = net.round_trip(from, to, now);
             if wait > 0.0 {
                 self.fabric.inv_mut(caller).net_wait = wait;
-                self.engine.push(now + wait, Event::NetTransit { caller });
+                self.engine.push(
+                    now + wait,
+                    Event::NetTransit {
+                        caller: idx32(caller),
+                    },
+                );
                 return;
             }
         }
@@ -121,7 +125,7 @@ impl Cluster {
         si: usize,
         ei: usize,
         caller: Option<usize>,
-        root: Option<(usize, usize)>,
+        root: Option<(usize, u16, u32)>,
         net_wait: f64,
     ) {
         let now = self.engine.now;
@@ -137,10 +141,10 @@ impl Cluster {
         // caller's handle. With sampling off and nothing armed no root
         // gets a handle, so the whole branch is bit-for-bit the pre-span
         // code.
-        let sampled = if let Some((feature, user)) = root {
+        let sampled = if let Some((feature, tenant, _)) = root {
             if self.spans.wants_roots() {
                 let server = self.fabric.services[si].server;
-                let ti = user >> TENANT_SHIFT;
+                let ti = usize::from(tenant);
                 let backend = self.tenants[ti].backend.kind();
                 self.spans
                     .maybe_start(ti, feature, si, ei, replica, server, backend, now)
@@ -230,8 +234,10 @@ impl Cluster {
         let latency = self.spec.services[si].endpoints[ei].latency;
         if latency > 0.0 {
             let wait = self.rng.exponential(latency);
-            self.engine
-                .push(self.engine.now + wait, Event::LatencyDone { inv });
+            self.engine.push(
+                self.engine.now + wait,
+                Event::LatencyDone { inv: idx32(inv) },
+            );
             return;
         }
         self.proceed_to_calls(inv);
@@ -306,12 +312,14 @@ impl Cluster {
 
         match (caller, root) {
             (Some(parent), _) => self.child_done(parent),
-            (None, Some((feature, user))) => self.complete_request(feature, user, arrival),
+            (None, Some((feature, tenant, user))) => {
+                self.complete_request(feature, tenant, user, arrival)
+            }
             (None, None) => unreachable!("invocation must have a caller or be a root"),
         }
     }
 
-    fn complete_request(&mut self, feature: usize, user: usize, arrival: f64) {
+    fn complete_request(&mut self, feature: usize, tenant: u16, user: u32, arrival: f64) {
         let now = self.engine.now;
         self.accum.in_system = self.accum.in_system.saturating_sub(1);
         self.accum
@@ -321,17 +329,15 @@ impl Cluster {
             self.accum.feature_counts[feature] += 1;
             self.accum.feature_resp_sum[feature] += now - arrival;
         }
-        let ti = user >> TENANT_SHIFT;
-        let local = user & TENANT_LOCAL_MASK;
         let TenantRt {
             backend, workload, ..
-        } = &mut self.tenants[ti];
+        } = &mut self.tenants[usize::from(tenant)];
         let mut ctx = PopCtx {
             engine: &mut self.engine,
             rng: &mut self.rng,
             workload,
         };
-        backend.request_complete(&mut ctx, local);
+        backend.request_complete(&mut ctx, user);
     }
 }
 
@@ -364,8 +370,12 @@ mod tests {
         let mut cluster = idle_cluster();
         // User 0 arrives at 1.0, so its job is due at exactly 2.0 — the
         // instant user 1 arrives.
-        cluster.engine.push(1.0, Event::UserReady { user: 0 });
-        cluster.engine.push(2.0, Event::UserReady { user: 1 });
+        cluster
+            .engine
+            .push(1.0, Event::UserReady { tenant: 0, user: 0 });
+        cluster
+            .engine
+            .push(2.0, Event::UserReady { tenant: 0, user: 1 });
         let report = cluster.run_window(4.0);
         assert_eq!(report.feature_counts[0], 2);
         // The arrival was handled first: it found the first job still on
@@ -383,7 +393,9 @@ mod tests {
     #[test]
     fn a_stale_due_entry_is_dropped_without_dispatch() {
         let mut cluster = idle_cluster();
-        cluster.engine.push(1.0, Event::UserReady { user: 0 });
+        cluster
+            .engine
+            .push(1.0, Event::UserReady { tenant: 0, user: 0 });
         cluster.run_window(1.5);
         let events = cluster.telemetry().total_events();
         // A cap move with no reschedule behind it (what `kill_replica`
@@ -411,14 +423,18 @@ mod tests {
     #[test]
     fn a_completion_at_the_window_end_belongs_to_that_window() {
         let mut cluster = idle_cluster();
-        cluster.engine.push(1.0, Event::UserReady { user: 0 });
+        cluster
+            .engine
+            .push(1.0, Event::UserReady { tenant: 0, user: 0 });
         // Due at exactly 2.0 = the end of this window.
         let report = cluster.run_window(2.0);
         assert_eq!(report.feature_counts[0], 1);
 
         // Due at 4.0, one ulp past a window ending just before it: that
         // window must leave it for the next.
-        cluster.engine.push(3.0, Event::UserReady { user: 1 });
+        cluster
+            .engine
+            .push(3.0, Event::UserReady { tenant: 0, user: 1 });
         let just_before = f64::from_bits(4.0_f64.to_bits() - 1);
         let report = cluster.run_window(just_before - 2.0);
         assert_eq!(report.end, just_before);

@@ -23,7 +23,7 @@ use atom_workload::WorkloadSpec;
 use crate::accum::WindowAccum;
 use crate::backend::{Backend, BackendKind, BackendMode, FluidPool, PerUserDes, PopCtx};
 use crate::error::ClusterError;
-use crate::event::{idx32, Event};
+use crate::event::{idx16, idx32, Event};
 use crate::fabric::{effective_cap, Fabric, Replica, ReplicaState, ServiceRt};
 use crate::monitor::WindowReport;
 use crate::spans::{SampledSpan, SpanLayer};
@@ -180,13 +180,6 @@ const HYBRID_HOLD: f64 = 120.0;
 /// policy treats as a spike (and drops to per-user for).
 const SPIKE_THRESHOLD: f64 = 0.5;
 
-/// User ids carry their tenant in the high bits: global id =
-/// `(tenant << TENANT_SHIFT) | local`. Tenant 0's ids are numerically
-/// identical to the pre-tenancy runtime's, which keeps single-tenant
-/// event streams (and the pinned scenario digests) bitwise stable.
-pub(crate) const TENANT_SHIFT: u32 = 32;
-pub(crate) const TENANT_LOCAL_MASK: usize = (1 << TENANT_SHIFT) - 1;
-
 /// The slice of a merged multi-tenant [`AppSpec`] owned by one tenant:
 /// `feature_count` features starting at `feature_offset`, and
 /// `service_count` services starting at `service_offset`. The layouts of
@@ -264,7 +257,7 @@ pub struct Cluster {
     /// Hybrid policy: the per-user backend holds until this time.
     transient_until: f64,
     /// Invalidates `FluidStep` events scheduled before a backend switch.
-    fluid_gen: u64,
+    fluid_gen: u32,
 }
 
 impl Cluster {
@@ -304,6 +297,20 @@ impl Cluster {
             return Err(ClusterError::invalid_parameter(
                 "a cluster needs at least one tenant",
             ));
+        }
+        // Events name a tenant or a service in 16 bits (`event::idx16`).
+        let names = usize::from(u16::MAX) + 1;
+        if tenants.len() > names {
+            return Err(ClusterError::invalid_parameter(format!(
+                "a cluster holds at most {names} tenants, not {}",
+                tenants.len()
+            )));
+        }
+        if spec.services.len() > names {
+            return Err(ClusterError::invalid_parameter(format!(
+                "a cluster runs at most {names} services, not {}",
+                spec.services.len()
+            )));
         }
         if tenants.len() > 1 && options.backend != BackendMode::PerUser {
             return Err(ClusterError::invalid_parameter(
@@ -407,9 +414,9 @@ impl Cluster {
                 BackendMode::Hybrid => workload.burstiness.is_none(),
             };
             let backend = if start_fluid {
-                Backend::Fluid(FluidPool::new(spec, &workload, 0.0))
+                Backend::Fluid(Box::new(FluidPool::new(spec, &workload, 0.0)))
             } else {
-                Backend::PerUser(PerUserDes::new(mmpp, ti << TENANT_SHIFT))
+                Backend::PerUser(PerUserDes::new(mmpp, idx16(ti)))
             };
             tenant_rts.push(TenantRt {
                 backend,
@@ -470,7 +477,9 @@ impl Cluster {
         // The whole fault schedule enters the calendar upfront: fault
         // times are absolute, known, and few.
         for (idx, e) in cluster.options.faults.events().iter().enumerate() {
-            cluster.engine.push(e.time, Event::Fault { idx });
+            cluster
+                .engine
+                .push(e.time, Event::Fault { idx: idx32(idx) });
         }
         if start_fluid {
             cluster
@@ -572,7 +581,9 @@ impl Cluster {
         self.fabric.batch_issued.push(self.engine.now);
         self.engine.push(
             self.engine.now + delay.max(0.0),
-            Event::ApplyScaling { batch },
+            Event::ApplyScaling {
+                batch: idx32(batch),
+            },
         );
     }
 
@@ -609,7 +620,7 @@ impl Cluster {
             self.engine.push(
                 t,
                 Event::PopulationChange {
-                    tenant: idx32(tenant),
+                    tenant: idx16(tenant),
                     population: idx32(population),
                 },
             );
@@ -660,20 +671,21 @@ impl Cluster {
 
     fn dispatch(&mut self, ev: Event) {
         match ev {
-            Event::UserReady { user } => {
+            Event::UserReady { tenant, user } => {
                 self.telemetry.user_ready_events += 1;
-                self.user_ready(user);
+                self.user_ready(tenant, user);
             }
             Event::PopulationChange { tenant, population } => {
                 self.telemetry.population_change_events += 1;
-                self.backend_set_population(tenant as usize, population as usize);
+                self.backend_set_population(usize::from(tenant), population as usize);
             }
             Event::ReplicaReady { service, replica } => {
                 self.telemetry.replica_ready_events += 1;
-                self.replica_ready(service as usize, replica as usize);
+                self.replica_ready(usize::from(service), replica as usize);
             }
             Event::ApplyScaling { batch } => {
                 self.telemetry.apply_scaling_events += 1;
+                let batch = batch as usize;
                 let actions = std::mem::take(&mut self.fabric.pending_batches[batch]);
                 let non_empty = !actions.is_empty();
                 if self.engine.now < self.fabric.actuation_fail_until {
@@ -699,15 +711,15 @@ impl Cluster {
             }
             Event::LatencyDone { inv } => {
                 self.telemetry.latency_done_events += 1;
-                self.proceed_to_calls(inv);
+                self.proceed_to_calls(inv as usize);
             }
             Event::NetTransit { caller } => {
                 self.telemetry.net_transit_events += 1;
-                self.transit_done(caller);
+                self.transit_done(caller as usize);
             }
             Event::Fault { idx } => {
                 self.telemetry.fault_events += 1;
-                self.apply_fault(idx);
+                self.apply_fault(idx as usize);
                 self.note_transient();
             }
             Event::FluidStep { generation } => {
@@ -837,7 +849,7 @@ impl Cluster {
         self.fluid_gen += 1;
         let mut pool = FluidPool::new(&self.spec, &self.tenants[0].workload, now);
         pool.adopt(users_tw, population, now);
-        self.tenants[0].backend = Backend::Fluid(pool);
+        self.tenants[0].backend = Backend::Fluid(Box::new(pool));
         self.telemetry.backend_switches += 1;
         self.accum.window_switches += 1;
         // First step on the next aggregation-grid point strictly ahead.
@@ -1233,6 +1245,43 @@ mod tests {
             Cluster::new(&spec, workload, ClusterOptions::default()),
             Err(ClusterError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_more_services_than_an_event_can_name() {
+        let mut spec = one_service_spec(0.01, 1.0, 8);
+        let node = spec.services[0].server;
+        for i in 0..=u16::MAX {
+            spec.add_service(format!("s{i}"), node, 1, 1, 1.0);
+        }
+        assert_eq!(spec.services.len(), 65_537);
+        let Err(err) = Cluster::new(&spec, constant_workload(1, 1.0), ClusterOptions::default())
+        else {
+            panic!("a cluster of 65 537 services was built");
+        };
+        assert_eq!(
+            err,
+            ClusterError::invalid_parameter("a cluster runs at most 65536 services, not 65537")
+        );
+    }
+
+    #[test]
+    fn rejects_more_tenants_than_an_event_can_name() {
+        let spec = one_service_spec(0.01, 1.0, 8);
+        let layout = TenantLayout {
+            feature_offset: 0,
+            feature_count: 1,
+            service_offset: 0,
+            service_count: 1,
+        };
+        let tenants = vec![(constant_workload(1, 1.0), layout); 65_537];
+        let Err(err) = Cluster::new_multi_tenant(&spec, tenants, ClusterOptions::default()) else {
+            panic!("a cluster of 65 537 tenants was built");
+        };
+        assert_eq!(
+            err,
+            ClusterError::invalid_parameter("a cluster holds at most 65536 tenants, not 65537")
+        );
     }
 
     #[test]

@@ -17,10 +17,31 @@
 //! and a `trailing_zeros` instead of a walk over up to 64 `Vec`s.
 //!
 //! Within one level-0 tick, events are ordered by their exact `f64` time
-//! (then insertion sequence), so the pop order is *identical* to
-//! the heap — a property the simulators' bitwise-reproducibility pins
-//! rely on and `tests/wheel_equivalence.rs` checks against randomised
-//! schedules.
+//! and then by insertion order, so the pop order is *identical* to the
+//! heap — a property the simulators' bitwise-reproducibility pins rely on
+//! and `tests/wheel_equivalence.rs` checks against randomised schedules.
+//!
+//! An entry is its time and its event, 16 bytes for an 8-byte event: it
+//! carries no insertion sequence. Insertion order comes from *position*:
+//! every slot buffer and the overflow list hold their entries in push
+//! order, and the ready run holds its entries in exact reverse pop
+//! order. Three rules keep it so:
+//!
+//! * a level-0 slot expires by a *stable* sort on time (equal times keep
+//!   push order), reversed into the ready run;
+//! * a push behind the cursor joins the ready run in front of every entry
+//!   whose time is `<=` its own, all of which were pushed before it;
+//! * a cascade re-files a slot's entries, in order, into buffers that
+//!   hold nothing yet. A level-0 expiry that steps the cursor onto a
+//!   64-tick boundary would break that: the slot it enters a level up
+//!   (or the overflow list, at a top-level window) still holds entries,
+//!   and a push before the next cascade would land ahead of them. So
+//!   that step cascades those slots at once, coarsest first.
+//!
+//! No division is on this path: a time's tick is a multiplication by the
+//! stored `1 / tick` (monotone, so a time can move to a neighbouring tick
+//! at an exact boundary but the pop order cannot change), and the
+//! level-0 sort compares integer keys (`time_key`).
 
 /// Slots per level (a power of two; the slot index is a bit-field of the
 /// tick).
@@ -33,39 +54,39 @@ const LEVELS: usize = 4;
 /// Bits of a tick below its top-level window index.
 const TOP_SHIFT: u32 = BITS * LEVELS as u32;
 
-/// Level-0 tick index of an absolute time (times at or before zero all
-/// share tick 0; enormous times saturate — ordering within a shared
-/// bucket is still exact, by `f64` time).
-fn tick_of(tick: f64, time: f64) -> u64 {
+/// Level-0 tick index of an absolute time, given ticks per second (times
+/// at or before zero all share tick 0; enormous times saturate —
+/// ordering within a shared bucket is still exact, by `f64` time).
+fn tick_of(per_tick: f64, time: f64) -> u64 {
     if time <= 0.0 {
         0
     } else {
-        (time / tick) as u64
+        (time * per_tick) as u64
+    }
+}
+
+/// A time's sort key: its `f64` bits mapped to an unsigned integer of the
+/// same order, with `-0.0` folded into `0.0` (`-0.0 + 0.0` is `0.0`) so
+/// that signed zeros tie, as they do under `partial_cmp`. Times are never
+/// NaN.
+fn time_key(time: f64) -> u64 {
+    let bits = (time + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
 struct Entry<E> {
     time: f64,
-    seq: u64,
     event: E,
 }
 
-// Sixteen bytes of bookkeeping per entry: a 16-byte payload (what the
-// cluster's calendar carries) makes a 32-byte entry, two to a cache line.
-const _: () = assert!(std::mem::size_of::<Entry<[u64; 2]>>() == 32);
-
-impl<E> Entry<E> {
-    /// `(time, seq)` precedes `other` — the calendar's total order.
-    /// `partial_cmp` (not `total_cmp`) so `-0.0 == 0.0` ties break by
-    /// sequence, exactly like the heap.
-    fn before(&self, other: &Self) -> bool {
-        match self.time.partial_cmp(&other.time) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => self.seq < other.seq,
-        }
-    }
-}
+// Eight bytes of bookkeeping per entry: an 8-byte payload (what the
+// cluster's calendar carries) makes a 16-byte entry, four to a cache line.
+const _: () = assert!(std::mem::size_of::<Entry<u64>>() == 16);
+const _: () = assert!(std::mem::size_of::<Entry<[u64; 2]>>() == 24);
 
 /// A future-event list with timer-wheel internals and
 /// the binary heap's ([`crate::calendar`]) ordering.
@@ -85,16 +106,18 @@ impl<E> Entry<E> {
 /// assert_eq!(w.pop(), None);
 /// ```
 pub struct TimerWheel<E> {
-    /// Seconds per level-0 tick.
-    tick: f64,
+    /// Level-0 ticks per second (`1 / tick`).
+    per_tick: f64,
     /// Next level-0 tick to expire; only ever advances.
     cursor: u64,
     /// `levels[l][s]` holds entries whose tick hashes to slot `s` of
-    /// level `l` (possibly from a future lap; filtered on expiry).
+    /// level `l` (possibly from a future lap; filtered on expiry), in
+    /// push order.
     levels: Vec<Vec<Vec<Entry<E>>>>,
     /// Bit `s` of `occupied[l]` is set iff `levels[l][s]` is non-empty.
     occupied: [u64; LEVELS],
-    /// Entries beyond the top-level horizon at insertion time.
+    /// Entries beyond the top-level horizon at insertion time, in push
+    /// order.
     overflow: Vec<Entry<E>>,
     /// Smallest tick in `overflow` (`u64::MAX` when it is empty): the
     /// cursor entering this tick's top-level window re-files the list.
@@ -106,7 +129,6 @@ pub struct TimerWheel<E> {
     ready: Vec<Entry<E>>,
     /// Entries currently filed in `levels` (not `ready`/`overflow`).
     in_wheel: usize,
-    seq: u64,
     len: usize,
 }
 
@@ -133,7 +155,7 @@ impl<E> TimerWheel<E> {
             "wheel tick must be finite and positive"
         );
         TimerWheel {
-            tick,
+            per_tick: 1.0 / tick,
             cursor: 0,
             levels: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
@@ -143,7 +165,6 @@ impl<E> TimerWheel<E> {
             overflow_min: u64::MAX,
             ready: Vec::new(),
             in_wheel: 0,
-            seq: 0,
             len: 0,
         }
     }
@@ -174,7 +195,7 @@ impl<E> TimerWheel<E> {
     }
 
     fn tick_of(&self, time: f64) -> u64 {
-        tick_of(self.tick, time)
+        tick_of(self.per_tick, time)
     }
 
     /// Schedules `event` at absolute simulation time `time`.
@@ -184,10 +205,8 @@ impl<E> TimerWheel<E> {
     /// Panics if `time` is NaN.
     pub fn push(&mut self, time: f64, event: E) {
         assert!(!time.is_nan(), "event time must not be NaN");
-        let seq = self.seq;
-        self.seq += 1;
         self.len += 1;
-        self.file(Entry { time, seq, event });
+        self.file(Entry { time, event });
     }
 
     /// Files an entry into `ready`, a wheel slot, or `overflow`.
@@ -195,9 +214,9 @@ impl<E> TimerWheel<E> {
         let t = self.tick_of(entry.time);
         if t < self.cursor {
             // Its tick already expired (same-instant reschedule or a
-            // past-time push): join the ready run in reverse (time, seq)
-            // order, behind every entry that pops after it.
-            let pos = self.ready.partition_point(|e| entry.before(e));
+            // past-time push): join the ready run behind every entry
+            // that pops after it, ahead of the earlier-pushed ties.
+            let pos = self.ready.partition_point(|e| e.time > entry.time);
             self.ready.insert(pos, entry);
             return;
         }
@@ -214,6 +233,51 @@ impl<E> TimerWheel<E> {
         }
         self.overflow_min = self.overflow_min.min(t);
         self.overflow.push(entry);
+    }
+
+    /// Re-files the overflow list, in push order: entries of the
+    /// cursor's top-level window land in the wheel, the still-too-far
+    /// remainder overflows again.
+    fn refile_overflow(&mut self) {
+        self.overflow_min = u64::MAX;
+        for e in std::mem::take(&mut self.overflow) {
+            self.file(e);
+        }
+    }
+
+    /// Empties the level-`lvl` slot at absolute coordinate `s`, which
+    /// holds the cursor, into the levels below. Each entry shares slot
+    /// `s`, so it re-files at a strictly lower level.
+    fn cascade(&mut self, lvl: usize, s: u64) {
+        let slot = (s & (SLOTS as u64 - 1)) as usize;
+        self.occupied[lvl] &= !(1 << slot);
+        let due = std::mem::take(&mut self.levels[lvl][slot]);
+        self.in_wheel -= due.len();
+        for e in due {
+            debug_assert_eq!(self.tick_of(e.time) >> (BITS * lvl as u32), s);
+            self.file(e);
+        }
+    }
+
+    /// The cursor just stepped onto a multiple of `SLOTS` ticks: re-file
+    /// the overflow list if this starts its top-level window, then
+    /// cascade, coarsest first, every level's slot that starts here. Done
+    /// at the step, not at the next `advance`, so that no push in
+    /// between lands ahead of their older entries.
+    fn enter_boundary(&mut self) {
+        if self.cursor >> TOP_SHIFT >= self.overflow_min >> TOP_SHIFT {
+            self.refile_overflow();
+        }
+        for lvl in (1..LEVELS).rev() {
+            let shift = BITS * lvl as u32;
+            if self.cursor & ((1 << shift) - 1) != 0 {
+                continue;
+            }
+            let s = self.cursor >> shift;
+            if self.occupied[lvl] & (1 << (s & (SLOTS as u64 - 1))) != 0 {
+                self.cascade(lvl, s);
+            }
+        }
     }
 
     /// First due slot of `lvl` at or after the cursor, as
@@ -243,25 +307,15 @@ impl<E> TimerWheel<E> {
             return true;
         }
         loop {
-            if self.in_wheel == 0 && !self.overflow.is_empty() {
-                // Everything pending is beyond the horizon: jump there.
+            if self.in_wheel == 0 {
+                if self.overflow.is_empty() {
+                    return false;
+                }
+                // Everything pending is beyond the horizon: jump there
+                // and re-file (the earliest entry lands in the wheel).
                 debug_assert!(self.overflow_min >= self.cursor);
                 self.cursor = self.overflow_min;
-            }
-            if self.cursor >> TOP_SHIFT >= self.overflow_min >> TOP_SHIFT {
-                // The cursor is inside the earliest overflow window —
-                // by the jump above, or by stepping off the end of the
-                // previous window while newer pushes keep the wheel
-                // occupied. Re-file before anything later can expire
-                // (entries of that window land in the wheel; the
-                // still-too-far remainder overflows again).
-                self.overflow_min = u64::MAX;
-                for e in std::mem::take(&mut self.overflow) {
-                    self.file(e);
-                }
-            }
-            if self.in_wheel == 0 {
-                return false;
+                self.refile_overflow();
             }
             // The earliest pending entry is bounded below by the start
             // of each level's first due slot; the true minimum is in
@@ -277,39 +331,31 @@ impl<E> TimerWheel<E> {
                 }
             }
             let (start, lvl, s) = best.expect("in_wheel > 0 ⇒ some level has a due slot");
-            let shift = BITS * lvl as u32;
-            let slot = (s & (SLOTS as u64 - 1)) as usize;
-            self.occupied[lvl] &= !(1 << slot);
             // Entering the slot: the cursor moves to its start (never
             // past any pending entry — all ticks in the slot are ≥ it).
             self.cursor = self.cursor.max(start);
-            if lvl == 0 {
-                // A level-0 slot is a single tick: expire it, latest
-                // first (`seq` is unique, so an unstable sort is exact).
-                // The slot takes the empty `ready` buffer for its next
-                // lap.
-                debug_assert!(self.ready.is_empty());
-                let due = &mut self.levels[0][slot];
-                self.in_wheel -= due.len();
-                due.sort_unstable_by(|a, b| {
-                    b.time
-                        .partial_cmp(&a.time)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| b.seq.cmp(&a.seq))
-                });
-                std::mem::swap(&mut self.ready, due);
-                self.cursor = start + 1;
-                return true;
+            if lvl > 0 {
+                self.cascade(lvl, s);
+                continue;
             }
-            let due = std::mem::take(&mut self.levels[lvl][slot]);
+            // A level-0 slot is a single tick: expire it. Its buffer is
+            // in push order, so a stable sort on time is the heap's
+            // `(time, insertion)` order; reversed, the first due is
+            // last. The slot takes the empty `ready` buffer for its next
+            // lap.
+            debug_assert!(self.ready.is_empty());
+            let slot = (s & (SLOTS as u64 - 1)) as usize;
+            self.occupied[0] &= !(1 << slot);
+            let due = &mut self.levels[0][slot];
             self.in_wheel -= due.len();
-            // Cascade: each entry shares slot `s`, so with the cursor
-            // now inside that slot it re-files at a strictly lower
-            // level — the loop always makes progress.
-            for e in due {
-                debug_assert_eq!(self.tick_of(e.time) >> shift, s);
-                self.file(e);
+            due.sort_by_key(|e| time_key(e.time));
+            due.reverse();
+            std::mem::swap(&mut self.ready, due);
+            self.cursor = start + 1;
+            if self.cursor & (SLOTS as u64 - 1) == 0 {
+                self.enter_boundary();
             }
+            return true;
         }
     }
 
