@@ -378,3 +378,84 @@ fn matches_heap_on_ties_pushed_right_after_a_boundary_step() {
         }
     }
 }
+
+/// Entries per chunk of an upper-level wheel slot (`wheel.rs`'s `CHUNK`).
+/// The case below fills slots to either side of its multiples; at another
+/// chunk size it still holds the wheel to the heap, only less sharply.
+const CHUNK: usize = 64;
+
+#[test]
+fn matches_heap_on_slots_filled_around_the_chunk_size() {
+    // Slots of levels 1, 2 and 3 hold CHUNK-1, CHUNK, CHUNK+1 and
+    // 2*CHUNK+1 entries, pushed round-robin so their chunk lists
+    // interleave in the pool. In each slot, the entries either side of
+    // every chunk boundary tie exactly, so FIFO must survive the step from
+    // one chunk to the next. The rest fall in three of the slot's 64
+    // sub-slots, most in the first, so a cascade refiles more than a
+    // chunk into one slot a level down while it drains and recycles its
+    // own. Pops, peeks and pushes behind the cursor, at
+    // the instant just popped, and up to three levels ahead, interleave
+    // with the cascades.
+    const TICK: f64 = 1e-3;
+    let fills = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1];
+    for seed in 60..64 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut heap = EventQueue::new();
+        let mut wheel = TimerWheel::with_tick(TICK);
+        let mut slots = Vec::new();
+        for level in 1..=3u32 {
+            let span = 64u64.pow(level);
+            let sub = span / 64;
+            for (k, &fill) in fills.iter().enumerate() {
+                // Slot k+1 of the level's first window: ahead of the
+                // cursor at 0, so it files at this level.
+                let start = (k as u64 + 1) * span;
+                let subs: Vec<u64> = (0..3).map(|_| (rng.uniform() * 64.0) as u64).collect();
+                let tie = (start + subs[0] * sub) as f64 * TICK;
+                slots.push((start, sub, subs, tie, fill));
+            }
+        }
+        let mut id = 0u64;
+        for i in 0..2 * CHUNK + 1 {
+            for &(start, sub, ref subs, tie, fill) in &slots {
+                if i >= fill {
+                    continue;
+                }
+                let at_boundary = i > 0 && [0, 1, 2].contains(&((i + 2) % CHUNK));
+                let t = if at_boundary {
+                    tie
+                } else {
+                    let u = rng.uniform();
+                    let s = subs[usize::from(u >= 0.6) + usize::from(u >= 0.9)];
+                    (start + s * sub) as f64 * TICK + rng.uniform() * sub as f64 * TICK
+                };
+                push_both(&mut heap, &mut wheel, t, id);
+                id += 1;
+            }
+        }
+        let mut pops = 0u64;
+        loop {
+            if rng.bernoulli(0.3) {
+                assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+            }
+            let h = heap.pop();
+            assert_eq!(h, wheel.pop(), "divergence after {pops} pops (seed {seed})");
+            let Some((now, _)) = h else { break };
+            pops += 1;
+            let u = rng.uniform();
+            let t = if u < 0.15 {
+                now - rng.uniform() * 3.0 * TICK
+            } else if u < 0.3 {
+                now
+            } else if u < 0.6 {
+                now + TICK * 64f64.powf(rng.uniform() * 3.5)
+            } else {
+                continue;
+            };
+            push_both(&mut heap, &mut wheel, t, id);
+            id += 1;
+            assert_eq!(heap.len(), wheel.len());
+        }
+        assert_eq!(pops, id, "seed {seed}");
+    }
+}
