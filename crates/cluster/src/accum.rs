@@ -180,16 +180,12 @@ impl Cluster {
         }
         let avg_users = self.tenants.iter().map(|t| t.window_avg_users).sum();
 
-        // Monitoring darkness overlapping this window; spent intervals
-        // are pruned so the scan stays O(active faults).
-        let window_start = self.accum.window_start;
-        let dark: f64 = self
+        // Monitoring darkness overlapping this window.
+        let dark = self
             .fabric
-            .dark_intervals
-            .iter()
-            .map(|&(s, e)| (e.min(end) - s.max(window_start)).max(0.0))
-            .sum();
-        self.fabric.dark_intervals.retain(|&(_, e)| e > end);
+            .faults
+            .dark_seconds(self.accum.window_start, end);
+        self.fabric.faults.forget_dark_before(end);
         let monitor_dropout_fraction = (dark / span).clamp(0.0, 1.0);
 
         // `None` while span sampling is disabled, so reports (and every
@@ -220,7 +216,7 @@ impl Cluster {
             peak_in_system,
             avg_in_system,
             monitor_dropout_fraction,
-            failed_actuations: std::mem::take(&mut self.fabric.failed_actuations),
+            failed_actuations: std::mem::take(&mut self.fabric.faults.failed_actuations),
             scale_latency: self.telemetry.scale_latency_stats(),
             backend: self.tenants[0].backend.kind(),
             backend_switches: std::mem::take(&mut self.accum.window_switches),

@@ -1,6 +1,13 @@
 //! The orchestration fabric: servers, replicas, in-flight invocations,
 //! scaling actuation, and fault state.
 //!
+//! Each lifecycle decision has one owner: a replica starts only through
+//! `spawn_replica` (which applies the start-up delay and any slow-start
+//! factor) and dies only through `retire` (state `Dead`, group cap 0),
+//! whether it drained, was scaled down, crashed or lost its server.
+//! Fault episodes — dark monitor intervals, actuation outages, slow
+//! starts — live in one `FaultState`.
+//!
 //! This layer is population-backend-agnostic: it executes whatever
 //! request chains reach it and applies whatever scaling/fault events the
 //! calendar delivers, regardless of whether users are simulated one by
@@ -12,6 +19,7 @@ use atom_sim::processor::{GroupId, JobId};
 use atom_sim::{ProcessorTable, TimeWeighted};
 
 use crate::event::{idx16, idx32, Event};
+use crate::faults::{FaultKind, FaultState};
 use crate::runtime::{Cluster, ScaleAction};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,6 +68,13 @@ impl ServiceRt {
             .iter()
             .filter(|r| !matches!(r.state, ReplicaState::Dead))
             .count()
+    }
+
+    /// Indices of the replicas not dead, oldest first.
+    pub(crate) fn live_replicas(&self) -> Vec<usize> {
+        (0..self.replicas.len())
+            .filter(|&i| !matches!(self.replicas[i].state, ReplicaState::Dead))
+            .collect()
     }
 }
 
@@ -113,25 +128,13 @@ pub(crate) struct Fabric {
     /// ones instead of allocating; never longer than the peak number of
     /// invocations in flight.
     pub call_pool: Vec<Vec<(usize, usize)>>,
-    pub pending_batches: Vec<Vec<ScaleAction>>,
-    /// Issue time of each pending batch, parallel to `pending_batches`
-    /// (for issue-to-ready scale-latency telemetry).
-    pub batch_issued: Vec<f64>,
-    /// Issue time of the scaling batch currently being applied, if any —
-    /// set around `apply_action` so `spawn_replica` can attribute new
-    /// replicas' ready times to the issuing decision (crash-recovery
-    /// spawns have no issuing decision and are not latency samples).
-    pub scaling_issued_at: Option<f64>,
-    // --- fault state ---
-    /// Intervals during which the monitoring plane is dark.
-    pub dark_intervals: Vec<(f64, f64)>,
-    /// Scaling batches dispatched before this time are dropped.
-    pub actuation_fail_until: f64,
-    /// Start-up delays are multiplied by `slow_start_factor` until then.
-    pub slow_start_until: f64,
-    pub slow_start_factor: f64,
-    /// Scaling batches dropped in the current window.
-    pub failed_actuations: usize,
+    /// Every scheduled scaling batch with its issue time (for
+    /// issue-to-ready scale-latency telemetry), indexed by
+    /// `Event::ApplyScaling`; a batch's actions are taken when it falls
+    /// due.
+    pub pending_batches: Vec<(f64, Vec<ScaleAction>)>,
+    /// The fault episodes in progress.
+    pub faults: FaultState,
     // --- probe ---
     pub probe: Option<(usize, usize)>,
     pub probe_samples: Vec<(f64, f64)>,
@@ -163,32 +166,36 @@ impl Fabric {
         }
         self.free_invs.push(inv);
     }
-
-    /// Whether the monitoring plane sees events at `now` (false while
-    /// inside a monitor-dropout interval).
-    pub fn monitor_observing(&self, now: f64) -> bool {
-        !self
-            .dark_intervals
-            .iter()
-            .any(|&(s, e)| now >= s && now < e)
-    }
-
-    /// Current start-up delay multiplier (raised during a slow-start
-    /// fault episode).
-    pub fn startup_factor(&self, now: f64) -> f64 {
-        if now < self.slow_start_until {
-            self.slow_start_factor
-        } else {
-            1.0
-        }
-    }
 }
 
 // Scaling actuation and fault injection: these methods mutate the fabric
 // but live on `Cluster` because they also touch the calendar and
 // telemetry.
 impl Cluster {
-    pub(crate) fn apply_action(&mut self, action: ScaleAction) {
+    /// Applies the scaling batch `batch` as it falls due, or drops it
+    /// while actuation is down: the batch is lost, not deferred, and
+    /// controllers must notice via the report and re-issue. Returns
+    /// whether any action was applied.
+    pub(crate) fn apply_scaling(&mut self, batch: usize) -> bool {
+        let (issued, actions) = &mut self.fabric.pending_batches[batch];
+        let (issued, actions) = (*issued, std::mem::take(actions));
+        if actions.is_empty() {
+            return false;
+        }
+        if self.fabric.faults.actuation_down(self.engine.now) {
+            self.fabric.faults.failed_actuations += 1;
+            self.telemetry.dropped_batches += 1;
+            return false;
+        }
+        for a in actions {
+            self.apply_action(a, issued);
+        }
+        true
+    }
+
+    /// Moves service `si` to the action's replica count and share; new
+    /// replicas record their issue-to-ready latency against `issued`.
+    fn apply_action(&mut self, action: ScaleAction, issued: f64) {
         let si = action.service.0;
         if si >= self.fabric.services.len() {
             return; // ignore unknown service ids from buggy controllers
@@ -196,69 +203,49 @@ impl Cluster {
         let now = self.engine.now;
         let share = action.share.max(0.01);
         let target = action.replicas.max(1);
+        let pi = self.fabric.services[si].server;
+        let live = self.fabric.services[si].live_replicas();
         // Vertical: retune every live replica's cap (bounded by the
         // service's CPU parallelism).
-        let pi = self.fabric.services[si].server;
         self.fabric.services[si].share = share;
         let cap = effective_cap(share, self.spec.services[si].parallelism);
-        let groups: Vec<GroupId> = self.fabric.services[si]
-            .replicas
-            .iter()
-            .filter(|r| !matches!(r.state, ReplicaState::Dead))
-            .map(|r| r.group)
-            .collect();
-        for g in groups {
+        for &r in &live {
+            let g = self.fabric.services[si].replicas[r].group;
             self.fabric.processors[pi].set_group_cap(now, g, cap);
         }
         self.fabric.processors.publish(&mut self.engine, pi);
 
         // Horizontal.
-        let live: Vec<usize> = self.fabric.services[si]
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !matches!(r.state, ReplicaState::Dead))
-            .map(|(i, _)| i)
-            .collect();
         if target > live.len() {
-            let startup = self.spec.services[si].startup_delay * self.fabric.startup_factor(now);
-            for _ in 0..(target - live.len()) {
-                self.spawn_replica(si, now + startup);
+            for _ in live.len()..target {
+                self.spawn_replica(si, now, Some(issued));
             }
-        } else if target < live.len() {
-            // Drain the newest replicas first.
-            for &idx in live.iter().rev().take(live.len() - target) {
-                let rep = &mut self.fabric.services[si].replicas[idx];
+        } else {
+            // Drain the newest replicas first; one that never served, or
+            // has nothing left to finish, goes at once.
+            for &r in live.iter().rev().take(live.len() - target) {
+                let rep = &mut self.fabric.services[si].replicas[r];
+                let idle = rep.busy_threads == 0 && rep.queue.is_empty();
                 match rep.state {
-                    ReplicaState::Starting { .. } => {
-                        // Never served: kill immediately.
-                        rep.state = ReplicaState::Dead;
-                        let g = rep.group;
-                        self.fabric.processors[pi].set_group_cap(now, g, 0.0);
-                    }
-                    ReplicaState::Ready => {
-                        if rep.busy_threads == 0 && rep.queue.is_empty() {
-                            rep.state = ReplicaState::Dead;
-                            let g = rep.group;
-                            self.fabric.processors[pi].set_group_cap(now, g, 0.0);
-                        } else {
-                            rep.state = ReplicaState::Draining;
-                        }
-                    }
-                    _ => {}
+                    ReplicaState::Starting { .. } => self.retire(si, r),
+                    ReplicaState::Ready if idle => self.retire(si, r),
+                    ReplicaState::Ready => rep.state = ReplicaState::Draining,
+                    ReplicaState::Draining | ReplicaState::Dead => {}
                 }
             }
         }
         self.update_alloc(si);
     }
 
-    pub(crate) fn kill_replica(&mut self, si: usize, replica: usize) {
-        let now = self.engine.now;
+    /// `replica` of `si` is gone: it takes no more work and its group's
+    /// cap drops to zero. Callers settle its jobs and the allocation
+    /// gauge.
+    pub(crate) fn retire(&mut self, si: usize, replica: usize) {
         let pi = self.fabric.services[si].server;
-        let g = self.fabric.services[si].replicas[replica].group;
-        self.fabric.services[si].replicas[replica].state = ReplicaState::Dead;
-        self.fabric.processors[pi].set_group_cap(now, g, 0.0);
-        self.update_alloc(si);
+        let rep = &mut self.fabric.services[si].replicas[replica];
+        rep.state = ReplicaState::Dead;
+        let group = rep.group;
+        self.fabric.processors[pi].set_group_cap(self.engine.now, group, 0.0);
     }
 
     pub(crate) fn replica_ready(&mut self, si: usize, replica: usize) {
@@ -307,33 +294,25 @@ impl Cluster {
     }
 
     pub(crate) fn apply_fault(&mut self, idx: usize) {
-        use atom_faults::FaultKind;
-        let now = self.engine.now;
-        let event = self.options.faults.events()[idx];
-        match event.kind {
+        match self.options.faults.events()[idx].kind {
             FaultKind::ReplicaCrash { service } => self.crash_replica(service),
             FaultKind::ServerOutage { server, duration } => self.server_outage(server, duration),
-            FaultKind::MonitorDropout { duration } => {
-                self.fabric.dark_intervals.push((now, now + duration));
-            }
-            FaultKind::ActuationFailure { duration } => {
-                self.fabric.actuation_fail_until =
-                    self.fabric.actuation_fail_until.max(now + duration);
-            }
-            FaultKind::SlowStart { factor, duration } => {
-                self.fabric.slow_start_factor = factor.max(1.0);
-                self.fabric.slow_start_until = self.fabric.slow_start_until.max(now + duration);
-            }
-            // Kinds added to the non-exhaustive enum later are ignored
-            // by this cluster version rather than crashing replays.
-            _ => {}
+            episode @ (FaultKind::MonitorDropout { .. }
+            | FaultKind::ActuationFailure { .. }
+            | FaultKind::SlowStart { .. }) => self.fabric.faults.begin(self.engine.now, episode),
         }
     }
 
-    /// Adds a `Starting` replica to `si` that becomes ready at
-    /// `ready_at` (start-up is already factored in by the caller).
-    pub(crate) fn spawn_replica(&mut self, si: usize, ready_at: f64) {
-        if let Some(issued) = self.fabric.scaling_issued_at {
+    /// Adds a `Starting` replica to `si` whose start-up (slowed by any
+    /// slow-start episode) begins at `start_at`. `issued` is the issue
+    /// time of the scaling batch that asked for it, recorded as an
+    /// issue-to-ready latency sample; crash and outage replacements have
+    /// none.
+    fn spawn_replica(&mut self, si: usize, start_at: f64, issued: Option<f64>) {
+        let startup = self.spec.services[si].startup_delay
+            * self.fabric.faults.startup_factor(self.engine.now);
+        let ready_at = start_at + startup;
+        if let Some(issued) = issued {
             self.telemetry.scale_latencies.push(ready_at - issued);
         }
         let pi = self.fabric.services[si].server;
@@ -364,12 +343,10 @@ impl Cluster {
     /// replica's CPU stage (waiting on a downstream call or I/O) finish
     /// normally — their state lives downstream, not in the dead
     /// container.
-    pub(crate) fn fail_replica(&mut self, si: usize, replica: usize) -> Vec<usize> {
+    fn fail_replica(&mut self, si: usize, replica: usize) -> Vec<usize> {
+        self.retire(si, replica);
         let now = self.engine.now;
         let pi = self.fabric.services[si].server;
-        let group = self.fabric.services[si].replicas[replica].group;
-        self.fabric.services[si].replicas[replica].state = ReplicaState::Dead;
-        self.fabric.processors[pi].set_group_cap(now, group, 0.0);
         let mut displaced: Vec<usize> = self.fabric.services[si].replicas[replica]
             .queue
             .drain(..)
@@ -400,7 +377,7 @@ impl Cluster {
     /// Re-dispatches a displaced invocation onto a live replica (the
     /// request is retried from the start of its CPU stage; demand is
     /// re-sampled).
-    pub(crate) fn requeue_invocation(&mut self, inv: usize) {
+    fn requeue_invocation(&mut self, inv: usize) {
         let si = self.fabric.inv(inv).service;
         let replica = self.pick_replica(si);
         let i = self.fabric.inv_mut(inv);
@@ -412,10 +389,7 @@ impl Cluster {
     /// One replica of `si` dies; the orchestrator restarts a replacement
     /// after the (possibly slowed) start-up delay. Prefers a ready
     /// victim — crashing a container that never served would be a no-op.
-    pub(crate) fn crash_replica(&mut self, si: usize) {
-        if si >= self.fabric.services.len() {
-            return;
-        }
+    fn crash_replica(&mut self, si: usize) {
         let victim = {
             let reps = &self.fabric.services[si].replicas;
             reps.iter()
@@ -429,9 +403,7 @@ impl Cluster {
         let displaced = self.fail_replica(si, victim);
         // Replacement first, then re-dispatch: the service always keeps
         // at least one live replica for pick_replica to land on.
-        let startup =
-            self.spec.services[si].startup_delay * self.fabric.startup_factor(self.engine.now);
-        self.spawn_replica(si, self.engine.now + startup);
+        self.spawn_replica(si, self.engine.now, None);
         for inv in displaced {
             self.requeue_invocation(inv);
         }
@@ -443,33 +415,19 @@ impl Cluster {
     /// their start-up once the server is back after `duration` seconds.
     /// Displaced work backlogs on the starting replacements and drains
     /// when they come up.
-    pub(crate) fn server_outage(&mut self, pi: usize, duration: f64) {
-        if pi >= self.spec.servers.len() {
-            return;
-        }
+    fn server_outage(&mut self, pi: usize, duration: f64) {
         let back_at = self.engine.now + duration;
         let mut displaced_all: Vec<usize> = Vec::new();
         for si in 0..self.fabric.services.len() {
             if self.fabric.services[si].server != pi {
                 continue;
             }
-            let live: Vec<usize> = self.fabric.services[si]
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| !matches!(r.state, ReplicaState::Dead))
-                .map(|(i, _)| i)
-                .collect();
-            if live.is_empty() {
-                continue;
-            }
+            let live = self.fabric.services[si].live_replicas();
             for &idx in &live {
                 displaced_all.extend(self.fail_replica(si, idx));
             }
-            let startup =
-                self.spec.services[si].startup_delay * self.fabric.startup_factor(self.engine.now);
             for _ in 0..live.len() {
-                self.spawn_replica(si, back_at + startup);
+                self.spawn_replica(si, back_at, None);
             }
         }
         // Re-dispatch only after every service has its replacements, so

@@ -43,7 +43,7 @@ impl Cluster {
     }
 
     pub(crate) fn monitor_observing(&self) -> bool {
-        self.fabric.monitor_observing(self.engine.now)
+        self.fabric.faults.observing(self.engine.now)
     }
 
     fn expand_calls(&mut self, si: usize, ei: usize) -> Vec<(usize, usize)> {
@@ -306,7 +306,8 @@ impl Cluster {
             rep.busy_threads -= 1;
             // A drained replica with no work left dies.
             if matches!(rep.state, ReplicaState::Draining) && rep.busy_threads == 0 {
-                self.kill_replica(si, replica);
+                self.retire(si, replica);
+                self.update_alloc(si);
             }
         }
 
@@ -398,7 +399,7 @@ mod tests {
             .push(1.0, Event::UserReady { tenant: 0, user: 0 });
         cluster.run_window(1.5);
         let events = cluster.telemetry().total_events();
-        // A cap move with no reschedule behind it (what `kill_replica`
+        // A cap move with no reschedule behind it (what `retire`
         // does): the processor reallocates, the entry due at 2.0 was
         // computed under the generation before.
         cluster.fabric.processors[0].set_group_cap(1.5, GroupId(0), 1.0);

@@ -7,14 +7,14 @@
 //!   index; `crate::event` — the timers it carries;
 //! * [`crate::backend`] — the user population (`PerUserDes` or
 //!   `FluidPool`, behind the `Backend` enum);
-//! * `crate::fabric` — servers, replicas, scaling actuation, faults;
+//! * `crate::fabric` — servers, replicas, scaling actuation, faults
+//!   (the episodes in progress are `crate::faults::FaultState`);
 //! * `crate::request` — request chains through the call graph;
 //! * `crate::accum` — window accumulators and report collection.
 //!
 //! This module owns the [`Cluster`] struct that ties them together, the
 //! event dispatch loop, and the hybrid fluid/per-user switching policy.
 
-use atom_faults::FaultSchedule;
 use atom_sim::processor::PsProcessor;
 use atom_sim::{Due, Engine, ProcessorTable, SimRng, TimeWeighted};
 use atom_workload::burstiness::Mmpp2;
@@ -25,6 +25,7 @@ use crate::backend::{Backend, BackendKind, BackendMode, FluidPool, PerUserDes, P
 use crate::error::ClusterError;
 use crate::event::{idx16, idx32, Event};
 use crate::fabric::{effective_cap, Fabric, Replica, ReplicaState, ServiceRt};
+use crate::faults::{FaultSchedule, FaultState};
 use crate::monitor::WindowReport;
 use crate::spans::{SampledSpan, SpanLayer};
 use crate::spec::{AppSpec, EndpointId, ServiceId};
@@ -435,13 +436,7 @@ impl Cluster {
             free_invs: Vec::new(),
             call_pool: Vec::new(),
             pending_batches: Vec::new(),
-            batch_issued: Vec::new(),
-            scaling_issued_at: None,
-            dark_intervals: Vec::new(),
-            actuation_fail_until: 0.0,
-            slow_start_until: 0.0,
-            slow_start_factor: 1.0,
-            failed_actuations: 0,
+            faults: FaultState::new(),
             probe: None,
             probe_samples: Vec::new(),
         };
@@ -577,8 +572,7 @@ impl Cluster {
     /// optimization-plus-planning delay).
     pub fn schedule_scaling(&mut self, actions: Vec<ScaleAction>, delay: f64) {
         let batch = self.fabric.pending_batches.len();
-        self.fabric.pending_batches.push(actions);
-        self.fabric.batch_issued.push(self.engine.now);
+        self.fabric.pending_batches.push((self.engine.now, actions));
         self.engine.push(
             self.engine.now + delay.max(0.0),
             Event::ApplyScaling {
@@ -608,22 +602,10 @@ impl Cluster {
         // continuous envelope directly, and a million-user ramp expanded
         // into discrete change points would defeat the aggregation.
         let now = self.engine.now;
-        let mut changes: Vec<(f64, usize, usize)> = Vec::new();
-        for (ti, tenant) in self.tenants.iter().enumerate() {
-            if matches!(tenant.backend, Backend::PerUser(_)) {
-                for (t, pop) in tenant.workload.source.change_points(now, end) {
-                    changes.push((t, ti, pop));
-                }
+        for ti in 0..self.tenants.len() {
+            if matches!(self.tenants[ti].backend, Backend::PerUser(_)) {
+                self.schedule_population_changes(ti, now, end);
             }
-        }
-        for (t, tenant, population) in changes {
-            self.engine.push(
-                t,
-                Event::PopulationChange {
-                    tenant: idx16(tenant),
-                    population: idx32(population),
-                },
-            );
         }
         // A source that classifies its own burst onsets (trace replay)
         // schedules them as explicit hints; the hybrid policy then skips
@@ -685,28 +667,10 @@ impl Cluster {
             }
             Event::ApplyScaling { batch } => {
                 self.telemetry.apply_scaling_events += 1;
-                let batch = batch as usize;
-                let actions = std::mem::take(&mut self.fabric.pending_batches[batch]);
-                let non_empty = !actions.is_empty();
-                if self.engine.now < self.fabric.actuation_fail_until {
-                    // The orchestration API is down: the batch is lost
-                    // (not deferred) — controllers must notice via the
-                    // report and re-issue.
-                    if non_empty {
-                        self.fabric.failed_actuations += 1;
-                        self.telemetry.dropped_batches += 1;
-                    }
-                } else {
-                    self.fabric.scaling_issued_at = Some(self.fabric.batch_issued[batch]);
-                    for a in actions {
-                        self.apply_action(a);
-                    }
-                    self.fabric.scaling_issued_at = None;
-                    if non_empty {
-                        // A capacity change invalidates the fluid steady
-                        // state while queues re-equilibrate.
-                        self.note_transient();
-                    }
+                // A capacity change invalidates the fluid steady state
+                // while queues re-equilibrate.
+                if self.apply_scaling(batch as usize) {
+                    self.note_transient();
                 }
             }
             Event::LatencyDone { inv } => {
@@ -751,6 +715,20 @@ impl Cluster {
                     self.switch_to_fluid();
                 }
             }
+        }
+    }
+
+    /// Puts tenant `ti`'s population change points in `[t0, t1]` on the
+    /// calendar, for its per-user backend.
+    fn schedule_population_changes(&mut self, ti: usize, t0: f64, t1: f64) {
+        for (t, population) in self.tenants[ti].workload.source.change_points(t0, t1) {
+            self.engine.push(
+                t,
+                Event::PopulationChange {
+                    tenant: idx16(ti),
+                    population: idx32(population),
+                },
+            );
         }
     }
 
@@ -821,19 +799,7 @@ impl Cluster {
         self.backend_set_population(0, pop);
         // The per-user backend needs the rest of this window's discrete
         // change points (the fluid one read the source directly).
-        let changes: Vec<(f64, usize)> = self.tenants[0]
-            .workload
-            .source
-            .change_points(now, self.current_window_end);
-        for (t, p) in changes {
-            self.engine.push(
-                t,
-                Event::PopulationChange {
-                    tenant: 0,
-                    population: idx32(p),
-                },
-            );
-        }
+        self.schedule_population_changes(0, now, self.current_window_end);
     }
 
     /// Per-user → fluid handover: the discrete users evaporate into the
@@ -925,12 +891,7 @@ impl Cluster {
             })
             .collect();
         let span = (t1 - t0).max(1e-12);
-        let dark: f64 = self
-            .fabric
-            .dark_intervals
-            .iter()
-            .map(|&(s, e)| (e.min(t1) - s.max(t0)).max(0.0))
-            .sum();
+        let dark = self.fabric.faults.dark_seconds(t0, t1);
         crate::backend::fluid::FluidInputs {
             stations,
             observed_frac: (1.0 - dark / span).clamp(0.0, 1.0),
@@ -959,7 +920,7 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atom_faults::FaultKind;
+    use crate::faults::FaultKind;
     use atom_workload::{LoadProfile, RequestMix};
 
     fn one_service_spec(demand: f64, share: f64, threads: usize) -> AppSpec {
@@ -1688,6 +1649,23 @@ mod tests {
         assert!((r2.monitor_dropout_fraction - 0.25).abs() < 1e-9);
         let r3 = cluster.run_window(60.0);
         assert_eq!(r3.monitor_dropout_fraction, 0.0);
+    }
+
+    #[test]
+    fn overlapping_dropouts_count_each_dark_second_once() {
+        let spec = one_service_spec(0.01, 1.0, 16);
+        let faults = FaultSchedule::new()
+            .at(0.0, FaultKind::MonitorDropout { duration: 100.0 })
+            .at(50.0, FaultKind::MonitorDropout { duration: 100.0 });
+        let mut cluster = Cluster::new(
+            &spec,
+            constant_workload(20, 1.0),
+            ClusterOptions::new().with_faults(faults),
+        )
+        .unwrap();
+        // Dark on [0, 150): half of the window, not 200 s of it.
+        let r = cluster.run_window(300.0);
+        assert_eq!(r.monitor_dropout_fraction, 0.5);
     }
 
     #[test]

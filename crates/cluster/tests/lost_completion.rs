@@ -4,19 +4,20 @@
 //! `PsProcessor::set_group_cap` reallocates, which bumps the processor's
 //! generation and makes the pending completion the engine holds for it
 //! stale. Every caller that also adds or removes a job follows up with
-//! `ProcessorTable::publish`; four that only move a cap do not —
-//! `kill_replica`, `replica_ready` when nothing was queued on the
-//! replica, the scale-down branches of `apply_action`, and
-//! `fail_replica`. After one of those the processor has *no* pending
-//! completion until the next job enters or leaves it (or the next
-//! vertical retune), and the jobs already on it — whose rates need not
-//! even have changed — finish late by however long that takes.
+//! `ProcessorTable::publish`; two that only move a cap need not —
+//! `retire`, the one way a replica dies (a crash or an outage publishes
+//! after it, a scale-down does not), and `replica_ready` when nothing
+//! was queued on the replica. After
+//! one of those the processor has *no* pending completion until the
+//! next job enters or leaves it (or the next vertical retune), and the
+//! jobs already on it — whose rates need not even have changed — finish
+//! late by however long that takes.
 //!
 //! This suite pins that behaviour as it stands; it is not a requirement.
 //! The engine refactor that took completions off the calendar preserved
 //! it bit for bit (the due index carries the generation for exactly this
 //! reason), because fixing it moves every closed-loop artefact in
-//! `results/`. ROADMAP item 1(a) lists it as a candidate cause of
+//! `results/`. ROADMAP item 2(b) lists it as a candidate cause of
 //! residence error in transient windows. The fix — reschedule after
 //! every `set_group_cap` — turns `late` below into `on_time`; update the
 //! test in the PR that makes it, next to the re-baselined artefacts.

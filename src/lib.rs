@@ -41,9 +41,9 @@
 //! ```
 
 pub use atom_cluster as cluster;
+pub use atom_cluster::faults;
 pub use atom_core as core;
 pub use atom_estimation as estimation;
-pub use atom_faults as faults;
 pub use atom_ga as ga;
 pub use atom_lqn as lqn;
 pub use atom_metrics as metrics;
