@@ -28,7 +28,7 @@
 //! the root sequence a disabled layer never counts, nor records into
 //! the window aggregates, the export log or the `span_*` telemetry.
 
-use atom_sim::nearest_rank;
+use atom_sim::{nearest_rank, splitmix64};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendKind;
@@ -38,16 +38,6 @@ use crate::telemetry::ClusterTelemetry;
 /// dropping whole requests (dropped requests are counted in
 /// [`ClusterTelemetry::span_requests_dropped`]).
 const SPAN_LOG_CAP: usize = 262_144;
-
-/// splitmix64: the same seeded-hash idiom the placement scheduler uses
-/// for tie-breaks. Deliberately *not* `SimRng` — the sampling decision
-/// must not consume event-path randomness.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// One hop of a sampled request: where the call ran and when it queued,
 /// started, and finished (sim-time seconds).

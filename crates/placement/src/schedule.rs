@@ -18,6 +18,7 @@
 
 use atom_cluster::spec::{FeatureSpec, ServiceSpec};
 use atom_cluster::{AppSpec, ClusterError, ServerId, ServiceId, TenantLayout};
+use atom_sim::splitmix64;
 
 use crate::pool::NodePool;
 use crate::tenant::TenantSpec;
@@ -84,17 +85,10 @@ pub struct Placement {
     pub layouts: Vec<TenantLayout>,
 }
 
-/// SplitMix64 finaliser — the seeded tie-break hash. Deliberately not a
-/// `SimRng` stream: placement must not consume simulation randomness.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
+/// The seeded tie-break hash. Not a `SimRng` stream: placement must not
+/// consume simulation randomness.
 fn tie_rank(seed: u64, tenant: usize, service: usize) -> u64 {
-    mix64(seed ^ mix64(((tenant as u64) << 32) | service as u64))
+    splitmix64(seed ^ splitmix64(((tenant as u64) << 32) | service as u64))
 }
 
 /// Places every tenant's services onto the pool (first-fit-decreasing by

@@ -25,7 +25,8 @@
 //!   first-class semantics;
 //! * [`random`] — a seedable RNG with the per-hop samplers: a service
 //!   demand from its mean and coefficient of variation, a call count
-//!   from a fractional mean;
+//!   from a fractional mean; and [`splitmix64`], the seeded hash for
+//!   decisions that must not draw from it;
 //! * [`stats`] — time-weighted averages and the nearest-rank quantile.
 //!
 //! # Example
@@ -51,6 +52,6 @@ pub mod wheel;
 pub use calendar::EventQueue;
 pub use engine::{Due, Engine, ProcessorTable};
 pub use processor::{GroupId, JobId, PsProcessor};
-pub use random::SimRng;
+pub use random::{splitmix64, SimRng};
 pub use stats::{nearest_rank, TimeWeighted};
 pub use wheel::TimerWheel;

@@ -162,9 +162,27 @@ impl SimRng {
     }
 }
 
+/// The SplitMix64 finaliser: a seeded hash for decisions that must not
+/// consume a [`SimRng`] stream (span sampling, placement tie-breaks),
+/// so making them adds and removes no draw from a simulation.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_is_the_reference_finaliser() {
+        // The first outputs of the reference SplitMix64 generator seeded
+        // with 0, whose state steps by the same golden-ratio increment.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
 
     fn demand_mean(mean: f64, cv: f64, n: usize, seed: u64) -> f64 {
         let mut rng = SimRng::seed_from(seed);
