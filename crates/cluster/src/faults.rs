@@ -197,9 +197,10 @@ pub(crate) struct FaultState {
     dark: Vec<(f64, f64)>,
     /// Scaling batches dispatched before this time are dropped.
     actuation_down_until: f64,
-    /// Start-up delays are multiplied by `slow_start_factor` until then.
-    slow_start_until: f64,
-    slow_start_factor: f64,
+    /// The slow-start episodes not known to be over, as `(until,
+    /// factor)`: start-up delays are multiplied by the largest factor
+    /// among those still running.
+    slow_starts: Vec<(f64, f64)>,
     /// Scaling batches dropped in the current window.
     pub(crate) failed_actuations: usize,
 }
@@ -210,8 +211,7 @@ impl FaultState {
         FaultState {
             dark: Vec::new(),
             actuation_down_until: 0.0,
-            slow_start_until: 0.0,
-            slow_start_factor: 1.0,
+            slow_starts: Vec::new(),
             failed_actuations: 0,
         }
     }
@@ -231,8 +231,8 @@ impl FaultState {
                 self.actuation_down_until = self.actuation_down_until.max(now + duration);
             }
             FaultKind::SlowStart { factor, duration } => {
-                self.slow_start_factor = factor;
-                self.slow_start_until = self.slow_start_until.max(now + duration);
+                self.slow_starts.retain(|&(until, _)| until > now);
+                self.slow_starts.push((now + duration, factor));
             }
             FaultKind::ReplicaCrash { .. } | FaultKind::ServerOutage { .. } => {}
         }
@@ -263,13 +263,12 @@ impl FaultState {
         now < self.actuation_down_until
     }
 
-    /// Current start-up delay multiplier (raised during a slow-start
-    /// episode).
+    /// Current start-up delay multiplier: the largest factor among the
+    /// slow-start episodes running at `now`, 1 when none is.
     pub(crate) fn startup_factor(&self, now: f64) -> f64 {
-        if now < self.slow_start_until {
-            self.slow_start_factor
-        } else {
-            1.0
-        }
+        self.slow_starts
+            .iter()
+            .filter(|&&(until, _)| now < until)
+            .fold(1.0, |factor, &(_, f)| factor.max(f))
     }
 }
