@@ -392,32 +392,23 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_due_entry_is_dropped_without_dispatch() {
+    fn a_cap_change_moves_the_running_job_to_its_new_time() {
         let mut cluster = idle_cluster();
         cluster
             .engine
             .push(1.0, Event::UserReady { tenant: 0, user: 0 });
         cluster.run_window(1.5);
-        let events = cluster.telemetry().total_events();
-        // A cap move with no reschedule behind it (what `retire`
-        // does): the processor reallocates, the entry due at 2.0 was
-        // computed under the generation before.
-        cluster.fabric.processors[0].set_group_cap(1.5, GroupId(0), 1.0);
-        let report = cluster.run_window(1.0);
-        assert_eq!(report.feature_counts[0], 0, "the completion did not fire");
-        assert_eq!(
-            cluster.telemetry().total_events(),
-            events,
-            "and dropping it is not an event"
-        );
-        // The entry is gone, not deferred: only a reschedule brings the
-        // overdue job back, at the time of the reschedule.
-        let report = cluster.run_window(1.0);
-        assert_eq!(report.feature_counts[0], 0);
-        cluster.fabric.processors.publish(&mut cluster.engine, 0);
-        let report = cluster.run_window(1.0);
-        assert_eq!(report.feature_counts[0], 1);
-        assert_eq!(cluster.take_probe_samples(), vec![(0.0, 2.5)]);
+        // Half done at 1.5 and due at 2.0; at half a core the other half
+        // takes until 2.5. The table publishes the move itself.
+        cluster
+            .fabric
+            .processors
+            .set_group_cap(&mut cluster.engine, 0, GroupId(0), 0.5);
+        let report = cluster.run_window(0.9);
+        assert_eq!(report.feature_counts[0], 0, "not done at the old time");
+        let report = cluster.run_window(0.2);
+        assert_eq!(report.feature_counts[0], 1, "done at the new time");
+        assert_eq!(cluster.take_probe_samples(), vec![(0.0, 1.5)]);
         assert_eq!(cluster.telemetry().processor_check_events, 1);
     }
 

@@ -40,10 +40,9 @@ pub struct ClusterTelemetry {
     /// `ReplicaReady` events dispatched (container start-ups completed).
     pub replica_ready_events: u64,
     /// Processor completions handled: each time a processor's pending
-    /// completion came due and was live, the jobs finishing at that
-    /// instant (one, unless several tie within 1e-12 s) left the CPU
-    /// together. Due times that were superseded or went stale before
-    /// they fired are not counted.
+    /// completion came due, the jobs finishing at that instant (one,
+    /// unless several tie within 1e-12 s) left the CPU together. Due
+    /// times superseded before they fired are not counted.
     pub processor_check_events: u64,
     /// `ApplyScaling` events dispatched (batches reaching the
     /// orchestration API, whether applied or rejected).

@@ -1,26 +1,13 @@
-//! Characterisation of a known defect: a processor can lose its pending
-//! completion.
+//! A cap change never loses a processor's pending completion.
 //!
-//! `PsProcessor::set_group_cap` reallocates, which bumps the processor's
-//! generation and makes the pending completion the engine holds for it
-//! stale. Every caller that also adds or removes a job follows up with
-//! `ProcessorTable::publish`; two that only move a cap need not —
-//! `retire`, the one way a replica dies (a crash or an outage publishes
-//! after it, a scale-down does not), and `replica_ready` when nothing
-//! was queued on the replica. After
-//! one of those the processor has *no* pending completion until the
-//! next job enters or leaves it (or the next vertical retune), and the
-//! jobs already on it — whose rates need not even have changed — finish
-//! late by however long that takes.
-//!
-//! This suite pins that behaviour as it stands; it is not a requirement.
-//! The engine refactor that took completions off the calendar preserved
-//! it bit for bit (the due index carries the generation for exactly this
-//! reason), because fixing it moves every closed-loop artefact in
-//! `results/`. ROADMAP item 2(b) lists it as a candidate cause of
-//! residence error in transient windows. The fix — reschedule after
-//! every `set_group_cap` — turns `late` below into `on_time`; update the
-//! test in the PR that makes it, next to the re-baselined artefacts.
+//! Removing or starting a container moves one group's cap on its server.
+//! The processor table publishes the server's next completion after
+//! every change it makes, so the jobs already running there finish when
+//! they are due, whatever moved next to them. This suite pins that on
+//! the case that used to go wrong: when `retire` and `replica_ready`
+//! moved a cap without republishing, the engine dropped the pending
+//! completion as stale and the jobs on the server waited for the next
+//! job to enter or leave it (here, a no-op retune at t = 15).
 
 use atom_cluster::{AppSpec, Cluster, ClusterOptions, ScaleAction, ServiceId, WindowReport};
 use atom_workload::{RequestMix, WorkloadSpec};
@@ -73,27 +60,24 @@ fn first_window(scale_idle_down_at: Option<f64>) -> (WindowReport, WindowReport)
 }
 
 #[test]
-fn a_cap_change_without_reschedule_delays_the_jobs_already_running() {
-    let (on_time, _) = first_window(None);
-    assert_eq!(on_time.feature_counts[0], 1);
+fn a_cap_change_next_to_a_running_job_leaves_it_on_time() {
+    let (undisturbed, _) = first_window(None);
+    assert_eq!(undisturbed.feature_counts[0], 1);
     assert!(
-        (on_time.feature_response[0] - DEMAND).abs() < 1e-9,
+        (undisturbed.feature_response[0] - DEMAND).abs() < 1e-9,
         "undisturbed, the job takes its demand: {}",
-        on_time.feature_response[0]
+        undisturbed.feature_response[0]
     );
 
     // Killing an idle replica of *another* service at t = 5 touches no
-    // rate of the running job, yet its completion at t ≈ 10 is lost; the
-    // retune at t = 15 is the first reschedule, and finds it overdue.
-    let (late, next) = first_window(Some(5.0));
-    assert_eq!(late.service_replicas[1], 1, "the scale-down happened");
-    assert_eq!(late.feature_counts[0], 1);
-    let response = late.feature_response[0];
-    assert!(
-        response > 14.9 && response <= 15.0,
-        "the job finishes at the next reschedule (t = 15), not when due: {response}"
+    // rate of the running job: it still completes at t ≈ 10.
+    let (on_time, next) = first_window(Some(5.0));
+    assert_eq!(on_time.service_replicas[1], 1, "the scale-down happened");
+    assert_eq!(on_time.feature_counts[0], 1);
+    assert_eq!(
+        on_time.feature_response[0], undisturbed.feature_response[0],
+        "the job finishes when due, not at the next reschedule (t = 15)"
     );
-    // Nothing is wedged for good: the requests after it run on time.
     assert_eq!(next.feature_counts[0], 2);
     assert!((next.feature_response[0] - DEMAND).abs() < 1e-9);
 }

@@ -250,11 +250,9 @@ impl SimulatorState {
                     self.user_ready(model, now, user, ref_entry)
                 }
                 Due::Timer(Event::LatencyDone { inv }) => self.proceed_to_calls(model, now, inv),
-                Due::Completion { proc, generation } => {
-                    if self.processors.is_current(proc, generation) {
-                        while let Some(inv) = self.processors.pop_finished(&mut self.engine, proc) {
-                            self.demand_done(model, now, inv);
-                        }
+                Due::Completion { proc } => {
+                    while let Some(inv) = self.processors.pop_finished(&mut self.engine, proc) {
+                        self.demand_done(model, now, inv);
                     }
                 }
             }

@@ -340,12 +340,12 @@ const SCENARIOS: [Scenario; 5] = [
     (
         "chain_scaling",
         scenario_chain_scaling,
-        pins(0xd698eaa21965d58c, 0x4645591a95f470e3),
+        pins(0x7770103f9de510e5, 0x1755ef1f28a91842),
     ),
     (
         "faults",
         scenario_faults,
-        pins(0x4f3d835124c41b09, 0x49a9e176e7970118),
+        pins(0x38dcf722e53f322e, 0x4537dea3d9a41625),
     ),
     (
         "ramp_noise",

@@ -43,16 +43,15 @@
 //! case once a group holds more jobs than its cap — leaves every
 //! allocation as it was, and only that group's per-job rate is
 //! recomputed, by the same formula as the full pass. Any other change
-//! runs the full pass. Either way the generation is bumped.
+//! runs the full pass. Either way the cached next completion is dropped.
 //!
 //! Callers drive simulation time explicitly: every mutating call takes
 //! the current time and advances the clocks and the busy integrals to it.
-//! The [`PsProcessor::generation`] counter is bumped whenever the rate
-//! allocation changes, letting simulators detect stale completion events.
-//! Between two such changes the next completion is a fixed instant:
-//! [`PsProcessor::next_completion`] computes it once per generation and
-//! repeats it, so a check that fires at the returned time finds that job
-//! due whatever rounding the clocks picked up on the way there.
+//! Between two changes to the rates the next completion is a fixed
+//! instant: [`PsProcessor::next_completion`] computes it once after each
+//! change and repeats it, so a check that fires at the returned time
+//! finds that job due whatever rounding the clocks picked up on the way
+//! there.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -127,8 +126,8 @@ pub struct PsProcessor {
     busy_integral: f64,
     /// Σ group allocations, in group order.
     total_alloc: f64,
-    generation: u64,
-    /// The next completion under the current generation, once computed.
+    /// The next completion under the current rates, once computed;
+    /// dropped by every change to them.
     pending: Option<(f64, JobId)>,
     /// Scratch for `reallocate`: `(group, demanded cores)`.
     demands: Vec<(usize, f64)>,
@@ -160,7 +159,6 @@ impl PsProcessor {
             last_update: 0.0,
             busy_integral: 0.0,
             total_alloc: 0.0,
-            generation: 0,
             pending: None,
             demands: Vec::new(),
         }
@@ -276,9 +274,9 @@ impl PsProcessor {
     /// `now`; ties go to the lower `JobId`. Returns `None` if no job is
     /// running (or all rates are zero, e.g. every group cap is 0).
     ///
-    /// The answer is computed once per [generation](Self::generation)
-    /// and repeated until the allocation changes. Jobs left in place
-    /// past their completion time come out of a group in tag order.
+    /// The answer is computed once and repeated until a job enters or
+    /// leaves, or a cap changes. Jobs left in place past their
+    /// completion time come out of a group in tag order.
     pub fn next_completion(&mut self, now: f64) -> Option<(f64, JobId)> {
         self.advance(now);
         if let Some((t, job)) = self.pending {
@@ -297,12 +295,6 @@ impl PsProcessor {
         }
         self.pending = best;
         best
-    }
-
-    /// Generation counter: bumped whenever the rate allocation changes.
-    /// Completion events scheduled under an older generation are stale.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of active jobs.
@@ -365,22 +357,21 @@ impl PsProcessor {
     /// Reallocates after a job entered or left `group`. When the group's
     /// demand is unchanged, so is every allocation (the water-filling
     /// pass reads only demands), and only the group's per-job rate moves.
-    /// Bumps the generation counter either way.
+    /// Drops the cached next completion either way.
     fn reallocate_after_job_change(&mut self, group: GroupId) {
         let g = &mut self.groups[group.0];
         if g.current_demand() != g.demand {
             self.reallocate();
             return;
         }
-        self.generation += 1;
         self.pending = None;
         g.rate = g.job_rate(self.speed);
     }
 
     /// Recomputes the water-filling allocation and the per-group rates.
-    /// Called internally after any change; bumps the generation counter.
+    /// Called internally after any change; drops the cached next
+    /// completion.
     fn reallocate(&mut self) {
-        self.generation += 1;
         self.pending = None;
         let PsProcessor {
             groups, demands, ..
@@ -526,15 +517,17 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_change() {
+    fn every_job_change_drops_the_cached_completion() {
         let mut cpu = PsProcessor::new(1.0, 1.0);
         let g = cpu.add_group(1.0);
-        let g0 = cpu.generation();
         let j = cpu.add_job(0.0, g, 1.0);
-        assert!(cpu.generation() > g0);
-        let g1 = cpu.generation();
-        cpu.remove_job(0.5, j);
-        assert!(cpu.generation() > g1);
+        assert_eq!(cpu.next_completion(0.0), Some((1.0, j)));
+        // j has 0.5 left and now runs at half the rate.
+        let k = cpu.add_job(0.5, g, 1.0);
+        assert_eq!(cpu.next_completion(0.5), Some((1.5, j)));
+        // j has 0.25 left and runs at the full rate again.
+        cpu.remove_job(1.0, k);
+        assert_eq!(cpu.next_completion(1.0), Some((1.25, j)));
     }
 
     #[test]
@@ -660,19 +653,17 @@ mod tests {
     }
 
     #[test]
-    fn an_add_that_keeps_the_demand_still_bumps_the_generation() {
+    fn an_add_that_keeps_the_demand_still_drops_the_cached_completion() {
         let mut cpu = PsProcessor::new(2.0, 1.0);
         let g = cpu.add_group(0.5);
         let first = cpu.add_job(0.0, g, 1.0);
         let (t, _) = cpu.next_completion(0.0).unwrap();
         assert_eq!(t, 2.0);
         // Demand stays min(0.5, jobs) = 0.5: no reallocation, but the
-        // first job now runs at half the rate, so its promised time is
-        // stale and the generation must say so.
-        let before = cpu.generation();
+        // first job now runs at half the rate, so its promised time
+        // must not be repeated.
         cpu.add_job(0.0, g, 1.0);
         assert_eq!(cpu.groups[g.0].demand, 0.5);
-        assert!(cpu.generation() > before);
         assert_eq!(cpu.next_completion(0.0), Some((4.0, first)));
     }
 
