@@ -10,6 +10,7 @@ use crate::runtime::Cluster;
 /// feed these counters — the per-user DES increments them per event, the
 /// fluid backend synthesises them per aggregation step — so
 /// `collect_window` is backend-agnostic.
+#[derive(Clone)]
 pub(crate) struct WindowAccum {
     pub window_start: f64,
     pub feature_counts: Vec<u64>,
@@ -136,7 +137,7 @@ impl Cluster {
             self.fabric.services[si].alloc.reset(end);
             service_availability[si] = self.fabric.services[si].up.average(end).clamp(0.0, 1.0);
             self.fabric.services[si].up.reset(end);
-            service_replicas[si] = self.fabric.services[si].live_count();
+            service_replicas[si] = self.fabric.services[si].serving_count();
             service_ready_replicas[si] = self.fabric.services[si].ready_count();
             service_shares[si] = self.fabric.services[si].share;
         }

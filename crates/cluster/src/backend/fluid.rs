@@ -73,12 +73,13 @@ struct FluidRates {
 
 /// Cache key: population + the capacity configuration that went into
 /// the solve (bit-exact comparison; any scale action changes it).
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 struct FluidKey {
     n: usize,
     stations: Vec<(usize, usize, u64)>,
 }
 
+#[derive(Clone)]
 pub(crate) struct FluidPool {
     /// Population gauge at the last completed step.
     pub population: usize,

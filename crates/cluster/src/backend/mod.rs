@@ -88,6 +88,7 @@ pub(crate) struct PopCtx<'a> {
 /// execution, scaling, faults) is backend-agnostic; only these entry
 /// points differ. The fluid pool is boxed: it is several times the size
 /// of the per-user backend, which every tenant's hot path reads.
+#[derive(Clone)]
 pub(crate) enum Backend {
     PerUser(PerUserDes),
     Fluid(Box<FluidPool>),

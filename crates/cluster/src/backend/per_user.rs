@@ -13,6 +13,7 @@ use crate::event::{idx32, Event};
 /// One discrete user per population slot, one bit per slot. Slots of
 /// retired users are reused, lowest first, so the bitset stays as small
 /// as the peak population: 125 KB at a million users.
+#[derive(Clone)]
 pub(crate) struct PerUserDes {
     /// Bit `u % 64` of word `u / 64` is set while user slot `u` is alive.
     /// Bits past the highest slot ever used are clear.

@@ -1,12 +1,13 @@
 //! The orchestration fabric: servers, replicas, in-flight invocations,
 //! scaling actuation, and fault state.
 //!
-//! Each lifecycle decision has one owner: a replica starts only through
-//! `spawn_replica` (which applies the start-up delay and any slow-start
-//! factor) and dies only through `retire` (state `Dead`, group cap 0),
-//! whether it drained, was scaled down, crashed or lost its server.
-//! Fault episodes — dark monitor intervals, actuation outages, slow
-//! starts — live in one `FaultState`.
+//! Each lifecycle decision has one owner. Only `reconcile` decides how
+//! many replicas a service runs: after a scale order, a crash or an
+//! outage alike, it brings the *serving* replicas (`Starting` + `Ready`)
+//! to the service's target, the last order. A replica starts only
+//! through `spawn_replica` (start-up delay and slow-start factor) and
+//! dies only through `retire` (state `Dead`, group cap 0). Fault
+//! episodes live in one `FaultState`.
 //!
 //! This layer is population-backend-agnostic: it executes whatever
 //! request chains reach it and applies whatever scaling/fault events the
@@ -34,6 +35,14 @@ pub(crate) enum ReplicaState {
     Dead,
 }
 
+impl ReplicaState {
+    /// Counts toward the target; a draining replica no longer does.
+    fn serving(self) -> bool {
+        matches!(self, ReplicaState::Starting { .. } | ReplicaState::Ready)
+    }
+}
+
+#[derive(Clone)]
 pub(crate) struct Replica {
     pub group: GroupId,
     pub state: ReplicaState,
@@ -41,10 +50,14 @@ pub(crate) struct Replica {
     pub queue: VecDeque<usize>,
 }
 
+#[derive(Clone)]
 pub(crate) struct ServiceRt {
     pub server: usize,
     pub threads: usize,
     pub share: f64,
+    /// Replica count the service reconciles to: the last scale order,
+    /// the initial replica count until one lands.
+    pub target: usize,
     pub replicas: Vec<Replica>,
     pub next_replica: usize,
     pub alloc: TimeWeighted,
@@ -59,22 +72,13 @@ impl ServiceRt {
     pub fn ready_count(&self) -> usize {
         self.replicas
             .iter()
-            .filter(|r| matches!(r.state, ReplicaState::Ready))
+            .filter(|r| r.state == ReplicaState::Ready)
             .count()
     }
 
-    pub fn live_count(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| !matches!(r.state, ReplicaState::Dead))
-            .count()
-    }
-
-    /// Indices of the replicas not dead, oldest first.
-    pub(crate) fn live_replicas(&self) -> Vec<usize> {
-        (0..self.replicas.len())
-            .filter(|&i| !matches!(self.replicas[i].state, ReplicaState::Dead))
-            .collect()
+    /// The count `reconcile` holds at the target.
+    pub fn serving_count(&self) -> usize {
+        self.replicas.iter().filter(|r| r.state.serving()).count()
     }
 }
 
@@ -85,6 +89,7 @@ pub(crate) enum InvState {
     Calling { idx: usize },
 }
 
+#[derive(Clone)]
 pub(crate) struct Invocation {
     pub service: usize,
     pub endpoint: usize,
@@ -117,6 +122,7 @@ pub(crate) fn effective_cap(share: f64, parallelism: Option<usize>) -> f64 {
 
 /// All orchestration-plane state: the machines, the containers, the
 /// in-flight work, pending actuations, and active fault episodes.
+#[derive(Clone)]
 pub(crate) struct Fabric {
     /// The servers' processors, with the invocation of each executing
     /// CPU job.
@@ -192,46 +198,53 @@ impl Cluster {
         true
     }
 
-    /// Moves service `si` to the action's replica count and share; new
-    /// replicas record their issue-to-ready latency against `issued`.
+    /// Retunes service `si`'s share and reconciles it to the action's
+    /// replica count; new replicas record their issue-to-ready latency
+    /// against `issued`.
     fn apply_action(&mut self, action: ScaleAction, issued: f64) {
         let si = action.service.0;
         if si >= self.fabric.services.len() {
             return; // ignore unknown service ids from buggy controllers
         }
-        let now = self.engine.now;
         let share = action.share.max(0.01);
-        let target = action.replicas.max(1);
-        let pi = self.fabric.services[si].server;
-        let live = self.fabric.services[si].live_replicas();
-        // Vertical: retune every live replica's cap (bounded by the
-        // service's CPU parallelism).
-        self.fabric.services[si].share = share;
         let cap = effective_cap(share, self.spec.services[si].parallelism);
-        for &r in &live {
-            let g = self.fabric.services[si].replicas[r].group;
-            self.fabric
-                .processors
-                .set_group_cap(&mut self.engine, pi, g, cap);
-        }
-
-        // Horizontal.
-        if target > live.len() {
-            for _ in live.len()..target {
-                self.spawn_replica(si, now, Some(issued));
+        let svc = &mut self.fabric.services[si];
+        svc.share = share;
+        svc.target = action.replicas.max(1);
+        let pi = svc.server;
+        // Vertical: retune every replica not dead (bounded by the
+        // service's CPU parallelism).
+        for rep in &self.fabric.services[si].replicas {
+            if rep.state != ReplicaState::Dead {
+                self.fabric
+                    .processors
+                    .set_group_cap(&mut self.engine, pi, rep.group, cap);
             }
-        } else {
-            // Drain the newest replicas first; one that never served, or
-            // has nothing left to finish, goes at once.
-            for &r in live.iter().rev().take(live.len() - target) {
-                let rep = &mut self.fabric.services[si].replicas[r];
-                let idle = rep.busy_threads == 0 && rep.queue.is_empty();
-                match rep.state {
-                    ReplicaState::Starting { .. } => self.retire(si, r),
-                    ReplicaState::Ready if idle => self.retire(si, r),
-                    ReplicaState::Ready => rep.state = ReplicaState::Draining,
-                    ReplicaState::Draining | ReplicaState::Dead => {}
-                }
+        }
+        self.reconcile(si, self.engine.now, Some(issued));
+    }
+
+    /// Brings service `si`'s serving replicas to its target. Below it,
+    /// new replicas start from `start_at` (`issued` as in
+    /// `spawn_replica`): a draining one is not revived, as Swarm starts
+    /// new tasks whatever is still stopping. Above it, the newest drain;
+    /// one starting, or with nothing left to finish, goes at once.
+    fn reconcile(&mut self, si: usize, start_at: f64, issued: Option<f64>) {
+        let svc = &self.fabric.services[si];
+        let serving: Vec<usize> = (0..svc.replicas.len())
+            .filter(|&r| svc.replicas[r].state.serving())
+            .collect();
+        let (target, excess) = (svc.target, serving.len().saturating_sub(svc.target));
+        for _ in serving.len()..target {
+            self.spawn_replica(si, start_at, issued);
+        }
+        for &r in serving.iter().rev().take(excess) {
+            let rep = &mut self.fabric.services[si].replicas[r];
+            let busy = rep.busy_threads > 0 || !rep.queue.is_empty();
+            if rep.state == ReplicaState::Ready && busy {
+                rep.state = ReplicaState::Draining;
+            } else {
+                self.retire(si, r);
             }
         }
         self.update_alloc(si);
@@ -251,49 +264,46 @@ impl Cluster {
     }
 
     pub(crate) fn replica_ready(&mut self, si: usize, replica: usize) {
-        let rep = &mut self.fabric.services[si].replicas[replica];
-        if let ReplicaState::Starting { .. } = rep.state {
-            rep.state = ReplicaState::Ready;
-            // Containers start with the service's current share.
-            let share = self.fabric.services[si].share;
-            let cap = effective_cap(share, self.spec.services[si].parallelism);
-            let pi = self.fabric.services[si].server;
-            let g = self.fabric.services[si].replicas[replica].group;
-            self.fabric
-                .processors
-                .set_group_cap(&mut self.engine, pi, g, cap);
-            self.update_alloc(si);
-            // Serve what queued while the replica was starting — without
-            // this, requests routed to a sole starting replica (the
-            // fallback path after a crash or outage) would wedge.
-            loop {
-                let svc = &mut self.fabric.services[si];
-                if svc.replicas[replica].busy_threads >= svc.threads {
-                    break;
-                }
-                let Some(next) = svc.replicas[replica].queue.pop_front() else {
-                    break;
-                };
-                svc.replicas[replica].busy_threads += 1;
-                self.begin_service(next);
+        let svc = &mut self.fabric.services[si];
+        if !matches!(svc.replicas[replica].state, ReplicaState::Starting { .. }) {
+            return; // retired before it came up
+        }
+        svc.replicas[replica].state = ReplicaState::Ready;
+        // Containers start with the service's current share.
+        let cap = effective_cap(svc.share, self.spec.services[si].parallelism);
+        let (pi, g) = (svc.server, svc.replicas[replica].group);
+        self.fabric
+            .processors
+            .set_group_cap(&mut self.engine, pi, g, cap);
+        self.update_alloc(si);
+        // Serve what queued while the replica was starting — without
+        // this, requests routed to a sole starting replica (the fallback
+        // path after a crash or outage) would wedge.
+        loop {
+            let svc = &mut self.fabric.services[si];
+            if svc.replicas[replica].busy_threads >= svc.threads {
+                break;
             }
+            let Some(next) = svc.replicas[replica].queue.pop_front() else {
+                break;
+            };
+            svc.replicas[replica].busy_threads += 1;
+            self.begin_service(next);
         }
     }
 
     pub(crate) fn update_alloc(&mut self, si: usize) {
         let now = self.engine.now;
-        let svc = &self.fabric.services[si];
-        let live = svc
+        let svc = &mut self.fabric.services[si];
+        let allocated = svc
             .replicas
             .iter()
             .filter(|r| matches!(r.state, ReplicaState::Ready | ReplicaState::Draining))
             .count();
+        let value = allocated as f64 * svc.share;
         let ready = svc.ready_count();
-        let value = live as f64 * svc.share;
-        self.fabric.services[si].alloc.update(now, value);
-        self.fabric.services[si]
-            .up
-            .update(now, if ready > 0 { 1.0 } else { 0.0 });
+        svc.alloc.update(now, value);
+        svc.up.update(now, if ready > 0 { 1.0 } else { 0.0 });
     }
 
     pub(crate) fn apply_fault(&mut self, idx: usize) {
@@ -341,18 +351,16 @@ impl Cluster {
     }
 
     /// Kills `replica` of `si` abruptly and returns the invocations that
-    /// were queued or executing on it; callers re-dispatch them once
-    /// replacements are arranged. Requests that already moved past the
+    /// were queued or executing on it; callers reconcile the service and
+    /// then re-dispatch them. Requests that already moved past the
     /// replica's CPU stage (waiting on a downstream call or I/O) finish
     /// normally — their state lives downstream, not in the dead
     /// container.
     fn fail_replica(&mut self, si: usize, replica: usize) -> Vec<usize> {
         self.retire(si, replica);
         let pi = self.fabric.services[si].server;
-        let mut displaced: Vec<usize> = self.fabric.services[si].replicas[replica]
-            .queue
-            .drain(..)
-            .collect();
+        let rep = &mut self.fabric.services[si].replicas[replica];
+        let mut displaced: Vec<usize> = rep.queue.drain(..).collect();
         // Jobs executing on the victim, in `JobId` order: the order leaks
         // into replica selection for the re-dispatched work.
         let executing: Vec<JobId> = self
@@ -365,14 +373,11 @@ impl Cluster {
             })
             .map(|(job, _)| job)
             .collect();
-        self.fabric.services[si].replicas[replica].busy_threads = self.fabric.services[si].replicas
-            [replica]
-            .busy_threads
-            .saturating_sub(executing.len());
+        let rep = &mut self.fabric.services[si].replicas[replica];
+        rep.busy_threads = rep.busy_threads.saturating_sub(executing.len());
         for job in executing {
             displaced.push(self.fabric.processors.remove_job(&mut self.engine, pi, job));
         }
-        self.update_alloc(si);
         displaced
     }
 
@@ -388,33 +393,31 @@ impl Cluster {
         self.admit(si, replica, inv);
     }
 
-    /// One replica of `si` dies; the orchestrator restarts a replacement
-    /// after the (possibly slowed) start-up delay. Prefers a ready
-    /// victim — crashing a container that never served would be a no-op.
+    /// One replica of `si` dies; the orchestrator reconciles, starting a
+    /// replacement after the (possibly slowed) start-up delay if the
+    /// victim counted toward the target. Prefers a ready victim —
+    /// crashing a container that never served would be a no-op.
     fn crash_replica(&mut self, si: usize) {
-        let victim = {
-            let reps = &self.fabric.services[si].replicas;
-            reps.iter()
-                .position(|r| matches!(r.state, ReplicaState::Ready))
-                .or_else(|| {
-                    reps.iter()
-                        .position(|r| !matches!(r.state, ReplicaState::Dead))
-                })
+        let reps = &self.fabric.services[si].replicas;
+        let ready = reps.iter().position(|r| r.state == ReplicaState::Ready);
+        let Some(victim) =
+            ready.or_else(|| reps.iter().position(|r| r.state != ReplicaState::Dead))
+        else {
+            return;
         };
-        let Some(victim) = victim else { return };
         let displaced = self.fail_replica(si, victim);
         // Replacement first, then re-dispatch: the service always keeps
         // at least one live replica for pick_replica to land on.
-        self.spawn_replica(si, self.engine.now, None);
+        self.reconcile(si, self.engine.now, None);
         for inv in displaced {
             self.requeue_invocation(inv);
         }
     }
 
-    /// Every replica on server `pi` dies; replacements can only begin
-    /// their start-up once the server is back after `duration` seconds.
-    /// Displaced work backlogs on the starting replacements and drains
-    /// when they come up.
+    /// Every replica on server `pi` dies, and its services reconcile with
+    /// start-ups that begin once the server is back after `duration`
+    /// seconds. Displaced work backlogs on the starting replacements and
+    /// drains when they come up.
     fn server_outage(&mut self, pi: usize, duration: f64) {
         let back_at = self.engine.now + duration;
         let mut displaced_all: Vec<usize> = Vec::new();
@@ -422,13 +425,12 @@ impl Cluster {
             if self.fabric.services[si].server != pi {
                 continue;
             }
-            let live = self.fabric.services[si].live_replicas();
-            for &idx in &live {
-                displaced_all.extend(self.fail_replica(si, idx));
+            for r in 0..self.fabric.services[si].replicas.len() {
+                if self.fabric.services[si].replicas[r].state != ReplicaState::Dead {
+                    displaced_all.extend(self.fail_replica(si, r));
+                }
             }
-            for _ in 0..live.len() {
-                self.spawn_replica(si, back_at, None);
-            }
+            self.reconcile(si, back_at, None);
         }
         // Re-dispatch only after every service has its replacements, so
         // cross-service calls never observe a replica-less service.

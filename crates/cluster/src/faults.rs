@@ -190,6 +190,7 @@ impl FaultSchedule {
 /// The fault episodes a cluster is in: when the monitor is dark, until
 /// when actuation is down, and how slow start-up is. Crashes and
 /// outages are not episodes — the cluster acts on them at once.
+#[derive(Clone)]
 pub(crate) struct FaultState {
     /// Disjoint, time-ordered intervals during which the monitoring
     /// plane is dark: overlapping dropouts are stored as their union,

@@ -14,7 +14,9 @@
 //!   time-varying user population drives requests through the service
 //!   graph; containers execute demands on processor-sharing CPUs under
 //!   their share caps; replicas start up with a delay; scaling actions are
-//!   applied at run time exactly like `docker service update`;
+//!   applied at run time exactly like `docker service update`. A cluster
+//!   is a plain value: a clone is a fork that runs on as the original
+//!   would;
 //! * [`monitor::WindowReport`] — what an autoscaler sees each monitoring
 //!   window: per-feature request counts and TPS, per-service utilisation,
 //!   allocations, response times, per-server utilisation;
@@ -47,9 +49,11 @@
 //!   in steady state and drops to per-user around transients (scale
 //!   actuations, faults, population spikes);
 //! * `fabric` — servers, replicas, scaling actuation, fault injection:
-//!   a replica starts only through `spawn_replica` and dies only through
-//!   `retire`, and one `FaultState` ([`faults`]) holds the fault
-//!   episodes in progress;
+//!   every service keeps a target replica count (the last scale order)
+//!   and one `reconcile` decides what to start and what to drain to meet
+//!   it, after an order, a crash or an outage alike; a replica starts
+//!   only through `spawn_replica` and dies only through `retire`, and one
+//!   `FaultState` ([`faults`]) holds the fault episodes in progress;
 //! * `request` — request chains through the service call graph. When a
 //!   network topology is configured
 //!   ([`runtime::ClusterOptions::with_topology`]), cross-server calls

@@ -224,6 +224,7 @@ impl TenantLayout {
 /// One tenant's live state: its population backend, its workload, the
 /// slice of the merged spec it owns, and its average users over the
 /// most recent window.
+#[derive(Clone)]
 pub(crate) struct TenantRt {
     pub(crate) backend: Backend,
     pub(crate) workload: WorkloadSpec,
@@ -232,6 +233,7 @@ pub(crate) struct TenantRt {
 }
 
 /// The running cluster. See the [crate docs](crate).
+#[derive(Clone)]
 pub struct Cluster {
     pub(crate) spec: AppSpec,
     pub(crate) rng: SimRng,
@@ -389,6 +391,7 @@ impl Cluster {
                 server: s.server.0,
                 threads: s.threads,
                 share: s.initial_share,
+                target: s.initial_replicas,
                 replicas,
                 next_replica: 0,
                 alloc: TimeWeighted::new(0.0, alloc0),
@@ -518,9 +521,10 @@ impl Cluster {
         self.tenants.len()
     }
 
-    /// Live (ready + starting + draining) replica count of a service.
+    /// Serving (starting + ready) replica count of a service: the last
+    /// scale order it reconciled to. Draining replicas are not counted.
     pub fn replicas(&self, service: ServiceId) -> usize {
-        self.fabric.services[service.0].live_count()
+        self.fabric.services[service.0].serving_count()
     }
 
     /// Ready replica count of a service.
@@ -1136,6 +1140,79 @@ mod tests {
         // The cluster keeps serving.
         let r = cluster.run_window(100.0);
         assert!(r.total_tps > 0.0);
+    }
+
+    /// One single-threaded service with two replicas at half a core,
+    /// saturated (100 users, Z = 1 s, D = 50 ms), so a replica ordered
+    /// away drains for a while; `faults` as given.
+    fn draining_cluster(faults: FaultSchedule) -> Cluster {
+        let mut spec = AppSpec::new();
+        let node = spec.add_server("node", 4, 1.0);
+        let svc = spec.add_service("api", node, 1, 2, 0.5);
+        let ep = spec.add_endpoint(svc, "op", 0.05, 1.0);
+        spec.add_feature("op", svc, ep);
+        Cluster::new(
+            &spec,
+            constant_workload(100, 1.0),
+            ClusterOptions::new().with_faults(faults),
+        )
+        .unwrap()
+    }
+
+    fn order(replicas: usize) -> Vec<ScaleAction> {
+        vec![ScaleAction {
+            service: ServiceId(0),
+            replicas,
+            share: 0.5,
+        }]
+    }
+
+    #[test]
+    fn a_scale_up_during_a_drain_starts_a_new_replica() {
+        let mut cluster = draining_cluster(FaultSchedule::new());
+        cluster.schedule_scaling(order(1), 10.0);
+        cluster.schedule_scaling(order(2), 11.0);
+        cluster.run_window(11.5);
+        // A new replica is starting; the drainer is not revived.
+        assert_eq!(cluster.replicas(ServiceId(0)), 2);
+        assert_eq!(cluster.ready_replicas(ServiceId(0)), 1);
+        let r = cluster.run_window(200.5);
+        assert_eq!(r.service_replicas, vec![2]);
+        assert_eq!(r.service_ready_replicas, vec![2]);
+    }
+
+    #[test]
+    fn an_outage_replaces_only_the_serving_replicas() {
+        let outage = FaultSchedule::new().at(
+            10.5,
+            FaultKind::ServerOutage {
+                server: 0,
+                duration: 5.0,
+            },
+        );
+        let mut cluster = draining_cluster(outage);
+        cluster.schedule_scaling(order(1), 10.0);
+        let r = cluster.run_window(211.0);
+        assert_eq!(r.service_replicas, vec![1]);
+        assert_eq!(r.service_ready_replicas, vec![1]);
+    }
+
+    #[test]
+    fn a_scale_order_sent_to_a_fork_leaves_the_original_untouched() {
+        let spec = one_service_spec(0.01, 0.5, 16);
+        let mut original =
+            Cluster::new(&spec, constant_workload(50, 1.0), ClusterOptions::default()).unwrap();
+        original.run_window(30.0);
+        let mut fork = original.clone();
+        let mut reference = original.clone();
+        fork.schedule_scaling(order(3), 0.0);
+        let forked = fork.run_window(30.0);
+        assert_eq!(forked.service_replicas, vec![3]);
+        let r = original.run_window(30.0);
+        assert_eq!(r.service_replicas, vec![1]);
+        assert_ne!(r, forked);
+        assert_eq!(r, reference.run_window(30.0));
+        assert_eq!(original.telemetry(), reference.telemetry());
     }
 
     #[test]

@@ -138,6 +138,7 @@ impl ServiceSpanStats {
 /// A sampled request's spans while any of its hops are still open. The
 /// whole tree flushes when the root hop finishes (calls are synchronous,
 /// so the root always completes last).
+#[derive(Clone)]
 struct InFlightTrace {
     spans: Vec<SampledSpan>,
     /// Missed the rate hash: in tail mode recorded only if it turns out
@@ -150,6 +151,7 @@ struct InFlightTrace {
 
 /// The sampled span layer: sampling decision, in-flight trees, the
 /// bounded export log, and the current window's per-service samples.
+#[derive(Clone)]
 pub(crate) struct SpanLayer {
     rate: f64,
     seed: u64,

@@ -41,16 +41,42 @@ use atom_cluster::{
 };
 use atom_workload::{BurstinessSpec, LoadProfile, RequestMix, WorkloadSpec};
 
-/// Optionally arms a zero-delay topology (every edge 0-latency with
-/// infinite bandwidth). Every cross-server round trip then prices at
-/// exactly 0.0 and takes the inline no-event path, so the run must stay
-/// bitwise identical to a topology-free one — the pinned digests double
-/// as the network fabric's inertness check.
-fn maybe_topology(options: ClusterOptions, spec: &AppSpec, topology: bool) -> ClusterOptions {
-    if topology {
-        options.with_topology(TopologySpec::zero_delay(spec.servers.len()))
-    } else {
-        options
+/// How a scenario is driven. Each variant must reproduce the same pins.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Drive {
+    /// Straight through.
+    Plain,
+    /// Under a zero-delay topology (every edge 0-latency with infinite
+    /// bandwidth). Every cross-server round trip then prices at exactly
+    /// 0.0 and takes the inline no-event path, so the run must stay
+    /// bitwise identical to a topology-free one — the pinned digests
+    /// double as the network fabric's inertness check.
+    ZeroDelayTopology,
+    /// Every window runs on a fork (a clone) of the cluster, which then
+    /// carries on in its place: a fork holds the same users, queues,
+    /// in-flight requests and pending timers, so fork-then-run must
+    /// equal run.
+    Fork,
+}
+
+impl Drive {
+    fn options(self, options: ClusterOptions, spec: &AppSpec) -> ClusterOptions {
+        if self == Drive::ZeroDelayTopology {
+            options.with_topology(TopologySpec::zero_delay(spec.servers.len()))
+        } else {
+            options
+        }
+    }
+
+    fn window(self, cluster: &mut Cluster, duration: f64) -> WindowReport {
+        if self == Drive::Fork {
+            let mut fork = cluster.clone();
+            let report = fork.run_window(duration);
+            *cluster = fork;
+            report
+        } else {
+            cluster.run_window(duration)
+        }
     }
 }
 
@@ -180,17 +206,17 @@ fn one_service_spec(demand: f64, share: f64, threads: usize) -> AppSpec {
 
 /// Multi-service chain with a mid-run scale-up (the repro-style shape:
 /// steady mix, controller actions landing between windows).
-fn scenario_chain_scaling(topology: bool) -> Pins {
+fn scenario_chain_scaling(drive: Drive) -> Pins {
     let spec = chain_spec();
     let workload = WorkloadSpec::constant(RequestMix::uniform(1), 50, 1.0);
     let mut cluster = Cluster::new(
         &spec,
         workload,
-        maybe_topology(ClusterOptions::new().with_seed(42), &spec, topology),
+        drive.options(ClusterOptions::new().with_seed(42), &spec),
     )
     .unwrap();
     let mut d = Digest::new();
-    digest_report(&mut d, &cluster.run_window(120.0));
+    digest_report(&mut d, &drive.window(&mut cluster, 120.0));
     cluster.schedule_scaling(
         vec![
             ScaleAction {
@@ -206,8 +232,8 @@ fn scenario_chain_scaling(topology: bool) -> Pins {
         ],
         30.0,
     );
-    digest_report(&mut d, &cluster.run_window(120.0));
-    digest_report(&mut d, &cluster.run_window(120.0));
+    digest_report(&mut d, &drive.window(&mut cluster, 120.0));
+    digest_report(&mut d, &drive.window(&mut cluster, 120.0));
     Pins {
         reports: d.0,
         telemetry: digest_telemetry(cluster.telemetry()),
@@ -216,7 +242,7 @@ fn scenario_chain_scaling(topology: bool) -> Pins {
 
 /// The chaos-style shape: every fault kind fires, one batch is dropped
 /// by an actuation failure, one lands during a slow-start episode.
-fn scenario_faults(topology: bool) -> Pins {
+fn scenario_faults(drive: Drive) -> Pins {
     let spec = one_service_spec(0.01, 1.0, 16);
     let faults = FaultSchedule::new()
         .at(10.0, FaultKind::ReplicaCrash { service: 0 })
@@ -240,10 +266,9 @@ fn scenario_faults(topology: bool) -> Pins {
     let mut cluster = Cluster::new(
         &spec,
         workload,
-        maybe_topology(
+        drive.options(
             ClusterOptions::new().with_seed(7).with_faults(faults),
             &spec,
-            topology,
         ),
     )
     .unwrap();
@@ -271,7 +296,7 @@ fn scenario_faults(topology: bool) -> Pins {
                 40.0,
             );
         }
-        digest_report(&mut d, &cluster.run_window(60.0));
+        digest_report(&mut d, &drive.window(&mut cluster, 60.0));
     }
     Pins {
         reports: d.0,
@@ -280,7 +305,7 @@ fn scenario_faults(topology: bool) -> Pins {
 }
 
 /// The forecast-style shape: a ramp with noisy monitor readings.
-fn scenario_ramp_noise(topology: bool) -> Pins {
+fn scenario_ramp_noise(drive: Drive) -> Pins {
     let spec = one_service_spec(0.004, 2.0, 64);
     let workload = WorkloadSpec::new(
         RequestMix::uniform(1),
@@ -295,16 +320,15 @@ fn scenario_ramp_noise(topology: bool) -> Pins {
     let mut cluster = Cluster::new(
         &spec,
         workload,
-        maybe_topology(
+        drive.options(
             ClusterOptions::new().with_seed(9).with_monitor_noise(0.05),
             &spec,
-            topology,
         ),
     )
     .unwrap();
     let mut d = Digest::new();
     for _ in 0..3 {
-        digest_report(&mut d, &cluster.run_window(120.0));
+        digest_report(&mut d, &drive.window(&mut cluster, 120.0));
     }
     Pins {
         reports: d.0,
@@ -313,7 +337,7 @@ fn scenario_ramp_noise(topology: bool) -> Pins {
 }
 
 /// MMPP-modulated think times (the burstiness path draws extra RNG).
-fn scenario_bursty(topology: bool) -> Pins {
+fn scenario_bursty(drive: Drive) -> Pins {
     let spec = one_service_spec(0.001, 4.0, 64);
     let workload = WorkloadSpec::new(RequestMix::uniform(1), 1.0, LoadProfile::Constant(100))
         .with_burstiness(BurstinessSpec {
@@ -321,11 +345,11 @@ fn scenario_bursty(topology: bool) -> Pins {
             burst_fraction: 0.1,
             burst_multiplier: 8.0,
         });
-    let options = maybe_topology(ClusterOptions::new().with_seed(3), &spec, topology);
+    let options = drive.options(ClusterOptions::new().with_seed(3), &spec);
     let mut cluster = Cluster::new(&spec, workload, options).unwrap();
     let mut d = Digest::new();
     for _ in 0..2 {
-        digest_report(&mut d, &cluster.run_window(300.0));
+        digest_report(&mut d, &drive.window(&mut cluster, 300.0));
     }
     Pins {
         reports: d.0,
@@ -335,7 +359,7 @@ fn scenario_bursty(topology: bool) -> Pins {
 
 /// Spike profile with the probe and tracing armed (both must stay
 /// observational, and their sample streams are pinned too).
-fn scenario_spike_probe_trace(topology: bool) -> Pins {
+fn scenario_spike_probe_trace(drive: Drive) -> Pins {
     let spec = chain_spec();
     let workload = WorkloadSpec::new(
         RequestMix::uniform(1),
@@ -347,13 +371,13 @@ fn scenario_spike_probe_trace(topology: bool) -> Pins {
             duration: 60.0,
         },
     );
-    let options = maybe_topology(ClusterOptions::new().with_seed(11), &spec, topology);
+    let options = drive.options(ClusterOptions::new().with_seed(11), &spec);
     let mut cluster = Cluster::new(&spec, workload, options).unwrap();
     cluster.set_probe(ServiceId(1), EndpointId(0));
     cluster.arm_trace(Some(0));
     let mut d = Digest::new();
-    digest_report(&mut d, &cluster.run_window(120.0));
-    digest_report(&mut d, &cluster.run_window(120.0));
+    digest_report(&mut d, &drive.window(&mut cluster, 120.0));
+    digest_report(&mut d, &drive.window(&mut cluster, 120.0));
     let samples = cluster.take_probe_samples();
     d.usize(samples.len());
     for (q, r) in samples {
@@ -377,7 +401,7 @@ fn scenario_spike_probe_trace(topology: bool) -> Pins {
     }
 }
 
-type Scenario = (&'static str, fn(bool) -> Pins, Pins);
+type Scenario = (&'static str, fn(Drive) -> Pins, Pins);
 
 const SCENARIOS: [Scenario; 5] = [
     (
@@ -410,7 +434,7 @@ const SCENARIOS: [Scenario; 5] = [
 #[test]
 fn per_user_backend_reproduces_the_pinned_digests() {
     for (name, run, expected) in SCENARIOS {
-        let got = run(false);
+        let got = run(Drive::Plain);
         assert_eq!(
             got.reports, expected.reports,
             "scenario `{name}`: reports digest {:#018x} != pinned {:#018x} — \
@@ -429,11 +453,23 @@ fn per_user_backend_reproduces_the_pinned_digests() {
 #[test]
 fn zero_delay_topology_reproduces_every_pinned_digest() {
     for (name, run, expected) in SCENARIOS {
-        let got = run(true);
+        let got = run(Drive::ZeroDelayTopology);
         assert_eq!(
             got, expected,
             "scenario `{name}` with a zero-delay topology: {got:#018x?} != pinned \
              {expected:#018x?} — pricing 0.0-cost round trips perturbed the event stream"
+        );
+    }
+}
+
+#[test]
+fn a_fork_at_every_window_reproduces_every_pinned_digest() {
+    for (name, run, expected) in SCENARIOS {
+        let got = run(Drive::Fork);
+        assert_eq!(
+            got, expected,
+            "scenario `{name}` run on forks: {got:#018x?} != pinned {expected:#018x?} — \
+             a cloned cluster does not carry on as the original would"
         );
     }
 }
@@ -443,6 +479,6 @@ fn zero_delay_topology_reproduces_every_pinned_digest() {
 #[ignore = "golden capture helper, not a check"]
 fn print_golden_digests() {
     for (name, run, _) in SCENARIOS {
-        println!("(\"{name}\", ..., {:#018x?}),", run(false));
+        println!("(\"{name}\", ..., {:#018x?}),", run(Drive::Plain));
     }
 }

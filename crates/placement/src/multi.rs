@@ -16,6 +16,7 @@ use crate::tenant::TenantSpec;
 /// Controllers talk tenant-local ids ([`MultiTenantCluster::schedule_scaling`]
 /// translates); test harnesses that need to bypass admission can reach
 /// the raw simulator via [`MultiTenantCluster::cluster_mut`].
+#[derive(Clone)]
 pub struct MultiTenantCluster {
     cluster: Cluster,
     placement: Placement,

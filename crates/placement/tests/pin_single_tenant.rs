@@ -129,6 +129,20 @@ fn pool() -> NodePool {
     pool
 }
 
+/// Runs one window, on a fork of the cluster when `fork` is set: the
+/// fork (a clone) runs the window and then carries on in the original's
+/// place, so a forked run must reproduce the pins too.
+fn window(mtc: &mut MultiTenantCluster, fork: bool, duration: f64) -> WindowReport {
+    if fork {
+        let mut twin = mtc.clone();
+        let report = twin.run_window(duration);
+        *mtc = twin;
+        report
+    } else {
+        mtc.run_window(duration)
+    }
+}
+
 /// Deploys one tenant through the placement layer.
 fn deploy(spec: &AppSpec, workload: WorkloadSpec, options: ClusterOptions) -> MultiTenantCluster {
     let tenant = TenantSpec::new("solo", spec.clone(), workload);
@@ -156,12 +170,12 @@ fn one_service_spec(demand: f64, share: f64, threads: usize) -> AppSpec {
     spec
 }
 
-fn scenario_chain_scaling() -> Pins {
+fn scenario_chain_scaling(fork: bool) -> Pins {
     let spec = chain_spec();
     let workload = WorkloadSpec::constant(RequestMix::uniform(1), 50, 1.0);
     let mut mtc = deploy(&spec, workload, ClusterOptions::new().with_seed(42));
     let mut d = Digest::new();
-    digest_report(&mut d, &mtc.run_window(120.0));
+    digest_report(&mut d, &window(&mut mtc, fork, 120.0));
     // Straight onto the simulator, as the original scenario scaled —
     // admission is a layer above and must not perturb the run.
     mtc.cluster_mut().schedule_scaling(
@@ -179,15 +193,15 @@ fn scenario_chain_scaling() -> Pins {
         ],
         30.0,
     );
-    digest_report(&mut d, &mtc.run_window(120.0));
-    digest_report(&mut d, &mtc.run_window(120.0));
+    digest_report(&mut d, &window(&mut mtc, fork, 120.0));
+    digest_report(&mut d, &window(&mut mtc, fork, 120.0));
     Pins {
         reports: d.0,
         telemetry: digest_telemetry(mtc.cluster().telemetry()),
     }
 }
 
-fn scenario_faults() -> Pins {
+fn scenario_faults(fork: bool) -> Pins {
     let spec = one_service_spec(0.01, 1.0, 16);
     let faults = FaultSchedule::new()
         .at(10.0, FaultKind::ReplicaCrash { service: 0 })
@@ -235,7 +249,7 @@ fn scenario_faults() -> Pins {
                 40.0,
             );
         }
-        digest_report(&mut d, &mtc.run_window(60.0));
+        digest_report(&mut d, &window(&mut mtc, fork, 60.0));
     }
     Pins {
         reports: d.0,
@@ -243,7 +257,7 @@ fn scenario_faults() -> Pins {
     }
 }
 
-fn scenario_ramp_noise() -> Pins {
+fn scenario_ramp_noise(fork: bool) -> Pins {
     let spec = one_service_spec(0.004, 2.0, 64);
     let workload = WorkloadSpec::new(
         RequestMix::uniform(1),
@@ -262,7 +276,7 @@ fn scenario_ramp_noise() -> Pins {
     );
     let mut d = Digest::new();
     for _ in 0..3 {
-        digest_report(&mut d, &mtc.run_window(120.0));
+        digest_report(&mut d, &window(&mut mtc, fork, 120.0));
     }
     Pins {
         reports: d.0,
@@ -270,7 +284,7 @@ fn scenario_ramp_noise() -> Pins {
     }
 }
 
-fn scenario_bursty() -> Pins {
+fn scenario_bursty(fork: bool) -> Pins {
     let spec = one_service_spec(0.001, 4.0, 64);
     let workload = WorkloadSpec::new(RequestMix::uniform(1), 1.0, LoadProfile::Constant(100))
         .with_burstiness(BurstinessSpec {
@@ -281,7 +295,7 @@ fn scenario_bursty() -> Pins {
     let mut mtc = deploy(&spec, workload, ClusterOptions::new().with_seed(3));
     let mut d = Digest::new();
     for _ in 0..2 {
-        digest_report(&mut d, &mtc.run_window(300.0));
+        digest_report(&mut d, &window(&mut mtc, fork, 300.0));
     }
     Pins {
         reports: d.0,
@@ -289,7 +303,7 @@ fn scenario_bursty() -> Pins {
     }
 }
 
-fn scenario_spike_probe_trace() -> Pins {
+fn scenario_spike_probe_trace(fork: bool) -> Pins {
     let spec = chain_spec();
     let workload = WorkloadSpec::new(
         RequestMix::uniform(1),
@@ -305,8 +319,8 @@ fn scenario_spike_probe_trace() -> Pins {
     mtc.cluster_mut().set_probe(ServiceId(1), EndpointId(0));
     mtc.cluster_mut().arm_trace(Some(0));
     let mut d = Digest::new();
-    digest_report(&mut d, &mtc.run_window(120.0));
-    digest_report(&mut d, &mtc.run_window(120.0));
+    digest_report(&mut d, &window(&mut mtc, fork, 120.0));
+    digest_report(&mut d, &window(&mut mtc, fork, 120.0));
     let samples = mtc.cluster_mut().take_probe_samples();
     d.usize(samples.len());
     for (q, r) in samples {
@@ -333,7 +347,7 @@ fn scenario_spike_probe_trace() -> Pins {
     }
 }
 
-type Scenario = (&'static str, fn() -> Pins, Pins);
+type Scenario = (&'static str, fn(bool) -> Pins, Pins);
 
 /// The golden digests of `atom-cluster/tests/pin_per_user.rs`, verbatim.
 const SCENARIOS: [Scenario; 5] = [
@@ -367,12 +381,24 @@ const SCENARIOS: [Scenario; 5] = [
 #[test]
 fn one_tenant_through_placement_reproduces_the_cluster_pins_bitwise() {
     for (name, run, expected) in SCENARIOS {
-        let got = run();
+        let got = run(false);
         assert_eq!(
             got, expected,
             "scenario `{name}`: {got:#018x?} != pinned {expected:#018x?} — \
              a single-tenant deployment through atom-placement no longer matches \
              the direct cluster run bitwise"
+        );
+    }
+}
+
+#[test]
+fn a_fork_at_every_window_reproduces_the_cluster_pins() {
+    for (name, run, expected) in SCENARIOS {
+        let got = run(true);
+        assert_eq!(
+            got, expected,
+            "scenario `{name}` run on forks: {got:#018x?} != pinned {expected:#018x?} — \
+             a cloned multi-tenant cluster does not carry on as the original would"
         );
     }
 }

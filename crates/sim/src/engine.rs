@@ -49,6 +49,7 @@ pub enum Due<E> {
 }
 
 /// Simulation clock + timer calendar + the processors' due index.
+#[derive(Clone)]
 pub struct Engine<E> {
     /// Current simulation time (seconds). The run loop sets it to each
     /// time [`Engine::pop_due`] hands out.

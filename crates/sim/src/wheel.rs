@@ -92,6 +92,7 @@ fn time_key(time: f64) -> u64 {
     }
 }
 
+#[derive(Clone)]
 struct Entry<E> {
     time: f64,
     event: E,
@@ -118,6 +119,7 @@ impl ChunkList {
 }
 
 /// Up to `CHUNK` entries of one slot, in push order.
+#[derive(Clone)]
 struct Chunk<E> {
     /// Capacity `CHUNK`, allocated once.
     entries: Vec<Entry<E>>,
@@ -128,6 +130,7 @@ struct Chunk<E> {
 /// The chunks every level-1–3 slot draws from. A chunk is allocated once
 /// and then recycled through the free list; only the last chunk of a
 /// list is ever partly filled.
+#[derive(Clone)]
 struct ChunkPool<E> {
     chunks: Vec<Chunk<E>>,
     /// Head of the free list.
@@ -198,6 +201,7 @@ impl<E> ChunkPool<E> {
 /// assert_eq!(w.pop(), Some((2.0, "c")));
 /// assert_eq!(w.pop(), None);
 /// ```
+#[derive(Clone)]
 pub struct TimerWheel<E> {
     /// Level-0 ticks per second (`1 / tick`).
     per_tick: f64,
