@@ -207,8 +207,8 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     // re-issued, orders it abandoned, windows it refused to re-fit on.
     if let Some(atom) = results.iter().find(|r| r.scaler == "ATOM") {
         atom_obs::info!("\nATOM window-by-window explanations:");
-        for (w, text) in atom.reports.iter().zip(&atom.explanations) {
-            if let Some(text) = text {
+        for (w, d) in atom.reports.iter().zip(&atom.telemetry.decisions) {
+            if let Some(text) = d.as_ref().and_then(|d| d.explanation()) {
                 atom_obs::info!("  [{:>5.0},{:>5.0})  {}", w.start, w.end, text);
             }
         }

@@ -33,8 +33,10 @@ fn canonical_csv(results: &[ExperimentResult]) -> String {
         for (t, a) in &r.actions {
             out.push_str(&format!("{},{t:?},{a:?}\n", r.scaler));
         }
-        for e in r.explanations.iter().flatten() {
-            out.push_str(&format!("{},{e}\n", r.scaler));
+        for d in r.telemetry.decisions.iter().flatten() {
+            if let Some(e) = d.explanation() {
+                out.push_str(&format!("{},{e}\n", r.scaler));
+            }
         }
     }
     out

@@ -13,8 +13,8 @@ mod reconciler;
 
 use atom_cluster::{ScaleAction, ServiceId, WindowReport};
 use atom_ga::{Budget, GaOptions};
-use atom_lqn::{share_index, DecisionVector, LqnModel};
-use atom_obs::{ChosenAction, DecisionRecord, ServiceDemand};
+use atom_lqn::{bottleneck, share_index, DecisionVector, LqnModel, LqnSolution};
+use atom_obs::{BottleneckRecord, ChosenAction, DecisionRecord, ServiceDemand};
 
 use crate::analyzer::{LoadView, WorkloadAnalyzer};
 use crate::autoscaler::{snapshot_of, Autoscaler};
@@ -96,6 +96,27 @@ fn service_name(binding: &ModelBinding, service: ServiceId) -> String {
         .unwrap_or_else(|| format!("service-{}", service.0))
 }
 
+/// The journal's diagnosis of a solved configuration: each root
+/// bottleneck with its utilisation and the services it starves.
+fn bottlenecks(model: &LqnModel, solution: &LqnSolution) -> Vec<BottleneckRecord> {
+    let report = bottleneck::analyze(model, solution);
+    let name = |task| model.task(task).name.clone();
+    report
+        .root_bottlenecks
+        .iter()
+        .map(|&root| BottleneckRecord {
+            service: name(root),
+            utilization: solution.task_utilization(root),
+            starving: report
+                .pressures
+                .iter()
+                .filter(|p| p.starved_by == Some(root))
+                .map(|p| name(p.task))
+                .collect(),
+        })
+        .collect()
+}
+
 /// The ATOM autoscaler.
 ///
 /// # Examples
@@ -119,7 +140,6 @@ pub struct Atom {
     /// `None` when proactive planning is off.
     forecaster: Option<Forecaster>,
     auditor: Auditor,
-    last_explanation: Option<String>,
     /// Journal record of the most recent decision, drained via
     /// [`Autoscaler::take_decision_record`]. Assembled purely from data
     /// the decision already computed — inert by construction.
@@ -155,7 +175,6 @@ impl Atom {
             reconciler: Reconciler::default(),
             forecaster,
             auditor: Auditor::default(),
-            last_explanation: None,
             last_record: None,
             binding,
             config,
@@ -242,64 +261,6 @@ impl Atom {
         Some(model)
     }
 
-    /// Builds the per-window operator explanation: the layered-bottleneck
-    /// diagnosis of the *current* configuration (paper §V-B / Fig. 11),
-    /// then what the plan `changes`.
-    fn explain(
-        &self,
-        evaluator: &mut CandidateEvaluator<'_>,
-        current: &DecisionVector,
-        changes: &[ScaleAction],
-    ) -> Option<String> {
-        use atom_lqn::bottleneck::analyze;
-        let mut text = evaluator
-            .with_solution(current, |observed, sol| {
-                let report = analyze(observed, sol);
-                let mut text = String::new();
-                for &root in &report.root_bottlenecks {
-                    text.push_str(&format!(
-                        "root bottleneck: {} (util {:.0}%)",
-                        observed.task(root).name,
-                        sol.task_utilization(root) * 100.0
-                    ));
-                    let starved: Vec<&str> = report
-                        .pressures
-                        .iter()
-                        .filter(|p| p.starved_by == Some(root))
-                        .map(|p| observed.task(p.task).name.as_str())
-                        .collect();
-                    if !starved.is_empty() {
-                        text.push_str(&format!(", starving {}", starved.join(", ")));
-                    }
-                    text.push_str("; ");
-                }
-                if report.root_bottlenecks.is_empty() {
-                    text.push_str("no saturated service; ");
-                }
-                text
-            })
-            .ok()?;
-        let plan: Vec<String> = changes
-            .iter()
-            .filter_map(|a| {
-                let s = self.binding.by_service(a.service)?;
-                let old = current.get(s.task)?;
-                let (r, share) = (old.replicas, old.share());
-                Some(format!(
-                    "{}: {r}x{share:.2} -> {}x{:.2}",
-                    s.name, a.replicas, a.share
-                ))
-            })
-            .collect();
-        if plan.is_empty() {
-            text.push_str("keeping the current configuration");
-        } else {
-            text.push_str(&format!("plan: {}", plan.join(", ")));
-        }
-        text.push_str(&format!(" [{}]", evaluator.stats()));
-        Some(text)
-    }
-
     /// This window's GA options: the configured ones, seeded per window
     /// from the configured seed for determinism. Call after the window
     /// counter has advanced.
@@ -345,13 +306,12 @@ impl Atom {
             .collect()
     }
 
-    /// The planned configuration as journal entries, one per scalable
-    /// service.
-    fn chosen(&self, planned: &DecisionVector) -> Vec<ChosenAction> {
+    /// A configuration as journal entries, one per scalable service.
+    fn entries(&self, decision: &DecisionVector) -> Vec<ChosenAction> {
         self.binding
             .scalable()
             .filter_map(|s| {
-                planned.get(s.task).map(|d| ChosenAction {
+                decision.get(s.task).map(|d| ChosenAction {
                     service: s.name.clone(),
                     replicas: d.replicas as u64,
                     share: d.share(),
@@ -376,13 +336,11 @@ impl Atom {
             .collect()
     }
 
-    /// The one exit of every window, plan or hold: the operator
-    /// explanation and the journal's actuation outcome are written here,
-    /// from the same `notes`.
+    /// The one exit of every window, plan or hold: the journal's
+    /// actuation outcome is written here, its reason from the `notes`.
     fn finish(
         &mut self,
         mut record: DecisionRecord,
-        diagnosis: Option<String>,
         notes: Vec<String>,
         actions: Vec<ScaleAction>,
     ) -> Vec<ScaleAction> {
@@ -396,10 +354,6 @@ impl Atom {
             .collect();
         record.actuation.held = actions.is_empty();
         record.actuation.reason = (!notes.is_empty()).then(|| notes.join("; "));
-        self.last_explanation = match (diagnosis, &record.actuation.reason) {
-            (Some(d), Some(reason)) => Some(format!("{d} | {reason}")),
-            (d, reason) => d.or_else(|| reason.clone()),
-        };
         self.last_record = Some(record);
         actions
     }
@@ -419,6 +373,8 @@ impl Autoscaler for Atom {
         let snapshot = snapshot_of(report, degraded);
         let mut record = DecisionRecord::new(window, report.end, self.name.as_str(), snapshot);
         let mut notes = Vec::new();
+        let current = self.current_decision(report);
+        record.incumbent = self.entries(&current);
         // Knowledge, closing last window's loop: score its predictions.
         record.drift = self.auditor.audit(report);
         // Monitor: what became of earlier orders, and this window's load.
@@ -441,38 +397,35 @@ impl Autoscaler for Atom {
             // Plan: GA over (r, s), then quick fixes and conservatism —
             // on one evaluator, so search, planner and diagnostics share
             // its solve cache.
-            let current = self.current_decision(report);
             let mut evaluator =
                 CandidateEvaluator::new(&self.binding, &model, &self.config.objective);
             let found = optimizer::search_with(&mut evaluator, self.ga_options());
             let planned =
                 self.planner
                     .plan_with(&self.binding, &mut evaluator, found.decision, &current);
-            let changes = self.changes(&planned, &current);
-            let diagnosis = self.explain(&mut evaluator, &current, &changes);
+            // The layered-bottleneck diagnosis of the incumbent (§V-B,
+            // Fig. 11); none when its solve fails.
+            record.bottlenecks = evaluator.with_solution(&current, bottlenecks).ok();
             record.evaluator = Some(evaluator.stats().to_counters());
             record.ga = Some(found.ga.to_generations(found.evaluations));
-            record.chosen = self.chosen(&planned);
+            record.chosen = self.entries(&planned);
             // Knowledge: when spans feed the monitor, predict the plan's
             // station behaviour for the next window's audit.
             if report.span_stats.is_some() {
                 self.auditor
                     .predict(&self.binding, &mut evaluator, &planned, window);
             }
-            Some((diagnosis, changes))
+            Some(self.changes(&planned, &current))
         };
         // Execute: a hold plans nothing and still re-issues.
-        let (diagnosis, planned) = plan.unwrap_or_default();
-        let actions = self.reconciler.issue(planned, reissue, report.end);
-        self.finish(record, diagnosis, notes, actions)
+        let actions = self
+            .reconciler
+            .issue(plan.unwrap_or_default(), reissue, report.end);
+        self.finish(record, notes, actions)
     }
 
     fn actuation_delay(&self) -> f64 {
         ACTUATION_DELAY
-    }
-
-    fn explain_last(&self) -> Option<String> {
-        self.last_explanation.clone()
     }
 
     fn take_decision_record(&mut self) -> Option<DecisionRecord> {
@@ -578,10 +531,10 @@ mod tests {
     fn zero_users_is_a_noop() {
         let mut atom = Atom::new(binding(0.5), fast_config());
         assert!(atom.decide(&report(0, 1, 0.5)).is_empty());
-        // The operator line and the journal carry the same reason.
-        let text = atom.explain_last().expect("a hold explains itself");
-        assert!(text.contains("zero users"), "unexpected: {text}");
+        // A hold diagnoses nothing: the operator line is its reason.
         let rec = atom.take_decision_record().expect("record");
+        let text = rec.explanation().expect("a hold explains itself");
+        assert!(text.contains("zero users"), "unexpected: {text}");
         assert_eq!(rec.actuation.reason, Some(text));
     }
 
@@ -606,9 +559,10 @@ mod tests {
     #[test]
     fn explanation_is_produced_after_decide() {
         let mut atom = Atom::new(binding(0.2), fast_config());
-        assert_eq!(atom.explain_last(), None, "no decision yet");
+        assert!(atom.take_decision_record().is_none(), "no decision yet");
         let _ = atom.decide(&report(2000, 1, 0.2));
-        let text = atom.explain_last().expect("explanation after decide");
+        let rec = atom.take_decision_record().expect("record after decide");
+        let text = rec.explanation().expect("explanation after decide");
         assert!(
             text.contains("bottleneck") || text.contains("plan") || text.contains("keeping"),
             "unexpected explanation: {text}"
@@ -673,7 +627,8 @@ mod tests {
             actions.is_empty(),
             "must not re-order the in-flight scale-up: {actions:?}"
         );
-        let text = atom.explain_last().expect("explanation");
+        let rec = atom.take_decision_record().expect("record");
+        let text = rec.explanation().expect("explanation");
         assert!(text.contains("1/4"), "should surface the deficit: {text}");
     }
 
@@ -682,7 +637,8 @@ mod tests {
         let mut atom = Atom::new(binding(0.2), fast_config());
         let dark = report(2000, 1, 0.2).with_monitor_dropout_fraction(0.9);
         assert!(atom.decide(&dark).is_empty());
-        let text = atom.explain_last().expect("explanation");
+        let rec = atom.take_decision_record().expect("record");
+        let text = rec.explanation().expect("explanation");
         assert!(text.contains("no trusted"), "unexpected: {text}");
     }
 
@@ -705,15 +661,209 @@ mod tests {
             1,
         );
         let second = atom.decide(&dark);
-        let text = atom.explain_last().expect("explanation");
+        let rec = atom.take_decision_record().expect("record");
+        let text = rec.explanation().expect("explanation");
         assert!(text.contains("trusted"), "unexpected: {text}");
         // Counters come from the trusted window (the search ran), the
         // actuator state from the fresh report: the applied scale-up is
         // the plan's baseline, so it is not ordered a second time.
-        let rec = atom.take_decision_record().expect("record");
         assert!(
             rec.evaluator.is_some() && !second.contains(&first[0]),
             "must plan from trusted load over fresh replicas: {second:?}"
         );
+    }
+
+    /// The explanation as the controller assembled it before the journal
+    /// carried the diagnosis, kept as the oracle the rendered record must
+    /// match byte for byte: the decide sequence replayed on a copy of
+    /// the controller taken before the window, the text built from the
+    /// evaluator, the incumbent and the changes themselves.
+    fn oracle(mut atom: Atom, report: &WindowReport) -> Option<String> {
+        atom.window += 1;
+        let degraded = report.degraded(MAX_DROPOUT);
+        let snapshot = snapshot_of(report, degraded);
+        let mut record = DecisionRecord::new(0, report.end, "oracle", snapshot);
+        let mut notes = Vec::new();
+        let reissue =
+            atom.reconciler
+                .reconcile(report, &atom.binding, &mut record.actuation, &mut notes);
+        let diagnosis = 'hold: {
+            let Some(load) = atom.observe(report, degraded, !reissue.is_empty(), &mut notes) else {
+                break 'hold None;
+            };
+            record.forecast = atom
+                .forecaster
+                .as_mut()
+                .and_then(|f| f.demand(&load, report, degraded, &mut notes));
+            let Some(model) = atom.analyze(load, report, degraded, &mut record, &mut notes) else {
+                break 'hold None;
+            };
+            let current = atom.current_decision(report);
+            let mut evaluator =
+                CandidateEvaluator::new(&atom.binding, &model, &atom.config.objective);
+            let found = optimizer::search_with(&mut evaluator, atom.ga_options());
+            let planned =
+                atom.planner
+                    .plan_with(&atom.binding, &mut evaluator, found.decision, &current);
+            let changes = atom.changes(&planned, &current);
+            let mut text = evaluator
+                .with_solution(&current, |observed, sol| {
+                    let report = bottleneck::analyze(observed, sol);
+                    let mut text = String::new();
+                    for &root in &report.root_bottlenecks {
+                        text.push_str(&format!(
+                            "root bottleneck: {} (util {:.0}%)",
+                            observed.task(root).name,
+                            sol.task_utilization(root) * 100.0
+                        ));
+                        let starved: Vec<&str> = report
+                            .pressures
+                            .iter()
+                            .filter(|p| p.starved_by == Some(root))
+                            .map(|p| observed.task(p.task).name.as_str())
+                            .collect();
+                        if !starved.is_empty() {
+                            text.push_str(&format!(", starving {}", starved.join(", ")));
+                        }
+                        text.push_str("; ");
+                    }
+                    if report.root_bottlenecks.is_empty() {
+                        text.push_str("no saturated service; ");
+                    }
+                    text
+                })
+                .ok();
+            let plan: Vec<String> = changes
+                .iter()
+                .filter_map(|a| {
+                    let s = atom.binding.by_service(a.service)?;
+                    let old = current.get(s.task)?;
+                    let (r, share) = (old.replicas, old.share());
+                    Some(format!(
+                        "{}: {r}x{share:.2} -> {}x{:.2}",
+                        s.name, a.replicas, a.share
+                    ))
+                })
+                .collect();
+            if let Some(text) = &mut text {
+                if plan.is_empty() {
+                    text.push_str("keeping the current configuration");
+                } else {
+                    text.push_str(&format!("plan: {}", plan.join(", ")));
+                }
+                let stats = evaluator.stats();
+                text.push_str(&format!(
+                    " [{} candidates, {} solves, {} cache hits ({:.1}% hit-rate), {} failures]",
+                    stats.candidates,
+                    stats.solves,
+                    stats.cache_hits,
+                    100.0 * stats.hit_rate(),
+                    stats.failures
+                ));
+            }
+            text
+        };
+        match (diagnosis, (!notes.is_empty()).then(|| notes.join("; "))) {
+            (Some(d), Some(reason)) => Some(format!("{d} | {reason}")),
+            (d, reason) => d.or(reason),
+        }
+    }
+
+    /// One window: decides, and holds the rendered record to the oracle.
+    fn decide_against_the_oracle(
+        atom: &mut Atom,
+        report: &WindowReport,
+    ) -> (Vec<ScaleAction>, DecisionRecord, String) {
+        let expected = oracle(atom.clone(), report);
+        let actions = atom.decide(report);
+        let rec = atom.take_decision_record().expect("record");
+        assert_eq!(rec.explanation(), expected, "window {}", rec.window);
+        (actions, rec, expected.unwrap_or_default())
+    }
+
+    #[test]
+    fn the_rendered_record_is_the_old_explanation() {
+        let has = |text: &str, parts: &[&str]| {
+            for part in parts {
+                assert!(text.contains(part), "{part:?} not in {text:?}");
+            }
+        };
+        // A heavy-load plan.
+        let mut atom = Atom::new(fixed_share_binding(0.2, 8), fast_config());
+        let (first, rec, text) = decide_against_the_oracle(&mut atom, &report(2000, 1, 0.2));
+        has(
+            &text,
+            &["root bottleneck: web", "plan: web: 1x0.20 -> ", "hit-rate"],
+        );
+        assert_eq!(
+            (rec.bottlenecks.map(|b| b.len()), first.len()),
+            (Some(1), 1)
+        );
+        // A dark window re-planned from trusted telemetry, over the
+        // replicas the plan ordered.
+        let dark = at_window(
+            report(2000, first[0].replicas, 0.2).with_monitor_dropout_fraction(1.0),
+            1,
+        );
+        let (_, _, text) = decide_against_the_oracle(&mut atom, &dark);
+        has(&text, &[" | monitor dark 100% of the window: re-planning"]);
+        // A light-load plan that trims the share alone.
+        let mut atom = Atom::new(binding(1.0), fast_config());
+        let (_, _, text) = decide_against_the_oracle(&mut atom, &report(100, 1, 1.0));
+        has(
+            &text,
+            &["no saturated service; plan: web: 1x1.00 -> 1x0.90 ["],
+        );
+        // A saturated database starving the web tier in front of it.
+        let chain = crate::fixtures::web_db(2000);
+        let mut atom = Atom::new(chain, fast_config());
+        let two = report(2000, 1, 0.5)
+            .with_service_utilization(vec![0.9, 0.99])
+            .with_service_busy_cores(vec![0.45, 0.1])
+            .with_service_alloc_cores(vec![0.5, 0.1])
+            .with_service_replicas(vec![1, 1])
+            .with_service_shares(vec![0.5, 0.1]);
+        let (_, _, text) = decide_against_the_oracle(&mut atom, &two);
+        has(
+            &text,
+            &["root bottleneck: db (util 98%), starving web; plan: web: "],
+        );
+        // A keep, with the start-up deficit as its reason.
+        let mut atom = Atom::new(fixed_share_binding(0.5, 4), fast_config());
+        let starting = report(2000, 4, 0.5).with_service_ready_replicas(vec![1]);
+        let (_, _, text) = decide_against_the_oracle(&mut atom, &starting);
+        has(
+            &text,
+            &["keeping the current configuration [", "] | web: 1/4"],
+        );
+        // Zero users, and a dark window with no history: holds.
+        let mut atom = Atom::new(binding(0.5), fast_config());
+        let (_, _, text) = decide_against_the_oracle(&mut atom, &report(0, 1, 0.5));
+        assert_eq!(text, "zero users at window end: nothing to serve");
+        let mut atom = Atom::new(binding(0.2), fast_config());
+        let dark = report(2000, 1, 0.2).with_monitor_dropout_fraction(0.9);
+        let (_, rec, text) = decide_against_the_oracle(&mut atom, &dark);
+        has(&text, &["no trusted telemetry"]);
+        assert!(rec.bottlenecks.is_none() && rec.evaluator.is_none());
+        // Re-issues of a dropped order while the monitor is dark, then
+        // its abandonment.
+        let mut atom = Atom::new(binding(0.2), fast_config());
+        let heavy = report(2000, 1, 0.2);
+        let _ = decide_against_the_oracle(&mut atom, &heavy);
+        for k in 1..=4 {
+            let dark = heavy
+                .clone()
+                .with_monitor_dropout_fraction(1.0)
+                .with_failed_actuations(1);
+            let (_, _, text) = decide_against_the_oracle(&mut atom, &at_window(dark, k));
+            has(&text, &[if k < 4 { "re-issuing" } else { "abandoning" }]);
+        }
+        // Every solve fails (no think time, no demand): the search runs,
+        // the incumbent has no diagnosis, and nothing is explained.
+        let broken = crate::fixtures::chain((8, 1.0), &[("web", 64, 0.2, &[0.0])], 100, 0.0);
+        let mut atom = Atom::new(broken, fast_config());
+        let (_, rec, text) = decide_against_the_oracle(&mut atom, &report(2000, 1, 0.2));
+        assert_eq!(text, "");
+        assert!(rec.bottlenecks.is_none() && rec.evaluator.is_some_and(|e| e.failures > 0));
     }
 }

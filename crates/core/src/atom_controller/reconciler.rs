@@ -146,9 +146,9 @@ mod tests {
         for round in 1..=3 {
             let again = atom.decide(&dark(round));
             assert_eq!(again, first, "round {round} must re-issue the order");
-            let text = atom.explain_last().expect("explanation");
-            assert!(text.contains("re-issuing"), "round {round}: {text}");
             let rec = atom.take_decision_record().expect("record");
+            let text = rec.explanation().expect("explanation");
+            assert!(text.contains("re-issuing"), "round {round}: {text}");
             assert_eq!(rec.actuation.reissued, vec!["web".to_string()]);
             assert!(rec.actuation.abandoned.is_empty());
         }
@@ -158,9 +158,9 @@ mod tests {
         // plan with a fresh retry budget, not a blind fourth retry — so
         // we only assert the abandonment is surfaced.
         let _ = atom.decide(&dark(4));
-        let text = atom.explain_last().expect("explanation");
-        assert!(text.contains("abandoning"), "unexpected: {text}");
         let rec = atom.take_decision_record().expect("record");
+        let text = rec.explanation().expect("explanation");
+        assert!(text.contains("abandoning"), "unexpected: {text}");
         assert_eq!(rec.actuation.abandoned, vec!["web".to_string()]);
     }
 

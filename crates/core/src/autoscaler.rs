@@ -24,13 +24,6 @@ pub trait Autoscaler {
         0.0
     }
 
-    /// Human-readable explanation of the most recent decision (bottleneck
-    /// analysis, chosen configuration); `None` for scalers that do not
-    /// introspect.
-    fn explain_last(&self) -> Option<String> {
-        None
-    }
-
     /// Drains the structured journal record of the most recent
     /// [`decide`](Autoscaler::decide) call, if the scaler keeps one.
     ///

@@ -25,7 +25,6 @@
 //! on its decision: no solve can observe what was solved before it.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use atom_ga::Evaluation;
@@ -102,23 +101,6 @@ impl EvaluatorStats {
             failures: self.failures as u64,
             solver_iterations: self.solver_iterations as u64,
         }
-    }
-}
-
-impl fmt::Display for EvaluatorStats {
-    /// One-line operator summary, as the controller's decision
-    /// explanations print it:
-    /// `800 candidates, 312 solves, 488 cache hits (61.0% hit-rate), 0 failures`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} candidates, {} solves, {} cache hits ({:.1}% hit-rate), {} failures",
-            self.candidates,
-            self.solves,
-            self.cache_hits,
-            100.0 * self.hit_rate(),
-            self.failures
-        )
     }
 }
 
@@ -423,10 +405,6 @@ mod tests {
         assert_eq!(stats.cache_hits, 7);
         assert!(stats.hit_rate() > 0.5);
         assert_eq!(first[0], first[4], "duplicates share one evaluation");
-        let line = stats.to_string();
-        assert!(line.contains("12 candidates"), "{line}");
-        assert!(line.contains("5 solves"), "{line}");
-        assert!(line.contains("hit-rate"), "{line}");
     }
 
     #[test]

@@ -46,9 +46,6 @@ pub struct ExperimentResult {
     /// Scaling actions issued, each stamped with the `end` of the window
     /// whose report the scaler decided on.
     pub actions: Vec<(f64, ScaleAction)>,
-    /// Per-window decision explanations from introspective scalers
-    /// (`None` entries for windows without one).
-    pub explanations: Vec<Option<String>>,
     /// Structured telemetry collected alongside the run. Purely
     /// observational: dropping it changes nothing the metrics above see.
     pub telemetry: TelemetrySummary,
@@ -95,14 +92,13 @@ impl ExperimentResult {
             reports: Vec::new(),
             capacity: vec![CapacityTrace::new(); services],
             actions: Vec::new(),
-            explanations: Vec::new(),
             telemetry: TelemetrySummary::default(),
         }
     }
 
     /// One MAPE-K window step on a monitored `report`: record the report
     /// and each service's capacity window, let `scaler` decide, record
-    /// its explanation and decision record, and stamp its actions with
+    /// its decision record, and stamp its actions with
     /// `report.end`. Required capacity is `spec`'s at the window's
     /// *offered* load: its average users at think time `think`, under
     /// `mix`. Returns the actions, for the caller to actuate after
@@ -126,7 +122,6 @@ impl ExperimentResult {
             });
         }
         let decided = scaler.decide(&report);
-        self.explanations.push(scaler.explain_last());
         self.telemetry.decisions.push(scaler.take_decision_record());
         self.actions
             .extend(decided.iter().map(|&a| (report.end, a)));
@@ -504,7 +499,6 @@ mod tests {
             reports,
             capacity: Vec::new(),
             actions: Vec::new(),
-            explanations: Vec::new(),
             telemetry: TelemetrySummary::default(),
         }
     }

@@ -29,7 +29,10 @@
 //! * **Execute** — the experiment loop schedules the resulting
 //!   [`atom_cluster::ScaleAction`]s on the cluster after ATOM's
 //!   optimisation delay (the paper's ~2.5 minutes); a hold leaves by the
-//!   same exit, its reason in the explanation and the journal alike;
+//!   same exit, its reason in the journal's decision record, which also
+//!   carries the incumbent configuration and its bottleneck diagnosis
+//!   (`atom_obs::DecisionRecord::explanation` renders the operator
+//!   line from it);
 //! * **Knowledge** — with span sampling on, the *auditor* scores each
 //!   plan's per-station prediction against the next window's spans.
 //!

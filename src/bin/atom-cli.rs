@@ -204,7 +204,8 @@ fn run_scenario(scenario: &Scenario) -> Result<(), Box<dyn std::error::Error>> {
         result.underprovision_area(None),
         result.actions.len()
     );
-    if let Some(Some(explanation)) = result.explanations.last() {
+    let last = result.telemetry.decisions.last().and_then(Option::as_ref);
+    if let Some(explanation) = last.and_then(|d| d.explanation()) {
         println!("last decision: {explanation}");
     }
     Ok(())
