@@ -13,8 +13,6 @@
 //! * **starved tasks** — tasks whose blocking time is dominated by waits
 //!   on some root bottleneck rather than by their own execution.
 
-use std::fmt;
-
 use crate::model::{LqnModel, TaskId};
 use crate::solution::LqnSolution;
 
@@ -185,40 +183,6 @@ pub fn analyze(model: &LqnModel, solution: &LqnSolution) -> BottleneckReport {
     }
 }
 
-impl fmt::Display for BottleneckReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "bottleneck report (saturation >= {:.0}%):",
-            self.threshold * 100.0
-        )?;
-        for p in &self.pressures {
-            write!(
-                f,
-                "  task {:>3}: util {:>5.1}%, downstream {:>5.1}%",
-                p.task.0,
-                p.utilization * 100.0,
-                p.downstream_share * 100.0
-            )?;
-            if p.saturated {
-                write!(f, "  SATURATED")?;
-            }
-            if let Some(root) = p.starved_by {
-                write!(f, "  starved by task {}", root.0)?;
-            }
-            writeln!(f)?;
-        }
-        writeln!(
-            f,
-            "  roots: {:?}",
-            self.root_bottlenecks
-                .iter()
-                .map(|t| t.0)
-                .collect::<Vec<_>>()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +216,14 @@ mod tests {
         let db = model.task_by_name("db").unwrap();
         let front = model.task_by_name("front").unwrap();
         let mid = model.task_by_name("mid").unwrap();
-        assert_eq!(report.root_bottlenecks, vec![db], "{report}");
+        assert_eq!(report.root_bottlenecks, vec![db], "{report:?}");
         // The upstream tasks show low CPU but are starved by the db.
         for t in [front, mid] {
             let p = report.pressure(t).unwrap();
-            assert!(!p.saturated, "{report}");
-            assert!(p.utilization < 0.5, "{report}");
-            assert!(p.downstream_share > 0.8, "{report}");
-            assert_eq!(p.starved_by, Some(db), "{report}");
+            assert!(!p.saturated, "{report:?}");
+            assert!(p.utilization < 0.5, "{report:?}");
+            assert!(p.downstream_share > 0.8, "{report:?}");
+            assert_eq!(p.starved_by, Some(db), "{report:?}");
         }
         assert!(report.pressure(db).unwrap().saturated);
         assert_eq!(report.pressure(db).unwrap().starved_by, None);
@@ -272,7 +236,7 @@ mod tests {
         model.set_cpu_share(db, Some(4.0)).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
         let report = analyze(&model, &sol);
-        assert!(report.root_bottlenecks.is_empty(), "{report}");
+        assert!(report.root_bottlenecks.is_empty(), "{report:?}");
         assert!(report.pressures.iter().all(|p| p.starved_by.is_none()));
     }
 
@@ -286,18 +250,8 @@ mod tests {
         model.set_cpu_share(db, Some(0.04)).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
         let report = analyze(&model, &sol);
-        assert!(report.root_bottlenecks.contains(&db), "{report}");
-        assert!(!report.root_bottlenecks.contains(&mid), "{report}");
-    }
-
-    #[test]
-    fn display_is_readable() {
-        let model = chain();
-        let sol = solve(&model, SolverOptions::default()).unwrap();
-        let text = analyze(&model, &sol).to_string();
-        assert!(text.contains("SATURATED"));
-        assert!(text.contains("starved by"));
-        assert!(text.contains("roots"));
+        assert!(report.root_bottlenecks.contains(&db), "{report:?}");
+        assert!(!report.root_bottlenecks.contains(&mid), "{report:?}");
     }
 
     #[test]
