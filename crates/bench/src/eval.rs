@@ -38,7 +38,7 @@ pub enum ScalerKind {
 
 impl ScalerKind {
     /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ScalerKind::Uh => "UH",
             ScalerKind::Uv => "UV",
@@ -50,14 +50,14 @@ impl ScalerKind {
     }
 
     /// All paper-comparison scalers (Figs. 8–10).
-    pub fn baselines_and_atom() -> [ScalerKind; 3] {
+    pub(crate) fn baselines_and_atom() -> [ScalerKind; 3] {
         [ScalerKind::Uh, ScalerKind::Uv, ScalerKind::Atom]
     }
 }
 
 /// Runs one §V experiment: `workload` against the Sock Shop under the
 /// given scaler, for `windows × window_secs` simulated seconds.
-pub fn run_one(
+pub(crate) fn run_one(
     shop: &SockShop,
     workload: WorkloadSpec,
     kind: ScalerKind,
@@ -76,7 +76,7 @@ pub fn run_one(
     )
 }
 
-/// [`run_one`] with explicit cluster options — the chaos experiment uses
+/// `run_one` with explicit cluster options — the chaos experiment uses
 /// this to inject a fault schedule under the standard scaler wiring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_one_with_cluster(
@@ -148,7 +148,7 @@ pub fn run_one_with_cluster(
 
 /// One cell of the evaluation matrix.
 #[derive(Debug, Clone)]
-pub struct MatrixCell {
+pub(crate) struct MatrixCell {
     /// Mix name ("browsing" / "shopping" / "ordering").
     pub mix: &'static str,
     /// Target population.
@@ -160,7 +160,7 @@ pub struct MatrixCell {
 }
 
 /// The full Fig. 8–10 matrix: 3 mixes × 3 populations × 3 scalers.
-pub fn evaluation_matrix(opts: &HarnessOptions) -> Vec<MatrixCell> {
+pub(crate) fn evaluation_matrix(opts: &HarnessOptions) -> Vec<MatrixCell> {
     let shop = SockShop::default();
     let mut cells = Vec::new();
     for (mix_name, mix) in scenarios::evaluation_mixes() {
@@ -190,7 +190,7 @@ pub fn evaluation_matrix(opts: &HarnessOptions) -> Vec<MatrixCell> {
 
 /// [`evaluation_matrix`], run once per process (which runs under one
 /// set of options): `fig8`, `fig9` and `fig10` read the same 27 runs.
-pub fn shared_matrix(opts: &HarnessOptions) -> &'static [MatrixCell] {
+pub(crate) fn shared_matrix(opts: &HarnessOptions) -> &'static [MatrixCell] {
     static MATRIX: OnceLock<Vec<MatrixCell>> = OnceLock::new();
     MATRIX.get_or_init(|| {
         atom_obs::progress!("running the evaluation matrix (27 runs)...");
@@ -201,7 +201,7 @@ pub fn shared_matrix(opts: &HarnessOptions) -> &'static [MatrixCell] {
 /// Indices of the three stateless services over which the paper computes
 /// `T_u` and `A_u` ("the results are considering 3 microservices since UH
 /// does not scale the router and 2 database services").
-pub const STATELESS: [usize; 3] = [
+pub(crate) const STATELESS: [usize; 3] = [
     atom_sockshop::SVC_FRONT_END,
     atom_sockshop::SVC_CATALOGUE,
     atom_sockshop::SVC_CARTS,

@@ -44,7 +44,7 @@ fn atom_with(
 }
 
 /// GA vs random search on the analyzed heavy-ordering model.
-pub fn optimizer_ablation(opts: &HarnessOptions) {
+pub(super) fn optimizer_ablation(opts: &HarnessOptions) {
     atom_obs::info!("\n== Ablation: GA vs random search (ordering, N = 3000) ==");
     let shop = SockShop::default();
     let binding = shop.binding(3000, scenarios::THINK_TIME, &[0.33, 0.17, 0.50]);
@@ -86,7 +86,7 @@ pub fn optimizer_ablation(opts: &HarnessOptions) {
 }
 
 /// Quick fixes on vs off: CPU allocated and TPS.
-pub fn quickfix_ablation(opts: &HarnessOptions) {
+pub(super) fn quickfix_ablation(opts: &HarnessOptions) {
     atom_obs::info!("\n== Ablation: planner quick fixes (ordering, N = 2000) ==");
     let shop = SockShop::default();
     let mut table = Table::new(&["variant", "TPS", "mean allocated cores", "T_u [s]"]);
@@ -120,7 +120,7 @@ pub fn quickfix_ablation(opts: &HarnessOptions) {
 }
 
 /// Peak-rate monitoring on vs off under high burstiness.
-pub fn peak_monitoring_ablation(opts: &HarnessOptions) {
+pub(super) fn peak_monitoring_ablation(opts: &HarnessOptions) {
     atom_obs::info!("\n== Ablation: peak-rate monitoring under burstiness (I = 4000) ==");
     let shop = SockShop::default();
     let mut table = Table::new(&["variant", "cumulative transactions"]);
@@ -154,7 +154,7 @@ pub fn peak_monitoring_ablation(opts: &HarnessOptions) {
 }
 
 /// Online demand calibration with a mis-profiled model (§VII).
-pub fn online_demands_ablation(opts: &HarnessOptions) {
+pub(super) fn online_demands_ablation(opts: &HarnessOptions) {
     atom_obs::info!("\n== Extension: online demand calibration with 50% mis-profiled demands ==");
     let shop = SockShop::default();
     // A shop whose *model* demands are half the truth: the cluster runs
@@ -207,7 +207,7 @@ pub fn online_demands_ablation(opts: &HarnessOptions) {
 }
 
 /// Runs all ablations.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     optimizer_ablation(opts);
     quickfix_ablation(opts);
     peak_monitoring_ablation(opts);

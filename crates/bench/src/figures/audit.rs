@@ -39,7 +39,7 @@ use crate::HarnessOptions;
 
 /// Span sampling rate of the audit runs: 1% of root requests, the
 /// rate the overhead budget is stated against.
-pub const SPAN_RATE: f64 = 0.01;
+pub(super) const SPAN_RATE: f64 = 0.01;
 
 /// Smoke gate: ceiling on the calm ramp's final rolling drift sMAPE.
 /// sMAPE is bounded by 2 (completely wrong); a model that tracks the
@@ -47,7 +47,7 @@ pub const SPAN_RATE: f64 = 0.01;
 const SMOKE_RAMP_SMAPE_CEILING: f64 = 1.5;
 
 /// One audited scenario: name plus the finished ATOM run.
-pub struct AuditOutcome {
+pub(super) struct AuditOutcome {
     /// Scenario name (`ramp` / `spike` / `chaos`).
     pub scenario: &'static str,
     /// The ATOM run with span sampling enabled.
@@ -56,7 +56,7 @@ pub struct AuditOutcome {
 
 /// One row of the SLO-violation attribution table.
 #[derive(Debug, Clone)]
-pub struct AttributionRow {
+pub(super) struct AttributionRow {
     /// Scenario the row belongs to.
     pub scenario: &'static str,
     /// Monitoring-window index (0-based).
@@ -77,7 +77,7 @@ pub struct AttributionRow {
 /// Runs the three audit scenarios (ATOM, span sampling at
 /// [`SPAN_RATE`], seeded by `opts.seed`) and returns them in
 /// `[ramp, spike, chaos]` order.
-pub fn run_scenarios(opts: &HarnessOptions) -> Vec<AuditOutcome> {
+pub(super) fn run_scenarios(opts: &HarnessOptions) -> Vec<AuditOutcome> {
     let shop = SockShop::default();
     let (n_windows, window_secs) = opts.protocol(6);
     let horizon = n_windows as f64 * window_secs;
@@ -120,7 +120,7 @@ pub fn run_scenarios(opts: &HarnessOptions) -> Vec<AuditOutcome> {
 }
 
 /// The drift records an outcome journaled, in window order.
-pub fn drift_records(result: &ExperimentResult) -> Vec<&DriftRecord> {
+pub(super) fn drift_records(result: &ExperimentResult) -> Vec<&DriftRecord> {
     result
         .telemetry
         .decisions
@@ -135,7 +135,7 @@ pub fn drift_records(result: &ExperimentResult) -> Vec<&DriftRecord> {
 /// duration — exactly the cells [`ExperimentResult::underprovision_time`]
 /// counts — attributed to the window's dominant-residence service per
 /// the span aggregates.
-pub fn attribute(outcome: &AuditOutcome, spec: &AppSpec) -> Vec<AttributionRow> {
+pub(super) fn attribute(outcome: &AuditOutcome, spec: &AppSpec) -> Vec<AttributionRow> {
     let result = &outcome.result;
     let name = |si: usize| {
         spec.services
@@ -283,7 +283,7 @@ fn summary_table(outcomes: &[AuditOutcome], attribution: &[AttributionRow]) -> T
 /// `drift.csv` + `audit_attribution.csv` (plus the Chrome trace export
 /// when `--spans-out` was given). Returns the experiment results so the
 /// caller can export the decision journal.
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!(
         "\n== audit: span sampling + LQN model-drift attribution (ATOM, rate {SPAN_RATE}) =="
     );
@@ -308,7 +308,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 /// `SMOKE_RAMP_SMAPE_CEILING`, (3) the attribution rows of each
 /// scenario sum to its `T_u` over the stateless services, and (4) the
 /// Chrome trace-event export re-parses with one event per sampled span.
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let shop = SockShop::default();
     let spec = shop.app_spec();
     let outcomes = run_scenarios(opts);

@@ -11,7 +11,7 @@
 //! the controller keeps (correctly) acting while under-provisioned.
 //!
 //! `repro --smoke chaos` runs the quick variant and fails when ATOM
-//! wedges (no scale action for more than [`MAX_IDLE_UNDERPROVISIONED`]
+//! wedges (no scale action for more than `MAX_IDLE_UNDERPROVISIONED`
 //! consecutive under-provisioned windows), never acts at all, or the
 //! cluster fails to restore availability by the end of the run — CI's
 //! guard that the degraded-mode control loop keeps functioning under
@@ -27,7 +27,7 @@ use crate::HarnessOptions;
 
 /// Windows a controller may sit idle while under-provisioned before the
 /// smoke gate calls it wedged.
-pub const MAX_IDLE_UNDERPROVISIONED: usize = 5;
+pub(crate) const MAX_IDLE_UNDERPROVISIONED: usize = 5;
 
 /// Shortfall (cores) below which a window does not count as
 /// under-provisioned for the wedging check — same spirit as
@@ -39,7 +39,7 @@ const SHORTFALL_TOLERANCE: f64 = 0.05;
 /// and full variants exercise the same storyline: an early front-end
 /// crash, a slow-start episode, a mostly-dark monitoring window, an
 /// actuation blackout, a whole-server outage, and a late carts crash.
-pub fn chaos_schedule(horizon: f64, window_secs: f64) -> FaultSchedule {
+pub(crate) fn chaos_schedule(horizon: f64, window_secs: f64) -> FaultSchedule {
     FaultSchedule::new()
         .at(
             0.15 * horizon,
@@ -82,7 +82,7 @@ pub fn chaos_schedule(horizon: f64, window_secs: f64) -> FaultSchedule {
 }
 
 /// Whether some stateless service was under-provisioned in window `i`.
-pub fn underprovisioned(result: &ExperimentResult, i: usize) -> bool {
+pub(crate) fn underprovisioned(result: &ExperimentResult, i: usize) -> bool {
     STATELESS
         .iter()
         .any(|&si| result.capacity[si].windows()[i].shortfall() > SHORTFALL_TOLERANCE)
@@ -90,7 +90,7 @@ pub fn underprovisioned(result: &ExperimentResult, i: usize) -> bool {
 
 /// Longest run of consecutive windows in which some stateless service
 /// was under-provisioned and the scaler issued no action.
-pub fn longest_idle_underprovisioned(result: &ExperimentResult) -> usize {
+pub(crate) fn longest_idle_underprovisioned(result: &ExperimentResult) -> usize {
     let mut run = 0usize;
     let mut worst = 0usize;
     for i in 0..result.reports.len() {
@@ -108,7 +108,7 @@ pub fn longest_idle_underprovisioned(result: &ExperimentResult) -> usize {
 
 /// Mean availability of the final window across all services — the
 /// "did the cluster recover" probe.
-pub fn final_window_availability(result: &ExperimentResult) -> f64 {
+pub(crate) fn final_window_availability(result: &ExperimentResult) -> f64 {
     let last = match result.reports.last() {
         Some(r) => r,
         None => return 1.0,
@@ -149,7 +149,7 @@ pub fn run_matrix(
 /// The full chaos artefact: summary table plus availability traces, all
 /// written under `results/`. Returns the experiment results so callers
 /// can export the decision journal (`--trace-out`).
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+pub(crate) fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!("\n== Chaos: ATOM vs UH vs UV under a fault schedule (ordering, N = 2000) ==");
     let (windows, window_secs) = opts.protocol(6);
     let horizon = windows as f64 * window_secs;
@@ -223,7 +223,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 /// The `--smoke` gate: the quick matrix, then ATOM must have acted,
 /// must not have wedged, and every scaler's cluster must end the run
 /// with availability restored.
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(crate) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let (windows, window_secs) = opts.protocol(6);
     let results = run_matrix(opts, windows, window_secs);
     crate::trace::emit(opts, &results);

@@ -34,7 +34,7 @@ use atom_cluster::ClusterOptions;
 
 /// Pool sizing of one scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolKind {
+pub(super) enum PoolKind {
     /// Enough nodes that staggered peaks mostly fit.
     Ample,
     /// The exhaustion case: scale-ups queue and get rejected.
@@ -52,7 +52,7 @@ impl PoolKind {
 
 /// One cell of the contention matrix.
 #[derive(Debug, Clone, Copy)]
-pub struct Scenario {
+pub(super) struct Scenario {
     /// Number of Sock Shop tenants sharing the pool.
     pub tenants: usize,
     /// Pool sizing.
@@ -92,7 +92,7 @@ impl Scenario {
 }
 
 /// The full matrix: {2, 4} tenants × {ample, tight} pools.
-pub fn matrix() -> Vec<Scenario> {
+pub(super) fn matrix() -> Vec<Scenario> {
     let mut cells = Vec::new();
     for &tenants in &[2usize, 4] {
         for &pool in &[PoolKind::Ample, PoolKind::Tight] {
@@ -104,7 +104,7 @@ pub fn matrix() -> Vec<Scenario> {
 
 /// One tenant's outcome in one scenario.
 #[derive(Debug, Clone)]
-pub struct TenantOutcome {
+pub(super) struct TenantOutcome {
     /// Tenant name.
     pub tenant: String,
     /// Its controller.
@@ -126,7 +126,7 @@ pub struct TenantOutcome {
 
 /// One scenario's outcome.
 #[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
+pub(super) struct ScenarioOutcome {
     /// The scenario.
     pub scenario: Scenario,
     /// Total pool capacity (cores).
@@ -151,7 +151,7 @@ fn populations(opts: &HarnessOptions) -> (usize, usize) {
 /// Runs one scenario cell: place the tenants, drive one autoscaler per
 /// tenant through admission, and fold the per-tenant reports into the
 /// contention metrics.
-pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutcome {
+pub(super) fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutcome {
     let shop = SockShop::default();
     let (n_windows, window_secs) = opts.protocol(4);
     let (baseline, peak) = populations(opts);
@@ -234,7 +234,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &HarnessOptions) -> ScenarioOutco
 }
 
 /// Runs the whole matrix through [`fan_out`], in matrix order.
-pub fn run_matrix(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
+pub(super) fn run_matrix(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
     fan_out(&matrix(), |cell| {
         atom_obs::progress!("  contention: {}", cell.name());
         run_scenario(cell, opts)
@@ -242,7 +242,7 @@ pub fn run_matrix(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
 }
 
 /// Renders the matrix as a table and writes `contention.csv`.
-pub fn report(outcomes: &[ScenarioOutcome], opts: &HarnessOptions) {
+pub(super) fn report(outcomes: &[ScenarioOutcome], opts: &HarnessOptions) {
     let mut table = Table::new(&[
         "scenario",
         "pool",
@@ -282,7 +282,7 @@ pub fn report(outcomes: &[ScenarioOutcome], opts: &HarnessOptions) {
 /// admission/fairness accounting as labeled Prometheus series
 /// (`contention_*{scenario=...,tenant=...}`). A no-op when neither flag
 /// was given.
-pub fn emit(opts: &HarnessOptions, outcomes: &[ScenarioOutcome]) {
+pub(super) fn emit(opts: &HarnessOptions, outcomes: &[ScenarioOutcome]) {
     use atom_obs::{with_labels, Journal, Record, Registry};
     if let Some(path) = &opts.trace_out {
         let mut journal = Journal::default();
@@ -356,7 +356,7 @@ pub fn emit(opts: &HarnessOptions, outcomes: &[ScenarioOutcome]) {
 }
 
 /// `repro contention`: run the matrix and emit the artefacts.
-pub fn run(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
     atom_obs::progress!(
         "running the contention matrix ({} scenarios)...",
         matrix().len()
@@ -373,7 +373,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ScenarioOutcome> {
 /// admitted + queued + rejected`, verdicts agree with the ledger),
 /// (3) the ledger never over-committed a node, and (4) the exhaustion
 /// scenarios produced at least one rejection.
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let outcomes = run(opts);
     let mut failures: Vec<String> = Vec::new();
     let mut tight_rejections = 0u64;

@@ -9,7 +9,7 @@ use crate::output::{f, Table};
 use crate::HarnessOptions;
 
 /// Regenerates Fig. 11 and writes `fig11_{uv,atom}.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 11: layered bottleneck — demand vs supply per window ==");
     let shop = SockShop::default();
     let services = [

@@ -9,7 +9,7 @@ use crate::output::{f, Table};
 use crate::HarnessOptions;
 
 /// Regenerates Fig. 12 and writes `fig12.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 12: monitoring-window size sweep (ordering, N = 2000) ==");
     let shop = SockShop::default();
     let mut table = Table::new(&["window [min]", "scaler", "T_u [s]", "A_u [core-s]", "TPS"]);

@@ -9,7 +9,7 @@ use crate::output::{f, Table};
 use crate::HarnessOptions;
 
 /// Regenerates Fig. 13 and writes `fig13_i{400,4000}.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 13: bursty workloads (ordering mix, N = 500) ==");
     let shop = SockShop::default();
     // Bursts are rare events (one every ~3 minutes at I = 4000), so a

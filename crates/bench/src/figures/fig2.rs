@@ -16,17 +16,15 @@ use crate::HarnessOptions;
 
 /// One strategy's TPS trace.
 #[derive(Debug, Clone)]
-pub struct Trace {
-    /// "vertical" or "horizontal".
-    pub strategy: &'static str,
+pub(super) struct Trace {
     /// Per-minute TPS.
     pub tps: Vec<f64>,
     /// Mean TPS over the last ten minutes.
     pub steady_state: f64,
 }
 
-/// Runs one case (A or B) with both strategies.
-pub fn run_case(case: scenarios::MotivatingCase, opts: &HarnessOptions) -> Vec<Trace> {
+/// Runs one case (A or B) with both strategies: vertical, then horizontal.
+pub(super) fn run_case(case: scenarios::MotivatingCase, opts: &HarnessOptions) -> Vec<Trace> {
     // Table I's front-end is saturated at its given share; with the
     // Table IV-calibrated demands the post-doubling capacity would be
     // comfortably above the offered load, so the page cost is scaled up
@@ -39,7 +37,7 @@ pub fn run_case(case: scenarios::MotivatingCase, opts: &HarnessOptions) -> Vec<T
     shop.d_catalogue *= 1.3;
     shop.d_carts *= 1.3;
     let mut traces = Vec::new();
-    for (strategy, replicas, share_mult) in [("vertical", 1usize, 2.0f64), ("horizontal", 2, 1.0)] {
+    for (replicas, share_mult) in [(1usize, 2.0f64), (2, 1.0)] {
         let mut spec = shop.app_spec();
         // Everything except the front-end gets generous capacity so the
         // front-end is the unique bottleneck (Table I's premise).
@@ -74,17 +72,13 @@ pub fn run_case(case: scenarios::MotivatingCase, opts: &HarnessOptions) -> Vec<T
         }
         let tail = &tps[tps.len() - 10.min(tps.len())..];
         let steady_state = tail.iter().sum::<f64>() / tail.len() as f64;
-        traces.push(Trace {
-            strategy,
-            tps,
-            steady_state,
-        });
+        traces.push(Trace { tps, steady_state });
     }
     traces
 }
 
 /// Regenerates Fig. 2 and writes `fig2_case_{a,b}.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 2: vertical vs horizontal scaling of the front-end ==");
     for case in [scenarios::CASE_A, scenarios::CASE_B] {
         let traces = run_case(case, opts);

@@ -13,7 +13,7 @@ use crate::HarnessOptions;
 
 /// The estimates produced by both techniques.
 #[derive(Debug, Clone)]
-pub struct Fig4Result {
+pub(super) struct Fig4Result {
     /// True mean demand at the probed station (CPU-seconds at its host's
     /// speed: what an ideal estimator should report).
     pub true_demand: f64,
@@ -36,7 +36,7 @@ pub struct Fig4Result {
 }
 
 /// Runs the estimation experiment.
-pub fn compute(opts: &HarnessOptions) -> Fig4Result {
+pub(super) fn compute(opts: &HarnessOptions) -> Fig4Result {
     let shop = SockShop::default();
     let spec = shop.validation_app_spec(false);
     let carts_db = spec.service_by_name("carts-db").expect("service");
@@ -94,7 +94,7 @@ pub fn compute(opts: &HarnessOptions) -> Fig4Result {
 }
 
 /// Prints Fig. 4 and writes `fig4.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 4: demand estimation for the carts-db query ==");
     let r = compute(opts);
     let mut table = Table::new(&[

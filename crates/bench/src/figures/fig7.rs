@@ -8,7 +8,7 @@ use crate::output::{f, Table};
 use crate::HarnessOptions;
 
 /// Regenerates Fig. 7 and writes `fig7_{browsing,ordering}.csv`.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 7: ATOM vs ATOM-T vs ATOM-S (N = 3000) ==");
     let shop = SockShop::default();
     for (mix_name, mix) in [

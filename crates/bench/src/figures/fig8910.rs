@@ -6,7 +6,7 @@ use crate::output::{f, Table};
 use crate::HarnessOptions;
 
 /// Fig. 8: TPS over time for each (mix, N) combination.
-pub fn fig8(matrix: &[MatrixCell], opts: &HarnessOptions) {
+pub(super) fn fig8(matrix: &[MatrixCell], opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 8: TPS over time, ATOM vs UH vs UV ==");
     for mix in ["browsing", "shopping", "ordering"] {
         for users in [1000usize, 2000, 3000] {
@@ -48,7 +48,7 @@ fn metrics(cell: &MatrixCell, windows: usize) -> (f64, f64, f64) {
 
 /// Fig. 9: `T_u`, `A_u` and TPS versus the number of concurrent users
 /// (averaged over the three mixes, per scaler).
-pub fn fig9(matrix: &[MatrixCell], opts: &HarnessOptions) {
+pub(super) fn fig9(matrix: &[MatrixCell], opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 9: elasticity / performance vs concurrent users ==");
     let mut table = Table::new(&["users", "scaler", "T_u [s]", "A_u [core-s]", "TPS"]);
     for users in [1000usize, 2000, 3000] {
@@ -97,7 +97,7 @@ pub fn fig9(matrix: &[MatrixCell], opts: &HarnessOptions) {
 }
 
 /// Fig. 10: `T_u`, `A_u` and TPS versus the request mix at N = 3000.
-pub fn fig10(matrix: &[MatrixCell], opts: &HarnessOptions) {
+pub(super) fn fig10(matrix: &[MatrixCell], opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 10: elasticity / performance vs request mix (N = 3000) ==");
     let mut table = Table::new(&["mix", "scaler", "T_u [s]", "A_u [core-s]", "TPS"]);
     for mix in ["browsing", "shopping", "ordering"] {

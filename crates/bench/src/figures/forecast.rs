@@ -32,7 +32,7 @@ use crate::HarnessOptions;
 
 /// One forecast-experiment scenario: a named workload plus the seasonal
 /// cycle hint (in monitoring windows) handed to the proactive ensemble.
-pub struct ForecastScenario {
+pub(super) struct ForecastScenario {
     /// Scenario name ("ramp" / "bursty" / "diurnal").
     pub name: &'static str,
     /// The workload both scalers run.
@@ -42,7 +42,7 @@ pub struct ForecastScenario {
 }
 
 /// The three scenarios, sized to the experiment horizon.
-pub fn scenarios_for(windows: usize, window_secs: f64) -> Vec<ForecastScenario> {
+pub(super) fn scenarios_for(windows: usize, window_secs: f64) -> Vec<ForecastScenario> {
     let horizon = windows as f64 * window_secs;
     // Two full cycles over the run, so the seasonal smoother sees one
     // complete warm-up season and still has one to predict.
@@ -77,7 +77,7 @@ pub fn scenarios_for(windows: usize, window_secs: f64) -> Vec<ForecastScenario> 
 /// End of the last window in which some stateless service was
 /// under-provisioned (seconds; 0 when the run never fell behind) — how
 /// long the controller took to stop violating.
-pub fn time_to_stable(result: &ExperimentResult) -> f64 {
+pub(super) fn time_to_stable(result: &ExperimentResult) -> f64 {
     let mut stable_at = 0.0;
     for (i, w) in result.reports.iter().enumerate() {
         if chaos::underprovisioned(result, i) {
@@ -89,13 +89,13 @@ pub fn time_to_stable(result: &ExperimentResult) -> f64 {
 
 /// SLO-violation-seconds: `T_u` summed over the stateless services (the
 /// same trio the paper's `T_u`/`A_u` figures consider).
-pub fn slo_violation_seconds(result: &ExperimentResult) -> f64 {
+pub(super) fn slo_violation_seconds(result: &ExperimentResult) -> f64 {
     result.underprovision_time(Some(&STATELESS))
 }
 
 /// The forecaster's own accounting over a run's decision journal.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ForecastTally {
+pub(super) struct ForecastTally {
     /// Windows planned against a forecast record.
     pub windows: u64,
     /// Windows the accuracy guardrail planned reactively.
@@ -107,7 +107,7 @@ pub struct ForecastTally {
 }
 
 /// Tallies the forecast records journaled during `result`.
-pub fn forecast_tally(result: &ExperimentResult) -> ForecastTally {
+pub(super) fn forecast_tally(result: &ExperimentResult) -> ForecastTally {
     let mut t = ForecastTally::default();
     let (mut err_sum, mut err_n) = (0.0f64, 0u64);
     for d in result.telemetry.decisions.iter().flatten() {
@@ -130,7 +130,7 @@ pub fn forecast_tally(result: &ExperimentResult) -> ForecastTally {
 }
 
 /// Runs one scenario under reactive and proactive ATOM, in that order.
-pub fn run_pair(
+pub(super) fn run_pair(
     opts: &HarnessOptions,
     scenario: &ForecastScenario,
     windows: usize,
@@ -158,7 +158,7 @@ pub fn run_pair(
 
 /// The per-run summary `forecast.csv` and `trace.csv` share, keyed by
 /// a first column named `what`.
-pub fn summary_table(what: &str) -> Table {
+pub(super) fn summary_table(what: &str) -> Table {
     Table::new(&[
         what,
         "scaler",
@@ -174,7 +174,7 @@ pub fn summary_table(what: &str) -> Table {
 }
 
 /// One [`summary_table`] row.
-pub fn summary_row(label: &str, r: &ExperimentResult, windows: usize) -> Vec<String> {
+pub(super) fn summary_row(label: &str, r: &ExperimentResult, windows: usize) -> Vec<String> {
     let tally = forecast_tally(r);
     vec![
         label.to_string(),
@@ -193,7 +193,7 @@ pub fn summary_row(label: &str, r: &ExperimentResult, windows: usize) -> Vec<Str
 /// The full artefact: reactive vs proactive across all three scenarios,
 /// as a table and `forecast.csv`. Returns the results so callers can
 /// export the decision journal (`--trace-out`).
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!("\n== Forecast: reactive vs proactive ATOM (ramp / bursty / diurnal) ==");
     let (windows, window_secs) = opts.protocol(6);
     let mut table = summary_table("scenario");
@@ -234,7 +234,11 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 /// on the ramp, `trace` on the Alibaba fixture): proactive ATOM meets or
 /// beats reactive ATOM on SLO-violation-seconds over `what`, journals
 /// forecast records, and neither controller stops early or wedges.
-pub fn proactive_gate(results: &[ExperimentResult], windows: usize, what: &str) -> Vec<String> {
+pub(super) fn proactive_gate(
+    results: &[ExperimentResult],
+    windows: usize,
+    what: &str,
+) -> Vec<String> {
     let find = |name: &str| {
         results
             .iter()
@@ -294,7 +298,7 @@ pub fn proactive_gate(results: &[ExperimentResult], windows: usize, what: &str) 
 
 /// The `--smoke` gate: the quick ramp scenario under both controllers,
 /// checked by [`proactive_gate`].
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let (windows, window_secs) = opts.protocol(6);
     let ramp = scenarios_for(windows, window_secs)
         .into_iter()

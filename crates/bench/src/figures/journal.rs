@@ -20,7 +20,7 @@ fn workload() -> WorkloadSpec {
 }
 
 /// Runs the pair, `[UH, ATOM]`.
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     let shop = SockShop::default();
     [ScalerKind::Uh, ScalerKind::Atom]
         .into_iter()
@@ -36,7 +36,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 /// per-window content; every ATOM window plans, so each must journal
 /// its search, the incumbent of every scalable service and the
 /// incumbent's bottleneck diagnosis.
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let results = run(opts);
     trace::emit(opts, &results);
     let events = match Journal::parse_jsonl(&trace::emitted_journal(opts, &results)) {

@@ -1,23 +1,23 @@
 //! One module per artefact, one table of them all ([`EXPERIMENTS`]), and
 //! the runner `repro` drives the table with ([`run_commands`]).
 
-pub mod ablation;
-pub mod audit;
+mod ablation;
+mod audit;
 pub mod chaos;
-pub mod contention;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig2;
-pub mod fig4;
-pub mod fig7;
-pub mod fig8910;
-pub mod forecast;
-pub mod journal;
-pub mod netlat;
-pub mod scale;
-pub mod trace_replay;
-pub mod validation;
+mod contention;
+mod fig11;
+mod fig12;
+mod fig13;
+mod fig2;
+mod fig4;
+mod fig7;
+mod fig8910;
+mod forecast;
+mod journal;
+mod netlat;
+mod scale;
+mod trace_replay;
+mod validation;
 
 use atom_core::ExperimentResult;
 
@@ -35,10 +35,10 @@ pub struct Experiment {
     /// `opts.out_dir`. Returned results feed `--trace-out` /
     /// `--metrics-out`; experiments without a MAPE-K run (or with an
     /// export of their own) return none.
-    pub run: fn(&HarnessOptions) -> Vec<ExperimentResult>,
+    pub(crate) run: fn(&HarnessOptions) -> Vec<ExperimentResult>,
     /// The experiment's CI gate (`--smoke`): a quick variant of `run`
     /// plus its checks, returning one message per violated check.
-    pub smoke: Option<fn(&HarnessOptions) -> Vec<String>>,
+    pub(crate) smoke: Option<fn(&HarnessOptions) -> Vec<String>>,
 }
 
 impl Experiment {
@@ -378,7 +378,7 @@ fn default_workers() -> usize {
 /// Maps `f` over `cells` on `ATOM_EVAL_WORKERS` threads (default 1),
 /// results in cell order. Every cell is self-contained, so the output
 /// is bitwise independent of the worker count.
-pub fn fan_out<C: Sync, T: Send>(cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
+pub(crate) fn fan_out<C: Sync, T: Send>(cells: &[C], f: impl Fn(&C) -> T + Sync) -> Vec<T> {
     fan_out_on(default_workers(), cells, f)
 }
 

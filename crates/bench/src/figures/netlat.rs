@@ -43,11 +43,11 @@ use crate::HarnessOptions;
 /// counts as violating (seconds). Deliberately tight — roughly the CPU
 /// demand of a whole request path — so the metric stays sensitive to
 /// the tens of milliseconds a bad placement adds per request.
-pub const SLO_HEADROOM: f64 = 0.025;
+pub(super) const SLO_HEADROOM: f64 = 0.025;
 
 /// Per-feature response-time SLOs: latency floor + [`SLO_HEADROOM`],
 /// in the crate-wide feature order (home, catalogue, carts).
-pub fn feature_slos(shop: &SockShop) -> [f64; 3] {
+pub(super) fn feature_slos(shop: &SockShop) -> [f64; 3] {
     [
         shop.l_home + SLO_HEADROOM,
         shop.l_catalogue + SLO_HEADROOM,
@@ -57,7 +57,7 @@ pub fn feature_slos(shop: &SockShop) -> [f64; 3] {
 
 /// Span sampling rate of the ATOM runs (plus tail-biased sampling), so
 /// every window has observed residence/network aggregates to audit.
-pub const SPAN_RATE: f64 = 0.02;
+pub(super) const SPAN_RATE: f64 = 0.02;
 
 /// Smoke gate: ceiling on ATOM's final rolling *network* drift sMAPE —
 /// the same band the audit experiment allows the CPU-residence sMAPE
@@ -66,7 +66,7 @@ const SMOKE_NET_SMAPE_CEILING: f64 = 1.5;
 
 /// How the two Sock Shop servers map onto racks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
+pub(super) enum Placement {
     /// Both servers in rack 0: cross-server calls pay one ToR hop each
     /// way.
     Friendly,
@@ -87,7 +87,7 @@ impl Placement {
     /// 1 ms / 1 Gbit/s rack uplinks under a 10 ms / 10 Gbit/s
     /// oversubscribed aggregation — only the rack assignment differs,
     /// so any outcome difference is placement, not provisioning.
-    pub fn topology(self) -> TopologySpec {
+    pub(super) fn topology(self) -> TopologySpec {
         let racks = match self {
             Placement::Friendly => vec![0, 0],
             Placement::Adversarial => vec![0, 1],
@@ -102,7 +102,7 @@ impl Placement {
 
 /// One cell of the netlat matrix.
 #[derive(Debug, Clone, Copy)]
-pub struct Cell {
+pub(super) struct Cell {
     /// Workload name (`ramp` / `spike`).
     pub workload: &'static str,
     /// Rack assignment.
@@ -113,7 +113,7 @@ pub struct Cell {
 
 /// The full matrix: {ramp, spike} × {friendly, adversarial} × {UH, UV,
 /// ATOM}.
-pub fn matrix() -> Vec<Cell> {
+pub(super) fn matrix() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &workload in &["ramp", "spike"] {
         for &placement in &[Placement::Friendly, Placement::Adversarial] {
@@ -131,7 +131,7 @@ pub fn matrix() -> Vec<Cell> {
 
 /// One finished cell.
 #[derive(Debug, Clone)]
-pub struct CellOutcome {
+pub(super) struct CellOutcome {
     /// The cell.
     pub cell: Cell,
     /// SLO-violation user-seconds: Σ over windows and features of
@@ -182,7 +182,7 @@ fn workload_of(name: &str, opts: &HarnessOptions) -> WorkloadSpec {
 }
 
 /// Runs one cell and folds its reports into the placement metrics.
-pub fn run_cell(cell: &Cell, opts: &HarnessOptions) -> CellOutcome {
+pub(super) fn run_cell(cell: &Cell, opts: &HarnessOptions) -> CellOutcome {
     let shop = SockShop::default();
     let (n_windows, window_secs) = opts.protocol(4);
     let result = run_one_with_cluster(
@@ -254,7 +254,7 @@ pub fn run_cell(cell: &Cell, opts: &HarnessOptions) -> CellOutcome {
 }
 
 /// Runs the whole matrix through [`fan_out`], in matrix order.
-pub fn run_matrix(opts: &HarnessOptions) -> Vec<CellOutcome> {
+pub(super) fn run_matrix(opts: &HarnessOptions) -> Vec<CellOutcome> {
     fan_out(&matrix(), |cell| {
         atom_obs::progress!(
             "  netlat: {} {} {}",
@@ -267,7 +267,7 @@ pub fn run_matrix(opts: &HarnessOptions) -> Vec<CellOutcome> {
 }
 
 /// Renders the matrix as a table and writes `netlat.csv`.
-pub fn report(outcomes: &[CellOutcome], opts: &HarnessOptions) {
+pub(super) fn report(outcomes: &[CellOutcome], opts: &HarnessOptions) {
     let mut table = Table::new(&[
         "workload",
         "placement",
@@ -299,7 +299,7 @@ pub fn report(outcomes: &[CellOutcome], opts: &HarnessOptions) {
 }
 
 /// `repro netlat`: run the matrix and write the artefacts.
-pub fn run(opts: &HarnessOptions) -> Vec<CellOutcome> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<CellOutcome> {
     atom_obs::info!("\n== netlat: placement-sensitive scaling under the network fabric ==");
     let outcomes = run_matrix(opts);
     report(&outcomes, opts);
@@ -314,7 +314,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<CellOutcome> {
 /// placement crosses racks), and (3) every ATOM run audited the network
 /// term with a final rolling sMAPE inside the same band the audit
 /// experiment allows CPU residence.
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let outcomes = run(opts);
     let mut failures: Vec<String> = Vec::new();
 

@@ -46,7 +46,7 @@ const SMOKE_SPEEDUP_FLOOR: f64 = 10.0;
 
 /// One backend × population measurement.
 #[derive(Debug, Clone)]
-pub struct ScalePoint {
+pub(super) struct ScalePoint {
     /// Backend mode the cluster ran under.
     pub mode: BackendMode,
     /// Closed-workload population.
@@ -68,12 +68,12 @@ impl ScalePoint {
     /// Completed client requests simulated per wall-clock second — the
     /// cross-backend work rate (comparable even though the fluid
     /// backend dispatches almost no discrete events).
-    pub fn req_per_wall_s(&self) -> f64 {
+    pub(super) fn req_per_wall_s(&self) -> f64 {
         self.requests as f64 / self.wall_seconds.max(1e-9)
     }
 
     /// DES events handled per wall-clock second.
-    pub fn events_per_wall_s(&self) -> f64 {
+    pub(super) fn events_per_wall_s(&self) -> f64 {
         self.events as f64 / self.wall_seconds.max(1e-9)
     }
 
@@ -121,7 +121,7 @@ fn horizon(mode: BackendMode, users: usize, smoke: bool) -> f64 {
 }
 
 /// Runs one backend × population point and measures it.
-pub fn run_point(mode: BackendMode, users: usize, smoke: bool, seed: u64) -> ScalePoint {
+pub(super) fn run_point(mode: BackendMode, users: usize, smoke: bool, seed: u64) -> ScalePoint {
     let options = ClusterOptions::new().with_seed(seed).with_backend(mode);
     let spec = scale_spec(users);
     let workload = WorkloadSpec::constant(RequestMix::uniform(1), users, THINK_TIME);
@@ -190,7 +190,7 @@ fn fabric_transits(seed: u64) -> u64 {
 /// One multi-tenant wall-clock measurement: `tenants` full Sock Shop
 /// deployments, phase-shifted workloads, one shared pool.
 #[derive(Debug, Clone)]
-pub struct TenantPoint {
+pub(super) struct TenantPoint {
     /// Number of Sock Shop tenants sharing the pool.
     pub tenants: usize,
     /// Simulated horizon (seconds).
@@ -204,7 +204,7 @@ pub struct TenantPoint {
 impl TenantPoint {
     /// The headline multi-tenant metric: wall-clock seconds per
     /// simulated hour.
-    pub fn wall_s_per_sim_hour(&self) -> f64 {
+    pub(super) fn wall_s_per_sim_hour(&self) -> f64 {
         self.wall_seconds * 3600.0 / self.sim_seconds.max(1e-9)
     }
 }
@@ -212,7 +212,7 @@ impl TenantPoint {
 /// Runs `tenants` phase-shifted Sock Shop tenants on one ample pool
 /// (12-core node per tenant) and measures the wall-clock cost of the
 /// multi-tenant per-user simulation.
-pub fn run_tenant_point(tenants: usize, smoke: bool, seed: u64) -> TenantPoint {
+pub(super) fn run_tenant_point(tenants: usize, smoke: bool, seed: u64) -> TenantPoint {
     let shop = SockShop::default();
     let sim_seconds = if smoke { 600.0 } else { 3600.0 };
     let mut pool = NodePool::new();
@@ -250,7 +250,7 @@ pub fn run_tenant_point(tenants: usize, smoke: bool, seed: u64) -> TenantPoint {
 /// (`scale_*{backend=...,users=...}`). A no-op when neither flag was
 /// given — `scale` has no MAPE-K loop, so the journal carries notes,
 /// not decision records.
-pub fn emit(opts: &HarnessOptions, points: &[ScalePoint], tenant_points: &[TenantPoint]) {
+pub(super) fn emit(opts: &HarnessOptions, points: &[ScalePoint], tenant_points: &[TenantPoint]) {
     use atom_obs::{with_labels, Journal, Record, Registry};
     if let Some(path) = &opts.trace_out {
         let mut journal = Journal::default();
@@ -454,13 +454,13 @@ fn trajectory(opts: &HarnessOptions, smoke: bool) -> Vec<ScalePoint> {
 }
 
 /// `repro scale`: the full trajectory.
-pub fn run(opts: &HarnessOptions) {
+pub(super) fn run(opts: &HarnessOptions) {
     trajectory(opts, false);
 }
 
 /// The `--smoke` gate: the short trajectory, then the ratio and
 /// functional checks of the [module docs](self).
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let points = trajectory(opts, true);
     let mut failures = reparse_csv(&opts.out_dir.join("scale.csv"), points.len());
     let largest = opts.users;

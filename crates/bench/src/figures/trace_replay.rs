@@ -54,7 +54,7 @@ const MIX_FLOOR: f64 = 0.05;
 /// The committed sample fixture for a format, resolved relative to the
 /// working directory when present (the CI case) and to the workspace
 /// root otherwise.
-pub fn fixture_path(format: TraceFormat) -> PathBuf {
+pub(super) fn fixture_path(format: TraceFormat) -> PathBuf {
     let name = match format {
         TraceFormat::Alibaba => "alibaba_sample.csv",
         TraceFormat::Google => "google_sample.csv",
@@ -76,7 +76,12 @@ pub fn fixture_path(format: TraceFormat) -> PathBuf {
 ///
 /// If the file does not read: `repro` reads `--trace-file` once where
 /// it parses the flag, and the bundled fixtures are known-good.
-pub fn load(path: &Path, format: TraceFormat, windows: usize, window_secs: f64) -> TraceReplay {
+pub(super) fn load(
+    path: &Path,
+    format: TraceFormat,
+    windows: usize,
+    window_secs: f64,
+) -> TraceReplay {
     let opts = TraceOptions::new()
         .with_bin_secs(BIN_SECS)
         .with_floor_users(scenarios::INITIAL_USERS)
@@ -105,7 +110,7 @@ pub fn load(path: &Path, format: TraceFormat, windows: usize, window_secs: f64) 
 
 /// The workload a replay drives: trace mix, paper think time, and the
 /// trace itself as the population source.
-pub fn workload_of(replay: &TraceReplay) -> WorkloadSpec {
+pub(super) fn workload_of(replay: &TraceReplay) -> WorkloadSpec {
     WorkloadSpec::new(
         RequestMix::new(replay.mix.clone()).expect("trace mix is normalised"),
         scenarios::THINK_TIME,
@@ -115,7 +120,7 @@ pub fn workload_of(replay: &TraceReplay) -> WorkloadSpec {
 
 /// Runs one replay under reactive and proactive ATOM (quick mode), plus
 /// the UH/UV baselines on the full protocol.
-pub fn run_replay(
+pub(super) fn run_replay(
     opts: &HarnessOptions,
     replay: &TraceReplay,
     windows: usize,
@@ -145,7 +150,7 @@ pub fn run_replay(
 /// `--trace-file` pointed at) under each scaler, as a table plus
 /// `trace.csv`, `trace_windows.csv`, and `trace_mix.csv`. Returns the
 /// results so callers can export the decision journal.
-pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
+pub(super) fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
     atom_obs::info!("\n== Trace replay: production arrival traces vs the autoscalers ==");
     let (windows, window_secs) = opts.protocol(6);
     let replays: Vec<TraceReplay> = match &opts.trace_file {
@@ -208,7 +213,7 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
 /// The `--smoke` gate, on the bundled Alibaba fixture: the decision
 /// journal must re-parse through the `atom-obs` schema with one
 /// decision per scaler-window, plus [`forecast::proactive_gate`].
-pub fn smoke(opts: &HarnessOptions) -> Vec<String> {
+pub(super) fn smoke(opts: &HarnessOptions) -> Vec<String> {
     let (windows, window_secs) = opts.protocol(6);
     let path = fixture_path(TraceFormat::Alibaba);
     let replay = load(&path, TraceFormat::Alibaba, windows, window_secs);

@@ -15,7 +15,7 @@ use crate::HarnessOptions;
 
 /// One validation run: the analytic solution and the measured window.
 #[derive(Debug, Clone)]
-pub struct ValidationRun {
+pub(super) struct ValidationRun {
     /// The workload that was run.
     pub workload: scenarios::ValidationWorkload,
     /// Analytic model solution.
@@ -27,7 +27,7 @@ pub struct ValidationRun {
 }
 
 /// Executes one Table II workload on both paths.
-pub fn run_workload(
+pub(super) fn run_workload(
     shop: &SockShop,
     w: &scenarios::ValidationWorkload,
     opts: &HarnessOptions,
@@ -85,7 +85,7 @@ fn service_rows(run: &ValidationRun) -> Vec<(String, f64, f64, f64, f64)> {
 }
 
 /// Runs the whole Table II sweep once (12 runs).
-pub fn sweep(opts: &HarnessOptions) -> Vec<ValidationRun> {
+pub(super) fn sweep(opts: &HarnessOptions) -> Vec<ValidationRun> {
     let shop = SockShop::default();
     scenarios::validation_workloads()
         .iter()
@@ -107,7 +107,7 @@ pub fn sweep(opts: &HarnessOptions) -> Vec<ValidationRun> {
 
 /// [`sweep`], run once per process (which runs under one set of
 /// options): `table3`, `fig5` and `table4` read the same twelve runs.
-pub fn shared_sweep(opts: &HarnessOptions) -> &'static [ValidationRun] {
+pub(super) fn shared_sweep(opts: &HarnessOptions) -> &'static [ValidationRun] {
     static SWEEP: OnceLock<Vec<ValidationRun>> = OnceLock::new();
     SWEEP.get_or_init(|| {
         atom_obs::progress!("running the Table II validation sweep (12 runs)...");
@@ -116,7 +116,7 @@ pub fn shared_sweep(opts: &HarnessOptions) -> &'static [ValidationRun] {
 }
 
 /// Table III: min/max/avg percent error per service across the sweep.
-pub fn table3(runs: &[ValidationRun], opts: &HarnessOptions) {
+pub(super) fn table3(runs: &[ValidationRun], opts: &HarnessOptions) {
     atom_obs::info!("\n== Table III: % error between model and measurement ==");
     let mut table = Table::new(&[
         "service",
@@ -161,7 +161,7 @@ pub fn table3(runs: &[ValidationRun], opts: &HarnessOptions) {
 
 /// Fig. 5: per-server utilisation, model vs measurement, for the swarm
 /// placements (patterns 1 and 3).
-pub fn fig5(runs: &[ValidationRun], opts: &HarnessOptions) {
+pub(super) fn fig5(runs: &[ValidationRun], opts: &HarnessOptions) {
     atom_obs::info!("\n== Fig. 5: server utilisation, model vs measurement ==");
     let mut table = Table::new(&[
         "pattern",
@@ -214,7 +214,7 @@ const PAPER_UTIL: [(&str, f64, f64); 5] = [
 
 /// Table IV: per-endpoint TPS and per-service utilisation at workload 1,
 /// N = 3000.
-pub fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
+pub(super) fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
     atom_obs::info!("\n== Table IV: workload 1, N = 3000 ==");
     let run = runs
         .iter()

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Experiment harness regenerating every table and figure of the ATOM
 //! paper's evaluation (§III-C and §V).
@@ -41,7 +42,7 @@
 
 pub mod eval;
 pub mod figures;
-pub mod output;
+mod output;
 pub mod trace;
 
 /// Harness-wide options parsed from the command line.
@@ -103,19 +104,19 @@ impl HarnessOptions {
 
     /// Monitoring window length (seconds). Fixed at the paper's 5
     /// minutes: shortening it would break the 25-minute ramp protocol.
-    pub fn window_secs(&self) -> f64 {
+    pub(crate) fn window_secs(&self) -> f64 {
         300.0
     }
 
     /// Number of windows in a standard 40-minute evaluation run.
-    pub fn windows(&self) -> usize {
+    pub(crate) fn windows(&self) -> usize {
         8
     }
 
     /// Run length `(windows, window_secs)` of the beyond-the-paper
     /// experiments: the paper's 40-minute protocol, or `quick_windows`
     /// two-minute windows in quick mode.
-    pub fn protocol(&self, quick_windows: usize) -> (usize, f64) {
+    pub(crate) fn protocol(&self, quick_windows: usize) -> (usize, f64) {
         if self.quick {
             (quick_windows, 120.0)
         } else {

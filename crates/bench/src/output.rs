@@ -6,14 +6,14 @@ use std::path::Path;
 
 /// A simple fixed-width table printer for paper-style outputs.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -25,7 +25,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width differs from the header.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
         self
@@ -33,7 +33,7 @@ impl Table {
 
     /// Renders the table to stdout (suppressed under `--quiet`, like
     /// every other [`atom_obs::info!`]-level result line).
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         if !atom_obs::log::enabled(atom_obs::Verbosity::Info) {
             return;
         }
@@ -71,7 +71,7 @@ impl Table {
     ///
     /// Panics on I/O errors — artefact writing is not a recoverable
     /// condition for the harness.
-    pub fn write_csv(&self, path: &Path) {
+    pub(crate) fn write_csv(&self, path: &Path) {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).expect("create results dir");
         }
@@ -105,12 +105,12 @@ impl Table {
 }
 
 /// Formats a float with the given number of decimals.
-pub fn f(v: f64, decimals: usize) -> String {
+pub(crate) fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
 /// Percent error between a model value and a measurement.
-pub fn pct_err(model: f64, measured: f64) -> f64 {
+pub(crate) fn pct_err(model: f64, measured: f64) -> f64 {
     if measured.abs() < 1e-12 {
         0.0
     } else {

@@ -22,7 +22,7 @@ use crate::HarnessOptions;
 /// sampled request the `tid` lane, so one request's hops stack on one
 /// track.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ChromeEvent {
+pub(crate) struct ChromeEvent {
     /// `service.endpoint`, resolved against the app spec.
     pub name: String,
     /// The scaler slug of the run the span came from.
@@ -43,7 +43,7 @@ pub struct ChromeEvent {
 
 /// The `args` payload of a [`ChromeEvent`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct ChromeEventArgs {
+pub(crate) struct ChromeEventArgs {
     /// Replica the hop executed on.
     pub replica: u64,
     /// Server hosting that replica.
@@ -89,7 +89,7 @@ fn chrome_event(span: &SampledSpan, spec: &AppSpec, slug: &str) -> ChromeEvent {
 /// Converts every sampled span riding along `results` into a Chrome
 /// trace-event JSON array (the format Perfetto's "Open trace file"
 /// accepts), resolving service/endpoint names against `spec`.
-pub fn chrome_trace_json(results: &[ExperimentResult], spec: &AppSpec) -> String {
+pub(crate) fn chrome_trace_json(results: &[ExperimentResult], spec: &AppSpec) -> String {
     let mut events = Vec::new();
     for r in results {
         let slug = r.scaler.to_lowercase().replace('-', "_");
@@ -117,7 +117,7 @@ pub fn journal_of(results: &[ExperimentResult]) -> Journal {
 
 /// Aggregates the runs into a metrics registry, one name prefix per
 /// scaler (`atom_`, `uh_`, ... — lowercased, `-` → `_`).
-pub fn registry_for(results: &[ExperimentResult]) -> Registry {
+pub(crate) fn registry_for(results: &[ExperimentResult]) -> Registry {
     let mut reg = Registry::new();
     for r in results {
         let slug = r.scaler.to_lowercase().replace('-', "_");
@@ -318,7 +318,7 @@ pub fn emit(opts: &HarnessOptions, results: &[ExperimentResult]) {
 /// # Panics
 ///
 /// Panics on I/O errors, same policy as [`emit`].
-pub fn emit_spans(opts: &HarnessOptions, results: &[ExperimentResult], spec: &AppSpec) {
+pub(crate) fn emit_spans(opts: &HarnessOptions, results: &[ExperimentResult], spec: &AppSpec) {
     if let Some(path) = &opts.spans_out {
         write_artefact(path, &chrome_trace_json(results, spec));
         let count: usize = results.iter().map(|r| r.telemetry.spans.len()).sum();
@@ -332,7 +332,7 @@ pub fn emit_spans(opts: &HarnessOptions, results: &[ExperimentResult], spec: &Ap
 /// The journal of `results` exactly as a consumer sees it: read back
 /// from `--trace-out` when [`emit`] wrote it there, rendered in memory
 /// otherwise.
-pub fn emitted_journal(opts: &HarnessOptions, results: &[ExperimentResult]) -> String {
+pub(crate) fn emitted_journal(opts: &HarnessOptions, results: &[ExperimentResult]) -> String {
     match &opts.trace_out {
         Some(path) => std::fs::read_to_string(path).expect("read back the emitted journal"),
         None => journal_of(results).to_jsonl(),

@@ -81,7 +81,7 @@ impl LoadView {
 
 /// Updates an LQN from monitoring data.
 #[derive(Debug, Clone, Default)]
-pub struct WorkloadAnalyzer {
+pub(crate) struct WorkloadAnalyzer {
     /// The mix used when a window saw no requests at all (carried over
     /// from the last window that saw some; uniform until one does).
     last_mix: Option<Vec<f64>>,

@@ -404,8 +404,11 @@ impl Autoscaler for Atom {
                 self.planner
                     .plan_with(&self.binding, &mut evaluator, found.decision, &current);
             // The layered-bottleneck diagnosis of the incumbent (§V-B,
-            // Fig. 11); none when its solve fails.
-            record.bottlenecks = evaluator.with_solution(&current, bottlenecks).ok();
+            // Fig. 11); when its solve fails, the reason says so.
+            record.bottlenecks = evaluator
+                .with_solution(&current, bottlenecks)
+                .map_err(|e| notes.push(format!("no diagnosis, the incumbent did not solve: {e}")))
+                .ok();
             record.evaluator = Some(evaluator.stats().to_counters());
             record.ga = Some(found.ga.to_generations(found.evaluations));
             record.chosen = self.entries(&planned);
@@ -858,12 +861,23 @@ mod tests {
             let (_, _, text) = decide_against_the_oracle(&mut atom, &at_window(dark, k));
             has(&text, &[if k < 4 { "re-issuing" } else { "abandoning" }]);
         }
-        // Every solve fails (no think time, no demand): the search runs,
-        // the incumbent has no diagnosis, and nothing is explained.
+        // Every solve fails (no think time, no demand): the search runs
+        // and the incumbent has no diagnosis. The string builder rendered
+        // nothing here; the record renders the plan, the counters and why
+        // the diagnosis is missing.
         let broken = crate::fixtures::chain((8, 1.0), &[("web", 64, 0.2, &[0.0])], 100, 0.0);
         let mut atom = Atom::new(broken, fast_config());
-        let (_, rec, text) = decide_against_the_oracle(&mut atom, &report(2000, 1, 0.2));
-        assert_eq!(text, "");
+        assert_eq!(oracle(atom.clone(), &heavy), None);
+        atom.decide(&heavy);
+        let rec = atom.take_decision_record().expect("record");
+        assert_eq!(
+            rec.explanation().as_deref(),
+            Some(
+                "keeping the current configuration [410 candidates, 104 solves, 306 cache hits \
+                 (74.6% hit-rate), 104 failures] | no diagnosis, the incumbent did not solve: \
+                 invalid model: client cycle time is zero (no think time and no demand)"
+            )
+        );
         assert!(rec.bottlenecks.is_none() && rec.evaluator.is_some_and(|e| e.failures > 0));
     }
 }

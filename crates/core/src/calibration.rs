@@ -26,24 +26,24 @@ const MIN_RATE: f64 = 1.0;
 
 /// Per-service multiplicative demand corrections learned online.
 #[derive(Debug, Clone, Default)]
-pub struct DemandCalibrator {
+pub(crate) struct DemandCalibrator {
     scales: HashMap<TaskId, f64>,
 }
 
 impl DemandCalibrator {
     /// Creates a calibrator with no corrections learned yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DemandCalibrator::default()
     }
 
     /// Current correction factor for a task (1.0 when unobserved).
-    pub fn scale(&self, task: TaskId) -> f64 {
+    pub(crate) fn scale(&self, task: TaskId) -> f64 {
         self.scales.get(&task).copied().unwrap_or(1.0)
     }
 
     /// Ingests one monitoring window: updates the per-service correction
     /// factors from observed busy cores and completion rates.
-    pub fn observe(&mut self, binding: &ModelBinding, report: &WindowReport) {
+    pub(crate) fn observe(&mut self, binding: &ModelBinding, report: &WindowReport) {
         for sb in &binding.services {
             let si = sb.service.0;
             let (Some(&busy), Some(endpoint_tps)) = (
@@ -78,7 +78,7 @@ impl DemandCalibrator {
 
     /// Applies the learned corrections to a model instance (the
     /// analyzer's per-window clone, not the template).
-    pub fn apply(&self, binding: &ModelBinding, model: &mut LqnModel) {
+    pub(crate) fn apply(&self, binding: &ModelBinding, model: &mut LqnModel) {
         for sb in &binding.services {
             let scale = self.scale(sb.task);
             if (scale - 1.0).abs() < 1e-9 {

@@ -93,7 +93,7 @@ impl EvaluatorStats {
     }
 
     /// The journal's plain-data view of these counters.
-    pub fn to_counters(&self) -> atom_obs::SolveCounters {
+    pub(crate) fn to_counters(self) -> atom_obs::SolveCounters {
         atom_obs::SolveCounters {
             candidates: self.candidates as u64,
             solves: self.solves as u64,
@@ -161,7 +161,7 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// An evaluator that only solves (for TPS predictions);
     /// [`CandidateEvaluator::evaluate`] panics on it.
-    pub fn solver_only(model: &LqnModel) -> Self {
+    pub(crate) fn solver_only(model: &LqnModel) -> Self {
         CandidateEvaluator {
             scoring: None,
             scratch: ScratchModel::new(model),
@@ -174,7 +174,8 @@ impl<'a> CandidateEvaluator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a [`CandidateEvaluator::solver_only`] evaluator.
+    /// Panics on a solver-only evaluator (one this crate builds for plain
+    /// solves, without a binding or an objective).
     pub fn binding(&self) -> &'a ModelBinding {
         self.scoring().0
     }
@@ -194,7 +195,7 @@ impl<'a> CandidateEvaluator<'a> {
 
     /// Whether an evaluation is the [`CandidateEvaluator::rejected`]
     /// sentinel.
-    pub fn is_rejected(eval: &Evaluation) -> bool {
+    pub(crate) fn is_rejected(eval: &Evaluation) -> bool {
         eval.objective == f64::NEG_INFINITY && eval.violation >= f64::MAX / 4.0
     }
 

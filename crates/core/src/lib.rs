@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! ATOM: the model-driven autoscaling controller (the paper's primary
 //! contribution), its rule-based baselines, and the experiment runner.
@@ -14,14 +15,14 @@
 //!   peak rate, TPS, in-system peak/average, mix) that a degraded
 //!   window swaps for the last trusted one;
 //! * **Analyze** — the *forecaster* (proactive mode) scales the view to
-//!   the load at the actuation horizon; [`analyzer::WorkloadAnalyzer`]
-//!   writes its `N` and request mix into the LQN, then
+//!   the load at the actuation horizon; the *workload analyzer* writes
+//!   its `N` and request mix into the LQN, then
 //!   [`optimizer::search_with`] (Algorithm 1) runs a genetic algorithm
 //!   over `(r, s)` configurations, solving the model analytically for
-//!   each candidate and scoring it with [`objective::ObjectiveSpec`]
+//!   each candidate and scoring it with [`ObjectiveSpec`]
 //!   (equations (1)–(5): weighted-sum revenue vs CPU, SLA/capacity/
 //!   utilisation constraints);
-//! * **Plan** — [`planner::Planner`] applies the paper's two quick fixes
+//! * **Plan** — the *planner* applies the paper's two quick fixes
 //!   (reuse a cheaper previous allocation if TPS is unaffected;
 //!   consolidate replicas at equal total share) and optionally one of the
 //!   conservative modes **ATOM-T** (require a minimum predicted TPS
@@ -36,21 +37,21 @@
 //! * **Knowledge** — with span sampling on, the *auditor* scores each
 //!   plan's per-station prediction against the next window's spans.
 //!
-//! [`baselines::UhScaler`] and [`baselines::UvScaler`] implement the
-//! utilisation-triggered horizontal/vertical doubling rules of §V-A.
-//! [`experiment::run_experiment`] drives any [`Autoscaler`] against a
-//! cluster and collects the elasticity metrics of §V-B.
+//! [`UhScaler`] and [`UvScaler`] implement the utilisation-triggered
+//! horizontal/vertical doubling rules of §V-A. [`run_experiment`] drives
+//! any [`Autoscaler`] against a cluster and collects the elasticity
+//! metrics of §V-B.
 
-pub mod analyzer;
+mod analyzer;
 pub mod autoscaler;
-pub mod baselines;
-pub mod binding;
-pub mod calibration;
+mod baselines;
+mod binding;
+mod calibration;
 pub mod evaluator;
-pub mod experiment;
-pub mod objective;
+mod experiment;
+mod objective;
 pub mod optimizer;
-pub mod planner;
+mod planner;
 
 mod atom_controller;
 
@@ -70,17 +71,15 @@ pub mod solver {
 /// `atom_workload` dependency: [`workload::WorkloadSpec`] and its
 /// builders, the [`workload::Population`] it runs — a synthetic
 /// [`workload::LoadProfile`] or a replayed [`workload::TraceSource`] —
-/// and the streaming trace readers in [`workload::trace`].
+/// and the streaming trace readers ([`workload::read_trace`]).
 pub mod workload {
     pub use atom_workload::*;
-    pub use atom_workload::{burstiness, mix, profile, source, trace};
 }
 
 pub use atom_controller::{Atom, AtomConfig, ForecastConfig};
 pub use autoscaler::Autoscaler;
 pub use baselines::{UhScaler, UvScaler};
 pub use binding::{ModelBinding, ServiceBinding};
-pub use calibration::DemandCalibrator;
 pub use evaluator::{CandidateEvaluator, EvaluatorStats};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, TelemetrySummary};
 pub use objective::ObjectiveSpec;

@@ -63,7 +63,7 @@ impl ObjectiveSpec {
 
     /// The ideal revenue used for normalisation: every user cycling at
     /// pure think-time speed, weighted by the current mix.
-    pub fn ideal_revenue(&self, binding: &ModelBinding, model: &LqnModel) -> f64 {
+    pub(crate) fn ideal_revenue(&self, binding: &ModelBinding, model: &LqnModel) -> f64 {
         let client = model.task(binding.client);
         let think = match client.kind {
             TaskKind::Reference { think_time } => think_time.max(1e-9),

@@ -58,7 +58,7 @@ pub struct GaStats {
 impl GaStats {
     /// The journal's plain-data view (NaN-free: non-finite history
     /// entries become `None` so the JSONL stays valid JSON).
-    pub fn to_generations(&self, evaluations: usize) -> atom_obs::GaGenerations {
+    pub(crate) fn to_generations(&self, evaluations: usize) -> atom_obs::GaGenerations {
         let opt = |v: &[f64]| -> Vec<Option<f64>> {
             v.iter().map(|&x| x.is_finite().then_some(x)).collect()
         };

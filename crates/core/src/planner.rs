@@ -60,7 +60,7 @@ const MAX_RELATIVE_CHANGE: f64 = 0.5;
 
 /// The planner. See the [module docs](self).
 #[derive(Debug, Clone)]
-pub struct Planner {
+pub(crate) struct Planner {
     /// Conservatism mode.
     pub mode: PlannerMode,
     /// Whether the two §IV-C quick fixes run at all (disabled by the
@@ -82,7 +82,7 @@ impl Planner {
     /// execute. All TPS predictions go through `evaluator` — the
     /// controller passes the search's, so quick-fix trials hit its memo
     /// cache.
-    pub fn plan_with(
+    pub(crate) fn plan_with(
         &self,
         binding: &ModelBinding,
         evaluator: &mut CandidateEvaluator<'_>,

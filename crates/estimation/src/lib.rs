@@ -1,16 +1,17 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Service-demand estimation (paper §III-B, Fig. 4).
 //!
 //! LQN models need per-entry host demands. The paper contrasts two
 //! estimation techniques:
 //!
-//! * [`utilization_law::UtilizationLawEstimator`] — regress utilisation
+//! * [`UtilizationLawEstimator`] — regress utilisation
 //!   samples on per-class throughputs via the utilisation law
 //!   `U = Σ_k X_k D_k` with non-negativity constraints (Lawson–Hanson
 //!   NNLS). On microservices this often fails: throughputs barely vary
 //!   between windows, so the regression is ill-conditioned (Fig. 4a);
-//! * [`response_time::ResponseTimeEstimator`] — use per-request samples of
+//! * [`ResponseTimeEstimator`] — use per-request samples of
 //!   response time versus the queue length seen at arrival; by the MVA
 //!   arrival theorem `R = D · (1 + A)`, so `D` is a one-parameter
 //!   regression with much higher input variability (Fig. 4b, after Kraft
@@ -19,9 +20,9 @@
 //! Both estimators report goodness-of-fit so the Fig. 4 comparison can be
 //! regenerated quantitatively.
 
-pub mod linalg;
-pub mod response_time;
-pub mod utilization_law;
+mod linalg;
+mod response_time;
+mod utilization_law;
 
 pub use response_time::ResponseTimeEstimator;
 pub use utilization_law::UtilizationLawEstimator;

@@ -5,7 +5,7 @@
 
 /// Solves `A x = b` for square `A` (row-major, `n × n`) by Gaussian
 /// elimination with partial pivoting. Returns `None` if singular.
-pub fn solve_square(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn solve_square(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     let n = b.len();
     let mut m: Vec<Vec<f64>> = a
         .iter()
@@ -50,7 +50,7 @@ pub fn solve_square(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
 /// Ordinary least squares `min ‖A x − b‖₂` via the normal equations.
 /// `a` is `m × n` row-major with `m ≥ n`. Returns `None` if the normal
 /// matrix is singular.
-pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     let m = a.len();
     if m == 0 {
         return None;
@@ -74,7 +74,7 @@ pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
 ///
 /// Returns `None` only if an inner unconstrained solve is singular in a
 /// way the active-set loop cannot recover from.
-pub fn nnls(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn nnls(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     let m = a.len();
     if m == 0 {
         return None;
@@ -147,7 +147,7 @@ pub fn nnls(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
 
 /// Coefficient of determination `R²` of predictions vs observations,
 /// clamped below at 0.
-pub fn r_squared(predicted: &[f64], observed: &[f64]) -> f64 {
+pub(crate) fn r_squared(predicted: &[f64], observed: &[f64]) -> f64 {
     assert_eq!(predicted.len(), observed.len());
     let n = observed.len() as f64;
     if n < 2.0 {
@@ -167,7 +167,7 @@ pub fn r_squared(predicted: &[f64], observed: &[f64]) -> f64 {
 }
 
 /// Pearson correlation of two equal-length samples; 0 when degenerate.
-pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len() as f64;
     if n < 2.0 {

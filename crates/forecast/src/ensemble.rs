@@ -20,7 +20,7 @@ use crate::{smape, Forecaster};
 /// `Box<dyn Forecaster>` so the ensemble — and the controller holding it
 /// — stays `Clone` and comparable across threads).
 #[derive(Debug, Clone)]
-pub enum Model {
+pub(crate) enum Model {
     /// Last-value persistence.
     Naive(Naive),
     /// Sliding-window linear trend.
@@ -111,15 +111,9 @@ impl Ensemble {
                 season_windows,
             )));
         }
-        Ensemble::with_models(models, error_window)
-    }
-
-    /// An ensemble over an explicit model list. The first model is the
-    /// warm-up answerer (before any score exists), so list the most
-    /// conservative model first.
-    pub fn with_models(models: Vec<Model>, error_window: usize) -> Self {
+        // The first model answers during warm-up, before any score
+        // exists, so the most conservative one comes first.
         let n = models.len();
-        assert!(n > 0, "ensemble needs at least one model");
         Ensemble {
             models,
             scores: vec![VecDeque::new(); n],
@@ -190,11 +184,6 @@ impl Ensemble {
             model,
             rolling_smape: self.score(i),
         })
-    }
-
-    /// The models in the ensemble.
-    pub fn models(&self) -> &[Model] {
-        &self.models
     }
 }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Deterministic time-series forecasters for proactive autoscaling.
 //!
@@ -8,13 +9,13 @@
 //! forecasters that let the controller plan for the population expected
 //! at `t + actuation_horizon` instead:
 //!
-//! * [`Naive`] — last observation (the reactive baseline, and the
+//! * `Naive` — last observation (the reactive baseline, and the
 //!   ensemble's safety net);
-//! * [`LinearTrend`] — least-squares trend over a sliding window;
+//! * `LinearTrend` — least-squares trend over a sliding window;
 //! * [`Holt`] — double exponential smoothing (level + trend);
 //! * [`SeasonalSmoother`] — Holt-Winters-style additive seasonal
 //!   smoothing for diurnal profiles;
-//! * [`BurstOnset`] — a burst detector that extrapolates the onset slope
+//! * `BurstOnset` — a burst detector that extrapolates the onset slope
 //!   when the latest increment dwarfs recent history.
 //!
 //! All of them sit behind the [`Forecaster`] trait and are composed by
@@ -38,11 +39,11 @@
 //! assert!((f.value - 1200.0).abs() < 20.0, "trend found: {}", f.value);
 //! ```
 
-pub mod ensemble;
-pub mod models;
+mod ensemble;
+mod models;
 
-pub use ensemble::{Ensemble, Forecast, Model};
-pub use models::{BurstOnset, Holt, LinearTrend, Naive, SeasonalSmoother};
+pub use ensemble::{Ensemble, Forecast};
+pub use models::{Holt, SeasonalSmoother};
 
 /// A per-window workload forecaster.
 ///
@@ -69,7 +70,7 @@ pub trait Forecaster {
 /// Scale-free, so the ensemble can compare models across load levels,
 /// and bounded, so one absurd forecast cannot dominate a rolling score
 /// the way a plain percentage error (unbounded near `a = 0`) would.
-pub fn smape(forecast: f64, actual: f64) -> f64 {
+pub(crate) fn smape(forecast: f64, actual: f64) -> f64 {
     let denom = forecast.abs() + actual.abs();
     if denom <= 0.0 || !denom.is_finite() {
         return if forecast == actual { 0.0 } else { 2.0 };

@@ -15,13 +15,13 @@ use crate::Forecaster;
 /// proactive path never scores worse than reactive on the rolling
 /// error, which is what makes the automatic fallback sound.
 #[derive(Debug, Clone, Default)]
-pub struct Naive {
+pub(crate) struct Naive {
     last: Option<f64>,
 }
 
 impl Naive {
     /// Creates the model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Naive::default()
     }
 }
@@ -47,7 +47,7 @@ impl Forecaster for Naive {
 /// onto a fresh ramp; the price is jitter on noisy plateaus, which the
 /// ensemble's rolling score discounts.
 #[derive(Debug, Clone)]
-pub struct LinearTrend {
+pub(crate) struct LinearTrend {
     window: usize,
     history: VecDeque<f64>,
 }
@@ -55,7 +55,7 @@ pub struct LinearTrend {
 impl LinearTrend {
     /// Creates the model with a sliding window of `window` observations
     /// (at least 2).
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         LinearTrend {
             window: window.max(2),
             history: VecDeque::new(),
@@ -96,7 +96,7 @@ impl Forecaster for LinearTrend {
 }
 
 /// Holt's double exponential smoothing: a smoothed level plus a smoothed
-/// trend. Slower to react than [`LinearTrend`] but far steadier through
+/// trend. Slower to react than `LinearTrend` but far steadier through
 /// noise, which is what wins on long ramps with bursty think times.
 #[derive(Debug, Clone)]
 pub struct Holt {
@@ -245,7 +245,7 @@ impl Forecaster for SeasonalSmoother {
 /// only departs when `latest increment > factor × recent mean |increment|`
 /// — at which point it assumes the jump continues for the horizon.
 #[derive(Debug, Clone)]
-pub struct BurstOnset {
+pub(crate) struct BurstOnset {
     factor: f64,
     memory: usize,
     increments: VecDeque<f64>,
@@ -257,7 +257,7 @@ impl BurstOnset {
     /// Creates the detector: an increment counts as a burst onset when
     /// it exceeds `factor` times the mean absolute increment over the
     /// previous `memory` windows (and that baseline is non-trivial).
-    pub fn new(factor: f64, memory: usize) -> Self {
+    pub(crate) fn new(factor: f64, memory: usize) -> Self {
         BurstOnset {
             factor: factor.max(1.0),
             memory: memory.max(2),
@@ -265,11 +265,6 @@ impl BurstOnset {
             last: None,
             onset_slope: None,
         }
-    }
-
-    /// Whether the latest observation was classified as a burst onset.
-    pub fn onset(&self) -> bool {
-        self.onset_slope.is_some()
     }
 }
 
@@ -372,13 +367,13 @@ mod tests {
     fn burst_onset_extrapolates_the_jump() {
         let mut m = BurstOnset::new(2.0, 4);
         feed(&mut m, &[100.0, 101.0, 100.0, 99.0, 100.0]);
-        assert!(!m.onset());
+        assert!(m.onset_slope.is_none());
         assert_eq!(m.forecast(2.0), Some(100.0));
         m.observe(180.0); // +80 against a ±1 baseline
-        assert!(m.onset());
+        assert!(m.onset_slope.is_some());
         assert!((m.forecast(2.0).unwrap() - 340.0).abs() < 1e-9);
         m.observe(181.0); // the burst flattens: back to persistence
-        assert!(!m.onset());
+        assert!(m.onset_slope.is_none());
         assert_eq!(m.forecast(2.0), Some(181.0));
     }
 
@@ -387,6 +382,6 @@ mod tests {
         let mut m = BurstOnset::new(2.0, 4);
         feed(&mut m, &[50.0; 10]);
         m.observe(50.4); // sub-floor wiggle
-        assert!(!m.onset());
+        assert!(m.onset_slope.is_none());
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! A genetic algorithm for non-linear mixed-integer programs.
 //!

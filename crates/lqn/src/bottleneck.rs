@@ -46,13 +46,6 @@ pub struct BottleneckReport {
     pub threshold: f64,
 }
 
-impl BottleneckReport {
-    /// Pressure entry for one task, if it is a server task.
-    pub fn pressure(&self, task: TaskId) -> Option<&TaskPressure> {
-        self.pressures.iter().find(|p| p.task == task)
-    }
-}
-
 /// The utilisation at which a task counts as *saturated*.
 const SATURATION: f64 = 0.9;
 
@@ -188,6 +181,11 @@ mod tests {
     use super::*;
     use crate::analytic::{solve, SolverOptions};
 
+    /// The pressure entry of one server task.
+    fn pressure(report: &BottleneckReport, task: TaskId) -> &TaskPressure {
+        report.pressures.iter().find(|p| p.task == task).unwrap()
+    }
+
     /// client -> front -> mid -> db with the db undersized.
     fn chain() -> LqnModel {
         let mut m = LqnModel::new();
@@ -219,14 +217,14 @@ mod tests {
         assert_eq!(report.root_bottlenecks, vec![db], "{report:?}");
         // The upstream tasks show low CPU but are starved by the db.
         for t in [front, mid] {
-            let p = report.pressure(t).unwrap();
+            let p = pressure(&report, t);
             assert!(!p.saturated, "{report:?}");
             assert!(p.utilization < 0.5, "{report:?}");
             assert!(p.downstream_share > 0.8, "{report:?}");
             assert_eq!(p.starved_by, Some(db), "{report:?}");
         }
-        assert!(report.pressure(db).unwrap().saturated);
-        assert_eq!(report.pressure(db).unwrap().starved_by, None);
+        assert!(pressure(&report, db).saturated);
+        assert_eq!(pressure(&report, db).starved_by, None);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Layered Queueing Networks (LQN) for microservice performance modelling.
 //!
@@ -15,11 +16,10 @@
 //! * [`sim`] — a discrete-event LQN simulator (the LQSIM stand-in) used to
 //!   validate the analytic solver and to produce the paper's
 //!   "measurement" column in Tables III/IV;
-//! * [`scaling`] — the model transforms of Algorithm 1
+//! * [`DecisionVector`] — the model transforms of Algorithm 1
 //!   (`updateReplication`, `updateCalls`, `updateHostDemand`) expressed as
-//!   a single [`scaling::DecisionVector::apply`] of the one candidate type
-//!   the stack has: replicas and CPU shares on the integer actuation
-//!   lattice.
+//!   a single [`DecisionVector::apply`] of the one candidate type the
+//!   stack has: replicas and CPU shares on the integer actuation lattice.
 //!
 //! # Modelling conventions
 //!
@@ -55,12 +55,12 @@
 
 pub mod analytic;
 pub mod bottleneck;
-pub mod error;
-pub mod format;
+mod error;
+mod format;
 pub mod model;
-pub mod scaling;
+mod scaling;
 pub mod sim;
-pub mod solution;
+mod solution;
 
 pub use error::LqnError;
 pub use format::{from_lqn_text, to_lqn_text};

@@ -88,7 +88,7 @@ impl TaskDecision {
 /// dv.apply(&mut m)?;
 /// assert_eq!(m.task(t).replicas, 3);
 /// assert_eq!(m.task(t).cpu_share, Some(10.0 * SHARE_STEP));
-/// assert_eq!(dv.total_steps(), 30);
+/// assert_eq!(dv.total_cpu_share(), 30.0 * SHARE_STEP);
 /// # Ok(())
 /// # }
 /// ```
@@ -143,7 +143,7 @@ impl DecisionVector {
 
     /// Total allocated CPU in grid steps (`Σ_i r_i · idx_i`) — the exact
     /// integer form of `Σ_i r_i · s_i / SHARE_STEP`.
-    pub fn total_steps(&self) -> usize {
+    pub(crate) fn total_steps(&self) -> usize {
         self.decisions.iter().map(|(_, d)| d.alloc_steps()).sum()
     }
 

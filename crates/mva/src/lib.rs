@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Closed queueing-network solvers used throughout the ATOM reproduction.
 //!
@@ -40,9 +41,9 @@
 pub mod amva;
 pub mod bounds;
 pub mod closed;
-pub mod error;
+mod error;
 pub mod network;
 
 pub use amva::{solve_amva, AmvaOptions};
 pub use error::MvaError;
-pub use network::{ClassSpec, ClosedNetwork, Solution, Station, StationKind};
+pub use network::{ClassSpec, ClosedNetwork, Solution, Station};

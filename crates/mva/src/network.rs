@@ -4,7 +4,7 @@ use crate::error::MvaError;
 
 /// What kind of service a station provides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StationKind {
+pub(crate) enum StationKind {
     /// A queueing station with a fixed number of servers. Jobs contend for
     /// the servers; queueing delay appears once all servers are busy.
     Queueing {
@@ -68,7 +68,7 @@ impl Station {
     }
 
     /// Station kind.
-    pub fn kind(&self) -> StationKind {
+    pub(crate) fn kind(&self) -> StationKind {
         self.kind
     }
 
@@ -208,12 +208,12 @@ impl ClosedNetwork {
     }
 
     /// Number of stations.
-    pub fn num_stations(&self) -> usize {
+    pub(crate) fn num_stations(&self) -> usize {
         self.stations.len()
     }
 
     /// Number of classes.
-    pub fn num_classes(&self) -> usize {
+    pub(crate) fn num_classes(&self) -> usize {
         self.classes.len()
     }
 }

@@ -1,3 +1,6 @@
+#![warn(missing_docs)]
+#![warn(unreachable_pub)]
+
 //! The network fabric: a two-tier (rack / aggregation) topology with
 //! per-edge latency and bandwidth, deterministic FIFO link queues, and a
 //! [`NetworkDelay`] model pricing each inter-service hop by the placement
@@ -119,12 +122,12 @@ impl TopologySpec {
     }
 
     /// Index of the aggregation edge (rack uplinks occupy `0..n_racks`).
-    pub fn aggregation_edge(&self) -> usize {
+    pub(crate) fn aggregation_edge(&self) -> usize {
         self.rack_edges.len()
     }
 
     /// Display name of an edge (`rack0`, `rack1`, ..., `agg`).
-    pub fn edge_name(&self, edge: usize) -> String {
+    pub(crate) fn edge_name(&self, edge: usize) -> String {
         if edge == self.aggregation_edge() {
             "agg".to_string()
         } else {
@@ -274,7 +277,7 @@ impl NetworkDelay {
 
     /// Base one-way delay from server `from` to server `to`: per edge,
     /// propagation latency plus `payload / bandwidth`.
-    pub fn one_way(&self, from: usize, to: usize) -> f64 {
+    pub(crate) fn one_way(&self, from: usize, to: usize) -> f64 {
         let mut total = 0.0;
         for &e in self.spec.path(from, to).edges() {
             let edge = self.spec.edge(e);

@@ -23,7 +23,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
+    fn with_bounds(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),

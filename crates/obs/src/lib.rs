@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Deterministic telemetry for the ATOM reproduction.
 //!
@@ -26,11 +27,11 @@
 //! deliberately knows nothing about LQNs, GAs, or clusters: the layers
 //! being observed translate their own state into plain records.
 
-pub mod histogram;
-pub mod journal;
+mod histogram;
+mod journal;
 pub mod log;
-pub mod record;
-pub mod registry;
+mod record;
+mod registry;
 
 pub use histogram::Histogram;
 pub use journal::{Journal, JournalEvent};
@@ -40,4 +41,4 @@ pub use record::{
     GaGenerations, Record, RunRecord, ServiceDemand, ServiceDrift, SolveCounters,
     TelemetrySnapshot,
 };
-pub use registry::{escape_label_value, with_labels, Registry};
+pub use registry::{with_labels, Registry};

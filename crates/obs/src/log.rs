@@ -31,12 +31,12 @@ pub enum Verbosity {
 static LEVEL: AtomicU8 = AtomicU8::new(1);
 
 /// Sets the process-wide verbosity.
-pub fn set_level(level: Verbosity) {
+fn set_level(level: Verbosity) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
 /// The current process-wide verbosity.
-pub fn level() -> Verbosity {
+fn level() -> Verbosity {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Verbosity::Quiet,
         2 => Verbosity::Verbose,

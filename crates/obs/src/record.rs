@@ -97,13 +97,15 @@ impl DecisionRecord {
     }
 
     /// The operator's one-line account of the window: the diagnosis of
-    /// the incumbent, what the plan changes in it and the evaluator's
-    /// counters, then ` | ` and the actuation reason; either half alone
-    /// when the other is missing. For example `root bottleneck: carts
-    /// (util 97%), starving front-end; plan: carts: 1x0.50 -> 2x0.50 [410
-    /// candidates, 112 solves, 298 cache hits (72.7% hit-rate), 0 failures]`.
+    /// the incumbent (when it has one), what the plan changes in it and
+    /// the evaluator's counters (when the window planned), then ` | ` and
+    /// the actuation reason; either half alone when the other is missing.
+    /// For example `root bottleneck: carts (util 97%), starving front-end;
+    /// plan: carts: 1x0.50 -> 2x0.50 [410 candidates, 112 solves, 298 cache
+    /// hits (72.7% hit-rate), 0 failures]`.
     pub fn explanation(&self) -> Option<String> {
-        let diagnosis = self.bottlenecks.as_deref().map(|b| self.diagnosis(b));
+        let planned = self.bottlenecks.is_some() || self.evaluator.is_some();
+        let diagnosis = planned.then(|| self.diagnosis());
         match (diagnosis, &self.actuation.reason) {
             (Some(d), Some(reason)) => Some(format!("{d} | {reason}")),
             (d, reason) => d.or_else(|| reason.clone()),
@@ -111,9 +113,11 @@ impl DecisionRecord {
     }
 
     /// The first half of [`DecisionRecord::explanation`]: the incumbent's
-    /// `roots`, the plan against the incumbent, the evaluator counters.
-    fn diagnosis(&self, roots: &[BottleneckRecord]) -> String {
+    /// root bottlenecks, the plan against the incumbent, the evaluator
+    /// counters.
+    fn diagnosis(&self) -> String {
         let mut text = String::new();
+        let roots = self.bottlenecks.as_deref().unwrap_or_default();
         for b in roots {
             let util = b.utilization * 100.0;
             let _ = write!(text, "root bottleneck: {} (util {util:.0}%)", b.service);
@@ -122,7 +126,7 @@ impl DecisionRecord {
             }
             text.push_str("; ");
         }
-        if roots.is_empty() {
+        if self.bottlenecks.as_ref().is_some_and(Vec::is_empty) {
             text.push_str("no saturated service; ");
         }
         let plan: Vec<String> = self

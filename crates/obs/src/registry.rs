@@ -14,7 +14,7 @@ use crate::histogram::Histogram;
 /// Escapes a label value for the Prometheus text exposition format:
 /// backslash, double quote, and newline become `\\`, `\"`, and `\n`.
 /// Everything else (including arbitrary UTF-8) passes through verbatim.
-pub fn escape_label_value(value: &str) -> String {
+fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -28,7 +28,7 @@ pub fn escape_label_value(value: &str) -> String {
 }
 
 /// Builds a metric key `name{k1="v1",k2="v2"}` with every label value
-/// escaped via [`escape_label_value`]. With no labels the bare name is
+/// escaped as the text format requires. With no labels the bare name is
 /// returned. Use this for the `name` argument of [`Registry::add`],
 /// [`Registry::set_gauge`], etc. so hostile label values (service names
 /// with quotes, say) cannot corrupt the exported text.

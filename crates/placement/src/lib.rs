@@ -8,9 +8,9 @@
 //!
 //! * [`NodePool`] — the fixed set of shared nodes;
 //! * [`TenantSpec`] — one tenant: its own [`AppSpec`] + [`WorkloadSpec`];
-//! * [`schedule::place`] — deterministic first-fit-decreasing
-//!   bin-packing of every tenant's services onto the pool (seeded
-//!   tie-breaks), merging the tenant specs into one deployable spec;
+//! * [`place`] — deterministic first-fit-decreasing bin-packing of every
+//!   tenant's services onto the pool (seeded tie-breaks), merging the
+//!   tenant specs into one deployable spec;
 //! * [`AdmissionController`] — scale-ups queue (FIFO per tenant) or are
 //!   rejected with a typed [`RejectReason`] once the pool is exhausted;
 //! * [`MultiTenantCluster`] / [`run_multi_tenant`] — per-tenant MAPE-K
@@ -33,14 +33,17 @@
 //! [`ExperimentResult`]: atom_core::ExperimentResult
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
-pub mod multi;
-pub mod pool;
-pub mod schedule;
-pub mod tenant;
+mod admission;
+mod multi;
+mod pool;
+mod schedule;
+mod tenant;
 
-pub use admission::{AdmissionController, AdmissionStats, AdmissionVerdict, RejectReason};
+pub use admission::{
+    AdmissionController, AdmissionStats, AdmissionVerdict, PendingScale, RejectReason,
+};
 pub use multi::{run_multi_tenant, MultiTenantCluster};
 pub use pool::NodePool;
 pub use schedule::{place, Placement, PlacementError};

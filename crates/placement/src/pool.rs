@@ -42,7 +42,7 @@ impl NodePool {
     /// # Panics
     ///
     /// Panics if `cores == 0` or `speed <= 0`.
-    pub fn add_node_in_rack(
+    pub(crate) fn add_node_in_rack(
         &mut self,
         name: impl Into<String>,
         cores: usize,

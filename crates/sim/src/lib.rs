@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! The discrete-event simulation kernel both simulators run on: the LQN
 //! simulator (`atom-lqn`) and the container-cluster testbed

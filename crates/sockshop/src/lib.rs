@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! The Sock Shop case study: the paper's running example, calibrated so
 //! that the reproduction's "measurements" land near the published
@@ -45,7 +46,7 @@ use atom_lqn::LqnModel;
 
 /// Names of the six microservices, in the service-id order of the
 /// evaluation deployment (the validation subset has ids of its own).
-pub const SERVICE_NAMES: [&str; 6] = [
+pub(crate) const SERVICE_NAMES: [&str; 6] = [
     "router",
     "front-end",
     "catalogue",
@@ -63,9 +64,9 @@ pub const SVC_CATALOGUE: usize = 2;
 /// Index of the carts service.
 pub const SVC_CARTS: usize = 3;
 /// Index of the catalogue database.
-pub const SVC_CATALOGUE_DB: usize = 4;
+pub(crate) const SVC_CATALOGUE_DB: usize = 4;
 /// Index of the carts database.
-pub const SVC_CARTS_DB: usize = 5;
+pub(crate) const SVC_CARTS_DB: usize = 5;
 
 /// The calibrated Sock Shop parameters. All demands are CPU-seconds at
 /// the 1.0-GHz reference; latencies are seconds.

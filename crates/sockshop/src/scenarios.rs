@@ -37,7 +37,7 @@ pub const WINDOW_SECS: f64 = 300.0;
 pub const RUN_SECS: f64 = 40.0 * 60.0;
 
 /// …of which the first 25 minutes ramp the workload up (§V-B).
-pub const RAMP_SECS: f64 = 25.0 * 60.0;
+pub(crate) const RAMP_SECS: f64 = 25.0 * 60.0;
 
 /// Initial population the deployment is sized for (§V-A).
 pub const INITIAL_USERS: usize = 500;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! Closed workloads for the ATOM experiments: request mixes, load
 //! profiles, and burstiness injection.
@@ -13,20 +14,20 @@
 //! * [`RequestMix`] — a normalised categorical distribution over features;
 //! * [`Population`] — users over time: a synthetic [`LoadProfile`] or a
 //!   replayed production trace ([`TraceSource`], read streaming from
-//!   Alibaba / Google cluster-trace CSVs by [`trace::read_trace`]);
+//!   Alibaba / Google cluster-trace CSVs by [`read_trace`]);
 //! * [`burstiness::Mmpp2`] — a two-state Markov-modulated process whose
 //!   switching rates are calibrated in closed form to a target index of
 //!   dispersion; the cluster simulator modulates user think times with it;
 //! * [`WorkloadSpec`] — the bundle consumed by `atom-cluster`.
 
 pub mod burstiness;
-pub mod mix;
-pub mod profile;
-pub mod source;
-pub mod trace;
+mod mix;
+mod profile;
+mod source;
+mod trace;
 
 pub use burstiness::{BurstinessSpec, Mmpp2};
-pub use mix::RequestMix;
+pub use mix::{MixError, RequestMix};
 pub use profile::LoadProfile;
 pub use source::Population;
 pub use trace::{
