@@ -74,7 +74,7 @@ pub(super) fn compute(opts: &HarnessOptions) -> Fig4Result {
     }
     let samples = cluster.take_probe_samples();
     let mut rt_est = ResponseTimeEstimator::new();
-    rt_est.extend_from(&samples);
+    rt_est.extend_from(&samples).expect("probe samples");
 
     // True demand at the db's host speed (server 2 runs at 0.8).
     let true_demand = shop.d_carts_db / 0.8;

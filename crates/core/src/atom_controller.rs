@@ -46,7 +46,7 @@ const ACTUATION_DELAY: f64 = 150.0;
 #[derive(Debug, Clone)]
 pub struct AtomConfig {
     /// Objective weights, SLA, and limits (§IV-B).
-    pub objective: ObjectiveSpec,
+    pub(crate) objective: ObjectiveSpec,
     /// GA budget and seed; the budget plays the paper's 2-minute bound
     /// (use evaluations for determinism), and each window derives its
     /// own seed from this one.

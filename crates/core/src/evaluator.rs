@@ -56,14 +56,14 @@ struct Cached {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvaluatorStats {
     /// Candidate evaluations requested (cache hits included).
-    pub candidates: usize,
+    pub(crate) candidates: usize,
     /// Analytic solves actually performed.
     pub solves: usize,
     /// Requests answered from the memo cache (including duplicates
     /// within one batch).
     pub cache_hits: usize,
     /// Solves that failed to converge or decisions that failed to apply.
-    pub failures: usize,
+    pub(crate) failures: usize,
     /// Total layered sweeps of the solver across all solves.
     pub solver_iterations: usize,
 }
@@ -82,7 +82,7 @@ impl EvaluatorStats {
     /// per-window delta journaled by the controller. Field-by-field
     /// subtraction lives here (not at call sites) so adding a counter
     /// cannot silently drop it from the deltas.
-    pub fn since(&self, baseline: &EvaluatorStats) -> EvaluatorStats {
+    pub(crate) fn since(&self, baseline: &EvaluatorStats) -> EvaluatorStats {
         EvaluatorStats {
             candidates: self.candidates - baseline.candidates,
             solves: self.solves - baseline.solves,
@@ -176,7 +176,7 @@ impl<'a> CandidateEvaluator<'a> {
     ///
     /// Panics on a solver-only evaluator (one this crate builds for plain
     /// solves, without a binding or an objective).
-    pub fn binding(&self) -> &'a ModelBinding {
+    pub(crate) fn binding(&self) -> &'a ModelBinding {
         self.scoring().0
     }
 

@@ -52,7 +52,7 @@ impl ObjectiveSpec {
     }
 
     /// Revenue `B = Σ_f ψ_f X_f` of a solution (eq. 1).
-    pub fn revenue(&self, binding: &ModelBinding, solution: &LqnSolution) -> f64 {
+    pub(crate) fn revenue(&self, binding: &ModelBinding, solution: &LqnSolution) -> f64 {
         binding
             .feature_entries
             .iter()

@@ -33,7 +33,7 @@ pub struct SearchResult {
     /// Its evaluation.
     pub eval: Evaluation,
     /// Candidate evaluations spent (cache hits included).
-    pub evaluations: usize,
+    pub(crate) evaluations: usize,
     /// Evaluator counters for this search (candidates, solves, hits,
     /// failures, solver sweeps).
     pub stats: EvaluatorStats,
@@ -48,11 +48,11 @@ pub struct GaStats {
     pub generations: usize,
     /// Best feasible objective after each generation (`NaN` until a
     /// feasible individual exists).
-    pub best_history: Vec<f64>,
+    pub(crate) best_history: Vec<f64>,
     /// Mean finite objective across the population per generation.
-    pub mean_history: Vec<f64>,
+    pub(crate) mean_history: Vec<f64>,
     /// Children replaced by the within-generation niching pass.
-    pub niche_dedup: usize,
+    pub(crate) niche_dedup: usize,
 }
 
 impl GaStats {

@@ -62,10 +62,10 @@ const MAX_RELATIVE_CHANGE: f64 = 0.5;
 #[derive(Debug, Clone)]
 pub(crate) struct Planner {
     /// Conservatism mode.
-    pub mode: PlannerMode,
+    pub(crate) mode: PlannerMode,
     /// Whether the two §IV-C quick fixes run at all (disabled by the
     /// ablation harness to quantify their contribution).
-    pub quick_fixes: bool,
+    pub(crate) quick_fixes: bool,
 }
 
 impl Default for Planner {

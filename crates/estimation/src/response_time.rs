@@ -8,7 +8,7 @@
 //! advantage the paper demonstrates on microservices.
 
 use crate::linalg::{correlation, r_squared};
-use crate::{cv, DemandEstimate, EstimationError};
+use crate::{cv, valid_sample, DemandEstimate, EstimationError};
 
 /// Accumulates per-request `(queue seen at arrival, response time)`
 /// samples and fits the demand.
@@ -18,11 +18,12 @@ use crate::{cv, DemandEstimate, EstimationError};
 /// ```
 /// use atom_estimation::ResponseTimeEstimator;
 ///
+/// let samples: Vec<(f64, f64)> = (0..50)
+///     .map(|a| (a % 5) as f64)
+///     .map(|queue| (queue, 0.02 * (1.0 + queue))) // D = 0.02
+///     .collect();
 /// let mut est = ResponseTimeEstimator::new();
-/// for a in 0..50 {
-///     let queue = (a % 5) as f64;
-///     est.push(queue, 0.02 * (1.0 + queue)); // D = 0.02
-/// }
+/// est.extend_from(&samples).unwrap();
 /// let fit = est.estimate().unwrap();
 /// assert!((fit.demands[0] - 0.02).abs() < 1e-9);
 /// ```
@@ -37,34 +38,20 @@ impl ResponseTimeEstimator {
         ResponseTimeEstimator::default()
     }
 
-    /// Adds a per-request sample.
+    /// Adds per-request `(queue at arrival, response time)` samples,
+    /// e.g. from a cluster probe.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on negative queue length or response time.
-    pub fn push(&mut self, queue_at_arrival: f64, response_time: f64) {
-        assert!(
-            queue_at_arrival >= 0.0 && response_time >= 0.0,
-            "samples must be non-negative"
-        );
-        self.samples.push((queue_at_arrival, response_time));
-    }
-
-    /// Bulk-loads samples, e.g. from a cluster probe.
-    pub fn extend_from(&mut self, samples: &[(f64, f64)]) {
-        for &(q, r) in samples {
-            self.push(q, r);
+    /// Returns [`EstimationError::InvalidSample`] if any queue length or
+    /// response time is negative or not finite, and then adds none.
+    pub fn extend_from(&mut self, samples: &[(f64, f64)]) -> Result<(), EstimationError> {
+        for &(queue, response) in samples {
+            valid_sample(queue)?;
+            valid_sample(response)?;
         }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.samples.extend_from_slice(samples);
+        Ok(())
     }
 
     /// Fits `D` by least squares through the origin of
@@ -122,7 +109,7 @@ impl ResponseTimeEstimator {
             return Err(EstimationError::TooFewSamples { got: 0, needed: 1 });
         }
         let mut ratios: Vec<f64> = self.samples.iter().map(|&(a, r)| r / (1.0 + a)).collect();
-        ratios.sort_by(|x, y| x.partial_cmp(y).expect("no NaN ratios"));
+        ratios.sort_by(f64::total_cmp);
         Ok(ratios[ratios.len() / 2])
     }
 }
@@ -131,13 +118,18 @@ impl ResponseTimeEstimator {
 mod tests {
     use super::*;
 
+    fn estimator(samples: impl Iterator<Item = (f64, f64)>) -> ResponseTimeEstimator {
+        let mut est = ResponseTimeEstimator::new();
+        est.extend_from(&samples.collect::<Vec<_>>()).unwrap();
+        est
+    }
+
     #[test]
     fn exact_fit_recovers_demand() {
-        let mut est = ResponseTimeEstimator::new();
-        for a in 0..100 {
+        let est = estimator((0..100).map(|a| {
             let q = (a % 8) as f64;
-            est.push(q, 0.05 * (1.0 + q));
-        }
+            (q, 0.05 * (1.0 + q))
+        }));
         let fit = est.estimate().unwrap();
         assert!((fit.demands[0] - 0.05).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
@@ -146,12 +138,11 @@ mod tests {
 
     #[test]
     fn noisy_fit_is_close() {
-        let mut est = ResponseTimeEstimator::new();
         let noise = [0.9, 1.1, 0.95, 1.05, 1.0];
-        for a in 0..200 {
+        let est = estimator((0..200).map(|a| {
             let q = (a % 10) as f64;
-            est.push(q, 0.02 * (1.0 + q) * noise[a % 5]);
-        }
+            (q, 0.02 * (1.0 + q) * noise[a % 5])
+        }));
         let fit = est.estimate().unwrap();
         assert!((fit.demands[0] - 0.02).abs() < 0.002);
         assert!(fit.r_squared > 0.9);
@@ -160,13 +151,15 @@ mod tests {
 
     #[test]
     fn robust_estimate_ignores_outliers() {
-        let mut est = ResponseTimeEstimator::new();
-        for a in 0..99 {
-            let q = (a % 6) as f64;
-            est.push(q, 0.01 * (1.0 + q));
-        }
-        // One pathological outlier (a GC pause, say).
-        est.push(2.0, 10.0);
+        let est = estimator(
+            (0..99)
+                .map(|a| {
+                    let q = (a % 6) as f64;
+                    (q, 0.01 * (1.0 + q))
+                })
+                // One pathological outlier (a GC pause, say).
+                .chain([(2.0, 10.0)]),
+        );
         let robust = est.estimate_robust().unwrap();
         assert!((robust - 0.01).abs() < 1e-9, "robust {robust}");
         // The LSQ estimate is dragged away by the outlier.
@@ -187,13 +180,30 @@ mod tests {
     #[test]
     fn extend_from_bulk_loads() {
         let mut est = ResponseTimeEstimator::new();
-        est.extend_from(&[(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]);
-        assert_eq!(est.len(), 3);
+        est.extend_from(&[(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)])
+            .unwrap();
+        assert_eq!(est.samples.len(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn rejects_negative_sample() {
-        ResponseTimeEstimator::new().push(-1.0, 0.1);
+        let mut est = ResponseTimeEstimator::new();
+        assert_eq!(
+            est.extend_from(&[(-1.0, 0.1)]),
+            Err(EstimationError::InvalidSample { value: -1.0 })
+        );
+        assert!(est.samples.is_empty());
+    }
+
+    #[test]
+    fn rejects_a_non_finite_sample_and_adds_none() {
+        let mut est = ResponseTimeEstimator::new();
+        let bad = [(f64::INFINITY, f64::INFINITY), (0.0, 0.1)];
+        assert!(matches!(
+            est.extend_from(&bad),
+            Err(EstimationError::InvalidSample { .. })
+        ));
+        assert!(est.samples.is_empty());
+        assert!(est.estimate_robust().is_err());
     }
 }

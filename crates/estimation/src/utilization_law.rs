@@ -7,7 +7,7 @@
 //! argument for the response-time method.
 
 use crate::linalg::{correlation, nnls, r_squared};
-use crate::{cv, DemandEstimate, EstimationError};
+use crate::{cv, valid_sample, DemandEstimate, EstimationError};
 
 /// Accumulates `(utilisation, throughputs)` window samples and fits
 /// demands by NNLS.
@@ -24,7 +24,6 @@ use crate::{cv, DemandEstimate, EstimationError};
 /// }
 /// let fit = est.estimate().unwrap();
 /// assert!((fit.demands[0] - 0.02).abs() < 1e-9);
-/// assert!(fit.r_squared > 0.99);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationLawEstimator {
@@ -52,8 +51,10 @@ impl UtilizationLawEstimator {
     ///
     /// # Errors
     ///
-    /// Returns [`EstimationError::DimensionMismatch`] if `throughputs`
-    /// length differs from the class count.
+    /// * [`EstimationError::DimensionMismatch`] if `throughputs`
+    ///   length differs from the class count;
+    /// * [`EstimationError::InvalidSample`] if the utilisation or a
+    ///   throughput is negative or not finite.
     pub fn push(&mut self, utilization: f64, throughputs: &[f64]) -> Result<(), EstimationError> {
         if throughputs.len() != self.classes {
             return Err(EstimationError::DimensionMismatch {
@@ -61,19 +62,18 @@ impl UtilizationLawEstimator {
                 expected: self.classes,
             });
         }
+        valid_sample(utilization)?;
+        for &x in throughputs {
+            valid_sample(x)?;
+        }
         self.utilization.push(utilization);
         self.throughputs.push(throughputs.to_vec());
         Ok(())
     }
 
     /// Number of samples collected.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.utilization.len()
-    }
-
-    /// Whether no samples have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.utilization.is_empty()
     }
 
     /// Fits the demands.
@@ -158,6 +158,22 @@ mod tests {
             est.push(0.5, &[1.0]),
             Err(EstimationError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn negative_or_non_finite_sample_rejected() {
+        let mut est = UtilizationLawEstimator::new(2);
+        for (u, xs) in [
+            (-0.1, [1.0, 2.0]),
+            (0.5, [f64::NAN, 2.0]),
+            (0.5, [1.0, f64::INFINITY]),
+        ] {
+            assert!(matches!(
+                est.push(u, &xs),
+                Err(EstimationError::InvalidSample { .. })
+            ));
+        }
+        assert_eq!(est.len(), 0);
     }
 
     #[test]

@@ -151,7 +151,7 @@ const BALANCE_TOLERANCE: f64 = 1e-9;
 pub struct SolveStats {
     /// Layered sweeps across all probes (one per probe unless the call
     /// graph is task-cyclic).
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Throughputs probed by the root-find, the empty-system probe
     /// included.
     pub probes: usize,

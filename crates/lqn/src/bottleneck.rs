@@ -22,12 +22,12 @@ pub struct TaskPressure {
     /// The task.
     pub task: TaskId,
     /// Its CPU utilisation (busy / allocated cores).
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Whether the task itself is saturated (utilisation ≥ threshold).
-    pub saturated: bool,
+    pub(crate) saturated: bool,
     /// Fraction of its mean blocking time spent waiting on or inside
     /// callees (0 for leaf tasks).
-    pub downstream_share: f64,
+    pub(crate) downstream_share: f64,
     /// The root bottleneck this task is starved by, if any: the saturated
     /// transitive callee contributing the largest share of its blocking
     /// time, while the task itself is not saturated.
@@ -43,7 +43,7 @@ pub struct BottleneckReport {
     /// skipped).
     pub pressures: Vec<TaskPressure>,
     /// Utilisation threshold used.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
 }
 
 /// The utilisation at which a task counts as *saturated*.

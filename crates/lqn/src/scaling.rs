@@ -131,16 +131,6 @@ impl DecisionVector {
         self.decisions.iter().copied()
     }
 
-    /// Number of task decisions.
-    pub fn len(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.decisions.is_empty()
-    }
-
     /// Total allocated CPU in grid steps (`Σ_i r_i · idx_i`) — the exact
     /// integer form of `Σ_i r_i · s_i / SHARE_STEP`.
     pub(crate) fn total_steps(&self) -> usize {
@@ -237,7 +227,7 @@ mod tests {
         let mut dv = DecisionVector::new();
         dv.set(a, 1, 2);
         dv.set(a, 5, 18);
-        assert_eq!(dv.len(), 1);
+        assert_eq!(dv.iter().count(), 1);
         assert_eq!(dv.get(a).unwrap().replicas, 5);
     }
 

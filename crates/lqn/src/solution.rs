@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::{EntryId, ProcessorId, TaskId};
+use crate::model::{EntryId, TaskId};
 
 /// Performance metrics of a solved LQN.
 ///
@@ -53,11 +53,6 @@ impl LqnSolution {
         self.task_utilization[task.0]
     }
 
-    /// Utilisation of one processor.
-    pub fn processor_utilization(&self, proc: ProcessorId) -> f64 {
-        self.processor_utilization[proc.0]
-    }
-
     /// System transactions per second (the paper's TPS).
     pub fn total_throughput(&self) -> f64 {
         self.client_throughput
@@ -84,7 +79,6 @@ mod tests {
         assert_eq!(s.entry_throughput(EntryId(1)), 2.0);
         assert_eq!(s.entry_residence(EntryId(0)), 0.1);
         assert_eq!(s.task_utilization(TaskId(0)), 0.5);
-        assert_eq!(s.processor_utilization(ProcessorId(0)), 0.7);
         assert_eq!(s.total_throughput(), 3.0);
     }
 }

@@ -62,7 +62,7 @@ pub struct AmvaOptions;
 ///     vec![ClassSpec::new("a", 30, 1.0), ClassSpec::new("b", 10, 2.0)],
 /// )?;
 /// let sol = solve_amva(&net, AmvaOptions)?;
-/// assert!(sol.total_throughput() > 0.0);
+/// assert!(sol.throughput.iter().all(|&x| x > 0.0));
 /// # Ok(())
 /// # }
 /// ```

@@ -63,7 +63,7 @@ impl Station {
     }
 
     /// Station name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -78,11 +78,6 @@ impl Station {
             StationKind::Queueing { servers } => servers,
             StationKind::Delay => usize::MAX,
         }
-    }
-
-    /// Per-class service demands (seconds per passage).
-    pub fn demands(&self) -> &[f64] {
-        &self.demands
     }
 
     /// Service demand of class `class`.
@@ -121,11 +116,6 @@ impl ClassSpec {
             population,
             think_time,
         }
-    }
-
-    /// Class name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of jobs in the class.
@@ -235,13 +225,6 @@ pub struct Solution {
     /// `residence[k][c]` — mean residence time of class-`c` jobs per passage
     /// through station `k` (seconds).
     pub residence: Vec<Vec<f64>>,
-}
-
-impl Solution {
-    /// System throughput summed over classes.
-    pub fn total_throughput(&self) -> f64 {
-        self.throughput.iter().sum()
-    }
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ impl EdgeSpec {
     }
 
     /// A zero-latency, infinite-bandwidth edge (transits cost nothing).
-    pub fn free() -> Self {
+    pub(crate) fn free() -> Self {
         EdgeSpec {
             latency: 0.0,
             bandwidth: f64::INFINITY,
@@ -111,11 +111,6 @@ impl TopologySpec {
         )
     }
 
-    /// Number of racks.
-    pub fn n_racks(&self) -> usize {
-        self.rack_edges.len()
-    }
-
     /// Number of edges: one uplink per rack plus the aggregation edge.
     pub fn n_edges(&self) -> usize {
         self.rack_edges.len() + 1
@@ -144,15 +139,6 @@ impl TopologySpec {
         }
     }
 
-    /// Rack hosting `server`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range server index.
-    pub fn rack_of(&self, server: usize) -> usize {
-        self.server_rack[server]
-    }
-
     /// The ordered edges a one-way message from `from` to `to` crosses:
     /// none on the same server, the rack uplink within a rack, and
     /// uplink → aggregation → uplink across racks. Each hop also carries
@@ -161,7 +147,7 @@ impl TopologySpec {
     /// destination's, and an index-ordered convention on the aggregation
     /// edge and within a rack — what matters is that the reverse path
     /// uses the opposite channel of every edge.
-    pub fn path(&self, from: usize, to: usize) -> Path {
+    pub(crate) fn path(&self, from: usize, to: usize) -> Path {
         if from == to {
             return Path::empty();
         }
@@ -205,7 +191,7 @@ impl TopologySpec {
 /// the per-call hot path. Each hop records the direction (`0` / `1`) it
 /// crosses the full-duplex edge in.
 #[derive(Debug, Clone, Copy)]
-pub struct Path {
+pub(crate) struct Path {
     edges: [usize; 3],
     dirs: [usize; 3],
     len: usize,
@@ -237,12 +223,12 @@ impl Path {
     }
 
     /// The edges in traversal order.
-    pub fn edges(&self) -> &[usize] {
+    pub(crate) fn edges(&self) -> &[usize] {
         &self.edges[..self.len]
     }
 
     /// `(edge, direction)` hops in traversal order.
-    pub fn hops(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.edges[..self.len]
             .iter()
             .copied()
@@ -250,7 +236,7 @@ impl Path {
     }
 
     /// Whether the path crosses no edge (same-server).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 }
@@ -268,11 +254,6 @@ impl NetworkDelay {
     /// A pricing model over `spec`.
     pub fn new(spec: TopologySpec) -> Self {
         NetworkDelay { spec }
-    }
-
-    /// The underlying topology.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
     }
 
     /// Base one-way delay from server `from` to server `to`: per edge,
@@ -374,11 +355,6 @@ impl LinkFabric {
         }
         let edges = vec![[ChannelState::default(), ChannelState::default()]; spec.n_edges()];
         LinkFabric { spec, edges }
-    }
-
-    /// The topology this fabric simulates.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
     }
 
     /// Sends one message through direction `dir` of `edge` starting at

@@ -43,7 +43,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `start <= 0`, `factor <= 1`, or `n == 0`.
-    pub fn exponential(start: f64, factor: f64, n: usize) -> Self {
+    pub(crate) fn exponential(start: f64, factor: f64, n: usize) -> Self {
         assert!(
             start > 0.0 && factor > 1.0 && n > 0,
             "bad exponential ladder"
@@ -58,7 +58,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, v: f64) {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx] += 1;
         self.count += 1;
@@ -66,18 +66,18 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of recorded samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Bucket upper bounds and per-bucket counts (the final count is the
     /// overflow bucket above the last bound).
-    pub fn buckets(&self) -> (&[f64], &[u64]) {
+    pub(crate) fn buckets(&self) -> (&[f64], &[u64]) {
         (&self.bounds, &self.counts)
     }
 }

@@ -74,18 +74,6 @@ impl Journal {
         self.events.is_empty()
     }
 
-    /// Events evicted from the head of the ring (pushed but no longer
-    /// retained). Non-zero means the exported JSONL is a truncated view
-    /// of the run and readers should treat its head as missing history.
-    pub fn dropped(&self) -> u64 {
-        self.next_seq - self.events.len() as u64
-    }
-
-    /// Iterates retained events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &JournalEvent> {
-        self.events.iter()
-    }
-
     /// Serialises the retained events as JSONL, one event per line,
     /// oldest first, with a trailing newline.
     pub fn to_jsonl(&self) -> String {
@@ -135,10 +123,9 @@ mod tests {
             j.push(i as f64, Record::Note(format!("n{i}")));
         }
         assert_eq!(j.len(), 3);
-        assert_eq!(j.dropped(), 2);
-        let seqs: Vec<u64> = j.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = j.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
-        let notes: Vec<&Record> = j.iter().map(|e| &e.record).collect();
+        let notes: Vec<&Record> = j.events.iter().map(|e| &e.record).collect();
         assert_eq!(notes[0], &Record::Note("n2".into()));
         assert_eq!(notes[2], &Record::Note("n4".into()));
     }
@@ -146,21 +133,18 @@ mod tests {
     #[test]
     fn dropped_counts_evictions_exactly() {
         let mut j = Journal::with_capacity(4);
-        assert_eq!(j.dropped(), 0);
         for i in 0..4 {
             j.push(i as f64, Record::Note(format!("n{i}")));
         }
         // Full but nothing evicted yet.
-        assert_eq!(j.dropped(), 0);
+        assert_eq!(j.events.front().unwrap().seq, 0);
         for i in 4..11 {
             j.push(i as f64, Record::Note(format!("n{i}")));
         }
-        // 11 pushed into a ring of 4: the first 7 are gone.
+        // 11 pushed into a ring of 4: the first 7 are gone, and the
+        // sequence numbers expose the truncation point.
         assert_eq!(j.len(), 4);
-        assert_eq!(j.dropped(), 7);
-        // The retained window is the most recent one and sequence
-        // numbers still expose the truncation point.
-        assert_eq!(j.iter().next().unwrap().seq, 7);
+        assert_eq!(j.events.front().unwrap().seq, 7);
     }
 
     #[test]

@@ -346,7 +346,7 @@ pub struct ActuationOutcome {
 
 impl ActuationOutcome {
     /// An outcome that holds the current configuration for `reason`.
-    pub fn hold(reason: impl Into<String>) -> Self {
+    pub(crate) fn hold(reason: impl Into<String>) -> Self {
         ActuationOutcome {
             issued: Vec::new(),
             reissued: Vec::new(),

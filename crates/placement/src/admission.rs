@@ -82,7 +82,7 @@ pub struct PendingScale {
     /// The merged-spec action.
     pub action: ScaleAction,
     /// Actuation delay (seconds) requested at issue time.
-    pub delay: f64,
+    pub(crate) delay: f64,
 }
 
 /// One global service's booked scaling target.

@@ -1,7 +1,7 @@
 //! The multi-tenant cluster: placement + admission wrapped around the
 //! simulator, and the per-tenant MAPE-K driver.
 
-use atom_cluster::{Cluster, ClusterOptions, ScaleAction, ServiceId, TenantLayout, WindowReport};
+use atom_cluster::{Cluster, ClusterOptions, ScaleAction, ServiceId, WindowReport};
 use atom_core::{Autoscaler, ExperimentResult};
 
 use crate::admission::{AdmissionController, AdmissionStats, AdmissionVerdict};
@@ -13,9 +13,10 @@ use crate::tenant::TenantSpec;
 /// the placement that built it, and the admission controller every
 /// scale request must pass.
 ///
-/// Controllers talk tenant-local ids ([`MultiTenantCluster::schedule_scaling`]
-/// translates); test harnesses that need to bypass admission can reach
-/// the raw simulator via [`MultiTenantCluster::cluster_mut`].
+/// Controllers talk tenant-local ids ([`run_multi_tenant`] translates
+/// them and routes every action through admission); test harnesses
+/// that need to bypass admission can reach the raw simulator via
+/// [`MultiTenantCluster::cluster_mut`].
 #[derive(Clone)]
 pub struct MultiTenantCluster {
     cluster: Cluster,
@@ -77,18 +78,8 @@ impl MultiTenantCluster {
     }
 
     /// Number of tenants deployed.
-    pub fn tenant_count(&self) -> usize {
+    pub(crate) fn tenant_count(&self) -> usize {
         self.placement.layouts.len()
-    }
-
-    /// A tenant's slice of the merged spec.
-    pub fn layout(&self, tenant: usize) -> TenantLayout {
-        self.placement.layouts[tenant]
-    }
-
-    /// The placement the scheduler chose.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
     }
 
     /// Per-tenant admission accounting.
@@ -125,7 +116,7 @@ impl MultiTenantCluster {
     /// # Panics
     ///
     /// Panics if a local service id is outside the tenant's slice.
-    pub fn schedule_scaling(
+    pub(crate) fn schedule_scaling(
         &mut self,
         tenant: usize,
         actions: Vec<ScaleAction>,

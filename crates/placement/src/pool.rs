@@ -19,7 +19,7 @@ pub struct NodePool {
     /// this order).
     pub servers: Vec<ServerSpec>,
     /// `racks[i]` is the rack of `servers[i]`.
-    pub racks: Vec<usize>,
+    pub(crate) racks: Vec<usize>,
 }
 
 impl NodePool {
@@ -61,12 +61,12 @@ impl NodePool {
     }
 
     /// Rack of node `i`.
-    pub fn rack_of(&self, i: usize) -> usize {
+    pub(crate) fn rack_of(&self, i: usize) -> usize {
         self.racks[i]
     }
 
     /// Number of racks (highest rack id + 1; 0 for an empty pool).
-    pub fn n_racks(&self) -> usize {
+    pub(crate) fn n_racks(&self) -> usize {
         self.racks.iter().map(|&r| r + 1).max().unwrap_or(0)
     }
 

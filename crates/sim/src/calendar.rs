@@ -96,11 +96,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -144,7 +139,7 @@ mod tests {
         q.push(1.5, ());
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(1.5));
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
     }
 

@@ -169,11 +169,6 @@ impl PsProcessor {
         self.cores
     }
 
-    /// Speed factor (work-units per core-second).
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
     /// Adds a group (container) capped at `cap` cores and returns its id.
     ///
     /// # Panics
@@ -305,7 +300,7 @@ impl PsProcessor {
     /// Advances simulation time to `now`: every group's virtual clock
     /// and busy integral move on at the current rates. Idempotent for
     /// `now <=` the last update time.
-    pub fn advance(&mut self, now: f64) {
+    pub(crate) fn advance(&mut self, now: f64) {
         let dt = now - self.last_update;
         if dt <= 0.0 {
             return;

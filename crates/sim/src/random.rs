@@ -87,7 +87,7 @@ impl SimRng {
     ///
     /// Panics if `mean < 0` or `cv < 0`. A zero mean returns 0; a zero cv
     /// returns `mean` (degenerate).
-    pub fn lognormal(&mut self, mean: f64, cv: f64) -> f64 {
+    pub(crate) fn lognormal(&mut self, mean: f64, cv: f64) -> f64 {
         assert!(mean.is_finite() && mean >= 0.0, "mean must be >= 0");
         assert!(cv.is_finite() && cv >= 0.0, "cv must be >= 0");
         if mean == 0.0 {

@@ -95,7 +95,7 @@ pub struct SockShop {
     /// Front-end non-CPU latency per `carts` request.
     pub l_carts: f64,
     /// Demand coefficient of variation in the cluster simulator.
-    pub demand_cv: f64,
+    pub(crate) demand_cv: f64,
 }
 
 impl Default for SockShop {

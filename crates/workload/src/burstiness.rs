@@ -49,7 +49,7 @@ impl Default for BurstinessSpec {
 
 /// The modulating environment state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Normal traffic intensity.
     Normal,
     /// Burst: intensified traffic.
@@ -143,16 +143,11 @@ impl Mmpp2 {
     }
 
     /// Current intensity multiplier without advancing time.
-    pub fn intensity(&self) -> f64 {
+    pub(crate) fn intensity(&self) -> f64 {
         match self.phase {
             Phase::Normal => self.normal_multiplier,
             Phase::Burst => self.burst_multiplier,
         }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
     }
 
     /// Closed-form asymptotic index of dispersion of the calibrated
@@ -235,7 +230,7 @@ mod tests {
         for _ in 0..200_000 {
             t += 1.0;
             mmpp.advance(t, &mut rng);
-            match mmpp.phase() {
+            match mmpp.phase {
                 Phase::Burst => saw_burst = true,
                 Phase::Normal => saw_normal = true,
             }

@@ -26,7 +26,7 @@ impl Error for MixError {}
 /// ```
 /// use atom_workload::RequestMix;
 /// let mix = RequestMix::new(vec![57.0, 29.0, 14.0]).unwrap(); // Table I
-/// assert!((mix.fraction(0) - 0.57).abs() < 1e-12);
+/// assert!((mix.fractions()[0] - 0.57).abs() < 1e-12);
 /// assert_eq!(mix.len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,15 +74,6 @@ impl RequestMix {
         RequestMix {
             fractions: vec![1.0 / n as f64; n],
         }
-    }
-
-    /// Fraction of requests going to feature `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn fraction(&self, i: usize) -> f64 {
-        self.fractions[i]
     }
 
     /// All fractions (they sum to 1).

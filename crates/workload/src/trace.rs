@@ -49,7 +49,7 @@ pub enum TraceFormat {
 
 impl TraceFormat {
     /// Lower-case tag, as accepted by `--format`.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceFormat::Alibaba => "alibaba",
             TraceFormat::Google => "google",
@@ -135,19 +135,19 @@ impl From<io::Error> for TraceError {
 pub struct TraceOptions {
     /// Bin width for arrival aggregation (seconds). Default 30, matching
     /// the fluid backend's integration step.
-    pub bin_secs: f64,
+    pub(crate) bin_secs: f64,
     /// Population mapped to the busiest bin. Default 2000 (the paper's
     /// evaluation peak).
-    pub target_peak: usize,
+    pub(crate) target_peak: usize,
     /// Population mapped to an idle bin. Default 0.
-    pub floor_users: usize,
+    pub(crate) floor_users: usize,
     /// When set, the replay's time axis is rescaled so the whole trace
     /// spans exactly this many seconds. Default: keep trace time.
-    pub duration: Option<f64>,
+    pub(crate) duration: Option<f64>,
     /// Minimum fraction each request class keeps in reported mixes, so a
     /// skewed trace cannot starve a Sock Shop feature entirely.
     /// Default 0.
-    pub mix_floor: f64,
+    pub(crate) mix_floor: f64,
 }
 
 impl TraceOptions {
@@ -261,7 +261,7 @@ impl TraceSource {
 
     /// Step times in `(t0, t1]` whose population jumps by at least
     /// `threshold` relative to the step before.
-    pub fn spike_points(&self, t0: f64, t1: f64, threshold: f64) -> Vec<f64> {
+    pub(crate) fn spike_points(&self, t0: f64, t1: f64, threshold: f64) -> Vec<f64> {
         let mut out = Vec::new();
         let mut prev: Option<usize> = None;
         for &(time, pop) in &self.steps {
@@ -282,13 +282,13 @@ impl TraceSource {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Total lines read, including comments and blanks.
-    pub lines: usize,
+    pub(crate) lines: usize,
     /// Arrival records that contributed weight.
     pub records: usize,
     /// Lines skipped: blanks, `#` comments, non-arrival events.
     pub skipped: usize,
     /// Total arrival weight (instances for Alibaba, tasks for Google).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Occupied time bins.
     pub bins: usize,
     /// Replay span in (possibly rescaled) seconds.
@@ -305,7 +305,7 @@ pub struct TraceReplay {
     pub source: TraceSource,
     /// Aggregate request-class mix over the whole trace
     /// (browsing / catalogue-heavy / cart-heavy), normalised, with
-    /// [`TraceOptions::mix_floor`] applied.
+    /// [`TraceOptions::with_mix_floor`]'s floor applied.
     pub mix: Vec<f64>,
     /// Per-occupied-bin `(time, mix)` shifts, same normalisation.
     pub mix_shifts: Vec<(f64, Vec<f64>)>,

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Technique 2: per-request response time vs queue seen at arrival.
     let mut rt_est = ResponseTimeEstimator::new();
-    rt_est.extend_from(&cluster.take_probe_samples());
+    rt_est.extend_from(&cluster.take_probe_samples())?;
 
     let util_fit = util_est.estimate()?;
     let rt_fit = rt_est.estimate()?;
