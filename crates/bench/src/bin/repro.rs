@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the ATOM paper.
 //!
 //! ```text
-//! repro [--quick] [--smoke] [--seed N] [--users N] [--out DIR]
+//! repro [--quick] [--smoke] [--seed N] [--out DIR]
 //!       [--trace-out FILE] [--metrics-out FILE] [--spans-out FILE]
 //!       [--trace-file FILE] [--format alibaba|google]
 //!       [--quiet] [--verbose] [command...]
@@ -15,7 +15,6 @@
 //! number, an unknown format, a missing value, a `--trace-file` that
 //! does not read) or an unknown command prints `error: …` and exits 2.
 
-use std::num::NonZeroUsize;
 use std::str::FromStr;
 
 use atom_bench::figures::{run_commands, RunError, EXPERIMENTS};
@@ -24,7 +23,7 @@ use atom_core::workload::{read_trace_file, TraceFormat, TraceOptions};
 
 fn print_help() {
     println!(
-        "usage: repro [--quick] [--smoke] [--seed N] [--users N] [--out DIR] \
+        "usage: repro [--quick] [--smoke] [--seed N] [--out DIR] \
          [--trace-out FILE] [--metrics-out FILE] [--spans-out FILE] \
          [--trace-file FILE] [--format alibaba|google] [--quiet] [--verbose] [command...]\n\n\
          commands (default: all):"
@@ -82,10 +81,6 @@ fn main() {
             "--verbose" => verbose = true,
             "--smoke" => smoke = true,
             "--seed" => opts.seed = parse(&a, value("an integer"), "an integer"),
-            "--users" => {
-                let what = "a positive integer";
-                opts.users = parse::<NonZeroUsize>(&a, value(what), what).get();
-            }
             "--out" => opts.out_dir = value("a directory").into(),
             "--trace-out" => opts.trace_out = Some(value("a file path").into()),
             "--metrics-out" => opts.metrics_out = Some(value("a file path").into()),

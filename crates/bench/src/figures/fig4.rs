@@ -17,7 +17,7 @@ pub(super) struct Fig4Result {
     /// True mean demand at the probed station (CPU-seconds at its host's
     /// speed: what an ideal estimator should report).
     pub true_demand: f64,
-    /// Utilisation-law estimate and its input correlation / R².
+    /// Utilisation-law estimate.
     pub util_estimate: f64,
     /// Pearson correlation between utilisation and throughput samples.
     pub util_correlation: f64,

@@ -15,7 +15,6 @@ mod fig8910;
 mod forecast;
 mod journal;
 mod netlat;
-mod scale;
 mod trace_replay;
 mod validation;
 
@@ -240,18 +239,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         },
     )
     .gated(netlat::smoke),
-    // A performance trajectory, not a paper artefact: never part of `all`.
-    Experiment::new(
-        "scale",
-        "backend x population trajectory up to --users (default 1000000); gate: fluid >= 10x \
-         per-user, hybrid round trip, CSV re-parse, fabric transits",
-        |o| {
-            scale::run(o);
-            Vec::new()
-        },
-    )
-    .by_name_only()
-    .gated(scale::smoke),
     Experiment::new(
         "journal",
         "a 3-window UH + ATOM pair; gate (the bare --smoke): the decision journal re-parses \

@@ -33,9 +33,8 @@
 //! | `audit`      | beyond the paper: span sampling + LQN model-drift attribution (gated) |
 //! | `contention` | beyond the paper: tenants contending for one node pool (gated) |
 //! | `netlat`     | beyond the paper: placement-sensitive scaling under the network fabric (gated) |
-//! | `scale`      | backend × population trajectory; only when named (gated) |
 //! | `journal`    | a short UH + ATOM pair; its gate is the bare `--smoke`: the journal schema |
-//! | `all`        | every row above except the by-name-only ones (group members, `scale`, `journal`) |
+//! | `all`        | every row above except the by-name-only ones (group members, `journal`) |
 //!
 //! Results are printed as paper-style tables and also written as CSV
 //! under `results/`. Everything is deterministic given `--seed`.
@@ -67,8 +66,6 @@ pub struct HarnessOptions {
     /// Only experiments that enable span sampling (`audit`) produce
     /// spans — elsewhere the file is an empty event array.
     pub spans_out: Option<std::path::PathBuf>,
-    /// Top population of the `scale` trajectory (`--users`).
-    pub users: usize,
     /// The one trace `trace` replays instead of the bundled fixtures
     /// (`--trace-file`).
     pub trace_file: Option<std::path::PathBuf>,
@@ -85,7 +82,6 @@ impl Default for HarnessOptions {
             trace_out: None,
             metrics_out: None,
             spans_out: None,
-            users: 1_000_000,
             trace_file: None,
             trace_format: None,
         }

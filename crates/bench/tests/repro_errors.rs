@@ -38,8 +38,3 @@ fn a_seed_that_is_not_a_number_is_a_usage_error() {
 fn an_unknown_trace_format_is_a_usage_error() {
     assert_usage_error(&["--format", "csv", "fig4"]);
 }
-
-#[test]
-fn zero_users_is_a_usage_error() {
-    assert_usage_error(&["--users", "0", "fig4"]);
-}

@@ -296,3 +296,51 @@ fn hybrid_trace_replay_switches_on_hints_without_pinning_per_user() {
         "replay must not stay pinned per-user after the spike, got {kinds:?}"
     );
 }
+
+/// A one-service app its population loads to 65 %: N / 7 s think time
+/// × 5 ms demand over 0.65, spread over four replicas, with thread
+/// pools too large to queue.
+fn sized_spec(users: usize) -> AppSpec {
+    let capacity = (users as f64 / 7.0 * 0.005 / 0.65).max(0.5);
+    let mut spec = AppSpec::new();
+    let node = spec.add_server("hub", capacity.ceil() as usize + 2, 1.0);
+    let svc = spec.add_service("api", node, 1 << 14, 4, capacity / 4.0);
+    let ep = spec.add_endpoint(svc, "op", 0.005, 1.0);
+    spec.add_feature("op", svc, ep);
+    spec.service_mut(svc).max_replicas = 16;
+    spec
+}
+
+/// `(events dispatched, requests completed)` over `windows` windows of
+/// `secs` on [`sized_spec`] at `users`.
+fn event_cost(mode: BackendMode, users: usize, windows: usize, secs: f64) -> (u64, u64) {
+    let workload = WorkloadSpec::constant(RequestMix::uniform(1), users, 7.0);
+    let options = ClusterOptions::new().with_seed(1).with_backend(mode);
+    let mut cluster = Cluster::new(&sized_spec(users), workload, options).expect("cluster");
+    let requests = (0..windows)
+        .map(|_| cluster.run_window(secs).feature_counts.iter().sum::<u64>())
+        .sum();
+    (cluster.telemetry().total_events(), requests)
+}
+
+#[test]
+fn fluid_cost_is_flat_in_the_population_and_per_user_cost_is_per_request() {
+    // The fluid backend takes one step per interval whatever the
+    // population; the per-user DES handles at least one event (a think
+    // timer, a completion) for every request it completes.
+    let (small_events, small_requests) = event_cost(BackendMode::Fluid, 1_000, 4, 450.0);
+    let (large_events, large_requests) = event_cost(BackendMode::Fluid, 100_000, 4, 450.0);
+    assert_eq!(
+        small_events, large_events,
+        "fluid events must not grow with N ({small_requests} -> {large_requests} requests)"
+    );
+    assert!(
+        large_requests > 50 * small_requests,
+        "100x the users must complete far more requests: {small_requests} -> {large_requests}"
+    );
+    let (events, requests) = event_cost(BackendMode::PerUser, 1_000, 4, 15.0);
+    assert!(
+        requests > 0 && events >= requests,
+        "per-user: {events} events for {requests} requests"
+    );
+}

@@ -17,8 +17,9 @@
 //!   regression with much higher input variability (Fig. 4b, after Kraft
 //!   et al. \[26\]).
 //!
-//! Both estimators report goodness-of-fit so the Fig. 4 comparison can be
-//! regenerated quantitatively.
+//! Both estimators report the fitted demands and the sample count, and
+//! the input correlation and input CV of their regressor: the figures
+//! Fig. 4 prints for each.
 
 mod linalg;
 mod response_time;
@@ -100,15 +101,12 @@ impl fmt::Display for EstimationError {
 
 impl Error for EstimationError {}
 
-/// A demand estimate with goodness-of-fit diagnostics.
+/// A demand estimate and the samples it rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DemandEstimate {
     /// Estimated demands (one per class for the utilisation-law method;
     /// a single element for the response-time method).
     pub demands: Vec<f64>,
-    /// Coefficient of determination of the fit in `[0, 1]` (can be
-    /// negative for pathological fits; clamped at 0).
-    pub(crate) r_squared: f64,
     /// Number of samples used.
     pub samples: usize,
 }

@@ -145,27 +145,6 @@ pub(crate) fn nnls(a: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Coefficient of determination `R²` of predictions vs observations,
-/// clamped below at 0.
-pub(crate) fn r_squared(predicted: &[f64], observed: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), observed.len());
-    let n = observed.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mean = observed.iter().sum::<f64>() / n;
-    let ss_tot: f64 = observed.iter().map(|y| (y - mean).powi(2)).sum();
-    let ss_res: f64 = predicted
-        .iter()
-        .zip(observed)
-        .map(|(p, y)| (y - p).powi(2))
-        .sum();
-    if ss_tot <= 0.0 {
-        return 0.0;
-    }
-    (1.0 - ss_res / ss_tot).max(0.0)
-}
-
 /// Pearson correlation of two equal-length samples; 0 when degenerate.
 pub(crate) fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
@@ -247,18 +226,10 @@ mod tests {
         // b strongly anti-correlated with second column given first.
         let b = vec![1.0, 2.1, 2.9, 4.1];
         let x = nnls(&a, &b).unwrap();
-        assert!(x.iter().all(|&v| v >= 0.0), "{x:?}");
-        // Fit quality is still reasonable.
-        let pred: Vec<f64> = a.iter().map(|r| r[0] * x[0] + r[1] * x[1]).collect();
-        assert!(r_squared(&pred, &b) > 0.95);
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean() {
-        let y = vec![1.0, 2.0, 3.0];
-        assert!((r_squared(&y, &y) - 1.0).abs() < 1e-12);
-        let mean_pred = vec![2.0, 2.0, 2.0];
-        assert!(r_squared(&mean_pred, &y) < 1e-12);
+        // Least squares gives (2.08, -1.07); clamping the second
+        // coefficient leaves the one-column fit Σ a₀b / Σ a₀² = 1.01.
+        assert_eq!(x[1], 0.0, "{x:?}");
+        assert!((x[0] - 1.01).abs() < 1e-9, "{x:?}");
     }
 
     #[test]

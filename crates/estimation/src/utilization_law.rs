@@ -6,7 +6,7 @@
 //! variability, making the estimate fragile — which is the paper's
 //! argument for the response-time method.
 
-use crate::linalg::{correlation, nnls, r_squared};
+use crate::linalg::{correlation, nnls};
 use crate::{cv, valid_sample, DemandEstimate, EstimationError};
 
 /// Accumulates `(utilisation, throughputs)` window samples and fits
@@ -93,13 +93,7 @@ impl UtilizationLawEstimator {
         }
         let demands =
             nnls(&self.throughputs, &self.utilization).ok_or(EstimationError::Singular)?;
-        let predicted: Vec<f64> = self
-            .throughputs
-            .iter()
-            .map(|row| row.iter().zip(&demands).map(|(x, d)| x * d).sum())
-            .collect();
         Ok(DemandEstimate {
-            r_squared: r_squared(&predicted, &self.utilization),
             samples: self.len(),
             demands,
         })
@@ -138,7 +132,7 @@ mod tests {
         let fit = est.estimate().unwrap();
         assert!((fit.demands[0] - 0.01).abs() < 1e-9, "{:?}", fit.demands);
         assert!((fit.demands[1] - 0.03).abs() < 1e-9, "{:?}", fit.demands);
-        assert!(fit.r_squared > 0.999);
+        assert_eq!(fit.samples, 30);
     }
 
     #[test]

@@ -80,9 +80,9 @@ fn example_scenario() -> Scenario {
 }
 
 /// Reads a scenario and checks it where it enters the program: the spec
-/// must validate, the mix must have one entry per feature and the think
-/// time must be a duration, so that nothing downstream meets an id or a
-/// number it cannot handle.
+/// must validate, the mix must have one entry per feature, the think
+/// time must be a duration and the run must have a length, so that
+/// nothing downstream meets an id or a number it cannot handle.
 fn load_scenario(path: &str) -> Result<Scenario, Box<dyn std::error::Error>> {
     let scenario: Scenario = serde_json::from_str(&fs::read_to_string(path)?)?;
     scenario.app.validate()?;
@@ -93,6 +93,15 @@ fn load_scenario(path: &str) -> Result<Scenario, Box<dyn std::error::Error>> {
     let think_time = scenario.workload.think_time;
     if !(think_time.is_finite() && think_time >= 0.0) {
         return Err(format!("the think time must be >= 0, got {think_time}").into());
+    }
+    let window_secs = scenario.window_secs;
+    if !(window_secs.is_finite() && window_secs > 0.0) {
+        return Err(
+            format!("the window length must be finite and > 0 s, got {window_secs}").into(),
+        );
+    }
+    if scenario.windows == 0 {
+        return Err("the run needs at least one window, got windows = 0".into());
     }
     Ok(scenario)
 }
