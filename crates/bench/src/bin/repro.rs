@@ -13,7 +13,8 @@
 //! every gate, the bare `--smoke` the journal-schema gate — and exits 1
 //! after listing every violated check. A bad flag (an unparsable
 //! number, an unknown format, a missing value, a `--trace-file` that
-//! does not read) or an unknown command prints `error: …` and exits 2.
+//! does not read, a `--` argument that names no flag) or an unknown
+//! command prints `error: …` and exits 2.
 
 use std::str::FromStr;
 
@@ -91,6 +92,7 @@ fn main() {
                 opts.trace_format = Some(parse(&a, value(what), what));
             }
             "--help" | "-h" => return print_help(),
+            _ if a.starts_with("--") => usage_error(format!("unknown flag `{a}`")),
             _ => commands.push(a),
         }
     }

@@ -5,7 +5,9 @@
 
 use std::process::Command;
 
-fn assert_usage_error(args: &[&str]) {
+/// Runs `repro` with `args`, asserts a clean usage error and returns
+/// its stderr.
+fn assert_usage_error(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
@@ -14,6 +16,7 @@ fn assert_usage_error(args: &[&str]) {
     assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr.into_owned()
 }
 
 #[test]
@@ -37,4 +40,13 @@ fn a_seed_that_is_not_a_number_is_a_usage_error() {
 #[test]
 fn an_unknown_trace_format_is_a_usage_error() {
     assert_usage_error(&["--format", "csv", "fig4"]);
+}
+
+#[test]
+fn an_unknown_flag_is_reported_as_a_flag_not_a_command() {
+    let stderr = assert_usage_error(&["--users", "5", "fig4"]);
+    assert!(
+        stderr.starts_with("error: unknown flag `--users`"),
+        "{stderr}"
+    );
 }

@@ -36,9 +36,9 @@ pub(crate) struct WindowAccum {
 
 impl WindowAccum {
     /// Monitor sub-interval length (seconds) for peak-rate sampling.
-    pub const SUBINTERVAL: f64 = 30.0;
+    pub(crate) const SUBINTERVAL: f64 = 30.0;
 
-    pub fn new(nf: usize, n_endpoints: Vec<usize>, np: usize, ns: usize) -> Self {
+    pub(crate) fn new(nf: usize, n_endpoints: Vec<usize>, np: usize, ns: usize) -> Self {
         WindowAccum {
             window_start: 0.0,
             feature_counts: vec![0; nf],
@@ -57,7 +57,7 @@ impl WindowAccum {
         }
     }
 
-    pub fn roll_subinterval(&mut self, now: f64) {
+    pub(crate) fn roll_subinterval(&mut self, now: f64) {
         while now >= self.subinterval_start + Self::SUBINTERVAL {
             let rate = self.subinterval_arrivals as f64 / Self::SUBINTERVAL;
             self.peak_subinterval_rate = self.peak_subinterval_rate.max(rate);

@@ -110,9 +110,9 @@ pub(crate) struct FluidPool {
 impl FluidPool {
     /// Aggregation step (seconds); equal to the monitor sub-interval so
     /// synthesised arrivals land on the peak-rate sampling grid.
-    pub const STEP: f64 = WindowAccum::SUBINTERVAL;
+    pub(crate) const STEP: f64 = WindowAccum::SUBINTERVAL;
 
-    pub fn new(spec: &AppSpec, workload: &WorkloadSpec, now: f64) -> Self {
+    pub(crate) fn new(spec: &AppSpec, workload: &WorkloadSpec, now: f64) -> Self {
         let nf = spec.features.len();
         let ns = spec.services.len();
         let mix: Vec<f64> = workload.mix.fractions().to_vec();
@@ -175,7 +175,7 @@ impl FluidPool {
 
     /// Restores window continuity when the hybrid policy hands the
     /// population over mid-window.
-    pub fn adopt(&mut self, users_tw: TimeWeighted, population: usize, now: f64) {
+    pub(crate) fn adopt(&mut self, users_tw: TimeWeighted, population: usize, now: f64) {
         self.users_tw = users_tw;
         self.population = population;
         self.last_step = now;
@@ -307,7 +307,7 @@ impl FluidPool {
 
     /// Integrates the aggregate population from `last_step` to `t1`,
     /// synthesising monitor counters into `accum`.
-    pub fn integrate(
+    pub(crate) fn integrate(
         &mut self,
         t1: f64,
         inputs: &FluidInputs,
@@ -389,7 +389,7 @@ impl FluidPool {
 
 /// The population-plane entry points (see [`super::Backend`]).
 impl FluidPool {
-    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
+    pub(crate) fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         // The pool is driven by the profile envelope through
         // `integrate`; a discrete change can only seed state up to the
         // current integration point (the initial population). Change
@@ -403,21 +403,21 @@ impl FluidPool {
         }
     }
 
-    pub fn user_live(&self, _user: u32) -> bool {
+    pub(crate) fn user_live(&self, _user: u32) -> bool {
         // Stale per-user events after a hybrid switch: ignored.
         false
     }
 
-    pub fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: u32) {
+    pub(crate) fn request_complete(&mut self, _ctx: &mut PopCtx<'_>, _user: u32) {
         // Residual per-user requests draining after a hybrid switch
         // complete against the aggregate: nothing to reschedule.
     }
 
-    pub fn users_at_end(&self) -> usize {
+    pub(crate) fn users_at_end(&self) -> usize {
         self.population
     }
 
-    pub fn window_users(&mut self, end: f64) -> f64 {
+    pub(crate) fn window_users(&mut self, end: f64) -> f64 {
         let avg = self.users_tw.average(end);
         self.users_tw.update(end, self.users_tw.current());
         self.users_tw.reset(end);

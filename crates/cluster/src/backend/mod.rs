@@ -96,7 +96,7 @@ pub(crate) enum Backend {
 
 impl Backend {
     /// Which backend this is.
-    pub fn kind(&self) -> BackendKind {
+    pub(crate) fn kind(&self) -> BackendKind {
         match self {
             Backend::PerUser(_) => BackendKind::PerUser,
             Backend::Fluid(_) => BackendKind::Fluid,
@@ -104,7 +104,7 @@ impl Backend {
     }
 
     /// Moves the population to `population` (spawning or retiring).
-    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
+    pub(crate) fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         match self {
             Backend::PerUser(b) => b.set_population(ctx, population),
             Backend::Fluid(b) => b.set_population(ctx, population),
@@ -114,7 +114,7 @@ impl Backend {
     /// Whether a `UserReady` event for `user` is still live (stale
     /// events for retired users — or for a switched-away per-user
     /// population — are ignored).
-    pub fn user_live(&self, user: u32) -> bool {
+    pub(crate) fn user_live(&self, user: u32) -> bool {
         match self {
             Backend::PerUser(b) => b.user_live(user),
             Backend::Fluid(b) => b.user_live(user),
@@ -122,7 +122,7 @@ impl Backend {
     }
 
     /// A root request of `user` completed; schedule the next think.
-    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: u32) {
+    pub(crate) fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: u32) {
         match self {
             Backend::PerUser(b) => b.request_complete(ctx, user),
             Backend::Fluid(b) => b.request_complete(ctx, user),
@@ -130,7 +130,7 @@ impl Backend {
     }
 
     /// Population at this instant (the report's `users_at_end`).
-    pub fn users_at_end(&self) -> usize {
+    pub(crate) fn users_at_end(&self) -> usize {
         match self {
             Backend::PerUser(b) => b.users_at_end(),
             Backend::Fluid(b) => b.users_at_end(),
@@ -138,7 +138,7 @@ impl Backend {
     }
 
     /// Drains the window's time-averaged population.
-    pub fn window_users(&mut self, end: f64) -> f64 {
+    pub(crate) fn window_users(&mut self, end: f64) -> f64 {
         match self {
             Backend::PerUser(b) => b.window_users(end),
             Backend::Fluid(b) => b.window_users(end),

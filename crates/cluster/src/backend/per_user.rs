@@ -31,7 +31,7 @@ pub(crate) struct PerUserDes {
 }
 
 impl PerUserDes {
-    pub fn new(mmpp: Option<Mmpp2>, tenant: u16) -> Self {
+    pub(crate) fn new(mmpp: Option<Mmpp2>, tenant: u16) -> Self {
         PerUserDes {
             alive_bits: Vec::new(),
             dead_hint: 0,
@@ -44,12 +44,12 @@ impl PerUserDes {
 
     /// Restores window continuity when the hybrid policy hands the
     /// population over mid-window.
-    pub fn adopt(&mut self, users_tw: TimeWeighted) {
+    pub(crate) fn adopt(&mut self, users_tw: TimeWeighted) {
         self.users_tw = users_tw;
     }
 
     /// The population integral, for handing over to the other backend.
-    pub fn users_tw(&self) -> TimeWeighted {
+    pub(crate) fn users_tw(&self) -> TimeWeighted {
         self.users_tw
     }
 
@@ -119,7 +119,7 @@ impl PerUserDes {
 
 /// The population-plane entry points (see [`super::Backend`]).
 impl PerUserDes {
-    pub fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
+    pub(crate) fn set_population(&mut self, ctx: &mut PopCtx<'_>, population: usize) {
         let alive = self.alive_count();
         if population > alive {
             for _ in 0..(population - alive) {
@@ -137,14 +137,14 @@ impl PerUserDes {
             .update(ctx.engine.now, self.alive_count() as f64);
     }
 
-    pub fn user_live(&self, user: u32) -> bool {
+    pub(crate) fn user_live(&self, user: u32) -> bool {
         let u = user as usize;
         self.alive_bits
             .get(u / 64)
             .is_some_and(|bits| bits >> (u % 64) & 1 == 1)
     }
 
-    pub fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: u32) {
+    pub(crate) fn request_complete(&mut self, ctx: &mut PopCtx<'_>, user: u32) {
         if self.user_live(user) {
             self.schedule_next_arrival(ctx, user);
         } else {
@@ -153,11 +153,11 @@ impl PerUserDes {
         }
     }
 
-    pub fn users_at_end(&self) -> usize {
+    pub(crate) fn users_at_end(&self) -> usize {
         self.alive_count()
     }
 
-    pub fn window_users(&mut self, end: f64) -> f64 {
+    pub(crate) fn window_users(&mut self, end: f64) -> f64 {
         let avg = self.users_tw.average(end);
         self.users_tw.update(end, self.users_tw.current());
         self.users_tw.reset(end);

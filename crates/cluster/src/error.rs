@@ -26,12 +26,12 @@ pub enum ClusterError {
 
 impl ClusterError {
     /// An out-of-range-parameter error.
-    pub fn invalid_parameter(what: impl Into<String>) -> Self {
+    pub(crate) fn invalid_parameter(what: impl Into<String>) -> Self {
         ClusterError::InvalidParameter { what: what.into() }
     }
 
     /// A structurally-invalid-spec error.
-    pub fn invalid_spec(reason: impl Into<String>) -> Self {
+    pub(crate) fn invalid_spec(reason: impl Into<String>) -> Self {
         ClusterError::InvalidSpec {
             reason: reason.into(),
         }

@@ -69,7 +69,7 @@ pub(crate) struct ServiceRt {
 }
 
 impl ServiceRt {
-    pub fn ready_count(&self) -> usize {
+    pub(crate) fn ready_count(&self) -> usize {
         self.replicas
             .iter()
             .filter(|r| r.state == ReplicaState::Ready)
@@ -77,7 +77,7 @@ impl ServiceRt {
     }
 
     /// The count `reconcile` holds at the target.
-    pub fn serving_count(&self) -> usize {
+    pub(crate) fn serving_count(&self) -> usize {
         self.replicas.iter().filter(|r| r.state.serving()).count()
     }
 }

@@ -22,8 +22,8 @@
 //! ```
 //!
 //! A schedule is checked once, when [`Cluster::new`] validates it
-//! against the application ([`FaultSchedule::validate`]); an invalid one
-//! is a [`ClusterError::InvalidParameter`](crate::ClusterError).
+//! against the application; an invalid one is a
+//! [`ClusterError::InvalidParameter`](crate::ClusterError).
 //!
 //! [`Cluster`]: crate::runtime::Cluster
 //! [`Cluster::new`]: crate::runtime::Cluster::new
@@ -120,8 +120,8 @@ impl FaultSchedule {
         FaultSchedule::default()
     }
 
-    /// Adds a fault at `time`, keeping the schedule sorted. Builder
-    /// form of [`FaultSchedule::push`].
+    /// Adds a fault at `time`, keeping the schedule sorted (stable on
+    /// ties).
     #[must_use]
     pub fn at(mut self, time: f64, kind: FaultKind) -> Self {
         self.push(time, kind);
@@ -131,7 +131,7 @@ impl FaultSchedule {
     /// Adds a fault at `time`, keeping the schedule sorted (stable on
     /// ties). Nothing is checked here: [`FaultSchedule::validate`] does
     /// that once, when a cluster is built with the schedule.
-    pub fn push(&mut self, time: f64, kind: FaultKind) {
+    pub(crate) fn push(&mut self, time: f64, kind: FaultKind) {
         // partition_point keeps pushes at equal times in push order.
         let idx = self.events.partition_point(|e| e.time <= time);
         self.events.insert(idx, FaultEvent { time, kind });
@@ -150,7 +150,7 @@ impl FaultSchedule {
     /// # Errors
     ///
     /// Returns a human-readable description of the first invalid event.
-    pub fn validate(&self, services: usize, servers: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, services: usize, servers: usize) -> Result<(), String> {
         for (i, e) in self.events.iter().enumerate() {
             let fail = |why: String| Err(format!("fault {i}: {why}"));
             if !(e.time.is_finite() && e.time >= 0.0) {

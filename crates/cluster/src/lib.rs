@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! A discrete-event simulated container cluster: the "testbed" of the
 //! ATOM reproduction.

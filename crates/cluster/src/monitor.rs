@@ -321,13 +321,6 @@ impl WindowReport {
         self
     }
 
-    /// Sets the population backend that produced the window.
-    #[must_use]
-    pub fn with_backend(mut self, v: BackendKind) -> Self {
-        self.backend = v;
-        self
-    }
-
     /// Sets the per-service sampled-span aggregates.
     #[must_use]
     pub fn with_span_stats(mut self, v: Option<Vec<ServiceSpanStats>>) -> Self {

@@ -21,7 +21,7 @@ use atom_workload::burstiness::Mmpp2;
 use atom_workload::WorkloadSpec;
 
 use crate::accum::WindowAccum;
-use crate::backend::{Backend, BackendKind, BackendMode, FluidPool, PerUserDes, PopCtx};
+use crate::backend::{Backend, BackendMode, FluidPool, PerUserDes, PopCtx};
 use crate::error::ClusterError;
 use crate::event::{idx16, idx32, Event};
 use crate::fabric::{effective_cap, Fabric, Replica, ReplicaState, ServiceRt};
@@ -45,20 +45,20 @@ pub struct ClusterOptions {
     /// utilisations, mimicking real cAdvisor-style counters; `0`
     /// disables it. The demand-estimation experiment (Fig. 4) uses a few
     /// percent; control experiments default to exact readings.
-    pub monitor_noise: f64,
+    pub(crate) monitor_noise: f64,
     /// Injected fault schedule (crashes, outages, monitor dropouts,
     /// actuation failures, slow starts); empty by default. Fault events
     /// enter the cluster's own event calendar, so a faulty run is as
     /// deterministic in the seed as a fault-free one.
-    pub faults: FaultSchedule,
+    pub(crate) faults: FaultSchedule,
     /// How the user population is simulated: exact per-user DES (the
     /// default), fluid aggregation, or the hybrid of the two. Million-
     /// user runs want [`BackendMode::Fluid`] or [`BackendMode::Hybrid`].
-    pub backend: BackendMode,
+    pub(crate) backend: BackendMode,
     /// Fraction of client requests captured as span trees (0 disables —
     /// the default). The decision is a seeded hash, never a simulation
     /// RNG draw, so sampled and unsampled runs share identical dynamics.
-    pub span_sample_rate: f64,
+    pub(crate) span_sample_rate: f64,
     /// Seed of the span-sampling hash, independent of the simulation
     /// seed so the sampled subset can be varied without changing a run.
     pub span_seed: u64,
@@ -66,7 +66,7 @@ pub struct ClusterOptions {
     /// request completing in each monitoring window, whatever the
     /// sampling rate. Like rate sampling this never draws from the
     /// simulation RNG, so enabling it is observationally inert.
-    pub span_tail: bool,
+    pub(crate) span_tail: bool,
     /// The network fabric between servers. `None` (the default) keeps
     /// inter-service calls free and the simulation bitwise identical to
     /// pre-topology builds; with a topology, cross-server calls pay
@@ -201,7 +201,7 @@ pub struct TenantLayout {
 impl TenantLayout {
     /// The layout of a tenant that owns the whole spec (the
     /// single-tenant case).
-    pub fn whole(spec: &AppSpec) -> Self {
+    pub(crate) fn whole(spec: &AppSpec) -> Self {
         TenantLayout {
             feature_offset: 0,
             feature_count: spec.features.len(),
@@ -211,12 +211,12 @@ impl TenantLayout {
     }
 
     /// The tenant's feature index range in the merged spec.
-    pub fn features(&self) -> std::ops::Range<usize> {
+    pub(crate) fn features(&self) -> std::ops::Range<usize> {
         self.feature_offset..self.feature_offset + self.feature_count
     }
 
     /// The tenant's service index range in the merged spec.
-    pub fn services(&self) -> std::ops::Range<usize> {
+    pub(crate) fn services(&self) -> std::ops::Range<usize> {
         self.service_offset..self.service_offset + self.service_count
     }
 }
@@ -499,28 +499,6 @@ impl Cluster {
         self.engine.now
     }
 
-    /// The options the cluster was constructed with.
-    pub fn options(&self) -> &ClusterOptions {
-        &self.options
-    }
-
-    /// The deployed application spec.
-    pub fn spec(&self) -> &AppSpec {
-        &self.spec
-    }
-
-    /// The population backend currently live (fixed for `PerUser` /
-    /// `Fluid` modes; time-varying under `Hybrid`).
-    pub fn backend_kind(&self) -> BackendKind {
-        self.tenants[0].backend.kind()
-    }
-
-    /// Number of tenants sharing the cluster (1 for the
-    /// [`Cluster::new`] path).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Serving (starting + ready) replica count of a service: the last
     /// scale order it reconciled to. Draining replicas are not counted.
     pub fn replicas(&self, service: ServiceId) -> usize {
@@ -551,9 +529,10 @@ impl Cluster {
 
     /// Arms a one-shot request trace: the next client request (of the
     /// given feature, or any feature when `None`) is captured with a span
-    /// per service hop, whatever [`ClusterOptions::span_sample_rate`]
-    /// says — and without touching span statistics or telemetry. Collect
-    /// it with [`Cluster::take_trace`].
+    /// per service hop, whatever rate
+    /// [`ClusterOptions::with_span_sampling`] set — and without touching
+    /// span statistics or telemetry. Collect it with
+    /// [`Cluster::take_trace`].
     pub fn arm_trace(&mut self, feature: Option<usize>) {
         self.spans.arm(feature);
     }
@@ -929,6 +908,7 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendKind;
     use crate::faults::FaultKind;
     use atom_workload::{LoadProfile, RequestMix};
 
@@ -1918,7 +1898,6 @@ mod tests {
         .unwrap();
         let r = cluster.run_window(300.0);
         assert_eq!(r.backend, BackendKind::Fluid);
-        assert_eq!(cluster.backend_kind(), BackendKind::Fluid);
         assert!(r.total_tps > 0.0, "fluid backend must synthesise traffic");
         assert_eq!(r.users_at_end, 100);
         assert!(cluster.telemetry().fluid_step_events > 0);

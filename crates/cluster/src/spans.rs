@@ -180,7 +180,7 @@ pub(crate) struct SpanLayer {
 }
 
 impl SpanLayer {
-    pub fn new(rate: f64, seed: u64, n_services: usize, tail: bool) -> Self {
+    pub(crate) fn new(rate: f64, seed: u64, n_services: usize, tail: bool) -> Self {
         SpanLayer {
             rate: rate.clamp(0.0, 1.0),
             seed,
@@ -197,27 +197,27 @@ impl SpanLayer {
     }
 
     /// Whether any request can be sampled at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.rate > 0.0 || self.tail
     }
 
     /// Whether a root request needs [`SpanLayer::maybe_start`] at all:
     /// sampling is on or a one-shot trace is armed. The request path
     /// gates its root branch on this so an idle layer costs nothing.
-    pub fn wants_roots(&self) -> bool {
+    pub(crate) fn wants_roots(&self) -> bool {
         self.enabled() || self.armed.is_some()
     }
 
     /// Arms the one-shot trace: the next root request (of `feature`, or
     /// any when `None`) is tracked whatever the sampling decision says.
     /// Discards a previous uncollected one-shot.
-    pub fn arm(&mut self, feature: Option<usize>) {
+    pub(crate) fn arm(&mut self, feature: Option<usize>) {
         self.armed = Some(feature);
         self.forced = None;
     }
 
     /// The completed one-shot trace, parents before children.
-    pub fn take_forced(&mut self) -> Option<Vec<SampledSpan>> {
+    pub(crate) fn take_forced(&mut self) -> Option<Vec<SampledSpan>> {
         self.forced.take()
     }
 
@@ -226,7 +226,7 @@ impl SpanLayer {
     /// `(slot, span index)` handle to thread through the invocation
     /// chain.
     #[allow(clippy::too_many_arguments)] // one call site, plain hop facts
-    pub fn maybe_start(
+    pub(crate) fn maybe_start(
         &mut self,
         tenant: usize,
         feature: usize,
@@ -291,7 +291,7 @@ impl SpanLayer {
     /// Adds a child hop under `parent` of the request in `slot`;
     /// `net_wait` is the network transit the call paid before arriving.
     #[allow(clippy::too_many_arguments)]
-    pub fn child(
+    pub(crate) fn child(
         &mut self,
         slot: usize,
         parent: usize,
@@ -327,7 +327,7 @@ impl SpanLayer {
     /// a replica failure lands here again and overwrites the start — the
     /// span then reports the retry's queue wait, matching what a tracing
     /// client would observe.
-    pub fn begin(&mut self, handle: (usize, usize), now: f64) {
+    pub(crate) fn begin(&mut self, handle: (usize, usize), now: f64) {
         let (slot, idx) = handle;
         self.inflight[slot]
             .as_mut()
@@ -342,7 +342,7 @@ impl SpanLayer {
     /// (`observing` — span collection is part of monitoring and goes
     /// dark with it). The one-shot trace is an operator probe, not
     /// monitoring, and completes either way.
-    pub fn finish(
+    pub(crate) fn finish(
         &mut self,
         handle: (usize, usize),
         now: f64,
@@ -395,7 +395,7 @@ impl SpanLayer {
     }
 
     /// Drains the export log.
-    pub fn take_completed(&mut self) -> Vec<SampledSpan> {
+    pub(crate) fn take_completed(&mut self) -> Vec<SampledSpan> {
         std::mem::take(&mut self.completed)
     }
 
@@ -404,7 +404,7 @@ impl SpanLayer {
     /// serialised from them) stay byte-identical to the pre-span layer.
     /// In tail mode the window's slowest unsampled root is folded in
     /// first — this is the point where the winner is known.
-    pub fn window_stats(
+    pub(crate) fn window_stats(
         &mut self,
         telemetry: &mut ClusterTelemetry,
     ) -> Option<Vec<ServiceSpanStats>> {

@@ -418,7 +418,7 @@ impl AppSpec {
     /// # Panics
     ///
     /// Panics if `mix` length differs from the feature count.
-    pub fn visits_per_request(&self, mix: &[f64]) -> Vec<Vec<f64>> {
+    pub(crate) fn visits_per_request(&self, mix: &[f64]) -> Vec<Vec<f64>> {
         assert_eq!(mix.len(), self.features.len(), "mix/feature mismatch");
         let mut visits: Vec<Vec<f64>> = self
             .services

@@ -111,7 +111,7 @@ impl ClusterTelemetry {
     /// Typed summary of the scale-latency samples (`None` with no
     /// samples). The p95 is nearest-rank: the smallest sample `x` such
     /// that at least 95% of samples are `≤ x`.
-    pub fn scale_latency_stats(&self) -> Option<ScaleLatencyStats> {
+    pub(crate) fn scale_latency_stats(&self) -> Option<ScaleLatencyStats> {
         if self.scale_latencies.is_empty() {
             return None;
         }

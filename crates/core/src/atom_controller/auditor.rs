@@ -256,7 +256,6 @@ mod tests {
             name: name.into(),
             service,
             task,
-            scalable: true,
             max_replicas: 8,
             share_bounds: (0.1, 1.0),
         };

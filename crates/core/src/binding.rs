@@ -14,9 +14,6 @@ pub struct ServiceBinding {
     pub service: ServiceId,
     /// The model-side task.
     pub task: TaskId,
-    /// Whether the controller may scale this service. Non-scalable
-    /// services keep their deployment configuration.
-    pub scalable: bool,
     /// Upper bound on replicas (`Q_i`).
     pub max_replicas: usize,
     /// CPU-share bounds per replica (`s_lb`, `s_ub`).
@@ -140,7 +137,6 @@ impl ModelBinding {
                     name: svc.name.clone(),
                     service: ServiceId(si),
                     task: tasks[si],
-                    scalable: true,
                     max_replicas,
                     share_bounds,
                 }
@@ -212,9 +208,10 @@ impl ModelBinding {
         self.services.iter().find(|s| s.service == service)
     }
 
-    /// The scalable bindings, in declaration order (the GA genome order).
+    /// The bindings the controller scales, in declaration order (the GA
+    /// genome order): every service.
     pub fn scalable(&self) -> impl Iterator<Item = &ServiceBinding> {
-        self.services.iter().filter(|s| s.scalable)
+        self.services.iter()
     }
 
     /// Validates internal consistency against the model.
@@ -269,7 +266,6 @@ mod tests {
                 name: "svc".into(),
                 service: ServiceId(0),
                 task: t,
-                scalable: true,
                 max_replicas: 8,
                 share_bounds: (0.1, 1.0),
             }],

@@ -355,7 +355,6 @@ mod tests {
             name: "s".into(),
             service: ServiceId(0),
             task: TaskId(0),
-            scalable: true,
             max_replicas: 4,
             share_bounds: (lo, hi),
         };

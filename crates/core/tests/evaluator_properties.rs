@@ -35,7 +35,6 @@ fn setup(users: usize, demand_ms: f64) -> (ModelBinding, ObjectiveSpec) {
                 name: "web".into(),
                 service: ServiceId(0),
                 task: web,
-                scalable: true,
                 max_replicas: 8,
                 share_bounds: (0.1, 1.0),
             },
@@ -43,7 +42,6 @@ fn setup(users: usize, demand_ms: f64) -> (ModelBinding, ObjectiveSpec) {
                 name: "db".into(),
                 service: ServiceId(1),
                 task: db,
-                scalable: true,
                 max_replicas: 4,
                 share_bounds: (0.1, 2.0),
             },

@@ -407,7 +407,6 @@ mod tests {
                 ("carts-db", 1, (0.1, 4.0)),
             ]
         );
-        assert!(binding.services.iter().all(|s| s.scalable));
     }
 
     #[test]
